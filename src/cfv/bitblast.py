@@ -3,13 +3,20 @@
 Variable layout: variable 1 is the constant true (pinned by a unit clause),
 then the formula inputs get variables in slot order with each bitvector's
 bits allocated most-significant first, then one variable per logic gate in
-DAG order. Both SAT cores in dpll return the lexicographically least model
-over variables 1..n: DPLL because its decision rule "lowest index first,
-false first" enumerates input valuations in exactly the counting order the
-exhaustive oracle uses, and the learning core because it ends every
-satisfiable search with that same static rule over clauses the formula
-implies. Inputs take the lowest variables after the constant, so the least
-model over all variables carries the least satisfying input valuation.
+the order the gates are created. A gate is created after its operands, so
+its variable lies above theirs.
+
+The result carries two views of one circuit: the Tseitin clauses, with the
+root literal as a unit clause, and the gate list (var, kind, operands) in
+that same topological order, with the root literal. The gate list is kept
+only for formulas dpll simulates, those of at most dpll.SIM_MAX_INPUT_BITS
+input bits: nothing else reads it, and on the width-32 vec_insert miter
+(87k variables) it cost about 12 MB of peak memory. Every variable above
+the inputs is a gate, a function of the inputs. So a least satisfying input
+valuation, extended by the gate values it forces, is the lexicographically
+least model over variables 1..n, with input valuations compared in the
+counting order the exhaustive oracle uses. dpll returns that model whether
+it simulates the gates or searches the clauses.
 
 Arithmetic is structural: ripple-carry adders, subtraction as a + ~b + 1,
 shift-and-add multiplication, barrel shifters, and comparisons by
@@ -22,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from cfv.dpll import SIM_MAX_INPUT_BITS
 from cfv.errors import CfvError
 from cfv.terms import BOOL, Formula, Term, postorder
 
@@ -39,7 +47,18 @@ class CnfFormula:
     # input name -> variable index per bit, least significant first;
     # bools get a single entry.
     input_bits: dict[str, tuple[int, ...]]
-    inputs: tuple[Term, ...] = ()
+    inputs: tuple[Term, ...]
+    # (var, kind, operand literals) per gate, operands before their users:
+    # "and" (a, b), "xor" (x, y) over variables, "maj" (a, b, c) and
+    # "ite" (c, a, b), the last meaning c ? a : b.
+    # None above SIM_MAX_INPUT_BITS input bits.
+    gates: list[tuple[int, str, tuple[int, ...]]] | None
+    root: int  # the literal the formula asserts
+
+    @property
+    def num_inputs(self) -> int:
+        """Input bits; they take variables 2..num_inputs + 1."""
+        return sum(map(len, self.input_bits.values()))
 
     def check(self) -> None:
         for clause in self.clauses:
@@ -53,11 +72,12 @@ class CnfFormula:
 
 
 class _Blaster:
-    def __init__(self, deadline: float | None):
+    def __init__(self, deadline: float | None, record_gates: bool):
         self.clauses: list[tuple[int, ...]] = []
         self.num_vars = 1  # var 1 is constant true
         self.clauses.append((TRUE_LIT,))
         self.gate_cache: dict[tuple, int] = {}
+        self.gates: list[tuple[int, str, tuple[int, ...]]] | None = [] if record_gates else None
         self.deadline = deadline
         self._ticks = 0
 
@@ -70,6 +90,13 @@ class _Blaster:
     def new_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
+
+    def new_gate(self, kind: str, operands: tuple[int, ...]) -> int:
+        self.tick()
+        g = self.new_var()
+        if self.gates is not None:
+            self.gates.append((g, kind, operands))
+        return g
 
     def add(self, *lits: int) -> None:
         self.clauses.append(tuple(lits))
@@ -92,8 +119,7 @@ class _Blaster:
         key = ("and",) + tuple(sorted((a, b)))
         g = self.gate_cache.get(key)
         if g is None:
-            self.tick()
-            g = self.new_var()
+            g = self.new_gate("and", (a, b))
             self.add(-g, a)
             self.add(-g, b)
             self.add(g, -a, -b)
@@ -125,8 +151,7 @@ class _Blaster:
         key = ("xor", x, y)
         g = self.gate_cache.get(key)
         if g is None:
-            self.tick()
-            g = self.new_var()
+            g = self.new_gate("xor", (x, y))
             self.add(-g, x, y)
             self.add(-g, -x, -y)
             self.add(g, -x, y)
@@ -164,9 +189,8 @@ class _Blaster:
         key = ("maj",) + tuple(lits)
         g = self.gate_cache.get(key)
         if g is None:
-            self.tick()
-            g = self.new_var()
             a, b, c = lits
+            g = self.new_gate("maj", (a, b, c))
             self.add(-g, a, b)
             self.add(-g, a, c)
             self.add(-g, b, c)
@@ -200,8 +224,7 @@ class _Blaster:
         key = ("ite", c, a, b)
         g = self.gate_cache.get(key)
         if g is None:
-            self.tick()
-            g = self.new_var()
+            g = self.new_gate("ite", (c, a, b))
             self.add(-g, -c, a)
             self.add(-g, c, b)
             self.add(g, -c, -a)
@@ -212,12 +235,6 @@ class _Blaster:
             self.gate_cache[key] = g
         return g
 
-    def conjunction(self, lits: list[int]) -> int:
-        acc = TRUE_LIT
-        for l in lits:
-            acc = self.and_gate(acc, l)
-        return acc
-
     # -- word-level helpers (bit lists are LSB first) -------------------------
 
     def ripple_add(self, a: list[int], b: list[int], carry: int) -> list[int]:
@@ -226,10 +243,6 @@ class _Blaster:
             out.append(self.xor_gate(self.xor_gate(x, y), carry))
             carry = self.maj_gate(x, y, carry)
         return out
-
-    def negate_bits(self, a: list[int]) -> list[int]:
-        zeros = [-TRUE_LIT] * len(a)
-        return self.ripple_add(zeros, [-x for x in a], TRUE_LIT)
 
     def sub_bits(self, a: list[int], b: list[int]) -> list[int]:
         return self.ripple_add(a, [-x for x in b], TRUE_LIT)
@@ -244,11 +257,14 @@ class _Blaster:
         return acc
 
     def shift_bits(self, a: list[int], amount: list[int], arithmetic: bool, left: bool) -> list[int]:
+        # The amount is masked with w - 1, as in terms, so there is one stage
+        # per set bit of w - 1: all the low bits when w is a power of two.
         w = len(a)
-        stages = w.bit_length() - 1  # w is a power of two
         cur = list(a)
         fill = a[-1] if arithmetic else -TRUE_LIT
-        for s in range(stages):
+        for s in range((w - 1).bit_length()):
+            if not (w - 1) >> s & 1:
+                continue
             dist = 1 << s
             sel = amount[s]
             if left:
@@ -276,7 +292,7 @@ def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
     Deterministic: identical formulas produce identical CNFs. Raises
     BlastTimeout when the optional deadline passes.
     """
-    blaster = _Blaster(deadline)
+    blaster = _Blaster(deadline, formula.input_bits <= SIM_MAX_INPUT_BITS)
     input_bits: dict[str, tuple[int, ...]] = {}
     bits: dict[int, list[int]] = {}  # term uid -> literals (LSB first; bools 1 lit)
 
@@ -297,7 +313,12 @@ def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
     root_lit = bits[formula.root.uid][0]
     blaster.add(root_lit)
     return CnfFormula(
-        blaster.num_vars, blaster.clauses, input_bits, tuple(formula.inputs)
+        blaster.num_vars,
+        blaster.clauses,
+        input_bits,
+        tuple(formula.inputs),
+        blaster.gates,
+        root_lit,
     )
 
 

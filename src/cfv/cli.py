@@ -27,7 +27,12 @@ from cfv.minic.ast import Span
 from cfv.minic.metrics import cyclomatic_complexity
 from cfv.pipeline import RunConfig, report_exit_code, run_pipeline
 from cfv.report import witness_json
-from cfv.snapshot import load_snapshot, load_snapshot_from_diff, snapshot_from_sources
+from cfv.snapshot import (
+    load_snapshot,
+    load_snapshot_from_diff,
+    read_source,
+    snapshot_from_sources,
+)
 from cfv.ssa import UnrollConfig
 from cfv.verify import Fail, Pass, verify_test
 
@@ -163,12 +168,8 @@ def cmd_diff(args) -> int:
 def cmd_equiv(args) -> int:
     width = args.width
     old_path, new_path = Path(args.old_file), Path(args.new_file)
-    old_snap = snapshot_from_sources(
-        {old_path.name: old_path.read_text(encoding="utf-8")}, old_path.name, width
-    )
-    new_snap = snapshot_from_sources(
-        {new_path.name: new_path.read_text(encoding="utf-8")}, new_path.name, width
-    )
+    old_snap = snapshot_from_sources({old_path.name: read_source(old_path)}, old_path.name, width)
+    new_snap = snapshot_from_sources({new_path.name: read_source(new_path)}, new_path.name, width)
     name = args.function
     for snap, path in ((old_snap, old_path), (new_snap, new_path)):
         if name not in snap.functions:

@@ -1,35 +1,47 @@
-"""SAT search for the bit-blasted CNFs: plain DPLL and a learning core.
+"""Decision procedures for the bit-blasted CNFs: simulation and a learning core.
 
-One search, two modes, one contract: the model returned is the
-lexicographically least one, with variable 1 the most significant, so
-verdicts and models are fully reproducible. Both modes share the trail,
-two-watched-literal unit propagation and the deadline, which is polled
-every 512 steps, a step being a decision or a propagated literal.
+Both keep one contract: the model returned is the lexicographically least
+one, with variable 1 the most significant, so verdicts and models are fully
+reproducible.
 
-* learn=False is plain DPLL: a fixed decision rule (lowest-indexed
-  unassigned variable, false before true) and chronological backtracking.
-  Together with the bit allocation in bitblast the search enumerates input
-  valuations in counting order, so its first model is the least one. It
-  learns nothing, so a proof over n input bits can take 2^n leaves.
-* learn=True is conflict-driven clause learning after Chaff (Moskewicz et
-  al., 2001) and MiniSat (Een & Sorensson, 2003): 1-UIP learning with
+solve_cnf picks the procedure by the formula's input-bit count:
+
+* Up to SIM_MAX_INPUT_BITS it simulates the blasted circuit on every input
+  valuation, bit-parallel. A chunk packs 4,096 valuations into one Python
+  int per variable, one lane per valuation, and each gate is one to three
+  `& | ^` operations over the whole chunk (word-parallel simulation, as in
+  Kuehlmann et al., "Robust Boolean Reasoning for Equivalence Checking and
+  Functional Property Verification", IEEE TCAD 2002). The deadline is
+  polled before each chunk. At most 16 chunks decide such a query
+  outright: the width-8 miter of (a + 1) * b against a * b + b (16 input
+  bits, UNSAT) takes about 2 ms, where the learning core takes about 33 s
+  on a 2-core x86-64 host.
+* Above it, and for a raw CNF with no circuit, it runs conflict-driven
+  clause learning after Chaff (Moskewicz et al., 2001) and MiniSat (Een &
+  Sorensson, 2003): two-watched-literal propagation, 1-UIP learning with
   recursive clause minimisation, VSIDS decisions on an indexed heap, Luby
-  restarts, and deletion of learned clauses by literal block distance.
+  restarts, and deletion of learned clauses by literal block distance. The
+  deadline is polled every 512 steps, a step being a decision or a
+  propagated literal. The width-32 proof of test_insert_general on
+  corpus/minivec/old, 64 input bits, takes under 1 s.
 
-solve_cnf picks the mode by the formula's input-bit count: DPLL up to
-DPLL_MAX_INPUT_BITS, where its search is bounded by 2^16 leaves and it
-measured faster than learning (the width-8 miter of (a + 1) * b against
-a * b + b, 16 input bits: about 15 s against 33 s on a 2-core x86-64
-host), and learning above, where DPLL's 2^n leaves are out of reach (the
-width-32 proof of test_insert_general on corpus/minivec/old, 64 input
-bits: under 1 s, against no verdict within 120 s).
+How simulation keeps the least-model contract. Input bits take variables
+2..k + 1, most significant first, so valuation i gives variable 2 + j bit
+k - 1 - j of i. The low 12 bits of i pick the lane and the high bits the
+chunk, and chunks run in increasing order, so valuations are tried in
+counting order with variable 2 the most significant bit. The first chunk
+whose root word is nonzero holds the least satisfying valuation in its
+lowest set lane. Every other variable is a gate, whose value is forced by
+the inputs (see bitblast), so that lane's bit in every variable is the
+least model. The gates evaluate the clauses' own circuit, so the model
+satisfies every clause.
 
-How the learning core keeps the least-model contract. Call a search
-*static* when each decision sets the lowest unassigned variable to false.
-The core starts static, and only after STATIC_PROBE_CONFLICTS conflicts
-switches to VSIDS. When VSIDS finds a model, the core backtracks to level
-0 and searches again, static, over the same clause database. A static
-search returns the least model whatever it has learned:
+How the learning core keeps it. Call a search *static* when each decision
+sets the lowest unassigned variable to false. The core starts static, and
+only after STATIC_PROBE_CONFLICTS conflicts switches to VSIDS. When VSIDS
+finds a model, the core backtracks to level 0 and searches again, static,
+over the same clause database. A static search returns the least model
+whatever it has learned:
 
   Let A be the model a static search ends with, and suppose a model M is
   lexicographically smaller. Let u be the first variable where they differ,
@@ -52,15 +64,20 @@ rest of the clause implies its negation.
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from cfv.bitblast import CnfFormula
 
 UNASSIGNED = -1
-DPLL_MAX_INPUT_BITS = 16
+SIM_MAX_INPUT_BITS = 16
 STATIC_PROBE_CONFLICTS = 20
 RESTART_UNIT = 100  # conflicts per Luby unit
 VAR_DECAY = 0.95
 FIRST_REDUCE = 2000  # learned clauses kept before the first deletion
 _POLL_MASK = 511  # poll the deadline every 512 steps
 _TIMEOUT = -2
+_LANE_BITS = 12  # 4,096 valuations per simulated chunk
 
 
 class DpllResult:
@@ -76,17 +93,86 @@ def solve_cnf(
     clauses: list[tuple[int, ...]],
     timeout_s: float | None = None,
     deadline: float | None = None,
-    input_bits: int = 0,
+    circuit: CnfFormula | None = None,
 ) -> DpllResult:
     """Decide a CNF. assignment[v] is 0/1 for v in 1..num_vars when sat.
 
-    input_bits is the number of formula input bits the CNF encodes; above
-    DPLL_MAX_INPUT_BITS the learning core decides it, otherwise DPLL. Both
-    return the lexicographically least model.
+    circuit is the bit-blasted formula the clauses encode. With at most
+    SIM_MAX_INPUT_BITS input bits it is simulated; otherwise, or without a
+    circuit, the learning core searches the clauses. Either way the model
+    is the lexicographically least one.
     """
     if deadline is None and timeout_s is not None:
         deadline = time.monotonic() + timeout_s
-    return search(num_vars, clauses, deadline, learn=input_bits > DPLL_MAX_INPUT_BITS)
+    if circuit is not None and circuit.num_inputs <= SIM_MAX_INPUT_BITS:
+        return simulate(circuit, deadline)
+    return search(num_vars, clauses, deadline)
+
+
+def _lane_patterns(bits: int) -> list[int]:
+    """Word b has lane l set exactly when bit b of l is set, l < 2^bits."""
+    lanes = 1 << bits
+    patterns = []
+    for b in range(bits):
+        run = 1 << b
+        word = ((1 << run) - 1) << run  # lanes run..2*run-1 of the first period
+        period = 2 * run
+        while period < lanes:
+            word |= word << period
+            period *= 2
+        patterns.append(word)
+    return patterns
+
+
+_LANE_PATTERNS = _lane_patterns(_LANE_BITS)
+
+
+def simulate(circuit: CnfFormula, deadline: float | None = None) -> DpllResult:
+    """Evaluate the circuit on every input valuation, in counting order.
+
+    See the module docstring for why the first hit is the least model.
+    """
+    n = circuit.num_vars
+    k = circuit.num_inputs
+    lane_bits = min(k, _LANE_BITS)
+    mask = (1 << (1 << lane_bits)) - 1
+    # w[lit] has a lane set where lit is true. Negative literals index from
+    # the end of the list, which never overlaps 1..n.
+    w = [0] * (2 * n + 1)
+    w[1] = mask
+    # Valuation bit i drives variable k + 1 - i. The low lane_bits of the
+    # valuation are the lane number, the others the chunk number.
+    for i in range(lane_bits):
+        v = k + 1 - i
+        w[v] = _LANE_PATTERNS[i] & mask
+        w[-v] = w[v] ^ mask
+    gates = circuit.gates
+    root = circuit.root
+    for chunk in range(1 << (k - lane_bits)):
+        if deadline is not None and time.monotonic() > deadline:
+            return DpllResult("timeout")
+        for i in range(lane_bits, k):
+            v = k + 1 - i
+            w[v] = mask if chunk >> (i - lane_bits) & 1 else 0
+            w[-v] = w[v] ^ mask
+        for g, kind, ops in gates:
+            if kind == "and":
+                x = w[ops[0]] & w[ops[1]]
+            elif kind == "xor":
+                x = w[ops[0]] ^ w[ops[1]]
+            elif kind == "ite":
+                c, a, b = ops
+                x = w[b] ^ (w[c] & (w[a] ^ w[b]))
+            else:  # maj
+                a, b, c = ops
+                x = (w[a] & w[b]) | (w[c] & (w[a] ^ w[b]))
+            w[g] = x
+            w[-g] = x ^ mask
+        hits = w[root]
+        if hits:
+            lane = (hits & -hits).bit_length() - 1
+            return DpllResult("sat", [UNASSIGNED] + [w[v] >> lane & 1 for v in range(1, n + 1)])
+    return DpllResult("unsat")
 
 
 def _luby(x: int) -> int:
@@ -106,14 +192,11 @@ def search(
     num_vars: int,
     clauses: list[tuple[int, ...]],
     deadline: float | None = None,
-    learn: bool = True,
 ) -> DpllResult:
-    """Decide a CNF; a model is the lexicographically least one.
+    """Decide a CNF with the learning core; a model is the least one.
 
-    learn=False is plain DPLL: static decisions and chronological
-    backtracking. learn=True is the conflict-driven core; see the module
-    docstring for why its model is the least one even though VSIDS decides
-    where the search goes.
+    See the module docstring for why the model is the lexicographically
+    least one even though VSIDS decides where the search goes.
     """
     n = num_vars
     # val[lit] is 1, 0 or UNASSIGNED for the literal lit. Negative literals
@@ -125,7 +208,6 @@ def search(
     seen = [False] * (n + 1)
     trail: list[int] = []
     trail_lim: list[int] = []  # trail length at each decision
-    flipped: list[bool] = []  # per level: DPLL has tried its true branch
     # Clauses are shared with the caller, not copied: w0/w1 hold each
     # clause's two watched literals, watches[lit] the clauses watching lit.
     db: list[tuple[int, ...] | None] = list(clauses)
@@ -207,18 +289,15 @@ def search(
         undone = trail[mark:]
         del trail[mark:]
         del trail_lim[lvl:]
-        del flipped[lvl:]
         qhead = mark
+        next_var = min(next_var, min(map(abs, undone)))
         for lit in undone:
             val[lit] = val[-lit] = UNASSIGNED
-        next_var = min(next_var, min(map(abs, undone)))
-        if learn:
-            for lit in undone:
-                v = lit if lit > 0 else -lit
-                phase[v] = 1 if lit > 0 else 0
-                if hpos[v] < 0:
-                    heap.append(v)
-                    sift_up(len(heap) - 1)
+            v = lit if lit > 0 else -lit
+            phase[v] = 1 if lit > 0 else 0
+            if hpos[v] < 0:
+                heap.append(v)
+                sift_up(len(heap) - 1)
 
     def watch(ci: int, a: int, b: int) -> None:
         w0.append(a)
@@ -372,7 +451,7 @@ def search(
             assign(clause[0], -1)
 
     static = True
-    probe_left = STATIC_PROBE_CONFLICTS if learn else 0  # 0: no switch ahead
+    probe_left = STATIC_PROBE_CONFLICTS  # 0: no switch ahead
     restarts = 0
     restart_left = 0
     max_learnts = FIRST_REDUCE
@@ -381,20 +460,6 @@ def search(
         if confl == _TIMEOUT:
             return DpllResult("timeout")
         if confl >= 0:
-            if not learn:
-                # Chronological backtracking: flip the deepest decision
-                # whose true branch is still open.
-                lvl = len(flipped)
-                while lvl and flipped[lvl - 1]:
-                    lvl -= 1
-                if not lvl:
-                    return DpllResult("unsat")
-                v = -trail[trail_lim[lvl - 1]]
-                cancel_until(lvl - 1)
-                trail_lim.append(len(trail))
-                flipped.append(True)
-                assign(v, -1)
-                continue
             if not trail_lim:
                 return DpllResult("unsat")
             out = analyze(confl)
@@ -456,5 +521,4 @@ def search(
         if deadline is not None and not steps & _POLL_MASK and time.monotonic() > deadline:
             return DpllResult("timeout")
         trail_lim.append(len(trail))
-        flipped.append(False)
         assign(lit, -1)

@@ -30,7 +30,7 @@ from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.parser import parse_unit
 from cfv.minic.typecheck import type_check
-from cfv.snapshot import Snapshot
+from cfv.snapshot import Snapshot, read_source
 
 
 @dataclass
@@ -73,7 +73,7 @@ def load_tests(tests_dir: str | Path, snap: Snapshot) -> tuple[list[TestCase], S
     for path in sorted(tests_dir.rglob("*.c")):
         rel = str(path.relative_to(tests_dir))
         try:
-            test_units.append(parse_unit(path.read_text(encoding="utf-8"), rel, snap.width))
+            test_units.append(parse_unit(read_source(path), rel, snap.width))
         except FrontendError as err:
             diagnostics.extend(err.diagnostics)
     if diagnostics:

@@ -151,7 +151,3 @@ def exit_code(report: dict) -> int:
 
 def tool_block() -> dict:
     return {"name": "cfv", "version": cfv.__version__}
-
-
-def schema_block() -> int:
-    return SCHEMA_VERSION

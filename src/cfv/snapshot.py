@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from cfv.errors import Diagnostic, FrontendError, InputError
-from cfv.minic.ast import DUMMY_SPAN, FunctionDef, GlobalDecl, SourceUnit
+from cfv.minic.ast import DUMMY_SPAN, FunctionDef, GlobalDecl, SourceUnit, Span
 from cfv.minic.parser import parse_unit
 from cfv.minic.typecheck import Environment, type_check
 
@@ -38,6 +38,20 @@ class Snapshot:
             if fn in unit.functions:
                 return unit.source_text[fn.body_span.start : fn.body_span.end]
         return ""
+
+
+def read_source(path: Path) -> str:
+    """Text of a source file; bytes that are not UTF-8 raise InputError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        data, at = err.object, err.start
+        line = data.count(b"\n", 0, at) + 1
+        col = at - data.rfind(b"\n", 0, at)
+        message = f"byte 0x{data[at]:02x} is not valid UTF-8"
+        raise InputError(
+            [Diagnostic(str(path), Span(line, col, at, at + 1), "error", message)]
+        ) from None
 
 
 def snapshot_from_sources(
@@ -70,7 +84,7 @@ def load_snapshot(directory: str | Path, width: int = 32, label: str | None = No
             [Diagnostic(str(directory), DUMMY_SPAN, "error", "not a directory")]
         )
     sources = {
-        str(p.relative_to(directory)): p.read_text(encoding="utf-8")
+        str(p.relative_to(directory)): read_source(p)
         for p in sorted(directory.rglob("*.c"))
     }
     if not sources:
@@ -187,10 +201,10 @@ def load_snapshot_from_diff(
     """Snapshot of base_dir with a unified diff applied on top."""
     base_dir = Path(base_dir)
     sources = {
-        str(p.relative_to(base_dir)): p.read_text(encoding="utf-8")
+        str(p.relative_to(base_dir)): read_source(p)
         for p in sorted(base_dir.rglob("*.c"))
     }
-    diff_text = Path(diff_path).read_text(encoding="utf-8")
+    diff_text = read_source(Path(diff_path))
     try:
         patched = apply_unified_diff(sources, diff_text)
     except DiffError as err:

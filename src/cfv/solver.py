@@ -2,9 +2,10 @@
 
 Two independent routes decide the same Formula type:
 
-* sat_solve: Tseitin bit-blasting followed by a built-in SAT core: plain
-  DPLL for formulas of at most dpll.DPLL_MAX_INPUT_BITS input bits, the
-  conflict-driven learning core above that.
+* sat_solve: Tseitin bit-blasting, then dpll.solve_cnf: bit-parallel
+  simulation of the blasted circuit for formulas of at most
+  dpll.SIM_MAX_INPUT_BITS input bits, the conflict-driven learning core
+  over its clauses above that.
 * exhaustive_solve: vectorized enumeration of every input valuation,
   capped at 20 input bits. This is the oracle the test suite holds the
   solver route against; it shares nothing with the CNF path.
@@ -70,12 +71,15 @@ def sat_solve(
     deadline: float | None = None,
     stats: SolverStats | None = None,
 ) -> SolveResult:
-    """Decide via bit-blasting plus a SAT core; the deadline covers both stages.
+    """Decide via bit-blasting, then simulation or a SAT core; the deadline
+    covers both stages.
 
-    The core is chosen by the formula's input bits: DPLL up to
-    dpll.DPLL_MAX_INPUT_BITS (16), where 2^16 leaves bound its search and
-    it beats the learning core, and the learning core above. Either way the
-    model is the lexicographically least one.
+    Up to dpll.SIM_MAX_INPUT_BITS (16) input bits the blasted circuit is
+    simulated on every valuation, 4,096 at a time, in counting order; the
+    first valuation that satisfies the root is the least model. Above that
+    the learning core searches the clauses and ends with a static search
+    that returns the least model. Either way the model is the
+    lexicographically least one.
     """
     if deadline is None and timeout_s is not None:
         deadline = time.monotonic() + timeout_s
@@ -89,9 +93,7 @@ def sat_solve(
         if stats is not None:
             stats.timeouts += 1
         return Timeout()
-    result = solve_cnf(
-        cnf.num_vars, cnf.clauses, deadline=deadline, input_bits=formula.input_bits
-    )
+    result = solve_cnf(cnf.num_vars, cnf.clauses, deadline=deadline, circuit=cnf)
     if result.status == "timeout":
         if stats is not None:
             stats.timeouts += 1

@@ -197,8 +197,8 @@ class TermBuilder:
             return cached
         # Push equality through if-then-else so that agreement of the guards
         # already decides it. Guarded state updates produce deep ite chains
-        # over a shared initial value; without this, a plain DPLL search can
-        # only discover "both sides left it untouched, hence equal" after
+        # over a shared initial value; without this, a SAT search can only
+        # discover "both sides left it untouched, hence equal" after
         # enumerating the untouched value. The pair cache bounds the
         # expansion by the number of distinct subterm pairs.
         if a.op == "ite" and b.op == "ite":
@@ -455,11 +455,6 @@ def postorder(root: Term) -> list[Term]:
             if a.uid not in seen:
                 stack.append((a, False))
     return order
-
-
-def collect_inputs(root: Term) -> list[Term]:
-    """Input terms reachable from root, in first-postorder-visit order."""
-    return [t for t in postorder(root) if t.op == "input"]
 
 
 def evaluate(root: Term, env: dict[str, int | bool]) -> int | bool:

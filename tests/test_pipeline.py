@@ -290,6 +290,17 @@ class TestCli:
         assert "division" in err
         assert "x.c:1:" in err
 
+    def test_non_utf8_source_exits_three(self, tmp_path, capsys):
+        write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
+        bad = tmp_path / "new" / "lib.c"
+        bad.write_bytes(LIB_OLD.encode() + b"// \xff\n")
+        line = LIB_OLD.count("\n") + 1
+        expected = f"{bad}:{line}:4: error: byte 0xff is not valid UTF-8"
+        assert main(["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]) == 3
+        assert expected in capsys.readouterr().err
+        assert main(["equiv", str(tmp_path / "old" / "lib.c"), str(bad), "add"]) == 3
+        assert expected in capsys.readouterr().err
+
     def test_missing_directory_exits_three(self, tmp_path):
         code = main(
             [

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ def single_input_formula(width, build):
 def learned_model(f):
     """Solve f's CNF with the learning core: its model, or None when unsat."""
     cnf = bitblast(f)
-    result = search(cnf.num_vars, cnf.clauses, learn=True)
+    result = search(cnf.num_vars, cnf.clauses)
     if result.status != "sat":
         return None
     model = {}
@@ -126,6 +127,19 @@ class TestSolverExamples:
         with pytest.raises(DomainTooLargeError):
             exhaustive_solve(f)
 
+    def test_shift_at_width_that_is_not_a_power_of_two(self):
+        # At width 6 the amount is masked with 5, so the barrel shifter
+        # needs stages of 1 and 4, not 1 and 2.
+        def build(b, x):
+            c = lambda v: b.const(v, 6)
+            low = b.slt(c(57), x)
+            product = b.mul(c(30), b.shl(x, x))
+            return b.and_(low, b.not_(b.slt(c(49), product)))
+
+        f = single_input_formula(6, build)
+        assert sat_solve(f).model == exhaustive_solve(f).model == {"x": 8}
+        assert check_model(f, {"x": 8})
+
     def test_timeout_on_hard_instance(self):
         b = TermBuilder()
         p, q = b.input("p", 32), b.input("q", 32)
@@ -133,6 +147,61 @@ class TestSolverExamples:
         rhs = b.add(b.mul(p, q), q)
         f = Formula(b, b.ne(lhs, rhs), (p, q))
         assert isinstance(sat_solve(f, timeout_s=1.0), Timeout)
+
+
+def miter_formula(width):
+    """(a + 1) * b != a * b + b over two width-bit inputs: UNSAT."""
+    b = TermBuilder()
+    p, q = b.input("p", width), b.input("q", width)
+    lhs = b.mul(b.add(p, b.const(1, width)), q)
+    rhs = b.add(b.mul(p, q), q)
+    return Formula(b, b.ne(lhs, rhs), (p, q))
+
+
+def boundary_formula(flags):
+    """Bool flags, then three 5-bit inputs: 15 + flags input bits.
+
+    The least model sets the last flag and leaves the others false:
+    x = 5, y = 8, z = 15. At 16 bits that is valuation 38,159, lane 1,295 of
+    the tenth chunk of 4,096.
+    """
+    b = TermBuilder()
+    ps = tuple(b.input(f"p{i}", BOOL) for i in range(flags))
+    x, y, z = (b.input(name, 5) for name in "xyz")
+    root = b.all_([
+        b.eq(b.add(b.mul(x, y), z), b.const(23, 5)),
+        b.slt(b.const(2, 5), z),
+        b.slt(b.const(4, 5), x),
+        ps[-1],
+        b.not_(b.xor(ps[-1], b.slt(x, y))),
+    ])
+    return Formula(b, root, ps + (x, y, z))
+
+
+class TestSimulation:
+    def test_width8_multiplier_miter_is_unsat_quickly(self):
+        assert isinstance(sat_solve(miter_formula(8), timeout_s=5), Unsat)
+
+    def test_single_valuations_are_found_in_every_chunk_and_lane(self):
+        b = TermBuilder()
+        x, y = b.input("x", 8), b.input("y", 8)
+        for want in ((0, 0), (0xFF, 0xFF), (0x5A, 0xC3), (0x0F, 0xF0)):
+            root = b.and_(b.eq(x, b.const(want[0], 8)), b.eq(y, b.const(want[1], 8)))
+            assert sat_solve(Formula(b, root, (x, y))).model == {"x": want[0], "y": want[1]}
+
+    @pytest.mark.parametrize("flags", [1, 2])
+    def test_dispatch_boundary_matches_enumeration(self, flags):
+        # 16 input bits are simulated, 17 go to the learning core.
+        f = boundary_formula(flags)
+        assert f.input_bits == 15 + flags
+        model = sat_solve(f).model
+        assert model == exhaustive_solve(f).model
+        assert model[f"p{flags - 1}"] is True and (model["x"], model["y"], model["z"]) == (5, 8, 15)
+
+    def test_deadline_already_past_times_out(self):
+        f = miter_formula(8)
+        assert f.input_bits == 16
+        assert isinstance(sat_solve(f, deadline=time.monotonic() - 1), Timeout)
 
 
 class TestDpll:
@@ -175,11 +244,11 @@ class TestDpll:
             if all(any((l > 0) == bool(bits[abs(l) - 1]) for l in c) for c in clauses):
                 least = bits
                 break
-        # solve_cnf without input_bits runs DPLL; then the learning core.
-        for result in (solve_cnf(n_vars, clauses), search(n_vars, clauses, learn=True)):
-            assert (result.status == "sat") == (least is not None)
-            if least is not None:
-                assert result.assignment[1:] == least
+        # solve_cnf without a circuit runs the learning core.
+        result = solve_cnf(n_vars, clauses)
+        assert (result.status == "sat") == (least is not None)
+        if least is not None:
+            assert result.assignment[1:] == least
 
     @pytest.mark.parametrize("hit_a, hit_mask", [(43, 3), (27, 1), (50, 5)])
     def test_learning_core_finds_least_model_behind_conflicts(self, hit_a, hit_mask):
@@ -212,7 +281,7 @@ class TestAgreement:
         if isinstance(fast, Sat):
             assert fast.model == slow.model
             assert check_model(f, fast.model)
-        if not f.root.is_const:  # formulas this small go to DPLL above
+        if not f.root.is_const:  # sat_solve simulates these; search the clauses too
             assert learned_model(f) == (slow.model if isinstance(slow, Sat) else None)
 
     def test_cnf_shape_invariants(self):
