@@ -153,8 +153,9 @@ BINARY_PRECEDENCE: tuple[tuple[str, ...], ...] = (
     ("+", "-"),
     ("*",),
 )
+# Index of each binary operator's group in BINARY_PRECEDENCE.
+BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_PRECEDENCE) for op in ops}
 
-COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
 BOOL_CONNECTIVES = ("&&", "||")
 
 

@@ -1,16 +1,23 @@
-"""Hand-rolled lexer for MiniC.
+"""Lexer for MiniC: one compiled alternation matched at each position.
+
+Tokens are ASCII: numbers are `[0-9]+` or hex `0x[0-9a-fA-F]+`, words are
+`[A-Za-z_][A-Za-z0-9_]*`, and operators are matched longest first. Any other
+character outside a comment, non-ASCII digits and letters included, is an
+"unexpected character" diagnostic.
 
 Comments are stripped from the token stream but kept (with spans) on the
 side, since test section labels are taken from the comment directly above a
 test function. Tokens carrying C operators that exist outside the subset
 (`/`, `%`, `++`, `->`, ...) are emitted with kind UNSUPPORTED so the parser
 can point at them with a precise diagnostic instead of a generic syntax
-error. Preprocessor directives are rejected here.
+error. Preprocessor directives are rejected here, and so are decimal
+literals with a leading zero, which C reads as octal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from cfv.errors import Diagnostic, UnsupportedConstructError
 from cfv.minic.ast import Comment, Span
@@ -34,7 +41,7 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest-match first. Supported multi-char operators.
+# Operators of the subset.
 OPERATORS = (
     "<<",
     ">>",
@@ -88,116 +95,101 @@ UNSUPPORTED_OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+# Token kind of each keyword and operator; any other word is an identifier.
+_KINDS = (
+    {word: "keyword" for word in KEYWORDS}
+    | {op: "op" for op in OPERATORS}
+    | {op: "unsupported" for op in UNSUPPORTED_OPERATORS}
+)
+
+# The first group that matches wins, so a complete block comment comes before
+# an unterminated one and comments come before the `/` operator. `int(text,
+# 0)` reads a number token: it takes `0x1f`, `10` and `00` but not `010`.
+_TOKEN_RE = re.compile(
+    "|".join(
+        [
+            r"(?P<space>[ \t\r\n]+)",
+            r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+            r"(?P<line_comment>//[^\n]*)",
+            r"(?P<block_comment>/\*.*?\*/)",
+            r"(?P<unterminated>/\*)",
+            r"(?P<bad_hex>0[xX](?![0-9a-fA-F]))",
+            r"(?P<number>0[xX][0-9a-fA-F]+|[1-9][0-9]*|0+(?![0-9]))",
+            r"(?P<octal>0[0-9]+)",
+            "(?P<op>"
+            + "|".join(map(re.escape, sorted(OPERATORS + UNSUPPORTED_OPERATORS, key=len, reverse=True)))
+            + ")",
+        ]
+    ),
+    re.DOTALL,
+)
+
+_ERRORS = {
+    "unterminated": "unterminated block comment",
+    "bad_hex": "malformed hex literal",
+    "octal": "octal literals are not supported",
+}
+
+
+# The position is kept as plain ints: most tokens never need a Span.
+class Token(NamedTuple):
     kind: str  # "ident", "number", "keyword", "op", "unsupported", "eof"
     text: str
-    span: Span
+    line: int
+    col: int
+    start: int
+    end: int
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.col, self.start, self.end)
 
 
 def tokenize(source: str, path: str) -> tuple[list[Token], list[Comment]]:
     tokens: list[Token] = []
     comments: list[Comment] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     pos = 0
     line = 1
-    col = 1
+    line_start = 0  # offset of the first character of `line`
     n = len(source)
 
-    def span(start: int, end: int, l: int, c: int) -> Span:
-        return Span(l, c, start, end)
+    def fail(msg: str) -> None:
+        span = Span(line, pos - line_start + 1, pos, pos + 1)
+        raise UnsupportedConstructError([Diagnostic(path, span, "error", msg)])
 
-    def fail(msg: str, start: int, l: int, c: int) -> None:
-        raise UnsupportedConstructError(
-            [Diagnostic(path, span(start, start + 1, l, c), "error", msg)]
-        )
-
-    at_line_start = True
     while pos < n:
-        ch = source[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            at_line_start = True
-            continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if ch == "#" and at_line_start:
-            fail("preprocessor directives are not supported", pos, line, col)
-        at_line_start = False
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            if end == -1:
-                end = n
-            comments.append(
-                Comment(source[pos + 2 : end].strip(), span(pos, end, line, col), line)
-            )
-            col += end - pos
-            pos = end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end == -1:
-                fail("unterminated block comment", pos, line, col)
-            body = source[pos + 2 : end]
-            start_line, start_col = line, col
-            nl = body.count("\n")
-            if nl:
-                line += nl
-                col = (len(body) - body.rfind("\n") - 1) + 3
-            else:
-                col += end + 2 - pos
-            comments.append(
-                Comment(
-                    body.strip(),
-                    span(pos, end + 2, start_line, start_col),
-                    start_line + nl,
-                )
-            )
-            pos = end + 2
-            continue
-        if ch.isdigit():
-            start = pos
-            if source.startswith("0x", pos) or source.startswith("0X", pos):
-                pos += 2
-                while pos < n and source[pos] in "0123456789abcdefABCDEF":
-                    pos += 1
-                if pos == start + 2:
-                    fail("malformed hex literal", start, line, col)
-            else:
-                while pos < n and source[pos].isdigit():
-                    pos += 1
-            tokens.append(Token("number", source[start:pos], span(start, pos, line, col)))
-            col += pos - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (source[pos].isalnum() or source[pos] == "_"):
-                pos += 1
-            text = source[start:pos]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, span(start, pos, line, col)))
-            col += pos - start
-            continue
-        matched = None
-        for op in UNSUPPORTED_OPERATORS:
-            if source.startswith(op, pos):
-                # A supported longer operator wins (e.g. "<<" over ":" never
-                # conflicts, but "/" must not shadow nothing; "&&" handled below).
-                matched = ("unsupported", op)
-                break
-        for op in OPERATORS:
-            if source.startswith(op, pos) and (matched is None or len(op) > len(matched[1])):
-                matched = ("op", op)
-                break
-        if matched is None:
-            fail(f"unexpected character {ch!r}", pos, line, col)
-        kind, text = matched
-        tokens.append(Token(kind, text, span(pos, pos + len(text), line, col)))
-        pos += len(text)
-        col += len(text)
+        m = match(source, pos)
+        if m is None:
+            ch = source[pos]
+            if ch == "#" and not source[line_start:pos].strip(" \t\r"):
+                fail("preprocessor directives are not supported")
+            fail(f"unexpected character {ch!r}")
+        group = m.lastgroup
+        end = m.end()
+        if group == "space":
+            newline = source.rfind("\n", pos, end)
+            if newline != -1:
+                line += source.count("\n", pos, end)
+                line_start = newline + 1
+        elif group == "word" or group == "op" or group == "number":
+            text = m.group()
+            kind = "number" if group == "number" else _KINDS.get(text, "ident")
+            append(Token(kind, text, line, pos - line_start + 1, pos, end))
+        elif group == "line_comment":
+            span = Span(line, pos - line_start + 1, pos, end)
+            comments.append(Comment(source[pos + 2 : end].strip(), span, line))
+        elif group == "block_comment":
+            span = Span(line, pos - line_start + 1, pos, end)
+            newline = source.rfind("\n", pos, end)
+            if newline != -1:
+                line += source.count("\n", pos, end)
+                line_start = newline + 1
+            comments.append(Comment(source[pos + 2 : end - 2].strip(), span, line))
+        else:
+            fail(_ERRORS[group])
+        pos = end
 
-    tokens.append(Token("eof", "", Span(line, col, n, n)))
+    tokens.append(Token("eof", "", line, pos - line_start + 1, n, n))
     return tokens, comments

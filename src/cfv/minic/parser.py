@@ -1,6 +1,10 @@
 """Recursive descent parser for MiniC.
 
 Produces a SourceUnit of global declarations and function definitions.
+Binary operators are parsed by precedence climbing over the levels of
+`ast.BINARY_PRECEDENCE`: one call parses an operand and then every operator
+of at least its minimum level, recursing one level up for each right
+operand, so chains of one level come out left-associative.
 `for` loops are desugared to `while` at parse time: with an init clause the
 result is a block `{ init; while (cond) { body…; step; } }`, without one it
 is the bare `while`. Single-statement bodies of `if`/`else`/`while` are
@@ -9,14 +13,27 @@ wrapped in a Block, so brace style does not affect the tree.
 The integer width of `int` is supplied by the caller because the same source
 is checked at width 4 or 8 by the exhaustive test oracles and at width 32 in
 normal runs.
+
+Later passes walk the tree recursively, so the parser reports a tree deeper
+than MAX_DEPTH as unsupported, at the token that crosses the bound. Each
+nested statement body, parenthesis, unary operator, argument list, index
+and binary operator on the path to a leaf is one level, so the flat chain
+`x + x + x` is two levels deep.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from cfv.errors import Diagnostic, MiniCSyntaxError, UnsupportedConstructError
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.lexer import Token, tokenize
+
+# At this depth `cfv equiv` and `cfv analyze` were measured to need at most
+# about 720 stack frames (nested `if` blocks under the equivalence check),
+# inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 UNSUPPORTED_HINTS = {
     "/": "division is not supported",
@@ -35,12 +52,14 @@ class _Parser:
         self.tokens = tokens
         self.path = path
         self.pos = 0
+        self.depth = 0  # tree levels above the construct being parsed
         self.int_type = ast.IntType(width)
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # The last token is eof and `advance` never moves past it.
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -49,12 +68,22 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("op", "keyword")
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind in ("op", "keyword")
 
     def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in ("op", "keyword"):
+            self.pos += 1
+            return tok
         return None
+
+    def expect_kind(self, kind: str, message: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            self.error(message, tok)
+        self.pos += 1
+        return tok
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -76,12 +105,19 @@ class _Parser:
         )
 
     def reject_unsupported(self):
-        if self.peek().kind == "unsupported":
-            self.error("", self.peek())
+        tok = self.tokens[self.pos]
+        if tok.kind == "unsupported":
+            self.error("", tok)
 
-    def span_from(self, start: Span) -> Span:
+    def descend(self, tok: Token, below: int = 0) -> None:
+        """Enter one level down; `below` levels are already built under it."""
+        self.depth += 1
+        if self.depth + below > MAX_DEPTH:
+            self.unsupported(f"nesting deeper than {MAX_DEPTH} levels is not supported", tok)
+
+    def span_from(self, start: Token) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
-        return Span(start.line, start.col, start.start, prev.span.end)
+        return Span(start.line, start.col, start.start, prev.end)
 
     # -- declarations ------------------------------------------------------
 
@@ -107,37 +143,39 @@ class _Parser:
         return ty
 
     def parse_top_decl(self) -> ast.GlobalDecl | ast.FunctionDef:
-        start = self.peek().span
+        start = self.peek()
         ty = self.parse_base_type()
-        name_tok = self.peek()
-        if name_tok.kind != "ident":
-            self.error("expected a name", name_tok)
-        self.advance()
+        name_tok = self.expect_kind("ident", "expected a name")
         if self.at("("):
             return self.parse_function(ty, name_tok, start)
         if isinstance(ty, ast.VoidType):
             self.error("variables cannot have void type", name_tok)
+        ty, init = self.parse_declarator_rest(ty, name_tok, self.parse_const_init)
+        return ast.GlobalDecl(name_tok.text, ty, init, self.span_from(start))
+
+    def parse_declarator_rest(
+        self, ty: ast.Type, type_error_at: Token | None, parse_init: Callable[[], ast.Expr]
+    ) -> tuple[ast.Type, ast.Expr | None]:
+        """The optional `[N]` (a non-int one reported at `type_error_at`, else
+        at N) and `= init` after a declared name, then `;`."""
         if self.accept("["):
-            length_tok = self.expect_number()
+            length, length_tok = self.expect_number()
             self.expect("]")
             if not isinstance(ty, ast.IntType):
-                self.error("only int arrays are supported", name_tok)
-            if length_tok[0] < 1:
-                self.error("array length must be at least 1", length_tok[1])
-            ty = ast.ArrayType(self.int_type, length_tok[0])
+                self.error("only int arrays are supported", type_error_at or length_tok)
+            if length < 1:
+                self.error("array length must be at least 1", length_tok)
+            ty = ast.ArrayType(self.int_type, length)
         init = None
         if self.accept("="):
             if isinstance(ty, ast.ArrayType):
                 self.error("array initializers are not supported", self.peek())
-            init = self.parse_const_init()
+            init = parse_init()
         self.expect(";")
-        return ast.GlobalDecl(name_tok.text, ty, init, self.span_from(start))
+        return ty, init
 
     def expect_number(self) -> tuple[int, Token]:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.error("expected an integer literal", tok)
-        self.advance()
+        tok = self.expect_kind("number", "expected an integer literal")
         return int(tok.text, 0), tok
 
     def parse_const_init(self) -> ast.Expr:
@@ -149,7 +187,7 @@ class _Parser:
             return ast.BoolLit(tok.span, False)
         if self.accept("-"):
             value, num = self.expect_number()
-            sp = Span(tok.span.line, tok.span.col, tok.span.start, num.span.end)
+            sp = Span(tok.line, tok.col, tok.start, num.end)
             return ast.Unary(sp, "-", ast.IntLit(num.span, value))
         if tok.kind == "number":
             self.advance()
@@ -157,23 +195,20 @@ class _Parser:
         self.error("global initializers must be literal constants", tok)
 
     def parse_function(
-        self, return_type: ast.Type, name_tok: Token, start: Span
+        self, return_type: ast.Type, name_tok: Token, start: Token
     ) -> ast.FunctionDef:
         self.expect("(")
         params: list[ast.Param] = []
         if not self.at(")"):
-            if self.at("void") and self.peek(1).text == ")":
+            if self.at("void") and self.tokens[self.pos + 1].text == ")":
                 self.advance()  # `f(void)` style empty parameter list
             else:
                 while True:
-                    pstart = self.peek().span
+                    pstart = self.peek()
                     pty = self.parse_base_type()
                     if isinstance(pty, ast.VoidType):
                         self.error("parameters cannot have void type", self.peek())
-                    ptok = self.peek()
-                    if ptok.kind != "ident":
-                        self.error("expected a parameter name", ptok)
-                    self.advance()
+                    ptok = self.expect_kind("ident", "expected a parameter name")
                     if self.at("["):
                         self.error(
                             "array parameters are not supported; use a global array",
@@ -183,7 +218,6 @@ class _Parser:
                     if not self.accept(","):
                         break
         self.expect(")")
-        body_start = self.peek().span
         body = self.parse_block()
         return ast.FunctionDef(
             name_tok.text,
@@ -191,48 +225,45 @@ class _Parser:
             return_type,
             body,
             span=self.span_from(start),
-            body_span=self.span_from(body_start),
+            body_span=body.span,
         )
 
     # -- statements ----------------------------------------------------------
 
     def parse_block(self) -> ast.Block:
-        start = self.expect("{").span
+        brace = self.expect("{")
+        self.descend(brace)
         stmts: list[ast.Stmt] = []
         while not self.at("}"):
             if self.peek().kind == "eof":
                 self.error("unexpected end of file inside a block")
             stmts.append(self.parse_stmt())
         self.expect("}")
-        return ast.Block(self.span_from(start), stmts)
+        self.depth -= 1
+        return ast.Block(self.span_from(brace), stmts)
 
     def parse_body(self) -> ast.Block:
         if self.at("{"):
             return self.parse_block()
+        self.descend(self.peek())
         stmt = self.parse_stmt()
+        self.depth -= 1
         return ast.Block(stmt.span, [stmt])
 
     def parse_stmt(self) -> ast.Stmt:
         self.reject_unsupported()
-        tok = self.peek()
-        start = tok.span
+        start = self.peek()
         if self.at("{"):
             return self.parse_block()
         if self.at("int") or self.at("bool"):
             return self.parse_var_decl()
         if self.accept("if"):
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+            cond = self.parse_condition()
             then_body = self.parse_body()
-            else_body = None
-            if self.accept("else"):
-                else_body = self.parse_body()
+            else_body = self.parse_body() if self.accept("else") else None
             return ast.If(self.span_from(start), cond, then_body, else_body)
         if self.accept("while"):
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+            cond = self.parse_condition()
             body = self.parse_body()
             return ast.While(self.span_from(start), cond, body)
         if self.accept("for"):
@@ -241,55 +272,36 @@ class _Parser:
             value = None if self.at(";") else self.parse_expr()
             self.expect(";")
             return ast.Return(self.span_from(start), value)
-        if self.accept("assert"):
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+        if self.accept("assert") or self.accept("assume"):
+            cond = self.parse_condition()
             self.expect(";")
-            return ast.Assert(self.span_from(start), cond)
-        if self.accept("assume"):
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            self.expect(";")
-            return ast.Assume(self.span_from(start), cond)
+            node = ast.Assert if start.text == "assert" else ast.Assume
+            return node(self.span_from(start), cond)
         stmt = self.parse_assign_or_expr()
         self.expect(";")
         return stmt
 
+    def parse_condition(self) -> ast.Expr:
+        self.expect("(")
+        cond = self.parse_expr()
+        self.expect(")")
+        return cond
+
     def parse_var_decl(self) -> ast.VarDecl:
-        start = self.peek().span
+        start = self.peek()
         ty = self.parse_base_type()
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error("expected a variable name", tok)
-        self.advance()
-        if self.accept("["):
-            length, ltok = self.expect_number()
-            self.expect("]")
-            if not isinstance(ty, ast.IntType):
-                self.error("only int arrays are supported", ltok)
-            if length < 1:
-                self.error("array length must be at least 1", ltok)
-            ty = ast.ArrayType(self.int_type, length)
-        init = None
-        if self.accept("="):
-            if isinstance(ty, ast.ArrayType):
-                self.error("array initializers are not supported", self.peek())
-            init = self.parse_expr()
-        self.expect(";")
+        tok = self.expect_kind("ident", "expected a variable name")
+        ty, init = self.parse_declarator_rest(ty, None, self.parse_expr)
         return ast.VarDecl(self.span_from(start), tok.text, ty, init)
 
-    def parse_for(self, start: Span) -> ast.Stmt:
+    def parse_for(self, start: Token) -> ast.Stmt:
         self.expect("(")
         init: ast.Stmt | None = None
-        if not self.at(";"):
-            if self.at("int") or self.at("bool"):
-                init = self.parse_var_decl()  # consumes the ';'
-            else:
-                init = self.parse_assign_or_expr()
-                self.expect(";")
+        if self.at("int") or self.at("bool"):
+            init = self.parse_var_decl()  # consumes the ';'
         else:
+            if not self.at(";"):
+                init = self.parse_assign_or_expr()
             self.expect(";")
         if self.at(";"):
             cond: ast.Expr = ast.BoolLit(self.peek().span, True)
@@ -311,7 +323,7 @@ class _Parser:
         return ast.Block(full, [init, loop])
 
     def parse_assign_or_expr(self) -> ast.Stmt:
-        start = self.peek().span
+        start = self.peek()
         expr = self.parse_expr()
         if self.at("="):
             if not isinstance(expr, (ast.VarRef, ast.ArrayIndex)):
@@ -323,79 +335,89 @@ class _Parser:
         return ast.ExprStmt(self.span_from(start), expr)
 
     # -- expressions ---------------------------------------------------------
+    # Each routine returns the tree with its height, the levels below its root.
 
     def parse_expr(self) -> ast.Expr:
-        return self.parse_binary(0)
+        return self.parse_binary(0)[0]
 
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(ast.BINARY_PRECEDENCE):
-            return self.parse_unary()
-        ops = ast.BINARY_PRECEDENCE[level]
-        left = self.parse_binary(level + 1)
+    def nested_expr(self, tok: Token) -> tuple[ast.Expr, int]:
+        """A full expression one level down, such as the inside of `(`."""
+        self.descend(tok)
+        result = self.parse_binary(0)
+        self.depth -= 1
+        return result
+
+    def parse_binary(self, min_level: int) -> tuple[ast.Expr, int]:
+        """An operand followed by every operator of level >= min_level."""
+        left, height = self.parse_unary()
         while True:
             self.reject_unsupported()
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ops:
-                self.advance()
-                right = self.parse_binary(level + 1)
-                sp = Span(
-                    left.span.line, left.span.col, left.span.start, right.span.end
-                )
-                left = ast.Binary(sp, tok.text, left, right)
-            else:
-                return left
+            tok = self.tokens[self.pos]
+            level = ast.BINARY_LEVEL.get(tok.text) if tok.kind == "op" else None
+            if level is None or level < min_level:
+                return left, height
+            self.pos += 1
+            self.descend(tok, height)
+            right, right_height = self.parse_binary(level + 1)
+            self.depth -= 1
+            height = max(height, right_height) + 1
+            ls = left.span
+            sp = Span(ls.line, ls.col, ls.start, right.span.end)
+            left = ast.Binary(sp, tok.text, left, right)
 
-    def parse_unary(self) -> ast.Expr:
+    def parse_unary(self) -> tuple[ast.Expr, int]:
         self.reject_unsupported()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.text in ("-", "!", "~"):
-            self.advance()
-            operand = self.parse_unary()
-            sp = Span(tok.span.line, tok.span.col, tok.span.start, operand.span.end)
-            return ast.Unary(sp, tok.text, operand)
+            self.pos += 1
+            self.descend(tok)
+            operand, height = self.parse_unary()
+            self.depth -= 1
+            sp = Span(tok.line, tok.col, tok.start, operand.span.end)
+            return ast.Unary(sp, tok.text, operand), height + 1
         if tok.kind == "op" and tok.text == "&":
             self.unsupported("the address-of operator is not supported", tok)
         if tok.kind == "op" and tok.text == "*":
             self.unsupported("pointer indirection is not supported", tok)
         return self.parse_postfix()
 
-    def parse_postfix(self) -> ast.Expr:
-        tok = self.peek()
+    def parse_postfix(self) -> tuple[ast.Expr, int]:
+        tok = self.tokens[self.pos]
         if tok.kind == "number":
-            self.advance()
-            return ast.IntLit(tok.span, int(tok.text, 0))
-        if self.accept("true"):
-            return ast.BoolLit(tok.span, True)
-        if self.accept("false"):
-            return ast.BoolLit(tok.span, False)
-        if self.accept("nondet_int"):
-            self.expect("(")
-            self.expect(")")
-            return ast.NondetInt(self.span_from(tok.span))
-        if self.accept("nondet_bool"):
-            self.expect("(")
-            self.expect(")")
-            return ast.NondetBool(self.span_from(tok.span))
-        if self.accept("("):
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
+            self.pos += 1
+            return ast.IntLit(tok.span, int(tok.text, 0)), 0
         if tok.kind == "ident":
-            self.advance()
+            self.pos += 1
             if self.accept("("):
                 args: list[ast.Expr] = []
+                height = 0
                 if not self.at(")"):
                     while True:
-                        args.append(self.parse_expr())
+                        arg, arg_height = self.nested_expr(tok)
+                        args.append(arg)
+                        height = max(height, arg_height + 1)
                         if not self.accept(","):
                             break
                 self.expect(")")
-                return ast.Call(self.span_from(tok.span), tok.text, args)
+                return ast.Call(self.span_from(tok), tok.text, args), height
             if self.accept("["):
-                index = self.parse_expr()
+                index, height = self.nested_expr(tok)
                 self.expect("]")
-                return ast.ArrayIndex(self.span_from(tok.span), tok.text, index)
-            return ast.VarRef(tok.span, tok.text)
+                return ast.ArrayIndex(self.span_from(tok), tok.text, index), height + 1
+            return ast.VarRef(tok.span, tok.text), 0
+        if self.accept("("):
+            expr = self.nested_expr(tok)
+            self.expect(")")
+            return expr
+        if self.accept("true"):
+            return ast.BoolLit(tok.span, True), 0
+        if self.accept("false"):
+            return ast.BoolLit(tok.span, False), 0
+        if self.accept("nondet_int") or self.accept("nondet_bool"):
+            self.expect("(")
+            self.expect(")")
+            node = ast.NondetInt if tok.text == "nondet_int" else ast.NondetBool
+            return node(self.span_from(tok)), 0
         self.error(f"expected an expression, found {tok.text!r}", tok)
 
 

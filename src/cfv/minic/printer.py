@@ -9,10 +9,6 @@ from __future__ import annotations
 
 from cfv.minic import ast
 
-_PREC: dict[str, int] = {}
-for _level, _ops in enumerate(ast.BINARY_PRECEDENCE):
-    for _op in _ops:
-        _PREC[_op] = _level
 _UNARY_PREC = len(ast.BINARY_PRECEDENCE)
 
 
@@ -47,7 +43,7 @@ def format_expr(expr: ast.Expr, parent_prec: int = -1) -> str:
             text = f"- {inner}"
         return text
     if isinstance(expr, ast.Binary):
-        prec = _PREC[expr.op]
+        prec = ast.BINARY_LEVEL[expr.op]
         left = format_expr(expr.left, prec - 1)
         right = format_expr(expr.right, prec)
         text = f"{left} {expr.op} {right}"

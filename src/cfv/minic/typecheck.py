@@ -234,13 +234,9 @@ class _Checker:
         return ty
 
     def _infer(self, expr: Expr, allow_void: bool = False) -> ast.Type | None:
-        if isinstance(expr, IntLit):
+        if isinstance(expr, (IntLit, NondetInt)):
             return self.int_type
-        if isinstance(expr, BoolLit):
-            return BoolType()
-        if isinstance(expr, NondetInt):
-            return self.int_type
-        if isinstance(expr, NondetBool):
+        if isinstance(expr, (BoolLit, NondetBool)):
             return BoolType()
         if isinstance(expr, VarRef):
             ty, is_global = self.lookup(expr.name)
@@ -293,16 +289,11 @@ class _Checker:
                 self.error(expr.span, f"cannot compare {lty} with {rty}")
                 return None
             return BoolType()
-        if op in ("<", "<=", ">", ">="):
-            if not isinstance(lty, IntType) or not isinstance(rty, IntType):
-                self.error(expr.span, f"operator {op!r} needs int operands")
-                return None
-            return BoolType()
-        # Arithmetic, bitwise and shift operators.
+        # Ordering, arithmetic, bitwise and shift operators.
         if not isinstance(lty, IntType) or not isinstance(rty, IntType):
             self.error(expr.span, f"operator {op!r} needs int operands")
             return None
-        return self.int_type
+        return BoolType() if op in ("<", "<=", ">", ">=") else self.int_type
 
     def _infer_call(self, expr: Call, allow_void: bool) -> ast.Type | None:
         fn = self.env.functions.get(expr.name)

@@ -33,9 +33,13 @@ class Snapshot:
         return self.env.globals
 
     def function_source(self, fn: FunctionDef) -> str:
-        """Raw body text of a function, for byte-level change detection."""
+        """Raw body text of a function, for byte-level change detection.
+
+        The unit is found by identity, so `fn` must be one of this
+        snapshot's own definitions; for any other the text is empty.
+        """
         for unit in self.units:
-            if fn in unit.functions:
+            if any(d is fn for d in unit.declarations):
                 return unit.source_text[fn.body_span.start : fn.body_span.end]
         return ""
 

@@ -13,6 +13,8 @@ from cfv.minic import (
     type_check_unit,
 )
 from cfv.minic import ast
+from cfv.minic.ast import Span
+from cfv.minic.lexer import tokenize
 
 
 def parse_ok(src: str, width: int = 32):
@@ -100,6 +102,192 @@ class TestParser:
         f = fn("int f(){return 0x10;}")
         ret = f.body.stmts[0]
         assert isinstance(ret.value, ast.IntLit) and ret.value.value == 16
+
+
+class TestLexer:
+    @pytest.mark.parametrize(
+        "src, message, line, col",
+        [
+            ("#define N 4\n", "preprocessor directives are not supported", 1, 1),
+            ("int x;\n   #include <a.h>\n", "preprocessor directives are not supported", 2, 4),
+            ("int x;\n\t #if X\n", "preprocessor directives are not supported", 2, 3),
+            ("int x; # y\n", "unexpected character '#'", 1, 8),
+            ("/* a\n */ #x\n", "unexpected character '#'", 2, 5),
+            ("int f(){\n  /* open", "unterminated block comment", 2, 3),
+            ("int x = 0x;", "malformed hex literal", 1, 9),
+            ("int x = 0xg;", "malformed hex literal", 1, 9),
+            ("int f(){\n\treturn @;}", "unexpected character '@'", 2, 9),
+        ],
+    )
+    def test_diagnostics(self, src, message, line, col):
+        with pytest.raises(UnsupportedConstructError) as exc:
+            tokenize(src, "t.c")
+        (diag,) = exc.value.diagnostics
+        assert (diag.path, diag.message, diag.span.line, diag.span.col) == ("t.c", message, line, col)
+
+    def test_spans_after_block_comment_tab_and_crlf(self):
+        tokens, comments = tokenize("/* a\n b\n */ int\tx = 1;\r\nint y;", "t.c")
+        assert [(t.kind, t.text, t.span) for t in tokens] == [
+            ("keyword", "int", Span(3, 5, 12, 15)),
+            ("ident", "x", Span(3, 9, 16, 17)),
+            ("op", "=", Span(3, 11, 18, 19)),
+            ("number", "1", Span(3, 13, 20, 21)),
+            ("op", ";", Span(3, 14, 21, 22)),
+            ("keyword", "int", Span(4, 1, 24, 27)),
+            ("ident", "y", Span(4, 5, 28, 29)),
+            ("op", ";", Span(4, 6, 29, 30)),
+            ("eof", "", Span(4, 7, 30, 30)),
+        ]
+        (comment,) = comments
+        assert (comment.text, comment.span, comment.end_line) == ("a\n b", Span(1, 1, 0, 11), 3)
+
+    def test_line_comment(self):
+        tokens, comments = tokenize("int x; // note \nint y;", "t.c")
+        (comment,) = comments
+        assert (comment.text, comment.span, comment.end_line) == ("note", Span(1, 8, 7, 15), 1)
+        assert tokens[3].span == Span(2, 1, 16, 19)
+
+    def test_node_spans_after_crlf_tab_and_block_comment(self):
+        src = "int g;\r\nint f(int a)\r\n{\r\n\treturn a /* x\r\n y */ + 1;\r\n}\r\n"
+        unit = parse_unit(src, "t.c")
+        f = unit.functions[0]
+        ret = f.body.stmts[0]
+        assert f.span == Span(2, 1, 8, 54)
+        assert f.body_span == Span(3, 1, 22, 54)
+        assert ret.span == Span(4, 2, 26, 51)
+        assert ret.value.span == Span(4, 9, 33, 50)
+        assert ret.value.right.span == Span(5, 9, 49, 50)
+        (comment,) = unit.comments
+        assert (comment.text, comment.span, comment.end_line) == ("x\r\n y", Span(4, 11, 35, 46), 5)
+
+    def test_longest_match(self):
+        tokens, _ = tokenize("a<<=b->c+=d--!=e >>= f", "t.c")
+        assert [(t.kind, t.text, t.span.col) for t in tokens] == [
+            ("ident", "a", 1),
+            ("unsupported", "<<=", 2),
+            ("ident", "b", 5),
+            ("unsupported", "->", 6),
+            ("ident", "c", 8),
+            ("unsupported", "+=", 9),
+            ("ident", "d", 11),
+            ("unsupported", "--", 12),
+            ("op", "!=", 14),
+            ("ident", "e", 16),
+            ("unsupported", ">>=", 18),
+            ("ident", "f", 22),
+            ("eof", "", 23),
+        ]
+
+    def test_numbers_and_words(self):
+        tokens, _ = tokenize("0x1fG 123abc _a1 while", "t.c")
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("number", "0x1f"),
+            ("ident", "G"),
+            ("number", "123"),
+            ("ident", "abc"),
+            ("ident", "_a1"),
+            ("keyword", "while"),
+            ("eof", ""),
+        ]
+
+
+def shape(e) -> str:
+    """Fully parenthesized text of an expression tree."""
+    if isinstance(e, ast.Binary):
+        return f"({shape(e.left)} {e.op} {shape(e.right)})"
+    if isinstance(e, ast.Unary):
+        return f"{e.op}{shape(e.operand)}"
+    return e.name
+
+
+def parse_expr_shape(text: str) -> str:
+    unit = parse_unit(f"int f(){{return {text};}}", "t.c")
+    return shape(unit.functions[0].body.stmts[0].value)
+
+
+BOUNDARIES = [
+    (weak[0], strong[0])
+    for weak, strong in zip(ast.BINARY_PRECEDENCE, ast.BINARY_PRECEDENCE[1:])
+]
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize("weak, strong", BOUNDARIES)
+    def test_boundary(self, weak, strong):
+        assert parse_expr_shape(f"a {weak} b {strong} c") == f"(a {weak} (b {strong} c))"
+        assert parse_expr_shape(f"a {strong} b {weak} c") == f"((a {strong} b) {weak} c)"
+
+    @pytest.mark.parametrize("op", [op for level in ast.BINARY_PRECEDENCE for op in level])
+    def test_left_associative(self, op):
+        assert parse_expr_shape(f"a {op} b {op} c") == f"((a {op} b) {op} c)"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a - b - c", "((a - b) - c)"),
+            ("a || b && c", "(a || (b && c))"),
+            ("a << b + c", "(a << (b + c))"),
+            ("a == b < c", "(a == (b < c))"),
+            ("a & b ^ c | d", "(((a & b) ^ c) | d)"),
+            ("-a * !b + ~c", "((-a * !b) + ~c)"),
+            ("a - (b - c)", "(a - (b - c))"),
+            ("a * b + c * d == e", "(((a * b) + (c * d)) == e)"),
+        ],
+    )
+    def test_shapes(self, text, expected):
+        assert parse_expr_shape(text) == expected
+
+    def test_binary_span_runs_from_left_to_right_operand(self):
+        unit = parse_unit("int f(int a){return (a) + a * a;}", "t.c")
+        e = unit.functions[0].body.stmts[0].value
+        assert e.span == Span(1, 22, 21, 31)
+        assert e.right.span == Span(1, 27, 26, 31)
+
+    @pytest.mark.parametrize(
+        "src, message, col",
+        [
+            ("int f(int a){return a + b / c;}", "division is not supported", 27),
+            ("int f(int a){return a ? 1 : 0;}", "the conditional operator is not supported", 23),
+            ("int f(int a){return (a % 2);}", "modulo is not supported", 24),
+            ("int f(int a){return -a++;}", "increment is not supported; use `x = x + 1`", 23),
+            ("int f(int a){a += 1; return a;}", "'+=' is outside the subset", 16),
+            ("int f(int a){return a + &a;}", "the address-of operator is not supported", 25),
+        ],
+    )
+    def test_unsupported_operator_position(self, src, message, col):
+        with pytest.raises(UnsupportedConstructError) as exc:
+            parse_unit(src, "t.c")
+        (diag,) = exc.value.diagnostics
+        assert (diag.message, diag.span.line, diag.span.col) == (message, 1, col)
+
+    @pytest.mark.parametrize(
+        "src, message, col",
+        [
+            ("bool g[2];", "only int arrays are supported", 6),
+            ("int g[0];", "array length must be at least 1", 7),
+            ("int g[2] = 1;", "array initializers are not supported", 12),
+            ("int f(){bool a[2]; return 0;}", "only int arrays are supported", 16),
+            ("int f(){int a[0]; return 0;}", "array length must be at least 1", 15),
+            ("int f(){int a[2] = 1; return 0;}", "array initializers are not supported", 20),
+            ("int g = x;", "global initializers must be literal constants", 9),
+        ],
+    )
+    def test_declaration_errors(self, src, message, col):
+        with pytest.raises(MiniCSyntaxError) as exc:
+            parse_unit(src, "t.c")
+        (diag,) = exc.value.diagnostics
+        assert (diag.message, diag.span.line, diag.span.col) == (message, 1, col)
+
+    def test_void_parameter_list(self):
+        a = fn("int f(void){return 1;}")
+        b = fn("int f(){return 1;}")
+        assert a.params == [] and a == b
+
+    def test_void_parameter_is_rejected(self):
+        with pytest.raises(MiniCSyntaxError) as exc:
+            parse_unit("int f(void x){return 1;}", "t.c")
+        (diag,) = exc.value.diagnostics
+        assert (diag.message, diag.span.col) == ("parameters cannot have void type", 12)
 
 
 class TestTypeCheck:

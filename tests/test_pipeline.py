@@ -1,13 +1,25 @@
+import contextlib
+import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import cfv
 from cfv.cli import main
 from cfv.errors import ConfigError
+from cfv.minic.lexer import UNSUPPORTED_OPERATORS
+from cfv.minic.parser import MAX_DEPTH
 from cfv.pipeline import RunConfig, report_exit_code, run_pipeline
 from cfv.report import strip_timings
 from cfv.ssa import UnrollConfig
+from oracles import CORPUS
 
 LIB_OLD = """
 int total = 0;
@@ -104,7 +116,9 @@ class TestPipeline:
 
     def test_tiny_budget_marks_everything_unknown(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
-        report = run_pipeline(base_config(tmp_path, budget_s=0.001))
+        # Loading these three small files takes under a millisecond, so the
+        # budget must be shorter than that to be gone before any item starts.
+        report = run_pipeline(base_config(tmp_path, budget_s=1e-6))
         (entry,) = report["equivalence"]
         assert entry["verdict"] == {"kind": "unknown", "reason": "timeout"}
         assert report["budget"]["exceeded"] is True
@@ -329,3 +343,146 @@ class TestCli:
         write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
         with pytest.raises(ConfigError):
             run_pipeline(base_config(tmp_path, backend="quantum"))
+
+    @pytest.mark.parametrize(
+        "expr, message, col",
+        [
+            ("x + \u00b2", "unexpected character '\u00b2'", 36),
+            ("x + 1\u0663", "unexpected character '\u0663'", 37),
+            ("\u00e9", "unexpected character '\u00e9'", 32),
+            ("x + 010", "octal literals are not supported", 36),
+        ],
+        ids=["superscript-two", "arabic-indic-three", "e-acute", "octal"],
+    )
+    def test_bad_characters_and_literals_exit_three(self, tmp_path, capsys, expr, message, col):
+        write_tree(tmp_path, LIB_OLD, LIB_OLD.replace("a + b", expr), TESTS)
+        line = LIB_OLD[: LIB_OLD.index("a + b")].count("\n") + 1
+        assert main(["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]) == 3
+        assert f"lib.c:{line}:{col}: error: {message}" in capsys.readouterr().err
+
+    def test_non_ascii_inside_comments_is_accepted(self, tmp_path):
+        write_tree(tmp_path, LIB_OLD, LIB_OLD + "// x\u00b2 \u0663 \u00e9\n/* \u00e9 */\n", TESTS)
+        assert main(["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]) == 0
+
+    def test_python_dash_m_runs_the_cli(self):
+        minivec = CORPUS / "minivec"
+        src = str(Path(cfv.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "cfv", "diff", "--old", str(minivec / "old"), "--new", str(minivec / "new")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "modified: vec_insert" in done.stdout
+
+
+# Functions nested exactly `depth` levels deep by the parser's count. The
+# statements of a function body are at depth 1; each nested body,
+# parenthesis, unary operator, argument list and binary operator on the path
+# down adds one, so every form below spends `n = depth - 1` levels. The
+# innermost operand is `leaf`. With `y`, a copy of `x`, as the leaf the two
+# versions are equivalent but not structurally equal, so `equiv` encodes both.
+DEEP_FORMS = {
+    "parentheses": lambda n, leaf: f"return {'(' * n}{leaf}{')' * n};",
+    "unary": lambda n, leaf: f"return {'- ' * n}{leaf};",
+    "flat-chain": lambda n, leaf: f"return {' + '.join([leaf] + ['x'] * n)};",
+    "right-chain": lambda n, leaf: f"return {'x - (' * (n // 2)}{'- ' * (n % 2)}{leaf}{')' * (n // 2)};",
+    "calls": lambda n, leaf: f"return {'g(' * n}{leaf}{')' * n};",
+    "if-blocks": lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;",
+    "bare-ifs": lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;",
+    "else-ifs": lambda n, leaf: " else ".join(f"if (x == {i}) {{ x = {leaf}; }}" for i in range(n)) + " return x;",
+}
+
+
+def write_deep(tmp_path: Path, form: str, depth: int) -> tuple[Path, Path]:
+    dirs = []
+    for name, leaf in (("old", "x"), ("new", "y")):
+        d = tmp_path / name
+        d.mkdir(exist_ok=True)
+        body = DEEP_FORMS[form](depth - 1, leaf)
+        (d / "m.c").write_text(f"int g(int a){{return a + 1;}}\nint f(int x){{int y = x; {body}}}\n")
+        dirs.append(d)
+    return dirs[0], dirs[1]
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("form", sorted(DEEP_FORMS))
+    def test_at_the_bound(self, tmp_path, capsys, form):
+        old, new = write_deep(tmp_path, form, MAX_DEPTH)
+        assert main(["diff", "--old", str(old), "--new", str(new)]) == 0
+        assert "modified: f" in capsys.readouterr().out
+        assert main(["equiv", str(old / "m.c"), str(new / "m.c"), "f", "--width", "8"]) == 0
+        assert "equivalent (formal)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("form", sorted(DEEP_FORMS))
+    def test_past_the_bound(self, tmp_path, capsys, form):
+        old, new = write_deep(tmp_path, form, MAX_DEPTH + 1)
+        assert main(["diff", "--old", str(old), "--new", str(new)]) == 3
+        diagnostic = capsys.readouterr().err
+        assert diagnostic.startswith("m.c:2:")
+        assert f"error: nesting deeper than {MAX_DEPTH} levels is not supported" in diagnostic
+        assert main(["equiv", str(old / "m.c"), str(new / "m.c"), "f", "--width", "8"]) == 3
+        assert capsys.readouterr().err == diagnostic
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "return " + "(" * 3000 + "x" + ")" * 3000 + ";",
+            "return " + " + ".join(["x"] * 400) + ";",
+            "bool b = " + "!" * 3000 + "(x == 0); return 0;",
+            "if (x > 0) { " * 3000 + "x = 1;" + " }" * 3000 + " return x;",
+        ],
+        ids=["parentheses", "flat-chain", "negations", "if-blocks"],
+    )
+    def test_far_past_the_bound(self, tmp_path, capsys, body):
+        write_tree(tmp_path, LIB_OLD, LIB_OLD + f"int deep(int x){{{body}}}\n", TESTS)
+        assert main(["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]) == 3
+        assert f"error: nesting deeper than {MAX_DEPTH} levels is not supported" in capsys.readouterr().err
+
+
+# Text to splice into sources, in groups that are drawn from evenly:
+# characters the lexer rejects or treats specially, runs of parentheses that
+# cross the nesting bound, the unsupported operators, and punctuation.
+MUTATION_TEXTS = [
+    ["#", "\u00b2", "\u0663", "\u00e9", "\r", "\t", "09", "0x"],
+    ["(" * 3, "(" * 60, "(" * 120],
+    list(UNSUPPORTED_OPERATORS),
+    ["\n", ")", ";", "{", "}", "/*", "*/", "//", " + x", "!", "-"],
+]
+
+
+def mutate(source: str, rng) -> str:
+    """Insert, delete or overwrite text at a random offset, or overwrite a
+    digit, so that the text lands where the parser expects a number."""
+    at = rng.randrange(len(source) + 1)
+    kind = rng.choice(["insert", "delete", "replace", "replace-digit"])
+    text = rng.choice(rng.choice(MUTATION_TEXTS))
+    if kind == "insert":
+        return source[:at] + text + source[at:]
+    if kind == "delete":
+        return source[:at] + source[at + rng.randint(1, 8) :]
+    if kind == "replace-digit":
+        digits = [i for i, c in enumerate(source) if c.isdigit()]
+        at = rng.choice(digits) if digits else at
+        return source[:at] + text + source[at + 1 :]
+    return source[:at] + text + source[at + len(text) :]
+
+
+@given(st.randoms(use_true_random=False))
+def test_cli_diff_on_mutated_sources_exits_zero_or_three(rng):
+    """`cfv diff` on mangled copies of minivec reports, never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for side in ("old", "new"):
+            shutil.copytree(CORPUS / "minivec" / side, root / side)
+        for _ in range(rng.randint(1, 2)):
+            path = root / rng.choice(["old", "new"]) / "vec.c"
+            path.write_text(mutate(path.read_text(), rng))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["diff", "--old", str(root / "old"), "--new", str(root / "new")])
+        assert code in (0, 3), err.getvalue()
+        assert (code == 3) == bool(err.getvalue())
