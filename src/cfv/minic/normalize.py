@@ -37,8 +37,10 @@ class _Renamer:
         return name  # a global
 
     def rename_expr(self, e: ast.Expr) -> ast.Expr:
-        if isinstance(e, (ast.IntLit, ast.BoolLit)):
-            return type(e)(DUMMY_SPAN, e.value)
+        if isinstance(e, ast.IntLit):
+            return ast.IntLit(DUMMY_SPAN, e.value)
+        if isinstance(e, ast.BoolLit):
+            return ast.BoolLit(DUMMY_SPAN, e.value)
         if isinstance(e, ast.VarRef):
             return ast.VarRef(DUMMY_SPAN, self.resolve(e.name))
         if isinstance(e, ast.ArrayIndex):
@@ -52,8 +54,10 @@ class _Renamer:
         if isinstance(e, ast.Call):
             callee = SELF_PLACEHOLDER if e.name == self.fn_name else e.name
             return ast.Call(DUMMY_SPAN, callee, [self.rename_expr(a) for a in e.args])
-        if isinstance(e, (ast.NondetInt, ast.NondetBool)):
-            return type(e)(DUMMY_SPAN)
+        if isinstance(e, ast.NondetInt):
+            return ast.NondetInt(DUMMY_SPAN)
+        if isinstance(e, ast.NondetBool):
+            return ast.NondetBool(DUMMY_SPAN)
         raise AssertionError(f"unknown expression {e!r}")  # pragma: no cover
 
     def rename_block(self, block: ast.Block) -> ast.Block:
@@ -84,8 +88,10 @@ class _Renamer:
         if isinstance(s, ast.Return):
             value = self.rename_expr(s.value) if s.value is not None else None
             return ast.Return(DUMMY_SPAN, value)
-        if isinstance(s, (ast.Assert, ast.Assume)):
-            return type(s)(DUMMY_SPAN, self.rename_expr(s.cond))
+        if isinstance(s, ast.Assert):
+            return ast.Assert(DUMMY_SPAN, self.rename_expr(s.cond))
+        if isinstance(s, ast.Assume):
+            return ast.Assume(DUMMY_SPAN, self.rename_expr(s.cond))
         if isinstance(s, ast.ExprStmt):
             return ast.ExprStmt(DUMMY_SPAN, self.rename_expr(s.expr))
         raise AssertionError(f"unknown statement {s!r}")  # pragma: no cover

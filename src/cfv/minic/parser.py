@@ -1,10 +1,6 @@
 """Recursive descent parser for MiniC.
 
 Produces a SourceUnit of global declarations and function definitions.
-Binary operators are parsed by precedence climbing over the levels of
-`ast.BINARY_PRECEDENCE`: one call parses an operand and then every operator
-of at least its minimum level, recursing one level up for each right
-operand, so chains of one level come out left-associative.
 `for` loops are desugared to `while` at parse time: with an init clause the
 result is a block `{ init; while (cond) { body…; step; } }`, without one it
 is the bare `while`. Single-statement bodies of `if`/`else`/`while` are
@@ -14,26 +10,46 @@ The integer width of `int` is supplied by the caller because the same source
 is checked at width 4 or 8 by the exhaustive test oracles and at width 32 in
 normal runs.
 
-Later passes walk the tree recursively, so the parser reports a tree deeper
-than MAX_DEPTH as unsupported, at the token that crosses the bound. Each
-nested statement body, parenthesis, unary operator, argument list, index
-and binary operator on the path to a leaf is one level, so the flat chain
-`x + x + x` is two levels deep.
+Binary operators are parsed by precedence climbing over the levels of
+`ast.BINARY_PRECEDENCE`: one call parses an operand and then every operator
+of at least its minimum level, recursing one level up for each right
+operand, so chains of one level come out left-associative.
+
+Later passes walk the tree recursively, so the parser bounds its depth. Each
+node on the path from the function body to a leaf costs the stack frames
+that the hungriest pass spends on a node of its kind (FRAMES), and a path
+that costs more than MAX_DEPTH is reported as unsupported at the token that
+crosses the bound. A `for` with an init clause thus costs what its desugared
+block, `while` and body cost, an `else if` what its wrapping block and `if`
+cost, and each operator of the flat chain `x + x + x` one binary node.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from cfv.errors import Diagnostic, MiniCSyntaxError, UnsupportedConstructError
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.lexer import Token, tokenize
 
-# At this depth `cfv equiv` and `cfv analyze` were measured to need at most
-# about 720 stack frames (nested `if` blocks under the equivalence check),
-# inside Python's default recursion limit of 1000.
-MAX_DEPTH = 100
+# Stack frames per node, measured with CPython 3.11 as the growth per nesting
+# level of the deepest of `cfv diff`, `cfv equiv` and `cfv analyze`. The
+# statement costs come from the `==` of two alpha-normalised trees in
+# `changes.structural_equiv`: a dataclass comparison recurses through C
+# frames as well as Python ones. Operators cost most in the type checker,
+# and parentheses, calls and indices in the parser itself.
+FRAMES = {
+    ast.Block: 4,
+    ast.If: 3,
+    ast.While: 3,
+    ast.Binary: 3,
+    ast.Unary: 3,
+    ast.Call: 4,
+    ast.ArrayIndex: 4,
+    "(": 4,
+}
+# Python's default recursion limit is 1000 frames, and the CLI under pytest
+# sits about 60 deep when it starts on a function body.
+MAX_DEPTH = 900
 
 UNSUPPORTED_HINTS = {
     "/": "division is not supported",
@@ -52,7 +68,7 @@ class _Parser:
         self.tokens = tokens
         self.path = path
         self.pos = 0
-        self.depth = 0  # tree levels above the construct being parsed
+        self.depth = 0  # FRAMES of the nodes above the one being parsed
         self.int_type = ast.IntType(width)
 
     # -- token plumbing ----------------------------------------------------
@@ -78,13 +94,6 @@ class _Parser:
             return tok
         return None
 
-    def expect_kind(self, kind: str, message: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            self.error(message, tok)
-        self.pos += 1
-        return tok
-
     def expect(self, text: str) -> Token:
         tok = self.peek()
         if not self.at(text):
@@ -109,11 +118,11 @@ class _Parser:
         if tok.kind == "unsupported":
             self.error("", tok)
 
-    def descend(self, tok: Token, below: int = 0) -> None:
-        """Enter one level down; `below` levels are already built under it."""
-        self.depth += 1
+    def descend(self, tok: Token, frames: int, below: int = 0) -> None:
+        """Enter a node that costs `frames`, with `below` already built under it."""
+        self.depth += frames
         if self.depth + below > MAX_DEPTH:
-            self.unsupported(f"nesting deeper than {MAX_DEPTH} levels is not supported", tok)
+            self.unsupported("nesting is too deep to analyze", tok)
 
     def span_from(self, start: Token) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
@@ -145,37 +154,35 @@ class _Parser:
     def parse_top_decl(self) -> ast.GlobalDecl | ast.FunctionDef:
         start = self.peek()
         ty = self.parse_base_type()
-        name_tok = self.expect_kind("ident", "expected a name")
+        name_tok = self.peek()
+        if name_tok.kind != "ident":
+            self.error("expected a name", name_tok)
+        self.advance()
         if self.at("("):
             return self.parse_function(ty, name_tok, start)
         if isinstance(ty, ast.VoidType):
             self.error("variables cannot have void type", name_tok)
-        ty, init = self.parse_declarator_rest(ty, name_tok, self.parse_const_init)
-        return ast.GlobalDecl(name_tok.text, ty, init, self.span_from(start))
-
-    def parse_declarator_rest(
-        self, ty: ast.Type, type_error_at: Token | None, parse_init: Callable[[], ast.Expr]
-    ) -> tuple[ast.Type, ast.Expr | None]:
-        """The optional `[N]` (a non-int one reported at `type_error_at`, else
-        at N) and `= init` after a declared name, then `;`."""
         if self.accept("["):
-            length, length_tok = self.expect_number()
+            length_tok = self.expect_number()
             self.expect("]")
             if not isinstance(ty, ast.IntType):
-                self.error("only int arrays are supported", type_error_at or length_tok)
-            if length < 1:
-                self.error("array length must be at least 1", length_tok)
-            ty = ast.ArrayType(self.int_type, length)
+                self.error("only int arrays are supported", name_tok)
+            if length_tok[0] < 1:
+                self.error("array length must be at least 1", length_tok[1])
+            ty = ast.ArrayType(self.int_type, length_tok[0])
         init = None
         if self.accept("="):
             if isinstance(ty, ast.ArrayType):
                 self.error("array initializers are not supported", self.peek())
-            init = parse_init()
+            init = self.parse_const_init()
         self.expect(";")
-        return ty, init
+        return ast.GlobalDecl(name_tok.text, ty, init, self.span_from(start))
 
     def expect_number(self) -> tuple[int, Token]:
-        tok = self.expect_kind("number", "expected an integer literal")
+        tok = self.peek()
+        if tok.kind != "number":
+            self.error("expected an integer literal", tok)
+        self.advance()
         return int(tok.text, 0), tok
 
     def parse_const_init(self) -> ast.Expr:
@@ -208,7 +215,10 @@ class _Parser:
                     pty = self.parse_base_type()
                     if isinstance(pty, ast.VoidType):
                         self.error("parameters cannot have void type", self.peek())
-                    ptok = self.expect_kind("ident", "expected a parameter name")
+                    ptok = self.peek()
+                    if ptok.kind != "ident":
+                        self.error("expected a parameter name", ptok)
+                    self.advance()
                     if self.at("["):
                         self.error(
                             "array parameters are not supported; use a global array",
@@ -231,23 +241,23 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def parse_block(self) -> ast.Block:
-        brace = self.expect("{")
-        self.descend(brace)
+        start = self.expect("{")
+        self.descend(start, FRAMES[ast.Block])
         stmts: list[ast.Stmt] = []
         while not self.at("}"):
             if self.peek().kind == "eof":
                 self.error("unexpected end of file inside a block")
             stmts.append(self.parse_stmt())
         self.expect("}")
-        self.depth -= 1
-        return ast.Block(self.span_from(brace), stmts)
+        self.depth -= FRAMES[ast.Block]
+        return ast.Block(self.span_from(start), stmts)
 
     def parse_body(self) -> ast.Block:
         if self.at("{"):
             return self.parse_block()
-        self.descend(self.peek())
+        self.descend(self.peek(), FRAMES[ast.Block])
         stmt = self.parse_stmt()
-        self.depth -= 1
+        self.depth -= FRAMES[ast.Block]
         return ast.Block(stmt.span, [stmt])
 
     def parse_stmt(self) -> ast.Stmt:
@@ -258,13 +268,23 @@ class _Parser:
         if self.at("int") or self.at("bool"):
             return self.parse_var_decl()
         if self.accept("if"):
-            cond = self.parse_condition()
+            self.descend(start, FRAMES[ast.If])
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
             then_body = self.parse_body()
-            else_body = self.parse_body() if self.accept("else") else None
+            else_body = None
+            if self.accept("else"):
+                else_body = self.parse_body()
+            self.depth -= FRAMES[ast.If]
             return ast.If(self.span_from(start), cond, then_body, else_body)
         if self.accept("while"):
-            cond = self.parse_condition()
+            self.descend(start, FRAMES[ast.While])
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
             body = self.parse_body()
+            self.depth -= FRAMES[ast.While]
             return ast.While(self.span_from(start), cond, body)
         if self.accept("for"):
             return self.parse_for(start)
@@ -272,37 +292,61 @@ class _Parser:
             value = None if self.at(";") else self.parse_expr()
             self.expect(";")
             return ast.Return(self.span_from(start), value)
-        if self.accept("assert") or self.accept("assume"):
-            cond = self.parse_condition()
+        if self.accept("assert"):
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
             self.expect(";")
-            node = ast.Assert if start.text == "assert" else ast.Assume
-            return node(self.span_from(start), cond)
+            return ast.Assert(self.span_from(start), cond)
+        if self.accept("assume"):
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
+            self.expect(";")
+            return ast.Assume(self.span_from(start), cond)
         stmt = self.parse_assign_or_expr()
         self.expect(";")
         return stmt
 
-    def parse_condition(self) -> ast.Expr:
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        return cond
-
     def parse_var_decl(self) -> ast.VarDecl:
         start = self.peek()
         ty = self.parse_base_type()
-        tok = self.expect_kind("ident", "expected a variable name")
-        ty, init = self.parse_declarator_rest(ty, None, self.parse_expr)
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.error("expected a variable name", tok)
+        self.advance()
+        if self.accept("["):
+            length, ltok = self.expect_number()
+            self.expect("]")
+            if not isinstance(ty, ast.IntType):
+                self.error("only int arrays are supported", ltok)
+            if length < 1:
+                self.error("array length must be at least 1", ltok)
+            ty = ast.ArrayType(self.int_type, length)
+        init = None
+        if self.accept("="):
+            if isinstance(ty, ast.ArrayType):
+                self.error("array initializers are not supported", self.peek())
+            init = self.parse_expr()
+        self.expect(";")
         return ast.VarDecl(self.span_from(start), tok.text, ty, init)
 
     def parse_for(self, start: Token) -> ast.Stmt:
         self.expect("(")
+        # An init clause goes into a block with the loop; the step goes at
+        # the end of the loop body.
+        outer = 0 if self.at(";") else FRAMES[ast.Block]
+        self.descend(start, outer)
         init: ast.Stmt | None = None
-        if self.at("int") or self.at("bool"):
-            init = self.parse_var_decl()  # consumes the ';'
-        else:
-            if not self.at(";"):
+        if not self.at(";"):
+            if self.at("int") or self.at("bool"):
+                init = self.parse_var_decl()  # consumes the ';'
+            else:
                 init = self.parse_assign_or_expr()
+                self.expect(";")
+        else:
             self.expect(";")
+        self.descend(start, FRAMES[ast.While])
         if self.at(";"):
             cond: ast.Expr = ast.BoolLit(self.peek().span, True)
         else:
@@ -310,9 +354,12 @@ class _Parser:
         self.expect(";")
         step: ast.Stmt | None = None
         if not self.at(")"):
+            self.descend(start, FRAMES[ast.Block])
             step = self.parse_assign_or_expr()
+            self.depth -= FRAMES[ast.Block]
         self.expect(")")
         body = self.parse_body()
+        self.depth -= outer + FRAMES[ast.While]
         full = self.span_from(start)
         stmts = list(body.stmts)
         if step is not None:
@@ -335,21 +382,23 @@ class _Parser:
         return ast.ExprStmt(self.span_from(start), expr)
 
     # -- expressions ---------------------------------------------------------
-    # Each routine returns the tree with its height, the levels below its root.
+    # Each routine returns the tree with its height: the FRAMES of the nodes
+    # below its root on its deepest path.
 
     def parse_expr(self) -> ast.Expr:
         return self.parse_binary(0)[0]
 
-    def nested_expr(self, tok: Token) -> tuple[ast.Expr, int]:
-        """A full expression one level down, such as the inside of `(`."""
-        self.descend(tok)
+    def nested_expr(self, tok: Token, frames: int) -> tuple[ast.Expr, int]:
+        """A full expression under a node that costs `frames`, such as `(`."""
+        self.descend(tok, frames)
         result = self.parse_binary(0)
-        self.depth -= 1
+        self.depth -= frames
         return result
 
     def parse_binary(self, min_level: int) -> tuple[ast.Expr, int]:
         """An operand followed by every operator of level >= min_level."""
         left, height = self.parse_unary()
+        cost = FRAMES[ast.Binary]
         while True:
             self.reject_unsupported()
             tok = self.tokens[self.pos]
@@ -357,10 +406,10 @@ class _Parser:
             if level is None or level < min_level:
                 return left, height
             self.pos += 1
-            self.descend(tok, height)
+            self.descend(tok, cost, height)
             right, right_height = self.parse_binary(level + 1)
-            self.depth -= 1
-            height = max(height, right_height) + 1
+            self.depth -= cost
+            height = max(height, right_height) + cost
             ls = left.span
             sp = Span(ls.line, ls.col, ls.start, right.span.end)
             left = ast.Binary(sp, tok.text, left, right)
@@ -370,11 +419,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.text in ("-", "!", "~"):
             self.pos += 1
-            self.descend(tok)
+            self.descend(tok, FRAMES[ast.Unary])
             operand, height = self.parse_unary()
-            self.depth -= 1
+            self.depth -= FRAMES[ast.Unary]
             sp = Span(tok.line, tok.col, tok.start, operand.span.end)
-            return ast.Unary(sp, tok.text, operand), height + 1
+            return ast.Unary(sp, tok.text, operand), height + FRAMES[ast.Unary]
         if tok.kind == "op" and tok.text == "&":
             self.unsupported("the address-of operator is not supported", tok)
         if tok.kind == "op" and tok.text == "*":
@@ -393,31 +442,36 @@ class _Parser:
                 height = 0
                 if not self.at(")"):
                     while True:
-                        arg, arg_height = self.nested_expr(tok)
+                        arg, arg_height = self.nested_expr(tok, FRAMES[ast.Call])
                         args.append(arg)
-                        height = max(height, arg_height + 1)
+                        height = max(height, arg_height + FRAMES[ast.Call])
                         if not self.accept(","):
                             break
                 self.expect(")")
                 return ast.Call(self.span_from(tok), tok.text, args), height
             if self.accept("["):
-                index, height = self.nested_expr(tok)
+                index, height = self.nested_expr(tok, FRAMES[ast.ArrayIndex])
                 self.expect("]")
-                return ast.ArrayIndex(self.span_from(tok), tok.text, index), height + 1
+                node = ast.ArrayIndex(self.span_from(tok), tok.text, index)
+                return node, height + FRAMES[ast.ArrayIndex]
             return ast.VarRef(tok.span, tok.text), 0
-        if self.accept("("):
-            expr = self.nested_expr(tok)
-            self.expect(")")
-            return expr
         if self.accept("true"):
             return ast.BoolLit(tok.span, True), 0
         if self.accept("false"):
             return ast.BoolLit(tok.span, False), 0
-        if self.accept("nondet_int") or self.accept("nondet_bool"):
+        if self.accept("nondet_int"):
             self.expect("(")
             self.expect(")")
-            node = ast.NondetInt if tok.text == "nondet_int" else ast.NondetBool
-            return node(self.span_from(tok)), 0
+            return ast.NondetInt(self.span_from(tok)), 0
+        if self.accept("nondet_bool"):
+            self.expect("(")
+            self.expect(")")
+            return ast.NondetBool(self.span_from(tok)), 0
+        if self.accept("("):
+            # A parenthesis builds no node but costs the parser its frames.
+            expr = self.nested_expr(tok, FRAMES["("])
+            self.expect(")")
+            return expr
         self.error(f"expected an expression, found {tok.text!r}", tok)
 
 

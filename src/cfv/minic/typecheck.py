@@ -234,9 +234,13 @@ class _Checker:
         return ty
 
     def _infer(self, expr: Expr, allow_void: bool = False) -> ast.Type | None:
-        if isinstance(expr, (IntLit, NondetInt)):
+        if isinstance(expr, IntLit):
             return self.int_type
-        if isinstance(expr, (BoolLit, NondetBool)):
+        if isinstance(expr, BoolLit):
+            return BoolType()
+        if isinstance(expr, NondetInt):
+            return self.int_type
+        if isinstance(expr, NondetBool):
             return BoolType()
         if isinstance(expr, VarRef):
             ty, is_global = self.lookup(expr.name)
@@ -289,11 +293,16 @@ class _Checker:
                 self.error(expr.span, f"cannot compare {lty} with {rty}")
                 return None
             return BoolType()
-        # Ordering, arithmetic, bitwise and shift operators.
+        if op in ("<", "<=", ">", ">="):
+            if not isinstance(lty, IntType) or not isinstance(rty, IntType):
+                self.error(expr.span, f"operator {op!r} needs int operands")
+                return None
+            return BoolType()
+        # Arithmetic, bitwise and shift operators.
         if not isinstance(lty, IntType) or not isinstance(rty, IntType):
             self.error(expr.span, f"operator {op!r} needs int operands")
             return None
-        return BoolType() if op in ("<", "<=", ">", ">=") else self.int_type
+        return self.int_type
 
     def _infer_call(self, expr: Call, allow_void: bool) -> ast.Type | None:
         fn = self.env.functions.get(expr.name)

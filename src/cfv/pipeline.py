@@ -4,8 +4,9 @@ The run proceeds change classification -> equivalence checks on modified
 pairs -> test selection over the call graph -> generalization ->
 verification, and assembles the report. The equivalence phase may spend at
 most half the budget (the rest, plus any surplus, goes to verification);
-when a phase's budget runs out, remaining items are recorded as
-Unknown(timeout) and the report is flagged budget_exceeded. Renamed and
+when a phase has less than MIN_ITEM_S left, remaining items are recorded as
+Unknown(timeout) without being started and the report is flagged
+budget_exceeded. Renamed and
 unchanged functions never reach a solver.
 
 Exit codes: 0 all green, 1 at least one failing test, 2 no failure but at
@@ -48,6 +49,8 @@ from cfv.verify import verify_test
 
 EQUIVALENCE_BUDGET_FRACTION = 0.5
 MIN_TEST_TIMEOUT_S = 5.0
+# An item is started only with at least this much of its phase left.
+MIN_ITEM_S = 0.05
 
 
 @dataclass
@@ -133,13 +136,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
     pending: list[tuple[str, tuple]] = []
     skipped: list[str] = []
     for fn_old, fn_new in sorted(changeset.modified, key=lambda p: p[1].name):
-        if time.monotonic() >= eq_deadline:
+        remaining = eq_deadline - time.monotonic()
+        if remaining < MIN_ITEM_S:
             skipped.append(fn_new.name)
             continue
-        remaining = eq_deadline - time.monotonic()
-        pair_cfg = replace(
-            cfg.unroll, timeout_s=min(cfg.unroll.timeout_s, max(remaining, 0.05))
-        )
+        pair_cfg = replace(cfg.unroll, timeout_s=min(cfg.unroll.timeout_s, remaining))
         pending.append((fn_new.name, (fn_old, fn_new, pair_cfg)))
 
     def eq_worker(name: str, payload):
@@ -213,10 +214,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
         gt = generalize(t, triggers)
         generalized[t.name] = gt
         remaining = total_deadline - time.monotonic()
-        if remaining <= 0:
+        if remaining < MIN_ITEM_S:
             v_skipped.append((t.name, gt))
             continue
-        test_cfg = replace(cfg.unroll, timeout_s=min(per_test, max(remaining, 0.05)))
+        test_cfg = replace(cfg.unroll, timeout_s=min(per_test, remaining))
         v_pending.append((t.name, (gt, test_cfg)))
 
     def v_worker(name: str, payload):

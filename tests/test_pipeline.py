@@ -15,8 +15,7 @@ import cfv
 from cfv.cli import main
 from cfv.errors import ConfigError
 from cfv.minic.lexer import UNSUPPORTED_OPERATORS
-from cfv.minic.parser import MAX_DEPTH
-from cfv.pipeline import RunConfig, report_exit_code, run_pipeline
+from cfv.pipeline import MIN_ITEM_S, RunConfig, report_exit_code, run_pipeline
 from cfv.report import strip_timings
 from cfv.ssa import UnrollConfig
 from oracles import CORPUS
@@ -116,9 +115,7 @@ class TestPipeline:
 
     def test_tiny_budget_marks_everything_unknown(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
-        # Loading these three small files takes under a millisecond, so the
-        # budget must be shorter than that to be gone before any item starts.
-        report = run_pipeline(base_config(tmp_path, budget_s=1e-6))
+        report = run_pipeline(base_config(tmp_path, budget_s=0.001))
         (entry,) = report["equivalence"]
         assert entry["verdict"] == {"kind": "unknown", "reason": "timeout"}
         assert report["budget"]["exceeded"] is True
@@ -130,6 +127,16 @@ class TestPipeline:
         (ver,) = report["verification"]
         assert ver["result"] == {"kind": "unknown", "reason": "timeout"}
         assert report_exit_code(report) == 2
+
+    def test_no_item_starts_with_less_than_the_floor_left(self, tmp_path):
+        # This budget never leaves MIN_ITEM_S to either phase, however fast
+        # the files load, so no item may start with its limit raised to it.
+        write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
+        report = run_pipeline(base_config(tmp_path, budget_s=0.8 * MIN_ITEM_S))
+        unknown = {"kind": "unknown", "reason": "timeout"}
+        assert [e["verdict"] for e in report["equivalence"]] == [unknown]
+        assert [v["result"] for v in report["verification"]] == [unknown]
+        assert report["totals"]["solver_calls"] == 0
 
     def test_report_totals_match_entries(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
@@ -379,31 +386,54 @@ class TestCli:
         assert "modified: vec_insert" in done.stdout
 
 
-# Functions nested exactly `depth` levels deep by the parser's count. The
-# statements of a function body are at depth 1; each nested body,
-# parenthesis, unary operator, argument list and binary operator on the path
-# down adds one, so every form below spends `n = depth - 1` levels. The
-# innermost operand is `leaf`. With `y`, a copy of `x`, as the leaf the two
-# versions are equivalent but not structurally equal, so `equiv` encodes both.
+# Functions that nest one construct n times, with the deepest n the parser
+# accepts for each: (MAX_DEPTH - the function body's block) over the FRAMES
+# of one level, as `cfv.minic.parser` counts them. The innermost operand is
+# `leaf`. With `y`, a copy of `x`, as the leaf the two versions are
+# equivalent but not structurally equal, so `equiv` compares both trees to
+# the leaf and then encodes both. Loops run once, so the encoding stays small.
 DEEP_FORMS = {
-    "parentheses": lambda n, leaf: f"return {'(' * n}{leaf}{')' * n};",
-    "unary": lambda n, leaf: f"return {'- ' * n}{leaf};",
-    "flat-chain": lambda n, leaf: f"return {' + '.join([leaf] + ['x'] * n)};",
-    "right-chain": lambda n, leaf: f"return {'x - (' * (n // 2)}{'- ' * (n % 2)}{leaf}{')' * (n // 2)};",
-    "calls": lambda n, leaf: f"return {'g(' * n}{leaf}{')' * n};",
-    "if-blocks": lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;",
-    "bare-ifs": lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;",
-    "else-ifs": lambda n, leaf: " else ".join(f"if (x == {i}) {{ x = {leaf}; }}" for i in range(n)) + " return x;",
+    "parentheses": (224, lambda n, leaf: f"return {'(' * n}{leaf}{')' * n};"),
+    "unary": (298, lambda n, leaf: f"return {'- ' * n}{leaf};"),
+    "flat-chain": (298, lambda n, leaf: f"return {' + '.join([leaf] + ['x'] * n)};"),
+    "right-chain": (
+        256,
+        lambda n, leaf: f"return {'x - (' * (n // 2)}{'- ' * (n % 2)}{leaf}{')' * (n // 2)};",
+    ),
+    "calls": (224, lambda n, leaf: f"return {'g(' * n}{leaf}{')' * n};"),
+    "indices": (127, lambda n, leaf: f"return {'a[' * n}{leaf} & 3{' & 3]' * n};"),
+    "blocks": (224, lambda n, leaf: f"{'{ ' * n}x = {leaf};{' }' * n} return x;"),
+    "if-blocks": (128, lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;"),
+    "bare-ifs": (128, lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;"),
+    "else-ifs": (
+        128,
+        lambda n, leaf: " else ".join(f"if (x == {i}) {{ x = x; }}" for i in range(n - 1))
+        + f" else if (x == {n}) {{ x = {leaf}; }} return x;",
+    ),
+    "while-loops": (
+        128,
+        lambda n, leaf: f"{'while (true) { ' * n}x = {leaf}; return x;{' }' * n} return x;",
+    ),
+    "for-loops": (
+        81,
+        lambda n, leaf: f"{'for (int i = 0; i < 1; i = i + 1) { ' * n}x = {leaf};{' }' * n} return x;",
+    ),
+    "for-loops-without-init": (
+        128,
+        lambda n, leaf: f"{'for (; true; x = x) { ' * n}x = {leaf}; return x;{' }' * n} return x;",
+    ),
 }
 
 
-def write_deep(tmp_path: Path, form: str, depth: int) -> tuple[Path, Path]:
+def write_deep(tmp_path: Path, form: str, n: int) -> tuple[Path, Path]:
     dirs = []
     for name, leaf in (("old", "x"), ("new", "y")):
         d = tmp_path / name
         d.mkdir(exist_ok=True)
-        body = DEEP_FORMS[form](depth - 1, leaf)
-        (d / "m.c").write_text(f"int g(int a){{return a + 1;}}\nint f(int x){{int y = x; {body}}}\n")
+        body = DEEP_FORMS[form][1](n, leaf)
+        (d / "m.c").write_text(
+            f"int a[4];\nint g(int a){{return a + 1;}}\nint f(int x){{int y = x; {body}}}\n"
+        )
         dirs.append(d)
     return dirs[0], dirs[1]
 
@@ -411,7 +441,7 @@ def write_deep(tmp_path: Path, form: str, depth: int) -> tuple[Path, Path]:
 class TestNestingBound:
     @pytest.mark.parametrize("form", sorted(DEEP_FORMS))
     def test_at_the_bound(self, tmp_path, capsys, form):
-        old, new = write_deep(tmp_path, form, MAX_DEPTH)
+        old, new = write_deep(tmp_path, form, DEEP_FORMS[form][0])
         assert main(["diff", "--old", str(old), "--new", str(new)]) == 0
         assert "modified: f" in capsys.readouterr().out
         assert main(["equiv", str(old / "m.c"), str(new / "m.c"), "f", "--width", "8"]) == 0
@@ -419,11 +449,11 @@ class TestNestingBound:
 
     @pytest.mark.parametrize("form", sorted(DEEP_FORMS))
     def test_past_the_bound(self, tmp_path, capsys, form):
-        old, new = write_deep(tmp_path, form, MAX_DEPTH + 1)
+        old, new = write_deep(tmp_path, form, DEEP_FORMS[form][0] + 1)
         assert main(["diff", "--old", str(old), "--new", str(new)]) == 3
         diagnostic = capsys.readouterr().err
-        assert diagnostic.startswith("m.c:2:")
-        assert f"error: nesting deeper than {MAX_DEPTH} levels is not supported" in diagnostic
+        assert diagnostic.startswith("m.c:3:")
+        assert "error: nesting is too deep to analyze" in diagnostic
         assert main(["equiv", str(old / "m.c"), str(new / "m.c"), "f", "--width", "8"]) == 3
         assert capsys.readouterr().err == diagnostic
 
@@ -434,13 +464,14 @@ class TestNestingBound:
             "return " + " + ".join(["x"] * 400) + ";",
             "bool b = " + "!" * 3000 + "(x == 0); return 0;",
             "if (x > 0) { " * 3000 + "x = 1;" + " }" * 3000 + " return x;",
+            " else ".join(f"if (x == {i}) {{ x = 1; }}" for i in range(3000)) + " return x;",
         ],
-        ids=["parentheses", "flat-chain", "negations", "if-blocks"],
+        ids=["parentheses", "flat-chain", "negations", "if-blocks", "else-ifs"],
     )
     def test_far_past_the_bound(self, tmp_path, capsys, body):
         write_tree(tmp_path, LIB_OLD, LIB_OLD + f"int deep(int x){{{body}}}\n", TESTS)
         assert main(["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]) == 3
-        assert f"error: nesting deeper than {MAX_DEPTH} levels is not supported" in capsys.readouterr().err
+        assert "error: nesting is too deep to analyze" in capsys.readouterr().err
 
 
 # Text to splice into sources, in groups that are drawn from evenly:
@@ -448,7 +479,7 @@ class TestNestingBound:
 # cross the nesting bound, the unsupported operators, and punctuation.
 MUTATION_TEXTS = [
     ["#", "\u00b2", "\u0663", "\u00e9", "\r", "\t", "09", "0x"],
-    ["(" * 3, "(" * 60, "(" * 120],
+    ["(" * 3, "(" * 120, "(" * 240],
     list(UNSUPPORTED_OPERATORS),
     ["\n", ")", ";", "{", "}", "/*", "*/", "//", " + x", "!", "-"],
 ]
