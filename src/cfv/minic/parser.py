@@ -32,11 +32,11 @@ from cfv.minic.ast import Span
 from cfv.minic.lexer import Token, tokenize
 
 # Stack frames per node, measured with CPython 3.11 as the growth per nesting
-# level of the deepest of `cfv diff`, `cfv equiv` and `cfv analyze`. The
-# statement costs come from the `==` of two alpha-normalised trees in
-# `changes.structural_equiv`: a dataclass comparison recurses through C
-# frames as well as Python ones. Operators cost most in the type checker,
-# and parentheses, calls and indices in the parser itself.
+# level of the deepest of `cfv diff`, `cfv equiv` and `cfv analyze`. No pass
+# spends more on a statement or operator than the `==` of two
+# alpha-normalised trees in `changes.structural_equiv`, a dataclass
+# comparison that recurses through C frames as well as Python ones. A
+# parenthesis builds no node and costs the frames of the parser itself.
 FRAMES = {
     ast.Block: 4,
     ast.If: 3,
