@@ -9,7 +9,7 @@ Subcommands:
 
 Diagnostics print as path:line:col: severity: message on stderr. Exit
 codes: 0 clean, 1 failing test (or non-equivalent for `equiv`), 2 unknown
-results, 3 bad configuration or unparseable input.
+results, 3 bad configuration (usage errors included) or unparseable input.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from cfv.errors import CfvError, ConfigError, FrontendError, InputError
 from cfv.harness import GeneralizedTest, load_tests
 from cfv.minic.ast import Span
 from cfv.minic.metrics import cyclomatic_complexity
-from cfv.pipeline import RunConfig, report_exit_code, run_pipeline
-from cfv.report import witness_json
+from cfv.pipeline import RunConfig, run_pipeline
+from cfv.report import exit_code, witness_json
 from cfv.snapshot import (
     load_snapshot,
     load_snapshot_from_diff,
@@ -41,20 +41,31 @@ def _unroll_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bound", type=int, default=8, metavar="K", help="loop unrolling bound (default 8)")
     parser.add_argument("--depth", type=int, default=None, metavar="D", help="call inlining depth (default: bound)")
     parser.add_argument("--width", type=int, default=32, metavar="W", choices=(4, 8, 16, 32), help="integer width in bits (default 32)")
-    parser.add_argument("--timeout", type=float, default=60.0, metavar="S", help="per-check time limit in seconds (default 60)")
+    parser.add_argument("--timeout", type=float, default=60.0, metavar="S", help="time limit in seconds for each equivalence pair and each test (default 60)")
 
 
 def _unroll_from(args) -> UnrollConfig:
-    return UnrollConfig(
-        loop_bound=args.bound,
-        inline_depth=args.depth,
-        timeout_s=args.timeout,
-        width=args.width,
-    )
+    try:
+        return UnrollConfig(
+            loop_bound=args.bound,
+            inline_depth=args.depth,
+            timeout_s=args.timeout,
+            width=args.width,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 3 on a usage error, as on any other bad configuration."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfv",
         description="Change-focused bounded verification for a small C subset.",
     )
@@ -66,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--new", metavar="DIR")
     p.add_argument("--diff", metavar="FILE", help="unified diff applied to --old instead of --new")
     p.add_argument("--tests", required=True, metavar="DIR")
-    p.add_argument("--budget", type=float, default=300.0, metavar="S", help="total wall-clock budget (default 300)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--budget", type=float, default=300.0, metavar="S", help="wall-clock budget of the whole run in seconds; equivalence checks stop at half of it, and an item left with under 0.05 s is reported unknown (default 300)")
     p.add_argument(
         "--backend",
         default="internal",
@@ -113,7 +123,6 @@ def cmd_analyze(args) -> int:
         out_path=args.out,
         budget_s=args.budget,
         unroll=_unroll_from(args),
-        parallelism=args.jobs,
         backend=args.backend,
         diff_path=args.diff,
     )
@@ -139,7 +148,7 @@ def cmd_analyze(args) -> int:
     if report["budget"]["exceeded"]:
         print("budget exceeded", file=sys.stderr)
     print(f"report written to {args.out}")
-    return report_exit_code(report)
+    return exit_code(report)
 
 
 def cmd_diff(args) -> int:

@@ -30,7 +30,7 @@ from cfv.errors import SignatureMismatchError
 from cfv.interp import DEFAULT_FUEL, Outcome, run_function
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
-from cfv.solver import Sat, SolverStats, Timeout, Unsat, sat_solve
+from cfv.solver import Sat, SolverStats, Timeout, Unknown, Unsat, sat_solve
 from cfv.ssa import (
     GLOBAL_PREFIX,
     NONDET_PREFIX,
@@ -73,11 +73,6 @@ class NotEquivalent:
     witness: Witness | None = None
     old_observables: Observables | None = None
     new_observables: Observables | None = None
-
-
-@dataclass
-class Unknown:
-    reason: str  # "timeout", "unwinding_incomplete", "unsupported"
 
 
 EquivalenceVerdict = Equivalent | NotEquivalent | Unknown

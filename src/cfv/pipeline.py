@@ -2,12 +2,16 @@
 
 The run proceeds change classification -> equivalence checks on modified
 pairs -> test selection over the call graph -> generalization ->
-verification, and assembles the report. The equivalence phase may spend at
-most half the budget (the rest, plus any surplus, goes to verification);
-when a phase has less than MIN_ITEM_S left, remaining items are recorded as
-Unknown(timeout) without being started and the report is flagged
-budget_exceeded. Renamed and
-unchanged functions never reach a solver.
+verification, and assembles the report. Renamed and unchanged functions
+never reach a solver.
+
+Each phase is one loop over its items, and one rule dispatches every item:
+the time its phase has left is read when the item starts. With less than
+MIN_ITEM_S left the item is recorded as Unknown(timeout) without being run
+and the report is flagged budget_exceeded; otherwise it runs with the
+smaller of the per-check timeout and the time left. The equivalence phase
+ends at half the budget; verification ends with the budget, so it also gets
+what equivalence left unused.
 
 Exit codes: 0 all green, 1 at least one failing test, 2 no failure but at
 least one Unknown anywhere, 3 configuration or input errors.
@@ -16,39 +20,21 @@ least one Unknown anywhere, 3 configuration or input errors.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from cfv.changes import ChangeSet, compute_changeset
-from cfv.equivalence import Equivalent, Unknown, check_equivalence
+from cfv.changes import compute_changeset
+from cfv.equivalence import Equivalent, check_equivalence
 from cfv.errors import ConfigError
-from cfv.harness import (
-    GeneralizedTest,
-    TestCase,
-    build_call_graph,
-    generalize,
-    load_tests,
-    select_tests,
-)
+from cfv.harness import build_call_graph, generalize, load_tests, select_tests
 from cfv.minic.printer import format_function
-from cfv.report import (
-    SCHEMA_VERSION,
-    exit_code,
-    result_json,
-    tool_block,
-    verdict_json,
-    write_report,
-)
+from cfv.report import SCHEMA_VERSION, result_json, tool_block, verdict_json, write_report
 from cfv.smtlib import ExternalSolver
-from cfv.snapshot import Snapshot, load_snapshot, load_snapshot_from_diff
-from cfv.solver import SolverStats, make_solve_fn
+from cfv.snapshot import load_snapshot, load_snapshot_from_diff
+from cfv.solver import SolverStats, Unknown, make_solve_fn
 from cfv.ssa import UnrollConfig
-from cfv.verify import Fail, concretize
-from cfv.verify import Unknown as VUnknown
-from cfv.verify import verify_test
+from cfv.verify import Fail, concretize, verify_test
 
 EQUIVALENCE_BUDGET_FRACTION = 0.5
-MIN_TEST_TIMEOUT_S = 5.0
 # An item is started only with at least this much of its phase left.
 MIN_ITEM_S = 0.05
 
@@ -61,15 +47,12 @@ class RunConfig:
     out_path: str | None = None
     budget_s: float = 300.0
     unroll: UnrollConfig = field(default_factory=UnrollConfig)
-    parallelism: int = 1
     backend: str = "internal"
     diff_path: str | None = None  # apply to old_dir instead of reading new_dir
 
     def __post_init__(self) -> None:
-        if self.budget_s <= 0:
+        if not self.budget_s > 0:  # NaN included
             raise ConfigError("budget must be positive")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be at least 1")
         if self.new_dir is None and self.diff_path is None:
             raise ConfigError("either a new directory or a diff is required")
 
@@ -80,19 +63,6 @@ def _make_backend(spec: str):
     if spec.startswith("external:"):
         return make_solve_fn(ExternalSolver(spec[len("external:") :]))
     raise ConfigError(f"unknown backend {spec!r}")
-
-
-def _run_items(items, worker, parallelism):
-    """Run worker over (key, payload) pairs, results keyed; order preserved
-    by the caller. Workers are independent; a bounded pool is enough."""
-    if parallelism <= 1 or len(items) <= 1:
-        return {key: worker(key, payload) for key, payload in items}
-    results = {}
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {key: pool.submit(worker, key, payload) for key, payload in items}
-        for key, fut in futures.items():
-            results[key] = fut.result()
-    return results
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -112,73 +82,55 @@ def run_pipeline(cfg: RunConfig) -> dict:
     budget_exceeded = False
     stats = SolverStats()
 
+    def run_item(deadline: float, check) -> tuple[object, int, float]:
+        """(result, solver calls, wall seconds) of check(unroll, stats),
+        limited to what is left before deadline when the item starts."""
+        nonlocal budget_exceeded
+        remaining = deadline - time.monotonic()
+        if remaining < MIN_ITEM_S:
+            budget_exceeded = True
+            return Unknown("timeout"), 0, 0.0
+        item_stats = SolverStats()
+        t0 = time.monotonic()
+        result = check(
+            replace(cfg.unroll, timeout_s=min(cfg.unroll.timeout_s, remaining)),
+            item_stats,
+        )
+        wall = time.monotonic() - t0
+        stats.merge(item_stats)
+        return result, item_stats.solver_calls, wall
+
     # -- equivalence phase -------------------------------------------------
     eq_deadline = t_start + cfg.budget_s * EQUIVALENCE_BUDGET_FRACTION
     eq_entries: list[dict] = []
     verdicts: dict[str, object] = {}
     t_eq0 = time.monotonic()
-
-    for old_name, new_name in changeset.renamed:
-        # Classified by the structural stage inside the changeset; no check
-        # is issued for these.
-        verdict = Equivalent("structural", 0, True)
+    # Renamed pairs were classified by the structural stage inside the
+    # changeset and issue no check.
+    pairs = [(old_name, new_name, None) for old_name, new_name in changeset.renamed]
+    pairs += [
+        (fn_new.name, fn_new.name, (fn_old, fn_new))
+        for fn_old, fn_new in sorted(changeset.modified, key=lambda p: p[1].name)
+    ]
+    for old_name, new_name, modified in pairs:
+        if modified is None:
+            verdict, calls, wall = Equivalent("structural", 0, True), 0, 0.0
+        else:
+            verdict, calls, wall = run_item(
+                eq_deadline,
+                lambda unroll, item_stats: check_equivalence(
+                    *modified, (old_snap, new_snap), unroll, item_stats, solve_fn
+                ),
+            )
+        verdicts[new_name] = verdict
         eq_entries.append(
             {
                 "function": new_name,
                 "old_name": old_name,
                 "new_name": new_name,
                 "verdict": verdict_json(verdict, width),
-                "solver_calls": 0,
-                "timings": {"wall_s": 0.0},
-            }
-        )
-
-    pending: list[tuple[str, tuple]] = []
-    skipped: list[str] = []
-    for fn_old, fn_new in sorted(changeset.modified, key=lambda p: p[1].name):
-        remaining = eq_deadline - time.monotonic()
-        if remaining < MIN_ITEM_S:
-            skipped.append(fn_new.name)
-            continue
-        pair_cfg = replace(cfg.unroll, timeout_s=min(cfg.unroll.timeout_s, remaining))
-        pending.append((fn_new.name, (fn_old, fn_new, pair_cfg)))
-
-    def eq_worker(name: str, payload):
-        fn_old, fn_new, pair_cfg = payload
-        pair_stats = SolverStats()
-        t0 = time.monotonic()
-        verdict = check_equivalence(
-            fn_old, fn_new, (old_snap, new_snap), pair_cfg, pair_stats, solve_fn
-        )
-        return verdict, pair_stats, time.monotonic() - t0
-
-    eq_results = _run_items(pending, eq_worker, cfg.parallelism)
-    for name, _ in pending:
-        verdict, pair_stats, wall = eq_results[name]
-        stats.merge(pair_stats)
-        verdicts[name] = verdict
-        eq_entries.append(
-            {
-                "function": name,
-                "old_name": name,
-                "new_name": name,
-                "verdict": verdict_json(verdict, width),
-                "solver_calls": pair_stats.solver_calls,
+                "solver_calls": calls,
                 "timings": {"wall_s": round(wall, 6)},
-            }
-        )
-    for name in skipped:
-        budget_exceeded = True
-        verdict = Unknown("timeout")
-        verdicts[name] = verdict
-        eq_entries.append(
-            {
-                "function": name,
-                "old_name": name,
-                "new_name": name,
-                "verdict": verdict_json(verdict, width),
-                "solver_calls": 0,
-                "timings": {"wall_s": 0.0},
             }
         )
     eq_entries.sort(key=lambda e: e["function"])
@@ -201,67 +153,29 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     # -- verification phase ---------------------------------------------------
     total_deadline = t_start + cfg.budget_s
+    verification_entries = []
     t_v0 = time.monotonic()
-    phase_remaining = max(total_deadline - t_v0, 0.0)
-    per_test = (
-        max(phase_remaining / len(selected), MIN_TEST_TIMEOUT_S) if selected else 0.0
-    )
-
-    v_pending: list[tuple[str, tuple]] = []
-    v_skipped: list[tuple[str, GeneralizedTest]] = []
-    generalized: dict[str, GeneralizedTest] = {}
     for t in selected:
         gt = generalize(t, triggers)
-        generalized[t.name] = gt
-        remaining = total_deadline - time.monotonic()
-        if remaining < MIN_ITEM_S:
-            v_skipped.append((t.name, gt))
-            continue
-        test_cfg = replace(cfg.unroll, timeout_s=min(per_test, remaining))
-        v_pending.append((t.name, (gt, test_cfg)))
-
-    def v_worker(name: str, payload):
-        gt, test_cfg = payload
-        test_stats = SolverStats()
-        t0 = time.monotonic()
-        result = verify_test(gt, view, test_cfg, test_stats, solve_fn=solve_fn)
-        return result, test_stats, time.monotonic() - t0
-
-    v_results = _run_items(v_pending, v_worker, cfg.parallelism)
-    verification_entries = []
-    result_by_name = {}
-    for name, (gt, _test_cfg) in v_pending:
-        result, test_stats, wall = v_results[name]
-        stats.merge(test_stats)
-        result_by_name[name] = result
+        result, _, wall = run_item(
+            total_deadline,
+            lambda unroll, item_stats: verify_test(
+                gt, view, unroll, item_stats, solve_fn=solve_fn
+            ),
+        )
         concretized = None
         if isinstance(result, Fail):
             conc = concretize(gt, result.counterexample, width)
             concretized = format_function(conc.body)
         verification_entries.append(
             {
-                "test": name,
+                "test": t.name,
                 "generalization": {
                     "mode": gt.mode,
                     "substitutions": len(gt.substitutions),
                 },
                 "result": result_json(result, width, concretized),
                 "timings": {"wall_s": round(wall, 6)},
-            }
-        )
-    for name, gt in v_skipped:
-        budget_exceeded = True
-        result = VUnknown("timeout")
-        result_by_name[name] = result
-        verification_entries.append(
-            {
-                "test": name,
-                "generalization": {
-                    "mode": gt.mode,
-                    "substitutions": len(gt.substitutions),
-                },
-                "result": result_json(result, width),
-                "timings": {"wall_s": 0.0},
             }
         )
     verification_entries.sort(key=lambda e: e["test"])
@@ -289,7 +203,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "inline_depth": cfg.unroll.depth,
             "pair_timeout_s": cfg.unroll.timeout_s,
             "budget_s": cfg.budget_s,
-            "parallelism": cfg.parallelism,
             "backend": cfg.backend,
         },
         "changes": {
@@ -328,6 +241,3 @@ def run_pipeline(cfg: RunConfig) -> dict:
         write_report(report, cfg.out_path)
     return report
 
-
-def report_exit_code(report: dict) -> int:
-    return exit_code(report)

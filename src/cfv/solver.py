@@ -54,6 +54,13 @@ SolveResult = Sat | Unsat | Timeout
 
 
 @dataclass
+class Unknown:
+    """An equivalence check or a test verification that was not decided."""
+
+    reason: str  # "timeout" or "unsupported"
+
+
+@dataclass
 class SolverStats:
     """Counts actual solver invocations; stage-1 equivalence must stay at 0."""
 

@@ -47,7 +47,7 @@ class UnrollConfig:
             raise ValueError("loop_bound must be at least 1")
         if self.inline_depth is not None and self.inline_depth < 1:
             raise ValueError("inline_depth must be at least 1")
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:  # NaN included
             raise ValueError("timeout_s must be positive")
 
     @property

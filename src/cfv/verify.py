@@ -21,7 +21,7 @@ from cfv.interp import DEFAULT_FUEL, run_function
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
-from cfv.solver import Sat, SolverStats, Timeout, Unsat, sat_solve
+from cfv.solver import Sat, SolverStats, Timeout, Unknown, Unsat, sat_solve
 from cfv.ssa import EncodeTimeout, UnrollConfig, encode_ssa, verification_formula
 from cfv.terms import to_signed
 
@@ -45,11 +45,6 @@ class Pass:
 @dataclass
 class Fail:
     counterexample: Counterexample
-
-
-@dataclass
-class Unknown:
-    reason: str  # "timeout" or "unwinding_incomplete"
 
 
 VerificationResult = Pass | Fail | Unknown

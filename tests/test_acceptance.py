@@ -26,8 +26,8 @@ from cfv.generators import RandomTestGen, fixture_snapshot, random_formula, rand
 from cfv.harness import GeneralizedTest, load_tests
 from cfv.interp import AssertFailResult, PassResult, interpret_concrete
 from cfv.minic.metrics import cyclomatic_complexity
-from cfv.pipeline import RunConfig, report_exit_code, run_pipeline
-from cfv.report import render_report, strip_timings
+from cfv.pipeline import RunConfig, run_pipeline
+from cfv.report import exit_code, render_report, strip_timings
 from cfv.snapshot import load_snapshot, snapshot_from_sources
 from cfv.solver import Sat, Unsat, check_model, exhaustive_solve, sat_solve
 from cfv.ssa import UnrollConfig
@@ -82,7 +82,7 @@ def test_criterion_1_rename_scenario(tmp_path):
     assert entry["verdict"]["mode"] == "structural"
     assert report["totals"]["solver_calls"] == 0
     assert report["selection"]["selected"] == []
-    assert report_exit_code(report) == 0
+    assert exit_code(report) == 0
     assert wall < 1.0, f"rename scenario took {wall:.2f}s"
     ok(1, f"rename classified structurally, 0 solver calls, 0 tests, {wall:.2f}s")
 
@@ -230,7 +230,7 @@ def test_criterion_7_timeout_policy(tmp_path):
     assert [s["test"] for s in report["selection"]["selected"]] == ["test_mulv"]
     (ver,) = report["verification"]
     assert ver["result"]["kind"] == "pass"  # the pipeline proceeded past the timeout
-    assert report_exit_code(report) == 2
+    assert exit_code(report) == 2
     ok(7, "1s timeout yields unknown; reaching tests selected; pipeline proceeds")
 
 
@@ -238,7 +238,7 @@ def test_criterion_8_budget(minivec_runs):
     report, wall, _ = minivec_runs[0]
     assert wall < 300, f"pipeline took {wall:.1f}s, budget 300s"
     assert report["budget"]["exceeded"] is False
-    assert report_exit_code(report) == 1
+    assert exit_code(report) == 1
     counts = report["changes"]["counts"]
     assert counts["unchanged"] >= 10 and len(report["selection"]["selected"]) >= 1
     eq_kinds = [e["verdict"]["kind"] for e in report["equivalence"]]

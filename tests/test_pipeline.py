@@ -6,17 +6,19 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cfv
+from cfv import pipeline
 from cfv.cli import main
 from cfv.errors import ConfigError
 from cfv.minic.lexer import UNSUPPORTED_OPERATORS
-from cfv.pipeline import MIN_ITEM_S, RunConfig, report_exit_code, run_pipeline
-from cfv.report import strip_timings
+from cfv.pipeline import EQUIVALENCE_BUDGET_FRACTION, MIN_ITEM_S, RunConfig, run_pipeline
+from cfv.report import exit_code, strip_timings
 from cfv.ssa import UnrollConfig
 from oracles import CORPUS
 
@@ -33,6 +35,15 @@ int triple(int x) { return x + x + x; }
 LIB_NEW_EQUIV = LIB_OLD.replace("x + x + x", "x * 3")
 
 LIB_NEW_BROKEN = LIB_OLD.replace("total + x", "total + x + 1")
+
+# Four equivalent rewrites that no width-32 check proves within a second, so
+# each one spends whatever limit it is given.
+HARD_KS = (3, 5, 7, 9)
+HARD_OLD = "".join(f"int m{k}(int a, int b) {{ return (a + {k}) * b; }}\n" for k in HARD_KS)
+HARD_NEW = "".join(f"int m{k}(int a, int b) {{ return a * b + {k} * b; }}\n" for k in HARD_KS)
+HARD_TESTS = "".join(
+    f"void test_m{k}() {{ assert(m{k}(2, 3) == {(2 + k) * 3}); }}\n" for k in HARD_KS
+)
 
 TESTS = """
 // addition basics
@@ -86,7 +97,7 @@ class TestPipeline:
         assert report["equivalence"] == []
         assert report["selection"]["selected"] == []
         assert report["totals"]["solver_calls"] == 0
-        assert report_exit_code(report) == 0
+        assert exit_code(report) == 0
 
     def test_equivalent_rewrite_selects_no_tests(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_EQUIV, TESTS)
@@ -96,7 +107,7 @@ class TestPipeline:
         assert entry["verdict"]["kind"] == "equivalent"
         assert entry["verdict"]["mode"] == "formal"
         assert report["selection"]["selected"] == []
-        assert report_exit_code(report) == 0
+        assert exit_code(report) == 0
 
     def test_behavior_change_selects_and_fails(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
@@ -111,7 +122,7 @@ class TestPipeline:
         assert ver["result"]["kind"] == "fail"
         cx = ver["result"]["counterexample"]
         assert cx["concretized_source"] is not None
-        assert report_exit_code(report) == 1
+        assert exit_code(report) == 1
 
     def test_tiny_budget_marks_everything_unknown(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
@@ -126,7 +137,7 @@ class TestPipeline:
         ]
         (ver,) = report["verification"]
         assert ver["result"] == {"kind": "unknown", "reason": "timeout"}
-        assert report_exit_code(report) == 2
+        assert exit_code(report) == 2
 
     def test_no_item_starts_with_less_than_the_floor_left(self, tmp_path):
         # This budget never leaves MIN_ITEM_S to either phase, however fast
@@ -137,6 +148,60 @@ class TestPipeline:
         assert [e["verdict"] for e in report["equivalence"]] == [unknown]
         assert [v["result"] for v in report["verification"]] == [unknown]
         assert report["totals"]["solver_calls"] == 0
+
+    def test_budget_bounds_a_run_of_hard_pairs(self, tmp_path):
+        write_tree(tmp_path, HARD_OLD, HARD_NEW, HARD_TESTS)
+        cfg = base_config(
+            tmp_path, budget_s=2.0, unroll=UnrollConfig(timeout_s=1.5, width=32)
+        )
+        t0 = time.monotonic()
+        report = run_pipeline(cfg)
+        assert time.monotonic() - t0 <= cfg.budget_s + 0.5
+        assert report["budget"]["exceeded"] is True
+
+    @pytest.mark.parametrize(
+        "sources, budget_s",
+        [((HARD_OLD, HARD_NEW, HARD_TESTS), 2.0), ((LIB_OLD, LIB_NEW_BROKEN, TESTS), 60.0)],
+        ids=["hard-pairs", "large-budget"],
+    )
+    def test_no_item_gets_more_than_its_timeout_or_its_phase_left(
+        self, tmp_path, monkeypatch, sources, budget_s
+    ):
+        write_tree(tmp_path, *sources)
+        cfg = base_config(
+            tmp_path, budget_s=budget_s, unroll=UnrollConfig(timeout_s=1.5, width=32)
+        )
+        # The run starts before its first load, and each item reads its
+        # deadline after the previous item has returned.
+        marks: dict[str, float] = {}
+        limits = []
+
+        def stamp(phase, real):
+            def wrapper(*args, **kwargs):
+                if phase is None:
+                    marks.setdefault("start", time.monotonic())
+                else:
+                    unroll = next(a for a in args if isinstance(a, UnrollConfig))
+                    limits.append((phase, unroll.timeout_s, marks["last"]))
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    marks["last"] = time.monotonic()
+
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "load_snapshot", stamp(None, pipeline.load_snapshot))
+        for phase, name in (("equivalence", "check_equivalence"), ("verification", "verify_test")):
+            monkeypatch.setattr(pipeline, name, stamp(phase, getattr(pipeline, name)))
+        run_pipeline(cfg)
+        deadlines = {
+            "equivalence": marks["start"] + budget_s * EQUIVALENCE_BUDGET_FRACTION,
+            "verification": marks["start"] + budget_s,
+        }
+        for phase, limit, not_before in limits:
+            assert limit <= cfg.unroll.timeout_s
+            assert limit <= deadlines[phase] - not_before
+        assert {phase for phase, _, _ in limits} == set(deadlines)
 
     def test_report_totals_match_entries(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
@@ -167,14 +232,6 @@ class TestPipeline:
         assert json.dumps(strip_timings(r1)) == json.dumps(strip_timings(r2))
         assert r1 != strip_timings(r1)  # timings are actually present
 
-    def test_parallel_run_matches_sequential(self, tmp_path):
-        write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
-        seq = strip_timings(run_pipeline(base_config(tmp_path, parallelism=1)))
-        par = strip_timings(run_pipeline(base_config(tmp_path, parallelism=4)))
-        seq["config"].pop("parallelism")
-        par["config"].pop("parallelism")
-        assert seq == par
-
     def test_diff_based_new_snapshot(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
         diff = tmp_path / "change.diff"
@@ -188,13 +245,13 @@ class TestPipeline:
         cfg = base_config(tmp_path, new_dir=None, diff_path=str(diff))
         report = run_pipeline(cfg)
         assert report["changes"]["modified"] == ["accumulate"]
-        assert report_exit_code(report) == 1
+        assert exit_code(report) == 1
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ConfigError):
             base_config(tmp_path, budget_s=0)
         with pytest.raises(ConfigError):
-            base_config(tmp_path, parallelism=0)
+            base_config(tmp_path, budget_s=float("nan"))
         with pytest.raises(ConfigError):
             RunConfig(old_dir="x", new_dir=None, tests_dir="y")
 
@@ -322,6 +379,34 @@ class TestCli:
         assert main(["equiv", str(tmp_path / "old" / "lib.c"), str(bad), "add"]) == 3
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", "--old", "o", "--new", "n", "--tests", "t", "--out", "r", "--jobs", "2"], 3),
+            (["diff", "--old", "o", "--new", "n", "--width", "7"], 3),
+            (["analyze", "--old", "o", "--new", "n", "--out", "r"], 3),
+            (["--help"], 0),
+            (["--version"], 0),
+        ],
+        ids=["removed-jobs-flag", "bad-width", "missing-tests", "help", "version"],
+    )
+    def test_usage_errors_exit_three(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert ("error:" in capsys.readouterr().err) == (code == 3)
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--timeout", "0"], ["--timeout", "nan"], ["--bound", "0"]],
+        ids=["zero-timeout", "nan-timeout", "zero-bound"],
+    )
+    def test_bad_limits_exit_three(self, tmp_path, capsys, option):
+        write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
+        lib = str(tmp_path / "old" / "lib.c")
+        assert main(["equiv", lib, lib, "add", *option]) == 3
+        assert "error: " in capsys.readouterr().err
+
     def test_missing_directory_exits_three(self, tmp_path):
         code = main(
             [
@@ -344,7 +429,7 @@ class TestCli:
         )
         (entry,) = report["equivalence"]
         assert entry["verdict"]["kind"] == "equivalent"
-        assert report_exit_code(report) == 0
+        assert exit_code(report) == 0
 
     def test_unknown_backend_rejected(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
@@ -502,18 +587,50 @@ def mutate(source: str, rng) -> str:
     return source[:at] + text + source[at + len(text) :]
 
 
-@given(st.randoms(use_true_random=False))
-def test_cli_diff_on_mutated_sources_exits_zero_or_three(rng):
-    """`cfv diff` on mangled copies of minivec reports, never raises."""
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for side in ("old", "new"):
-            shutil.copytree(CORPUS / "minivec" / side, root / side)
-        for _ in range(rng.randint(1, 2)):
-            path = root / rng.choice(["old", "new"]) / "vec.c"
-            path.write_text(mutate(path.read_text(), rng))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["diff", "--old", str(root / "old"), "--new", str(root / "new")])
-        assert code in (0, 3), err.getvalue()
-        assert (code == 3) == bool(err.getvalue())
+# Subcommand: (examples, its possible exit codes, the minivec files it reads
+# that are mutated, its arguments over the copy at root). The limits keep a
+# run that gets past parsing under a second; the slower subcommands get fewer
+# examples.
+ALL_CODES = (0, 1, 2, 3)
+FUZZED_COMMANDS = {
+    "diff": (100, (0, 3), ["old/vec.c", "new/vec.c"], lambda root: [
+        "diff", "--old", f"{root}/old", "--new", f"{root}/new",
+    ]),
+    "analyze": (25, ALL_CODES, ["old/vec.c", "new/vec.c", "tests/vec_tests.c"], lambda root: [
+        "analyze", "--old", f"{root}/old", "--new", f"{root}/new", "--tests", f"{root}/tests",
+        "--out", f"{root}/report.json", "--width", "8", "--budget", "0.5",
+    ]),
+    "equiv": (20, ALL_CODES, ["old/vec.c", "new/vec.c"], lambda root: [
+        "equiv", f"{root}/old/vec.c", f"{root}/new/vec.c", "vec_insert",
+        "--width", "8", "--timeout", "0.5",
+    ]),
+    "verify": (50, ALL_CODES, ["new/vec.c", "tests/vec_tests.c"], lambda root: [
+        "verify", "--tests", f"{root}/tests", "--src", f"{root}/new",
+        "--width", "8", "--timeout", "0.5",
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
+def test_cli_on_mutated_sources_exits_zero_to_three(command):
+    """Each subcommand on mangled copies of minivec reports, never raises,
+    and prints diagnostics exactly when it exits 3."""
+    examples, codes, targets, argv = FUZZED_COMMANDS[command]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def run(rng):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            shutil.copytree(CORPUS / "minivec", root, dirs_exist_ok=True)
+            for _ in range(rng.randint(1, 2)):
+                path = root / rng.choice(targets)
+                path.write_text(mutate(path.read_text(), rng))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv(root))
+            diagnostics = err.getvalue().replace("budget exceeded\n", "")
+            assert code in codes, diagnostics
+            assert (code == 3) == bool(diagnostics), diagnostics
+
+    run()
