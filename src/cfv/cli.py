@@ -32,6 +32,7 @@ from cfv.snapshot import (
     load_snapshot_from_diff,
     read_source,
     snapshot_from_sources,
+    under,
 )
 from cfv.ssa import UnrollConfig
 from cfv.verify import Fail, Pass, verify_test
@@ -174,11 +175,19 @@ def cmd_diff(args) -> int:
     return 0
 
 
+def _file_snapshot(path: Path, width: int):
+    """One file as a snapshot; diagnostics carry the path as given."""
+    source = read_source(path)
+    try:
+        return snapshot_from_sources({path.name: source}, path.name, width)
+    except InputError as err:
+        raise under(path.parent, err) from None
+
+
 def cmd_equiv(args) -> int:
     width = args.width
     old_path, new_path = Path(args.old_file), Path(args.new_file)
-    old_snap = snapshot_from_sources({old_path.name: read_source(old_path)}, old_path.name, width)
-    new_snap = snapshot_from_sources({new_path.name: read_source(new_path)}, new_path.name, width)
+    old_snap, new_snap = (_file_snapshot(path, width) for path in (old_path, new_path))
     name = args.function
     for snap, path in ((old_snap, old_path), (new_snap, new_path)):
         if name not in snap.functions:

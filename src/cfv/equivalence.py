@@ -12,12 +12,12 @@ Every behavioral verdict is replayed through the reference interpreter
 before being reported: a NotEquivalent witness that does not reproduce a
 concrete difference is a bug, not a result.
 
-A time limit covers encoding, bit-blasting and solving; on expiry the
-verdict is Unknown and the caller treats the pair as changed. A pair whose
-relevant globals changed their declared initial value is also Unknown: the
-input-relational encoding compares functions over shared arbitrary states
-and cannot see initial-state divergence, so such pairs go straight to
-testing.
+A time limit covers encoding, building the miter, bit-blasting and
+solving; on expiry the verdict is Unknown and the caller treats the pair as
+changed. A pair whose relevant globals changed their declared initial value
+is also Unknown: the input-relational encoding compares functions over
+shared arbitrary states and cannot see initial-state divergence, so such
+pairs go straight to testing.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from cfv.changes import changed_globals, structural_equiv
-from cfv.errors import SignatureMismatchError
+from cfv.errors import EncodeTimeout, SignatureMismatchError
 from cfv.interp import DEFAULT_FUEL, Outcome, run_function
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
@@ -35,12 +35,11 @@ from cfv.ssa import (
     GLOBAL_PREFIX,
     NONDET_PREFIX,
     PARAM_PREFIX,
-    EncodeTimeout,
     SsaProgram,
     UnrollConfig,
     encode_ssa,
 )
-from cfv.terms import Formula, Term, TermBuilder
+from cfv.terms import Formula, Term, TermBuilder, collector_paused
 
 
 @dataclass
@@ -268,6 +267,7 @@ def observables_differ(a: Observables, b: Observables) -> bool:
     return a.ret != b.ret or a.globals != b.globals
 
 
+@collector_paused()
 def check_equivalence(
     old_fn: ast.FunctionDef,
     new_fn: ast.FunctionDef,
@@ -299,14 +299,13 @@ def check_equivalence(
         return Equivalent("structural", 0, True)
 
     deadline = time.monotonic() + cfg.timeout_s
-    builder = TermBuilder()
+    builder = TermBuilder(deadline)
     try:
         old_ssa = encode_ssa(old_fn, old_snap, cfg, builder, True, deadline)
         new_ssa = encode_ssa(new_fn, new_snap, cfg, builder, True, deadline)
+        miter = build_miter(old_ssa, new_ssa)
     except EncodeTimeout:
         return Unknown("timeout")
-    try:
-        miter = build_miter(old_ssa, new_ssa)
     except SignatureMismatchError:
         return NotEquivalent("signature_mismatch")
 

@@ -48,6 +48,11 @@ class SignatureMismatchError(CfvError):
     """Two function versions cannot share inputs (arity, types, or globals)."""
 
 
+class EncodeTimeout(CfvError):
+    """Building the terms of a query (encoding or the miter) ran past its
+    deadline."""
+
+
 class DomainTooLargeError(CfvError):
     """Exhaustive enumeration was asked for more input bits than the cap."""
 

@@ -30,7 +30,7 @@ from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.parser import parse_unit
 from cfv.minic.typecheck import type_check
-from cfv.snapshot import Snapshot, read_source
+from cfv.snapshot import Snapshot, read_source, under
 
 
 @dataclass
@@ -61,19 +61,33 @@ def load_tests(tests_dir: str | Path, snap: Snapshot) -> tuple[list[TestCase], S
     """Parse and check a test directory against a snapshot.
 
     Returns the tests plus a combined view snapshot (snapshot units plus
-    test units) that test verification runs against.
+    test units) that test verification runs against. Diagnostics name each
+    file under tests_dir as given, so they tell test errors from snapshot
+    ones.
     """
     tests_dir = Path(tests_dir)
     if not tests_dir.is_dir():
         raise InputError(
             [Diagnostic(str(tests_dir), ast.DUMMY_SPAN, "error", "not a directory")]
         )
+    sources = {
+        str(path.relative_to(tests_dir)): read_source(path)
+        for path in sorted(tests_dir.rglob("*.c"))
+    }
+    try:
+        return _check_tests(sources, snap)
+    except InputError as err:
+        raise under(tests_dir, err) from None
+
+
+def _check_tests(
+    sources: dict[str, str], snap: Snapshot
+) -> tuple[list[TestCase], Snapshot]:
     diagnostics: list[Diagnostic] = []
     test_units = []
-    for path in sorted(tests_dir.rglob("*.c")):
-        rel = str(path.relative_to(tests_dir))
+    for rel, source in sources.items():
         try:
-            test_units.append(parse_unit(read_source(path), rel, snap.width))
+            test_units.append(parse_unit(source, rel, snap.width))
         except FrontendError as err:
             diagnostics.extend(err.diagnostics)
     if diagnostics:

@@ -32,6 +32,7 @@ from cfv.smtlib import ExternalSolver
 from cfv.snapshot import load_snapshot, load_snapshot_from_diff
 from cfv.solver import SolverStats, Unknown, make_solve_fn
 from cfv.ssa import UnrollConfig
+from cfv.terms import collector_paused
 from cfv.verify import Fail, concretize, verify_test
 
 EQUIVALENCE_BUDGET_FRACTION = 0.5
@@ -65,6 +66,7 @@ def _make_backend(spec: str):
     raise ConfigError(f"unknown backend {spec!r}")
 
 
+@collector_paused()
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute the whole flow and return the report dictionary."""
     t_start = time.monotonic()

@@ -8,7 +8,7 @@ type-checked together at one integer width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from cfv.errors import Diagnostic, FrontendError, InputError
@@ -58,6 +58,14 @@ def read_source(path: Path) -> str:
         ) from None
 
 
+def under(directory: Path, err: InputError) -> InputError:
+    """err with every diagnostic path joined to the directory its file was
+    read from, so that errors of two snapshots' same-named files differ."""
+    return InputError(
+        [replace(d, path=str(directory / d.path)) for d in err.diagnostics]
+    )
+
+
 def snapshot_from_sources(
     sources: dict[str, str], label: str, width: int = 32
 ) -> Snapshot:
@@ -95,7 +103,10 @@ def load_snapshot(directory: str | Path, width: int = 32, label: str | None = No
         raise InputError(
             [Diagnostic(str(directory), DUMMY_SPAN, "error", "no .c files found")]
         )
-    return snapshot_from_sources(sources, label or directory.name, width)
+    try:
+        return snapshot_from_sources(sources, label or directory.name, width)
+    except InputError as err:
+        raise under(directory, err) from None
 
 
 # ---------------------------------------------------------------------------

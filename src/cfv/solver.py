@@ -179,7 +179,8 @@ def make_solve_fn(external=None):
     With an external solver configured, it decides sat/unsat first; sat
     results still go through the internal solver because witnesses need a
     model in our own format. Anything the external tool cannot answer falls
-    back to the internal route as well.
+    back to the internal route as well. A call made with its deadline
+    already passed is a Timeout and starts no external process.
     """
     if external is None:
         return sat_solve
@@ -192,7 +193,12 @@ def make_solve_fn(external=None):
     ) -> SolveResult:
         remaining = timeout_s
         if deadline is not None:
-            remaining = max(deadline - time.monotonic(), 0.05)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                if stats is not None:
+                    stats.solver_calls += 1
+                    stats.timeouts += 1
+                return Timeout()
         verdict = external.decide(formula, remaining)
         if verdict == "unsat":
             if stats is not None:

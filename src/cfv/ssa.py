@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from cfv.errors import CfvError
+from cfv.errors import CfvError, EncodeTimeout
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
@@ -53,10 +53,6 @@ class UnrollConfig:
     @property
     def depth(self) -> int:
         return self.inline_depth if self.inline_depth is not None else self.loop_bound
-
-
-class EncodeTimeout(CfvError):
-    pass
 
 
 @dataclass
@@ -124,7 +120,7 @@ class Encoder:
             )
         self.snap = snap
         self.cfg = cfg
-        self.b = builder if builder is not None else TermBuilder()
+        self.b = builder if builder is not None else TermBuilder(deadline)
         self.symbolic_globals = symbolic_globals
         self.deadline = deadline
         self.width = cfg.width

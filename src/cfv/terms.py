@@ -13,17 +13,44 @@ modulo the width, and right shift is arithmetic.
 A Formula is a bool root plus the ordered list of input symbols. The order
 fixes the meaning of "lexicographically least model" everywhere: valuations
 are compared as tuples of unsigned input values in slot order.
+
+Query data is acyclic and is freed by reference counting: a term points
+only at older terms, the CNF is tuples of ints, and the solver's state holds
+no reference cycles. The cyclic garbage collector would only re-walk it, so
+the entry points that build and drop it run under collector_paused().
 """
 
 from __future__ import annotations
 
+import gc
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from cfv.errors import EncodeTimeout
+
 BOOL = 0
 
+# TermBuilder.eq reads the clock once per this many new cached pairs.
+_EQ_POLL_EVERY = 1024
+
 _COMMUTATIVE = frozenset({"add", "mul", "band", "bor", "bxor", "and", "or", "xor", "eq"})
+
+
+@contextmanager
+def collector_paused():
+    """Suspend the cyclic garbage collector for the block (or, as a
+    decorator, for each call); reference counting still frees everything.
+    Collection resumes only if it was enabled before, so nesting is safe."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class Term:
@@ -67,10 +94,14 @@ class TermBuilder:
     """Factory and intern table for terms.
 
     One builder per solving task; terms from different builders must not be
-    mixed. All ops validate operand widths.
+    mixed. All ops validate operand widths. With a deadline (a
+    time.monotonic() value), eq raises EncodeTimeout once it has passed: it
+    is the one op whose single call can expand into tens of thousands of
+    nodes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, deadline: float | None = None) -> None:
+        self.deadline = deadline
         self._table: dict[tuple, Term] = {}
         self._inputs: dict[str, Term] = {}
         self._eq_cache: dict[tuple[int, int], Term] = {}
@@ -221,6 +252,12 @@ class TermBuilder:
         else:
             result = self._mk("eq", (a, b), BOOL)
         self._eq_cache[key] = result
+        if (
+            self.deadline is not None
+            and len(self._eq_cache) % _EQ_POLL_EVERY == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise EncodeTimeout("building terms exceeded the time limit")
         return result
 
     def ne(self, a: Term, b: Term) -> Term:

@@ -15,15 +15,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from cfv.errors import CfvError
+from cfv.errors import EncodeTimeout
 from cfv.harness import GeneralizedTest, TestCase
 from cfv.interp import DEFAULT_FUEL, run_function
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
 from cfv.solver import Sat, SolverStats, Timeout, Unknown, Unsat, sat_solve
-from cfv.ssa import EncodeTimeout, UnrollConfig, encode_ssa, verification_formula
-from cfv.terms import to_signed
+from cfv.ssa import UnrollConfig, encode_ssa, verification_formula
+from cfv.terms import collector_paused, to_signed
 
 
 @dataclass
@@ -50,6 +50,7 @@ class Fail:
 VerificationResult = Pass | Fail | Unknown
 
 
+@collector_paused()
 def verify_test(
     gt: GeneralizedTest,
     snap: Snapshot,

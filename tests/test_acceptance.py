@@ -22,7 +22,6 @@ from cfv.equivalence import (
     observables_differ,
     replay,
 )
-from cfv.generators import RandomTestGen, fixture_snapshot, random_formula, random_pair
 from cfv.harness import GeneralizedTest, load_tests
 from cfv.interp import AssertFailResult, PassResult, interpret_concrete
 from cfv.minic.metrics import cyclomatic_complexity
@@ -34,6 +33,7 @@ from cfv.ssa import UnrollConfig
 from cfv.terms import to_signed
 from cfv.verify import Fail, Pass, concretize, verify_test
 
+from generators import RandomTestGen, fixture_snapshot, random_formula, random_pair
 from oracles import CORPUS, functions_equivalent_bruteforce, first_difference
 
 MINIVEC = CORPUS / "minivec"

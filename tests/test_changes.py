@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from cfv.changes import compute_changeset, structural_equiv
 from cfv.errors import InputError
-from cfv.generators import FunctionGen, mutate_function
 from cfv.minic.printer import format_unit
 from cfv.snapshot import (
     apply_unified_diff,
     load_snapshot_from_diff,
     snapshot_from_sources,
 )
+
+from generators import FunctionGen, mutate_function
 
 
 def snap(src: str, label: str = "s", width: int = 8):

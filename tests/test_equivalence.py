@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +14,13 @@ from cfv.equivalence import (
     replay,
     transitive_reads,
 )
-from cfv.generators import random_pair
-from cfv.snapshot import snapshot_from_sources
+from cfv.snapshot import load_snapshot, snapshot_from_sources
 from cfv.solver import SolverStats, Unsat, sat_solve
 from cfv.ssa import UnrollConfig, encode_ssa, verification_formula
 from cfv.terms import TermBuilder, to_signed
 
-from oracles import functions_equivalent_bruteforce
+from generators import random_pair
+from oracles import CORPUS, functions_equivalent_bruteforce
 
 W4 = UnrollConfig(loop_bound=4, timeout_s=20, width=4)
 
@@ -100,6 +101,19 @@ class TestStageTwo:
             cfg,
         )
         assert isinstance(verdict, Unknown) and verdict.reason == "timeout"
+
+    def test_miter_build_obeys_the_time_limit(self):
+        # At width 8 the miter of vec_insert grows to tens of thousands of
+        # nodes, most of them inside one TermBuilder.eq call.
+        old = load_snapshot(CORPUS / "minivec" / "old", 8)
+        new = load_snapshot(CORPUS / "minivec" / "new", 8)
+        cfg = UnrollConfig(timeout_s=0.05, width=8)
+        t0 = time.monotonic()
+        verdict = check_equivalence(
+            old.functions["vec_insert"], new.functions["vec_insert"], (old, new), cfg
+        )
+        assert time.monotonic() - t0 <= cfg.timeout_s + 0.15
+        assert verdict == Unknown("timeout")
 
     def test_initializer_divergence_is_unsupported(self):
         old = "int lim = 3; int f(int x){return x + lim;}"

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfv.errors import MiniCSyntaxError, TypeCheckError, UnsupportedConstructError
-from cfv.generators import FunctionGen
 from cfv.minic import (
     cyclomatic_complexity,
     format_unit,
@@ -15,6 +14,8 @@ from cfv.minic import (
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.lexer import tokenize
+
+from generators import FunctionGen
 
 
 def parse_ok(src: str, width: int = 32):

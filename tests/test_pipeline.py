@@ -159,6 +159,20 @@ class TestPipeline:
         assert time.monotonic() - t0 <= cfg.budget_s + 0.5
         assert report["budget"]["exceeded"] is True
 
+    def test_budget_bounds_a_run_with_a_large_miter(self, tmp_path):
+        # vec_insert's miter alone takes longer to build than this budget.
+        root = CORPUS / "minivec"
+        t0 = time.monotonic()
+        main([
+            "analyze", "--old", str(root / "old"), "--new", str(root / "new"),
+            "--tests", str(root / "tests"), "--out", str(tmp_path / "r.json"),
+            "--width", "8", "--budget", "0.5",
+        ])
+        assert time.monotonic() - t0 <= 0.5 + 0.15
+        report = json.loads((tmp_path / "r.json").read_text())
+        verdicts = {e["function"]: e["verdict"] for e in report["equivalence"]}
+        assert verdicts["vec_insert"] == {"kind": "unknown", "reason": "timeout"}
+
     @pytest.mark.parametrize(
         "sources, budget_s",
         [((HARD_OLD, HARD_NEW, HARD_TESTS), 2.0), ((LIB_OLD, LIB_NEW_BROKEN, TESTS), 60.0)],
@@ -537,7 +551,7 @@ class TestNestingBound:
         old, new = write_deep(tmp_path, form, DEEP_FORMS[form][0] + 1)
         assert main(["diff", "--old", str(old), "--new", str(new)]) == 3
         diagnostic = capsys.readouterr().err
-        assert diagnostic.startswith("m.c:3:")
+        assert diagnostic.startswith(f"{old / 'm.c'}:3:")
         assert "error: nesting is too deep to analyze" in diagnostic
         assert main(["equiv", str(old / "m.c"), str(new / "m.c"), "f", "--width", "8"]) == 3
         assert capsys.readouterr().err == diagnostic
@@ -557,6 +571,32 @@ class TestNestingBound:
         write_tree(tmp_path, LIB_OLD, LIB_OLD + f"int deep(int x){{{body}}}\n", TESTS)
         assert main(["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]) == 3
         assert "error: nesting is too deep to analyze" in capsys.readouterr().err
+
+
+def test_diagnostics_name_the_broken_side(tmp_path, capsys):
+    """The same syntax error in old/lib.c, new/lib.c and tests/t.c gives
+    three different first lines, each naming its file as given."""
+    broken_lib = LIB_OLD.replace("return a + b;", "return a + ;")
+    broken_tests = TESTS.replace("add(2, 3) == 5", "add(2, 3) == ")
+    first_lines = []
+    for old_src, new_src, tests_src in (
+        (broken_lib, LIB_OLD, TESTS),
+        (LIB_OLD, broken_lib, TESTS),
+        (LIB_OLD, LIB_OLD, broken_tests),
+    ):
+        write_tree(tmp_path, old_src, new_src, tests_src)
+        argv = ["analyze", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new"),
+                "--tests", str(tmp_path / "tests"), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 3
+        first_lines.append(capsys.readouterr().err.splitlines()[0])
+    assert [line.split(":")[0] for line in first_lines] == [
+        str(tmp_path / "old" / "lib.c"),
+        str(tmp_path / "new" / "lib.c"),
+        str(tmp_path / "tests" / "t.c"),
+    ]
+    assert first_lines[0].removeprefix(str(tmp_path / "old")) == first_lines[1].removeprefix(
+        str(tmp_path / "new")
+    )
 
 
 # Text to splice into sources, in groups that are drawn from evenly:

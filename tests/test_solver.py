@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from cfv.bitblast import bitblast
 from cfv.dpll import search, solve_cnf
 from cfv.errors import DomainTooLargeError
-from cfv.generators import random_formula
 from cfv.smtlib import ExternalSolver, emit_smtlib
 from cfv.solver import (
     Sat,
+    SolverStats,
     Timeout,
     Unsat,
     check_model,
@@ -19,6 +19,8 @@ from cfv.solver import (
     sat_solve,
 )
 from cfv.terms import BOOL, Formula, TermBuilder, evaluate, to_signed
+
+from generators import random_formula
 
 
 def single_input_formula(width, build):
@@ -336,6 +338,28 @@ class TestSmtlib:
         assert isinstance(solve(f_unsat), Unsat)
         result = solve(f_sat)  # sat falls through to the internal solver
         assert isinstance(result, Sat) and result.model == {"x": 1}
+
+    def test_external_solver_not_started_past_the_deadline(self):
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def decide(self, formula, timeout_s=None):
+                self.calls.append(timeout_s)
+                return "unsat"
+
+        ext = Recorder()
+        b = TermBuilder()
+        x = b.input("x", 8)
+        formula = Formula(b, b.eq(x, b.const(1, 8)), (x,))
+        stats = SolverStats()
+        solve = make_solve_fn(ext)
+        result = solve(formula, deadline=time.monotonic() - 1.0, stats=stats)
+        assert isinstance(result, Timeout)
+        assert ext.calls == []
+        assert (stats.solver_calls, stats.timeouts) == (1, 1)
+        assert isinstance(solve(formula, deadline=time.monotonic() + 5.0), Unsat)
+        assert len(ext.calls) == 1 and 0 < ext.calls[0] <= 5.0
 
     def test_external_solver_requires_placeholder(self):
         with pytest.raises(ValueError):

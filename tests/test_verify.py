@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfv.generators import RandomTestGen, fixture_snapshot
 from cfv.harness import GeneralizedTest, load_tests
 from cfv.interp import (
     AssertFailResult,
@@ -14,6 +13,9 @@ from cfv.snapshot import snapshot_from_sources
 from cfv.ssa import UnrollConfig
 from cfv.terms import to_signed
 from cfv.verify import Fail, Pass, Unknown, concretize, verify_test
+
+from generators import RandomTestGen, fixture_snapshot
+
 
 W4 = UnrollConfig(loop_bound=4, timeout_s=20, width=4)
 
