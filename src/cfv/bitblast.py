@@ -30,14 +30,10 @@ import time
 from dataclasses import dataclass, field
 
 from cfv.dpll import SIM_MAX_INPUT_BITS
-from cfv.errors import CfvError
+from cfv.errors import EncodeTimeout
 from cfv.terms import BOOL, Formula, Term, postorder
 
 TRUE_LIT = 1
-
-
-class BlastTimeout(CfvError):
-    """Raised when bit-blasting outruns its deadline."""
 
 
 @dataclass
@@ -85,7 +81,7 @@ class _Blaster:
         self._ticks += 1
         if self.deadline is not None and self._ticks % 4096 == 0:
             if time.monotonic() > self.deadline:
-                raise BlastTimeout("bit-blasting exceeded the time limit")
+                raise EncodeTimeout("bit-blasting exceeded the time limit")
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -290,7 +286,7 @@ def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
     """Translate a formula into an equisatisfiable CNF.
 
     Deterministic: identical formulas produce identical CNFs. Raises
-    BlastTimeout when the optional deadline passes.
+    EncodeTimeout when the optional deadline passes.
     """
     blaster = _Blaster(deadline, formula.input_bits <= SIM_MAX_INPUT_BITS)
     input_bits: dict[str, tuple[int, ...]] = {}

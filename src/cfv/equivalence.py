@@ -6,7 +6,10 @@ name, nondet occurrences paired in order) and asks the solver for an input
 that makes their observables differ. Observables are the return value, the
 final value of every written global, and the assertion outcome; value
 differences only count on inputs where both sides stay assertion-clean,
-since a trapped run observes nothing beyond the trap itself.
+since a trapped run observes nothing beyond the trap itself. The miter
+compares each observable through TermBuilder.eq, which compares two guarded
+update chains by the leaves each side can select. Where both sides select
+the shared initial value, that leaf comparison is true before any solving.
 
 Every behavioral verdict is replayed through the reference interpreter
 before being reported: a NotEquivalent witness that does not reproduce a

@@ -49,8 +49,8 @@ class SignatureMismatchError(CfvError):
 
 
 class EncodeTimeout(CfvError):
-    """Building the terms of a query (encoding or the miter) ran past its
-    deadline."""
+    """Building a query ran past its deadline: its terms (the SSA encoding
+    or the miter) or its CNF (bit-blasting)."""
 
 
 class DomainTooLargeError(CfvError):

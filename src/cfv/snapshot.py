@@ -58,11 +58,12 @@ def read_source(path: Path) -> str:
         ) from None
 
 
-def under(directory: Path, err: InputError) -> InputError:
-    """err with every diagnostic path joined to the directory its file was
-    read from, so that errors of two snapshots' same-named files differ."""
+def under(origin: Path, err: InputError) -> InputError:
+    """err with every diagnostic path joined to where its file came from:
+    the directory it was read from, or the diff that patched it. So errors
+    of two snapshots' same-named files differ."""
     return InputError(
-        [replace(d, path=str(directory / d.path)) for d in err.diagnostics]
+        [replace(d, path=str(origin / d.path)) for d in err.diagnostics]
     )
 
 
@@ -226,6 +227,9 @@ def load_snapshot_from_diff(
         raise InputError(
             [Diagnostic(str(diff_path), DUMMY_SPAN, "error", str(err))]
         ) from None
-    return snapshot_from_sources(
-        patched, label or f"{base_dir.name}+{Path(diff_path).name}", width
-    )
+    try:
+        return snapshot_from_sources(
+            patched, label or f"{base_dir.name}+{Path(diff_path).name}", width
+        )
+    except InputError as err:
+        raise under(Path(diff_path), err) from None

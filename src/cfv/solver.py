@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cfv.bitblast import BlastTimeout, bitblast
+from cfv.bitblast import bitblast
 from cfv.dpll import solve_cnf
-from cfv.errors import DomainTooLargeError
+from cfv.errors import DomainTooLargeError, EncodeTimeout
 from cfv.terms import BOOL, Formula, bulk_evaluate, evaluate
 
 EXHAUSTIVE_BIT_CAP = 20
@@ -96,7 +96,7 @@ def sat_solve(
         return Sat(_default_model(formula)) if formula.root.value else Unsat()
     try:
         cnf = bitblast(formula, deadline)
-    except BlastTimeout:
+    except EncodeTimeout:
         if stats is not None:
             stats.timeouts += 1
         return Timeout()

@@ -10,6 +10,12 @@ Width 0 denotes bool. Bitvector values are kept as unsigned residues modulo
 2**width; comparisons are signed two's complement, shift amounts are taken
 modulo the width, and right shift is arithmetic.
 
+Equality of bitvectors is pushed through if-then-else, so that guarded
+state updates over a shared initial value compare equal wherever both sides
+kept that value, without a search (see TermBuilder.eq). Two ites under
+different guards are compared leaf by leaf, through selection conditions;
+under one guard, or against a non-ite, the push stays linear.
+
 A Formula is a bool root plus the ordered list of input symbols. The order
 fixes the meaning of "lexicographically least model" everywhere: valuations
 are compared as tuples of unsigned input values in slot order.
@@ -33,7 +39,8 @@ from cfv.errors import EncodeTimeout
 
 BOOL = 0
 
-# TermBuilder.eq reads the clock once per this many new cached pairs.
+# TermBuilder.eq reads the clock once per this many new cached pairs and
+# compared leaf pairs.
 _EQ_POLL_EVERY = 1024
 
 _COMMUTATIVE = frozenset({"add", "mul", "band", "bor", "bxor", "and", "or", "xor", "eq"})
@@ -96,8 +103,7 @@ class TermBuilder:
     One builder per solving task; terms from different builders must not be
     mixed. All ops validate operand widths. With a deadline (a
     time.monotonic() value), eq raises EncodeTimeout once it has passed: it
-    is the one op whose single call can expand into tens of thousands of
-    nodes.
+    is the one op whose single call can expand into thousands of nodes.
     """
 
     def __init__(self, deadline: float | None = None) -> None:
@@ -105,6 +111,7 @@ class TermBuilder:
         self._table: dict[tuple, Term] = {}
         self._inputs: dict[str, Term] = {}
         self._eq_cache: dict[tuple[int, int], Term] = {}
+        self._eq_work = 0
         # Linear decomposition per term: ((term, coeff), ...) plus constant.
         self._lin_cache: dict[int, tuple[tuple[tuple[Term, int], ...], int]] = {}
         self._uid = 0
@@ -226,23 +233,29 @@ class TermBuilder:
         cached = self._eq_cache.get(key)
         if cached is not None:
             return cached
-        # Push equality through if-then-else so that agreement of the guards
-        # already decides it. Guarded state updates produce deep ite chains
-        # over a shared initial value; without this, a SAT search can only
-        # discover "both sides left it untouched, hence equal" after
-        # enumerating the untouched value. The pair cache bounds the
-        # expansion by the number of distinct subterm pairs.
+        # Push equality through if-then-else. Guarded state updates produce
+        # deep ite chains over a shared initial value; compared as opaque
+        # words, a SAT search could only find "both sides left it untouched,
+        # hence equal" by enumerating the untouched value. Pushed through,
+        # the shared leaf meets itself and eq(x, x) folds to true here.
+        # - Same guard: ite(c, eq(t1, t2), eq(e1, e2)).
+        # - Ite against a non-ite: ite(c, eq(t, b), eq(e, b)).
+        #   Both add one node per pair and the pair cache bounds them by the
+        #   distinct subterm pairs. Selection conditions here would build
+        #   the same comparisons under larger guards: on the vec_count and
+        #   vec_sum pairs of cfvbench's scale workload, checks took 1.5-2x
+        #   as long.
+        # - Different guards: splitting both guards at every level would
+        #   multiply the two ite DAGs node by node (76k nodes against 8.8k
+        #   on the width-32 vec_insert miter), so _leaf_pairs compares the
+        #   leaves the two sides can select instead.
         if a.op == "ite" and b.op == "ite":
             c1, t1, e1 = a.args
             c2, t2, e2 = b.args
             if c1 is c2:
                 result = self.ite(c1, self.eq(t1, t2), self.eq(e1, e2))
             else:
-                result = self.ite(
-                    c1,
-                    self.ite(c2, self.eq(t1, t2), self.eq(t1, e2)),
-                    self.ite(c2, self.eq(e1, t2), self.eq(e1, e2)),
-                )
+                result = self._leaf_pairs(a, b)
         elif a.op == "ite":
             c1, t1, e1 = a.args
             result = self.ite(c1, self.eq(t1, b), self.eq(e1, b))
@@ -252,13 +265,68 @@ class TermBuilder:
         else:
             result = self._mk("eq", (a, b), BOOL)
         self._eq_cache[key] = result
+        self._poll()
+        return result
+
+    def _poll(self) -> None:
+        """Count one unit of miter work; read the clock once per
+        _EQ_POLL_EVERY units and raise EncodeTimeout past the deadline."""
+        self._eq_work += 1
         if (
             self.deadline is not None
-            and len(self._eq_cache) % _EQ_POLL_EVERY == 0
+            and self._eq_work % _EQ_POLL_EVERY == 0
             and time.monotonic() > self.deadline
         ):
             raise EncodeTimeout("building terms exceeded the time limit")
+
+    def _leaf_pairs(self, a: Term, b: Term) -> Term:
+        """eq(a, b) for two ites under different guards:
+        OR over leaf pairs (L, M) of sel_a(L) and sel_b(M) and eq(L, M).
+
+        Exact, because under any valuation each side selects exactly one
+        leaf, the value it evaluates to. Its size is the product of the two
+        leaf counts. The deadline is polled per pair.
+        """
+        sel_b = self._leaf_selections(b)
+        result = self.false
+        for leaf_a, cond_a in self._leaf_selections(a):
+            for leaf_b, cond_b in sel_b:
+                self._poll()
+                same = self.eq(leaf_a, leaf_b)
+                if same is not self.false:
+                    picked = self.and_(cond_a, cond_b)
+                    result = self.or_(result, self.and_(picked, same))
         return result
+
+    def _leaf_selections(self, root: Term) -> list[tuple[Term, Term]]:
+        """(leaf, selection condition) for each non-ite leaf of root's ite
+        DAG, newest first. A leaf's condition is the OR of the guard paths
+        from root that reach it; under any valuation exactly one condition
+        holds, the one of the leaf root evaluates to."""
+        nodes = {root.uid: root}
+        stack = [root]
+        while stack:
+            term = stack.pop()
+            if term.op == "ite":
+                for branch in term.args[1:]:
+                    if branch.uid not in nodes:
+                        nodes[branch.uid] = branch
+                        stack.append(branch)
+        # A term is newer than its operands, so in descending uid order a
+        # node's condition is complete before it is handed down.
+        sel: dict[int, Term] = {root.uid: self.true}
+        leaves: list[tuple[Term, Term]] = []
+        for uid in sorted(nodes, reverse=True):
+            term, cond = nodes[uid], sel[uid]
+            if term.op != "ite":
+                leaves.append((term, cond))
+                continue
+            c, then, other = term.args
+            for branch, guard in ((then, c), (other, self.not_(c))):
+                picked = self.and_(cond, guard)
+                prev = sel.get(branch.uid)
+                sel[branch.uid] = picked if prev is None else self.or_(prev, picked)
+        return leaves
 
     def ne(self, a: Term, b: Term) -> Term:
         return self.not_(self.eq(a, b))

@@ -1,13 +1,16 @@
 """Seeded random generators for the oracle-based test campaigns.
 
-Three families, all deterministic per seed:
+Three families, all deterministic per seed, plus a resized corpus module:
 
 * random formulas over a few small-width inputs, for solver agreement
-  against the exhaustive enumerator;
+  against the exhaustive enumerator, and random pairs of ite DAGs, for
+  TermBuilder.eq;
 * random function pairs (original plus a mutation), for equivalence-verdict
   agreement against brute-force interpretation over every input;
 * random nondet-free test bodies over a small fixture snapshot, for
-  encoder/interpreter agreement.
+  encoder/interpreter agreement;
+* minivec_sources, the corpus vector module with a larger buffer, for
+  deadline tests that need a miter too large to finish in time.
 
 Generated loops are counting loops with at most three iterations so a bound
 of four unrolls them completely, keeping bounded and unbounded semantics
@@ -24,6 +27,7 @@ from cfv.minic.normalize import normalize_alpha
 from cfv.minic.printer import format_unit
 from cfv.snapshot import Snapshot, snapshot_from_sources
 from cfv.terms import BOOL, Formula, Term, TermBuilder
+from oracles import CORPUS
 
 INT_BIN_OPS = ("+", "-", "*", "&", "|", "^", "<<", ">>")
 CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -73,6 +77,31 @@ def random_formula(
         return {"and": b.and_, "or": b.or_, "xor": b.xor}[op](x, y)
 
     return Formula(b, bl(depth), tuple(inputs))
+
+
+def random_ite_pair(
+    rng: random.Random, width: int = 4
+) -> tuple[TermBuilder, Term, Term, tuple[Term, ...]]:
+    """Two random ite DAGs over one builder, for TermBuilder.eq.
+
+    Both grow from one pool, so they share guards, leaves and whole
+    sub-DAGs; guards may be negated, so equal values can sit behind
+    different guards, and some leaves are constants. Returns the builder,
+    the two roots and the inputs: 2 * width + 3 bits.
+    """
+    b = TermBuilder()
+    xs = [b.input(f"x{i}", width) for i in range(2)]
+    cs = [b.input(f"c{i}", BOOL) for i in range(3)]
+    k = b.const(rng.randrange(1 << width), width)
+    guards = cs + [b.slt(xs[0], xs[1]), b.eq(xs[0], k)]
+    nodes = xs + [k, b.const(rng.randrange(1 << width), width), b.add(xs[0], xs[1])]
+    for _ in range(rng.randint(2, 14)):
+        guard = rng.choice(guards)
+        if rng.random() < 0.3:
+            guard = b.not_(guard)
+        nodes.append(b.ite(guard, rng.choice(nodes), rng.choice(nodes)))
+    roots = nodes[-6:]
+    return b, rng.choice(roots), rng.choice(roots), tuple(xs + cs)
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +417,13 @@ class RandomTestGen:
 
         parsed = parse_unit(text, "gen_test.c", self.width)
         return TestCase("test_generated", "generated", parsed.functions[0]), text
+
+
+def minivec_sources(capacity: int) -> dict[str, str]:
+    """The old and new corpus minivec sources, keyed by side, with a data
+    buffer of capacity elements instead of 8. Every 8 in vec.c is that
+    capacity."""
+    return {
+        side: (CORPUS / "minivec" / side / "vec.c").read_text().replace("8", str(capacity))
+        for side in ("old", "new")
+    }

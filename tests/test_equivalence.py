@@ -17,9 +17,9 @@ from cfv.equivalence import (
 from cfv.snapshot import load_snapshot, snapshot_from_sources
 from cfv.solver import SolverStats, Unsat, sat_solve
 from cfv.ssa import UnrollConfig, encode_ssa, verification_formula
-from cfv.terms import TermBuilder, to_signed
+from cfv.terms import TermBuilder, postorder, to_signed
 
-from generators import random_pair
+from generators import minivec_sources, random_pair
 from oracles import CORPUS, functions_equivalent_bruteforce
 
 W4 = UnrollConfig(loop_bound=4, timeout_s=20, width=4)
@@ -103,17 +103,32 @@ class TestStageTwo:
         assert isinstance(verdict, Unknown) and verdict.reason == "timeout"
 
     def test_miter_build_obeys_the_time_limit(self):
-        # At width 8 the miter of vec_insert grows to tens of thousands of
-        # nodes, most of them inside one TermBuilder.eq call.
-        old = load_snapshot(CORPUS / "minivec" / "old", 8)
-        new = load_snapshot(CORPUS / "minivec" / "new", 8)
-        cfg = UnrollConfig(timeout_s=0.05, width=8)
+        # With a 32-element buffer unrolled 32 times, vec_insert's width-8
+        # miter has about half a million nodes and takes seconds to build.
+        sources = minivec_sources(32)
+        old = snapshot_from_sources({"vec.c": sources["old"]}, "old", 8)
+        new = snapshot_from_sources({"vec.c": sources["new"]}, "new", 8)
+        cfg = UnrollConfig(loop_bound=32, timeout_s=0.05, width=8)
         t0 = time.monotonic()
         verdict = check_equivalence(
             old.functions["vec_insert"], new.functions["vec_insert"], (old, new), cfg
         )
         assert time.monotonic() - t0 <= cfg.timeout_s + 0.15
         assert verdict == Unknown("timeout")
+
+    def test_vec_insert_miter_compares_leaves(self):
+        # Comparing the two sides' ite trees leaf by leaf gives about 8.8k
+        # nodes at width 32; splitting both guards at every level gave 76k.
+        old = load_snapshot(CORPUS / "minivec" / "old", 32)
+        new = load_snapshot(CORPUS / "minivec" / "new", 32)
+        cfg = UnrollConfig(width=32)
+        builder = TermBuilder()
+        miter = build_miter(
+            encode_ssa(old.functions["vec_insert"], old, cfg, builder),
+            encode_ssa(new.functions["vec_insert"], new, cfg, builder),
+        )
+        nodes = len(postorder(miter.root))  # a Term's repr is exponential in a DAG
+        assert nodes <= 12_000
 
     def test_initializer_divergence_is_unsupported(self):
         old = "int lim = 3; int f(int x){return x + lim;}"

@@ -20,6 +20,7 @@ from cfv.minic.lexer import UNSUPPORTED_OPERATORS
 from cfv.pipeline import EQUIVALENCE_BUDGET_FRACTION, MIN_ITEM_S, RunConfig, run_pipeline
 from cfv.report import exit_code, strip_timings
 from cfv.ssa import UnrollConfig
+from generators import minivec_sources
 from oracles import CORPUS
 
 LIB_OLD = """
@@ -160,13 +161,17 @@ class TestPipeline:
         assert report["budget"]["exceeded"] is True
 
     def test_budget_bounds_a_run_with_a_large_miter(self, tmp_path):
-        # vec_insert's miter alone takes longer to build than this budget.
-        root = CORPUS / "minivec"
+        # vec_insert's miter over a 32-element buffer unrolled 32 times
+        # takes longer to build than this budget.
+        for side, src in minivec_sources(32).items():
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "vec.c").write_text(src)
+        tests = CORPUS / "minivec" / "tests"
         t0 = time.monotonic()
         main([
-            "analyze", "--old", str(root / "old"), "--new", str(root / "new"),
-            "--tests", str(root / "tests"), "--out", str(tmp_path / "r.json"),
-            "--width", "8", "--budget", "0.5",
+            "analyze", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new"),
+            "--tests", str(tests), "--out", str(tmp_path / "r.json"),
+            "--width", "8", "--bound", "32", "--budget", "0.5",
         ])
         assert time.monotonic() - t0 <= 0.5 + 0.15
         report = json.loads((tmp_path / "r.json").read_text())
@@ -597,6 +602,18 @@ def test_diagnostics_name_the_broken_side(tmp_path, capsys):
     assert first_lines[0].removeprefix(str(tmp_path / "old")) == first_lines[1].removeprefix(
         str(tmp_path / "new")
     )
+
+
+def test_diagnostics_in_patched_text_name_the_diff(tmp_path, capsys):
+    write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
+    patch = tmp_path / "p.diff"
+    patch.write_text(
+        "--- a/lib.c\n+++ b/lib.c\n@@ -4,1 +4,1 @@\n"
+        "-int add(int a, int b) { return a + b; }\n"
+        "+int add(int a, int b) { return a + ; }\n"
+    )
+    assert main(["diff", "--old", str(tmp_path / "old"), "--diff", str(patch)]) == 3
+    assert capsys.readouterr().err.startswith(f"{patch / 'lib.c'}:4:")
 
 
 # Text to splice into sources, in groups that are drawn from evenly:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfv.bitblast import bitblast
 from cfv.dpll import search, solve_cnf
-from cfv.errors import DomainTooLargeError
+from cfv.errors import DomainTooLargeError, EncodeTimeout
 from cfv.smtlib import ExternalSolver, emit_smtlib
 from cfv.solver import (
     Sat,
@@ -20,7 +20,7 @@ from cfv.solver import (
 )
 from cfv.terms import BOOL, Formula, TermBuilder, evaluate, to_signed
 
-from generators import random_formula
+from generators import random_formula, random_ite_pair
 
 
 def single_input_formula(width, build):
@@ -91,6 +91,37 @@ class TestTerms:
         assert not evaluate(eq, {"c1": True, "c2": False, "x": 1, "y": 2, "z": 3})
 
 
+class TestIteEquality:
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=200)
+    def test_eq_of_ite_dags_matches_evaluation(self, seed):
+        rng = random.Random(seed)
+        b, x, y, inputs = random_ite_pair(rng)
+        eq = b.eq(x, y)
+        for _ in range(16):
+            env = {
+                t.name: rng.random() < 0.5 if t.width == BOOL else rng.randrange(1 << t.width)
+                for t in inputs
+            }
+            assert evaluate(eq, env) == (evaluate(x, env) == evaluate(y, env))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100)
+    def test_ite_miter_least_model_matches_enumeration(self, seed):
+        rng = random.Random(seed)
+        b, x, y, inputs = random_ite_pair(rng)
+        f = Formula(b, b.ne(x, y), inputs)
+        assert f.input_bits <= 12
+        fast = sat_solve(f)
+        slow = exhaustive_solve(f)
+        assert type(fast) is type(slow)
+        if isinstance(fast, Sat):
+            assert fast.model == slow.model
+            assert evaluate(x, fast.model) != evaluate(y, fast.model)
+        if not f.root.is_const:  # sat_solve simulates these; search the clauses too
+            assert learned_model(f) == (slow.model if isinstance(slow, Sat) else None)
+
+
 class TestSolverExamples:
     def test_constant_true_root(self):
         b = TermBuilder()
@@ -149,6 +180,14 @@ class TestSolverExamples:
         rhs = b.add(b.mul(p, q), q)
         f = Formula(b, b.ne(lhs, rhs), (p, q))
         assert isinstance(sat_solve(f, timeout_s=1.0), Timeout)
+
+    def test_blasting_past_the_deadline_raises_the_shared_timeout(self):
+        f = miter_formula(32)  # thousands of gates, so the blaster polls
+        with pytest.raises(EncodeTimeout):
+            bitblast(f, deadline=time.monotonic() - 1)
+        stats = SolverStats()
+        assert isinstance(sat_solve(f, deadline=time.monotonic() - 1, stats=stats), Timeout)
+        assert stats.timeouts == 1
 
 
 def miter_formula(width):
