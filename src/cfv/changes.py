@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from cfv.minic.ast import FunctionDef, GlobalDecl
+from cfv.minic.ast import FunctionDef, GlobalDecl, literal_value
 from cfv.minic.normalize import normalize_alpha
 from cfv.snapshot import Snapshot
 
@@ -62,19 +62,7 @@ def structural_equiv(a: FunctionDef, b: FunctionDef) -> bool:
 
 
 def _global_signature(decl: GlobalDecl) -> tuple:
-    init = decl.init
-    value = None
-    if init is not None:
-        # Initializers are literal constants, possibly negated.
-        from cfv.minic.ast import BoolLit, IntLit, Unary
-
-        if isinstance(init, BoolLit):
-            value = init.value
-        elif isinstance(init, IntLit):
-            value = init.value
-        elif isinstance(init, Unary) and isinstance(init.operand, IntLit):
-            value = -init.operand.value
-    return (decl.ty, value)
+    return (decl.ty, literal_value(decl.init))
 
 
 def changed_globals(old: Snapshot, new: Snapshot) -> set[str]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from cfv.changes import changed_globals, structural_equiv
 from cfv.errors import EncodeTimeout, SignatureMismatchError
-from cfv.interp import DEFAULT_FUEL, Outcome, run_function
+from cfv.interp import DEFAULT_FUEL, Outcome, run_function, zero_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
 from cfv.solver import Sat, SolverStats, Timeout, Unknown, Unsat, sat_solve
@@ -240,14 +240,7 @@ def replay(
     fuel: int = DEFAULT_FUEL,
 ) -> Observables:
     """Run fn concretely on the witness and package its observables."""
-    globals_init: dict = {}
-    for name, decl in snap.globals.items():
-        if isinstance(decl.ty, ast.ArrayType):
-            globals_init[name] = [0] * decl.ty.length
-        elif isinstance(decl.ty, ast.BoolType):
-            globals_init[name] = False
-        else:
-            globals_init[name] = 0
+    globals_init = zero_globals(snap)
     for name, value in witness.globals.items():
         if name in globals_init:
             globals_init[name] = list(value) if isinstance(value, list) else value

@@ -22,7 +22,7 @@ generalized so spurious counterexamples can be triaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from cfv.errors import Diagnostic, FrontendError, InputError
@@ -204,86 +204,31 @@ class GeneralizedTest:
         return "auto" if self.substitutions else "none"
 
 
-def _literal_value(e: ast.Expr) -> tuple[bool, int | bool | None]:
-    if isinstance(e, ast.IntLit):
-        return True, e.value
-    if isinstance(e, ast.BoolLit):
-        return True, e.value
-    if isinstance(e, ast.Unary) and e.op == "-" and isinstance(e.operand, ast.IntLit):
-        return True, -e.operand.value
-    return False, None
-
-
 class _Generalizer:
     def __init__(self, targets: set[str]):
         self.targets = targets
         self.substitutions: list[Substitution] = []
 
-    def fresh(self) -> str:
-        return f"s{len(self.substitutions)}"
+    def expr(self, e: ast.Expr) -> ast.Expr | None:
+        if not (isinstance(e, ast.Call) and e.name in self.targets):
+            return None
+        args: list[ast.Expr] = []
+        for pos, arg in enumerate(e.args):
+            value = ast.literal_value(arg)
+            if value is None:
+                args.append(ast.map_expr(arg, self.expr))
+                continue
+            symbol = f"s{len(self.substitutions)}"
+            self.substitutions.append(Substitution(e.span, pos, value, symbol))
+            nondet = ast.NondetBool if isinstance(value, bool) else ast.NondetInt
+            args.append(nondet(arg.span))
+        return ast.Call(e.span, e.name, args, e.ty)
 
-    def rewrite_expr(self, e: ast.Expr) -> ast.Expr:
-        if isinstance(e, (ast.IntLit, ast.BoolLit, ast.VarRef, ast.NondetInt, ast.NondetBool)):
-            return e
-        if isinstance(e, ast.ArrayIndex):
-            return ast.ArrayIndex(e.span, e.name, self.rewrite_expr(e.index))
-        if isinstance(e, ast.Unary):
-            return ast.Unary(e.span, e.op, self.rewrite_expr(e.operand))
-        if isinstance(e, ast.Binary):
-            return ast.Binary(
-                e.span, e.op, self.rewrite_expr(e.left), self.rewrite_expr(e.right)
-            )
-        if isinstance(e, ast.Call):
-            args: list[ast.Expr] = []
-            for pos, arg in enumerate(e.args):
-                is_lit, value = _literal_value(arg)
-                if e.name in self.targets and is_lit:
-                    symbol = self.fresh()
-                    self.substitutions.append(
-                        Substitution(e.span, pos, value, symbol)
-                    )
-                    if isinstance(value, bool):
-                        args.append(ast.NondetBool(arg.span))
-                    else:
-                        args.append(ast.NondetInt(arg.span))
-                else:
-                    args.append(self.rewrite_expr(arg))
-            return ast.Call(e.span, e.name, args)
-        raise AssertionError(f"unknown expression {e!r}")  # pragma: no cover
-
-    def rewrite_stmt(self, s: ast.Stmt) -> ast.Stmt:
-        if isinstance(s, ast.Block):
-            return ast.Block(s.span, [self.rewrite_stmt(x) for x in s.stmts])
-        if isinstance(s, ast.VarDecl):
-            init = self.rewrite_expr(s.init) if s.init is not None else None
-            return ast.VarDecl(s.span, s.name, s.declared_type, init)
-        if isinstance(s, ast.Assign):
-            target = s.target
-            if isinstance(target, ast.ArrayIndex):
-                target = ast.ArrayIndex(
-                    target.span, target.name, self.rewrite_expr(target.index)
-                )
-            return ast.Assign(s.span, target, self.rewrite_expr(s.value))
-        if isinstance(s, ast.If):
-            return ast.If(
-                s.span,
-                self.rewrite_expr(s.cond),
-                self.rewrite_stmt(s.then_body),
-                self.rewrite_stmt(s.else_body) if s.else_body is not None else None,
-            )
-        if isinstance(s, ast.While):
-            return ast.While(s.span, self.rewrite_expr(s.cond), self.rewrite_stmt(s.body))
-        if isinstance(s, ast.Return):
-            value = self.rewrite_expr(s.value) if s.value is not None else None
-            return ast.Return(s.span, value)
-        if isinstance(s, ast.Assert):
-            # Assertions are the checked properties; keep them verbatim.
-            return s
-        if isinstance(s, ast.Assume):
-            return s
-        if isinstance(s, ast.ExprStmt):
-            return ast.ExprStmt(s.span, self.rewrite_expr(s.expr))
-        raise AssertionError(f"unknown statement {s!r}")  # pragma: no cover
+    @staticmethod
+    def stmt(s: ast.Stmt) -> ast.Stmt | None:
+        # Assertions and assumptions are the checked properties; keep them
+        # verbatim.
+        return s if isinstance(s, (ast.Assert, ast.Assume)) else None
 
 
 def generalize(t: TestCase, targets: set[str]) -> GeneralizedTest:
@@ -298,17 +243,7 @@ def generalize(t: TestCase, targets: set[str]) -> GeneralizedTest:
         isinstance(e, (ast.NondetInt, ast.NondetBool)) for e in ast.all_exprs(t.body)
     )
     gen = _Generalizer(targets)
-    body = gen.rewrite_stmt(t.body.body)
+    body = ast.map_stmt(t.body.body, gen.expr, gen.stmt)
     if not gen.substitutions:
         return GeneralizedTest(t.name, t.body, [], manual)
-    fn = ast.FunctionDef(
-        t.body.name,
-        [],
-        t.body.return_type,
-        body,
-        span=t.body.span,
-        body_span=t.body.body_span,
-        reads_globals=t.body.reads_globals,
-        writes_globals=t.body.writes_globals,
-    )
-    return GeneralizedTest(t.name, fn, gen.substitutions, manual)
+    return GeneralizedTest(t.name, replace(t.body, body=body), gen.substitutions, manual)

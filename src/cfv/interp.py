@@ -62,29 +62,30 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-def initial_globals(snap: Snapshot) -> dict[str, Value]:
+def zero_globals(snap: Snapshot) -> dict[str, Value]:
+    """Every global of snap at zero: arrays of 0, bools False, ints 0."""
     out: dict[str, Value] = {}
     for name, decl in snap.globals.items():
         if isinstance(decl.ty, ast.ArrayType):
             out[name] = [0] * decl.ty.length
-        elif isinstance(decl.ty, ast.BoolType):
-            out[name] = bool(_const_init(decl))
         else:
-            out[name] = to_unsigned(_const_init(decl), snap.width)
+            out[name] = False if isinstance(decl.ty, ast.BoolType) else 0
     return out
 
 
-def _const_init(decl: ast.GlobalDecl) -> int:
-    init = decl.init
-    if init is None:
-        return 0
-    if isinstance(init, ast.BoolLit):
-        return int(init.value)
-    if isinstance(init, ast.IntLit):
-        return init.value
-    if isinstance(init, ast.Unary) and isinstance(init.operand, ast.IntLit):
-        return -init.operand.value
-    raise InterpreterError(f"non-literal initializer for global {decl.name!r}")
+def initial_globals(snap: Snapshot) -> dict[str, Value]:
+    """The globals as the program starts: zero, or the scalar initializer."""
+    out = zero_globals(snap)
+    for name, decl in snap.globals.items():
+        value = ast.literal_value(decl.init)
+        if value is None:
+            if decl.init is not None:
+                raise InterpreterError(f"non-literal initializer for global {name!r}")
+        elif isinstance(decl.ty, ast.BoolType):
+            out[name] = bool(value)
+        else:
+            out[name] = to_unsigned(value, snap.width)
+    return out
 
 
 class Interpreter:

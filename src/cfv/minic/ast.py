@@ -15,6 +15,7 @@ preprocessor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -274,6 +275,77 @@ class SourceUnit:
         return [d for d in self.declarations if isinstance(d, GlobalDecl)]
 
 
+def literal_value(e: Expr | None) -> int | bool | None:
+    """The value of an int or bool literal or a negated int literal, else None."""
+    if isinstance(e, (IntLit, BoolLit)):
+        return e.value
+    if isinstance(e, Unary) and e.op == "-" and isinstance(e.operand, IntLit):
+        return -e.operand.value
+    return None
+
+
+_LEAVES = (IntLit, BoolLit, VarRef, NondetInt, NondetBool)
+ExprHook = Callable[[Expr], Expr | None]
+StmtHook = Callable[[Stmt], Stmt | None]
+
+
+def map_expr(e: Expr, hook: ExprHook) -> Expr:
+    """Rebuild an expression through hook, which sees each node before its
+    children. The hook returns a replacement node, used as it is, or None,
+    which means "rebuild this node around its mapped children". Rebuilt
+    nodes keep their span and type; leaves are kept as they are.
+    """
+    new = hook(e)
+    if new is not None:
+        return new
+    if isinstance(e, Binary):
+        return Binary(e.span, e.op, map_expr(e.left, hook), map_expr(e.right, hook), e.ty)
+    if isinstance(e, _LEAVES):
+        return e
+    if isinstance(e, Unary):
+        return Unary(e.span, e.op, map_expr(e.operand, hook), e.ty)
+    if isinstance(e, ArrayIndex):
+        return ArrayIndex(e.span, e.name, map_expr(e.index, hook), e.ty)
+    if isinstance(e, Call):
+        return Call(e.span, e.name, [map_expr(a, hook) for a in e.args], e.ty)
+    raise AssertionError(f"unknown expression {e!r}")  # pragma: no cover
+
+
+def map_stmt(s: Stmt, expr_hook: ExprHook, stmt_hook: StmtHook = lambda s: None) -> Stmt:
+    """Rebuild a statement; every attached expression goes through
+    map_expr(e, expr_hook). stmt_hook has the same contract as the
+    expression hook: a replacement is used as it is, None means "rebuild
+    this statement around its mapped children", and rebuilt statements keep
+    their span. Children are mapped in source order.
+    """
+    new = stmt_hook(s)
+    if new is not None:
+        return new
+    if isinstance(s, Block):
+        return Block(s.span, [map_stmt(x, expr_hook, stmt_hook) for x in s.stmts])
+    if isinstance(s, Assign):
+        return Assign(s.span, map_expr(s.target, expr_hook), map_expr(s.value, expr_hook))
+    if isinstance(s, VarDecl):
+        init = None if s.init is None else map_expr(s.init, expr_hook)
+        return VarDecl(s.span, s.name, s.declared_type, init)
+    if isinstance(s, If):
+        return If(
+            s.span,
+            map_expr(s.cond, expr_hook),
+            map_stmt(s.then_body, expr_hook, stmt_hook),
+            None if s.else_body is None else map_stmt(s.else_body, expr_hook, stmt_hook),
+        )
+    if isinstance(s, While):
+        return While(s.span, map_expr(s.cond, expr_hook), map_stmt(s.body, expr_hook, stmt_hook))
+    if isinstance(s, Return):
+        return Return(s.span, None if s.value is None else map_expr(s.value, expr_hook))
+    if isinstance(s, (Assert, Assume)):
+        return type(s)(s.span, map_expr(s.cond, expr_hook))
+    if isinstance(s, ExprStmt):
+        return ExprStmt(s.span, map_expr(s.expr, expr_hook))
+    raise AssertionError(f"unknown statement {s!r}")  # pragma: no cover
+
+
 def walk_stmts(stmt: Stmt):
     """Yield stmt and all statements nested inside it, preorder."""
     yield stmt
@@ -295,12 +367,10 @@ def walk_exprs_of_stmt(stmt: Stmt):
     elif isinstance(stmt, Assign):
         yield stmt.target
         yield stmt.value
-    elif isinstance(stmt, (If, While)):
+    elif isinstance(stmt, (If, While, Assert, Assume)):
         yield stmt.cond
     elif isinstance(stmt, Return) and stmt.value is not None:
         yield stmt.value
-    elif isinstance(stmt, (Assert, Assume)):
-        yield stmt.cond
     elif isinstance(stmt, ExprStmt):
         yield stmt.expr
 

@@ -6,12 +6,16 @@ replaced by a fixed placeholder. Globals and calls to other functions keep
 their names. The result is what the fast structural equivalence stage
 compares, so two functions that differ only in local naming, comments or
 layout normalize to equal ASTs. The transformation is idempotent.
+
+The renamed tree keeps the spans of the original; AST equality ignores
+spans, so they never affect the comparison.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from cfv.minic import ast
-from cfv.minic.ast import DUMMY_SPAN
 
 SELF_PLACEHOLDER = "$self"
 
@@ -24,93 +28,44 @@ class _Renamer:
             {p.name: f"p{i}" for i, p in enumerate(fn.params)}
         ]
 
-    def fresh_local(self, name: str) -> str:
-        new = f"v{self.counter}"
-        self.counter += 1
-        self.scopes[-1][name] = new
-        return new
-
     def resolve(self, name: str) -> str:
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
         return name  # a global
 
-    def rename_expr(self, e: ast.Expr) -> ast.Expr:
-        if isinstance(e, ast.IntLit):
-            return ast.IntLit(DUMMY_SPAN, e.value)
-        if isinstance(e, ast.BoolLit):
-            return ast.BoolLit(DUMMY_SPAN, e.value)
+    def expr(self, e: ast.Expr) -> ast.Expr | None:
         if isinstance(e, ast.VarRef):
-            return ast.VarRef(DUMMY_SPAN, self.resolve(e.name))
+            return ast.VarRef(e.span, self.resolve(e.name), e.ty)
         if isinstance(e, ast.ArrayIndex):
-            return ast.ArrayIndex(DUMMY_SPAN, self.resolve(e.name), self.rename_expr(e.index))
-        if isinstance(e, ast.Unary):
-            return ast.Unary(DUMMY_SPAN, e.op, self.rename_expr(e.operand))
-        if isinstance(e, ast.Binary):
-            return ast.Binary(
-                DUMMY_SPAN, e.op, self.rename_expr(e.left), self.rename_expr(e.right)
-            )
-        if isinstance(e, ast.Call):
-            callee = SELF_PLACEHOLDER if e.name == self.fn_name else e.name
-            return ast.Call(DUMMY_SPAN, callee, [self.rename_expr(a) for a in e.args])
-        if isinstance(e, ast.NondetInt):
-            return ast.NondetInt(DUMMY_SPAN)
-        if isinstance(e, ast.NondetBool):
-            return ast.NondetBool(DUMMY_SPAN)
-        raise AssertionError(f"unknown expression {e!r}")  # pragma: no cover
+            index = ast.map_expr(e.index, self.expr)
+            return ast.ArrayIndex(e.span, self.resolve(e.name), index, e.ty)
+        if isinstance(e, ast.Call) and e.name == self.fn_name:
+            args = [ast.map_expr(a, self.expr) for a in e.args]
+            return ast.Call(e.span, SELF_PLACEHOLDER, args, e.ty)
+        return None
 
-    def rename_block(self, block: ast.Block) -> ast.Block:
-        self.scopes.append({})
-        stmts = [self.rename_stmt(s) for s in block.stmts]
-        self.scopes.pop()
-        return ast.Block(DUMMY_SPAN, stmts)
-
-    def rename_stmt(self, s: ast.Stmt) -> ast.Stmt:
+    def stmt(self, s: ast.Stmt) -> ast.Stmt | None:
         if isinstance(s, ast.Block):
-            return self.rename_block(s)
+            self.scopes.append({})
+            stmts = [ast.map_stmt(x, self.expr, self.stmt) for x in s.stmts]
+            self.scopes.pop()
+            return ast.Block(s.span, stmts)
         if isinstance(s, ast.VarDecl):
-            init = self.rename_expr(s.init) if s.init is not None else None
-            return ast.VarDecl(DUMMY_SPAN, self.fresh_local(s.name), s.declared_type, init)
-        if isinstance(s, ast.Assign):
-            return ast.Assign(
-                DUMMY_SPAN, self.rename_expr(s.target), self.rename_expr(s.value)
-            )
-        if isinstance(s, ast.If):
-            return ast.If(
-                DUMMY_SPAN,
-                self.rename_expr(s.cond),
-                self.rename_block(s.then_body),
-                self.rename_block(s.else_body) if s.else_body is not None else None,
-            )
-        if isinstance(s, ast.While):
-            return ast.While(DUMMY_SPAN, self.rename_expr(s.cond), self.rename_block(s.body))
-        if isinstance(s, ast.Return):
-            value = self.rename_expr(s.value) if s.value is not None else None
-            return ast.Return(DUMMY_SPAN, value)
-        if isinstance(s, ast.Assert):
-            return ast.Assert(DUMMY_SPAN, self.rename_expr(s.cond))
-        if isinstance(s, ast.Assume):
-            return ast.Assume(DUMMY_SPAN, self.rename_expr(s.cond))
-        if isinstance(s, ast.ExprStmt):
-            return ast.ExprStmt(DUMMY_SPAN, self.rename_expr(s.expr))
-        raise AssertionError(f"unknown statement {s!r}")  # pragma: no cover
+            init = None if s.init is None else ast.map_expr(s.init, self.expr)
+            new = f"v{self.counter}"
+            self.counter += 1
+            self.scopes[-1][s.name] = new
+            return ast.VarDecl(s.span, new, s.declared_type, init)
+        return None
 
 
 def normalize_alpha(fn: ast.FunctionDef) -> ast.FunctionDef:
     """Return a canonically renamed copy of fn. Deterministic and idempotent."""
     renamer = _Renamer(fn)
-    body = renamer.rename_block(fn.body)
-    params = [
-        ast.Param(f"p{i}", p.ty, DUMMY_SPAN) for i, p in enumerate(fn.params)
-    ]
-    return ast.FunctionDef(
-        SELF_PLACEHOLDER,
-        params,
-        fn.return_type,
-        body,
-        span=DUMMY_SPAN,
-        body_span=DUMMY_SPAN,
-        reads_globals=fn.reads_globals,
-        writes_globals=fn.writes_globals,
+    return replace(
+        fn,
+        name=SELF_PLACEHOLDER,
+        params=[replace(p, name=f"p{i}") for i, p in enumerate(fn.params)],
+        body=ast.map_stmt(fn.body, renamer.expr, renamer.stmt),
     )

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from cfv.errors import CfvError, EncodeTimeout
+from cfv.interp import initial_globals
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
@@ -143,8 +144,6 @@ class Encoder:
         self.depth = 0
 
         if not self.symbolic_globals:
-            from cfv.interp import initial_globals
-
             for name, value in initial_globals(self.snap).items():
                 if isinstance(value, list):
                     self.global_env[name] = tuple(

@@ -76,11 +76,13 @@ class Term:
         return self.op == "const"
 
     def __repr__(self) -> str:
+        # No operands: a DAG shares them, and printing them as a tree would
+        # grow exponentially with its depth.
         if self.op == "const":
-            return f"c{self.value}:{self.width}"
+            return f"c{self.value}:{self.width}#{self.uid}"
         if self.op == "input":
-            return f"{self.name}:{self.width}"
-        return f"({self.op} {' '.join(repr(a) for a in self.args)})"
+            return f"{self.name}:{self.width}#{self.uid}"
+        return f"({self.op}:{self.width}#{self.uid})"
 
 
 def mask(width: int) -> int:
@@ -563,57 +565,21 @@ def postorder(root: Term) -> list[Term]:
 
 
 def evaluate(root: Term, env: dict[str, int | bool]) -> int | bool:
-    """Concrete evaluation; env maps input names to unsigned residues/bools."""
-    values: dict[int, int] = {}
-    for t in postorder(root):
-        values[t.uid] = _eval_node(t, values, env)
-    result = values[root.uid]
-    return bool(result) if root.width == BOOL else result
+    """Concrete evaluation; env maps input names to unsigned residues/bools.
 
-
-def _eval_node(t: Term, values: dict[int, int], env) -> int:
-    op = t.op
-    if op == "const":
-        return t.value
-    if op == "input":
-        v = env[t.name]
-        return int(v) & mask(t.width) if t.width != BOOL else int(bool(v))
-    a = values[t.args[0].uid] if t.args else 0
-    b = values[t.args[1].uid] if len(t.args) > 1 else 0
-    w = t.args[0].width if t.args else t.width
-    if op == "not":
-        return 1 - a
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "eq":
-        return int(a == b)
-    if op == "slt":
-        return int(to_signed(a, w) < to_signed(b, w))
-    if op == "ite":
-        return values[t.args[1].uid] if a else values[t.args[2].uid]
-    if op == "add":
-        return (a + b) & mask(w)
-    if op == "sub":
-        return (a - b) & mask(w)
-    if op == "mul":
-        return (a * b) & mask(w)
-    if op == "band":
-        return a & b
-    if op == "bor":
-        return a | b
-    if op == "bxor":
-        return a ^ b
-    if op == "bnot":
-        return (~a) & mask(w)
-    if op == "shl":
-        return (a << (b & (w - 1))) & mask(w)
-    if op == "ashr":
-        return (to_signed(a, w) >> (b & (w - 1))) & mask(w)
-    raise AssertionError(f"unknown op {op}")  # pragma: no cover
+    One valuation is bulk_evaluate over arrays of length 1. Each input is
+    read at its term's width: a bool input is truthiness, a bitvector is
+    masked.
+    """
+    lanes = {
+        t.name: np.array([bool(env[t.name])])
+        if t.width == BOOL
+        else np.array([int(env[t.name]) & mask(t.width)], dtype=np.uint64)
+        for t in postorder(root)
+        if t.op == "input"
+    }
+    result = np.broadcast_to(bulk_evaluate(root, lanes), (1,))[0]
+    return bool(result) if root.width == BOOL else int(result)
 
 
 def bulk_evaluate(root: Term, env: dict[str, np.ndarray]) -> np.ndarray:

@@ -13,7 +13,7 @@ into an ordinary nondet-free test that fails under plain interpretation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from cfv.errors import EncodeTimeout
 from cfv.harness import GeneralizedTest, TestCase
@@ -23,7 +23,7 @@ from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
 from cfv.solver import Sat, SolverStats, Timeout, Unknown, Unsat, sat_solve
 from cfv.ssa import UnrollConfig, encode_ssa, verification_formula
-from cfv.terms import collector_paused, to_signed
+from cfv.terms import Formula, collector_paused, to_signed
 
 
 @dataclass
@@ -76,8 +76,6 @@ def verify_test(
         uc = prog.unwinding_complete
         if uc.is_const and uc.value:
             return Pass(cfg.loop_bound, True)
-        from cfv.terms import Formula
-
         comp = Formula(
             b, b.and_(prog.assume_ok, b.not_(uc)), formula.inputs
         )
@@ -114,62 +112,6 @@ def _literal_for(value: int | bool, width: int, span: Span) -> ast.Expr:
     return ast.IntLit(span, signed)
 
 
-class _Concretizer:
-    def __init__(self, values: dict[int, int | bool], width: int):
-        self.values = values  # site byte offset -> first-occurrence value
-        self.width = width
-
-    def expr(self, e: ast.Expr) -> ast.Expr:
-        if isinstance(e, (ast.NondetInt, ast.NondetBool)):
-            value = self.values.get(e.span.start)
-            if value is None:
-                # Site never reached within the bound; any constant keeps
-                # the test well-typed without affecting the replayed path.
-                value = False if isinstance(e, ast.NondetBool) else 0
-            return _literal_for(value, self.width, e.span)
-        if isinstance(e, (ast.IntLit, ast.BoolLit, ast.VarRef)):
-            return e
-        if isinstance(e, ast.ArrayIndex):
-            return ast.ArrayIndex(e.span, e.name, self.expr(e.index))
-        if isinstance(e, ast.Unary):
-            return ast.Unary(e.span, e.op, self.expr(e.operand))
-        if isinstance(e, ast.Binary):
-            return ast.Binary(e.span, e.op, self.expr(e.left), self.expr(e.right))
-        if isinstance(e, ast.Call):
-            return ast.Call(e.span, e.name, [self.expr(a) for a in e.args])
-        raise AssertionError(f"unknown expression {e!r}")  # pragma: no cover
-
-    def stmt(self, s: ast.Stmt) -> ast.Stmt:
-        if isinstance(s, ast.Block):
-            return ast.Block(s.span, [self.stmt(x) for x in s.stmts])
-        if isinstance(s, ast.VarDecl):
-            init = self.expr(s.init) if s.init is not None else None
-            return ast.VarDecl(s.span, s.name, s.declared_type, init)
-        if isinstance(s, ast.Assign):
-            target = s.target
-            if isinstance(target, ast.ArrayIndex):
-                target = ast.ArrayIndex(target.span, target.name, self.expr(target.index))
-            return ast.Assign(s.span, target, self.expr(s.value))
-        if isinstance(s, ast.If):
-            return ast.If(
-                s.span,
-                self.expr(s.cond),
-                self.stmt(s.then_body),
-                self.stmt(s.else_body) if s.else_body is not None else None,
-            )
-        if isinstance(s, ast.While):
-            return ast.While(s.span, self.expr(s.cond), self.stmt(s.body))
-        if isinstance(s, ast.Return):
-            return ast.Return(s.span, self.expr(s.value) if s.value else None)
-        if isinstance(s, ast.Assert):
-            return ast.Assert(s.span, self.expr(s.cond))
-        if isinstance(s, ast.Assume):
-            return ast.Assume(s.span, self.expr(s.cond))
-        if isinstance(s, ast.ExprStmt):
-            return ast.ExprStmt(s.span, self.expr(s.expr))
-        raise AssertionError(f"unknown statement {s!r}")  # pragma: no cover
-
-
 def concretize(gt: GeneralizedTest, cx: Counterexample, width: int) -> TestCase:
     """Substitute counterexample values back, yielding a nondet-free test.
 
@@ -180,16 +122,16 @@ def concretize(gt: GeneralizedTest, cx: Counterexample, width: int) -> TestCase:
     for symbol, (site, occurrence) in cx.sites.items():
         if occurrence == 0:
             by_site[site] = cx.valuation[symbol]
-    conc = _Concretizer(by_site, width)
-    body = conc.stmt(gt.body.body)
-    fn = ast.FunctionDef(
-        gt.body.name,
-        [],
-        gt.body.return_type,
-        body,
-        span=gt.body.span,
-        body_span=gt.body.body_span,
-        reads_globals=gt.body.reads_globals,
-        writes_globals=gt.body.writes_globals,
-    )
-    return TestCase(gt.origin, gt.origin, fn)
+
+    def literal(e: ast.Expr) -> ast.Expr | None:
+        if not isinstance(e, (ast.NondetInt, ast.NondetBool)):
+            return None
+        value = by_site.get(e.span.start)
+        if value is None:
+            # Site never reached within the bound; any constant keeps the
+            # test well-typed without affecting the replayed path.
+            value = False if isinstance(e, ast.NondetBool) else 0
+        return _literal_for(value, width, e.span)
+
+    body = ast.map_stmt(gt.body.body, literal)
+    return TestCase(gt.origin, gt.origin, replace(gt.body, body=body))

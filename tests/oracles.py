@@ -9,24 +9,12 @@ from __future__ import annotations
 from itertools import product
 from pathlib import Path
 
-from cfv.interp import run_function
+from cfv.interp import run_function, zero_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
-
-
-def zero_globals(snap: Snapshot) -> dict:
-    out = {}
-    for name, decl in snap.globals.items():
-        if isinstance(decl.ty, ast.ArrayType):
-            out[name] = [0] * decl.ty.length
-        elif isinstance(decl.ty, ast.BoolType):
-            out[name] = False
-        else:
-            out[name] = 0
-    return out
 
 
 def observable(outcome) -> tuple:

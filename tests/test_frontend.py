@@ -384,6 +384,64 @@ class TestNormalize:
         assert cyclomatic_complexity(f) == cyclomatic_complexity(normalize_alpha(f))
 
 
+# One function holding every kind of expression and statement node.
+ALL_KINDS = """
+int g[4];
+void h(int v) { g[0] = v; }
+int f(int p) {
+    int x = 0;
+    bool b = nondet_bool();
+    x = g[-p & 3] + nondet_int();
+    if (b || !true) { h(x); } else { x = 1; }
+    while (x > 2) { x = x - 1; }
+    { assume(x >= 0); }
+    assert(x < 3);
+    return x;
+}
+"""
+
+
+def nodes(body: ast.Block) -> list:
+    stmts = list(ast.walk_stmts(body))
+    exprs = [e for s in stmts for root in ast.walk_exprs_of_stmt(s) for e in ast.walk_exprs(root)]
+    return stmts + exprs
+
+
+class TestMap:
+    def test_fixture_holds_every_node_kind(self):
+        kinds = {type(n) for n in nodes(fn(ALL_KINDS).body)}
+        assert kinds == set(ast.Expr.__subclasses__()) | set(ast.Stmt.__subclasses__())
+
+    def test_rebuild_is_equal_and_keeps_spans(self):
+        body = fn(ALL_KINDS).body
+        seen = []
+
+        def visit(n):
+            seen.append(n)
+            return None
+
+        copy = ast.map_stmt(body, visit, visit)
+        assert copy == body
+        assert [n.span for n in nodes(copy)] == [n.span for n in nodes(body)]
+        # Every node was offered to a hook, and every composite was rebuilt.
+        assert {id(n) for n in seen} == {id(n) for n in nodes(body)}
+        leaves = (ast.IntLit, ast.BoolLit, ast.VarRef, ast.NondetInt, ast.NondetBool)
+        assert not {id(n) for n in nodes(copy) if not isinstance(n, leaves)} & set(map(id, seen))
+
+    def test_a_replacement_is_used_as_it_is(self):
+        body = fn(ALL_KINDS).body
+        zero = ast.IntLit(ast.DUMMY_SPAN, 0)
+
+        def calls_to_zero(e):
+            return zero if isinstance(e, ast.Call) else None
+
+        copy = ast.map_stmt(body, calls_to_zero, lambda s: s if isinstance(s, ast.While) else None)
+        exprs = [n for n in nodes(copy) if isinstance(n, ast.Expr)]
+        assert not any(isinstance(e, ast.Call) for e in exprs)
+        assert any(e is zero for e in exprs)
+        assert any(s is body.stmts[4] for s in ast.walk_stmts(copy))
+
+
 class TestComplexity:
     def test_straight_line_is_one(self):
         assert cyclomatic_complexity(fn("int f(int x){return x + 1;}")) == 1

@@ -578,6 +578,30 @@ class TestNestingBound:
         assert "error: nesting is too deep to analyze" in capsys.readouterr().err
 
 
+def test_tests_at_the_bound_are_generalized_verified_and_concretized(tmp_path):
+    """Test bodies as deep as the parser takes them go through generalize,
+    verify and concretize: a call under 200 parentheses, and one under 127
+    nested `if` blocks."""
+    parens = 200
+    ifs = 127
+    tests = (
+        f"void test_parens() {{ int x = {'(' * parens}add(1, 2){')' * parens}; assert(x == 3); }}\n"
+        f"void test_ifs() {{ int y = 0; {'if (y == 0) { ' * ifs}y = add(2, 2);{' }' * ifs}"
+        " assert(y == 4); }\n"
+    )
+    lib = "int add(int a, int b) { return a + b; }\n"
+    write_tree(tmp_path, lib, lib.replace("a + b", "a - b"), tests)
+    out = tmp_path / "r.json"
+    argv = ["analyze", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new"),
+            "--tests", str(tmp_path / "tests"), "--out", str(out), "--width", "8"]
+    assert main(argv) == 1
+    entries = {e["test"]: e["result"] for e in json.loads(out.read_text())["verification"]}
+    assert sorted(entries) == ["test_ifs", "test_parens"]
+    for result in entries.values():
+        assert result["kind"] == "fail"
+        assert result["counterexample"]["concretized_source"]
+
+
 def test_diagnostics_name_the_broken_side(tmp_path, capsys):
     """The same syntax error in old/lib.c, new/lib.c and tests/t.c gives
     three different first lines, each naming its file as given."""

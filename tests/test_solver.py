@@ -90,6 +90,27 @@ class TestTerms:
         assert evaluate(eq, {"c1": False, "c2": False, "x": 1, "y": 2, "z": 3})
         assert not evaluate(eq, {"c1": True, "c2": False, "x": 1, "y": 2, "z": 3})
 
+    def test_evaluate_reads_inputs_at_their_width(self):
+        b = TermBuilder()
+        c, x = b.input("c", BOOL), b.input("x", 4)
+        assert evaluate(b.not_(c), {"c": 1}) is False
+        assert evaluate(b.ite(c, x, b.const(0, 4)), {"c": 2, "x": 17}) == 1
+        assert evaluate(b.add(x, b.const(1, 4)), {"x": -1}) == 0
+        assert evaluate(b.const(3, 4), {}) == 3
+
+    def test_repr_of_a_deep_dag_is_short(self):
+        # Each level uses the previous one twice; printed as a tree, the
+        # repr would have 2**64 leaves.
+        b = TermBuilder()
+        t = b.input("x", 8)
+        for _ in range(64):
+            t = b.mul(t, t)
+        assert t.op == "mul"
+        start = time.monotonic()
+        text = repr(t)
+        assert time.monotonic() - start < 0.1
+        assert len(text) < 40, text
+
 
 class TestIteEquality:
     @given(st.integers(0, 100_000))
