@@ -89,10 +89,9 @@ def closure_functions(fn: ast.FunctionDef, snap: Snapshot) -> list[ast.FunctionD
         if f.name in seen:
             continue
         seen[f.name] = f
-        for e in ast.all_exprs(f):
-            if isinstance(e, ast.Call) and e.name in snap.functions:
-                if e.name not in seen:
-                    stack.append(snap.functions[e.name])
+        for name in f.callees:
+            if name not in seen and name in snap.functions:
+                stack.append(snap.functions[name])
     return list(seen.values())
 
 

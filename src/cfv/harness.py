@@ -2,8 +2,9 @@
 
 Tests are MiniC functions named `test_*` (void, no parameters, at least one
 assert) in a designated directory. Test files may define helper functions
-but no globals; everything is type-checked together with the snapshot under
-test, giving a combined view that the verifier and call graph operate on.
+but no globals. They are type-checked against the snapshot under test plus
+themselves, giving a combined view that the verifier and call graph operate
+on; the snapshot's own bodies were checked when it was loaded.
 The section label of a test is the comment sitting directly above it, or
 the function name when there is none.
 
@@ -108,7 +109,7 @@ def _check_tests(
 
     units = snap.units + test_units
     try:
-        env = type_check(units, snap.width)
+        env = type_check(units, snap.width, checked=test_units)
     except FrontendError as err:
         raise InputError(err.diagnostics) from None
     view = Snapshot(f"{snap.label}+tests", units, env, snap.width)
@@ -155,19 +156,15 @@ def _section_label(unit: ast.SourceUnit, fn: ast.FunctionDef) -> str:
 
 
 def build_call_graph(snap: Snapshot, tests: list[TestCase]) -> CallGraph:
-    """Direct-call edges over snapshot functions plus test bodies."""
+    """Direct-call edges over snapshot functions plus test bodies, read
+    from the `callees` the type checker recorded."""
     functions: dict[str, ast.FunctionDef] = dict(snap.functions)
     for t in tests:
         functions.setdefault(t.name, t.body)
-    edges: dict[str, tuple[str, ...]] = {}
-    for name in sorted(functions):
-        fn = functions[name]
-        callees = {
-            e.name
-            for e in ast.all_exprs(fn)
-            if isinstance(e, ast.Call) and e.name in functions
-        }
-        edges[name] = tuple(sorted(callees))
+    edges = {
+        name: tuple(sorted(c for c in functions[name].callees if c in functions))
+        for name in sorted(functions)
+    }
     return CallGraph(edges)
 
 

@@ -15,12 +15,15 @@ preprocessor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open byte range with the 1-based line/column of its start."""
+class Span(NamedTuple):
+    """Half-open byte range with the 1-based line/column of its start.
+
+    A tuple: immutable and hashable, and compared and ordered as the tuple
+    (line, col, start, end).
+    """
 
     line: int
     col: int
@@ -242,6 +245,8 @@ class FunctionDef:
     # Sound syntactic over-approximations, filled in by the type checker.
     reads_globals: frozenset[str] = field(default=frozenset(), compare=False)
     writes_globals: frozenset[str] = field(default=frozenset(), compare=False)
+    # Names of the defined functions the body calls, also from the checker.
+    callees: frozenset[str] = field(default=frozenset(), compare=False)
 
 
 @dataclass

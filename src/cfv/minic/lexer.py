@@ -1,5 +1,9 @@
 """Lexer for MiniC: one compiled alternation matched at each position.
 
+Whitespace is not a token of its own: it is the optional prefix of every
+match, so each token, each comment and the end of the input cost one regex
+match.
+
 Tokens are ASCII: numbers are `[0-9]+` or hex `0x[0-9a-fA-F]+`, words are
 `[A-Za-z_][A-Za-z0-9_]*`, and operators are matched longest first. Any other
 character outside a comment, non-ASCII digits and letters included, is an
@@ -102,13 +106,17 @@ _KINDS = (
     | {op: "unsupported" for op in UNSUPPORTED_OPERATORS}
 )
 
-# The first group that matches wins, so a complete block comment comes before
-# an unterminated one and comments come before the `/` operator. `int(text,
-# 0)` reads a number token: it takes `0x1f`, `10` and `00` but not `010`.
+# Each match skips a run of whitespace and then takes one token, so the
+# whitespace needs no match of its own. At the end of the input `eof` matches
+# the empty string, and any character no other group takes is `other`, so
+# every match succeeds. The first group that matches wins, so a complete
+# block comment comes before an unterminated one and comments come before
+# the `/` operator. `int(text, 0)` reads a number token: it takes `0x1f`,
+# `10` and `00` but not `010`.
 _TOKEN_RE = re.compile(
-    "|".join(
+    r"[ \t\r\n]*(?:"
+    + "|".join(
         [
-            r"(?P<space>[ \t\r\n]+)",
             r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
             r"(?P<line_comment>//[^\n]*)",
             r"(?P<block_comment>/\*.*?\*/)",
@@ -119,8 +127,11 @@ _TOKEN_RE = re.compile(
             "(?P<op>"
             + "|".join(map(re.escape, sorted(OPERATORS + UNSUPPORTED_OPERATORS, key=len, reverse=True)))
             + ")",
+            r"(?P<eof>\Z)",
+            r"(?P<other>.)",
         ]
-    ),
+    )
+    + ")",
     re.DOTALL,
 )
 
@@ -150,46 +161,45 @@ def tokenize(source: str, path: str) -> tuple[list[Token], list[Comment]]:
     comments: list[Comment] = []
     append = tokens.append
     match = _TOKEN_RE.match
+    new_token = tuple.__new__  # skips NamedTuple's Python-level __new__
     pos = 0
     line = 1
     line_start = 0  # offset of the first character of `line`
-    n = len(source)
 
-    def fail(msg: str) -> None:
-        span = Span(line, pos - line_start + 1, pos, pos + 1)
-        raise UnsupportedConstructError([Diagnostic(path, span, "error", msg)])
-
-    while pos < n:
+    while True:
         m = match(source, pos)
-        if m is None:
-            ch = source[pos]
-            if ch == "#" and not source[line_start:pos].strip(" \t\r"):
-                fail("preprocessor directives are not supported")
-            fail(f"unexpected character {ch!r}")
         group = m.lastgroup
-        end = m.end()
-        if group == "space":
-            newline = source.rfind("\n", pos, end)
+        start, end = m.span(group)
+        if start != pos:
+            newline = source.rfind("\n", pos, start)
             if newline != -1:
-                line += source.count("\n", pos, end)
+                line += source.count("\n", pos, start)
                 line_start = newline + 1
-        elif group == "word" or group == "op" or group == "number":
-            text = m.group()
+        col = start - line_start + 1
+        if group == "word" or group == "op" or group == "number":
+            text = source[start:end]
             kind = "number" if group == "number" else _KINDS.get(text, "ident")
-            append(Token(kind, text, line, pos - line_start + 1, pos, end))
+            append(new_token(Token, (kind, text, line, col, start, end)))
         elif group == "line_comment":
-            span = Span(line, pos - line_start + 1, pos, end)
-            comments.append(Comment(source[pos + 2 : end].strip(), span, line))
+            span = Span(line, col, start, end)
+            comments.append(Comment(source[start + 2 : end].strip(), span, line))
         elif group == "block_comment":
-            span = Span(line, pos - line_start + 1, pos, end)
-            newline = source.rfind("\n", pos, end)
+            span = Span(line, col, start, end)
+            newline = source.rfind("\n", start, end)
             if newline != -1:
-                line += source.count("\n", pos, end)
+                line += source.count("\n", start, end)
                 line_start = newline + 1
-            comments.append(Comment(source[pos + 2 : end - 2].strip(), span, line))
+            comments.append(Comment(source[start + 2 : end - 2].strip(), span, line))
+        elif group == "eof":
+            append(new_token(Token, ("eof", "", line, col, start, end)))
+            return tokens, comments
         else:
-            fail(_ERRORS[group])
+            if group != "other":
+                msg = _ERRORS[group]
+            elif source[start] == "#" and not source[line_start:start].strip(" \t\r"):
+                msg = "preprocessor directives are not supported"
+            else:
+                msg = f"unexpected character {source[start]!r}"
+            span = Span(line, col, start, start + 1)
+            raise UnsupportedConstructError([Diagnostic(path, span, "error", msg)])
         pos = end
-
-    tokens.append(Token("eof", "", line, pos - line_start + 1, n, n))
-    return tokens, comments

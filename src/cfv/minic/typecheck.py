@@ -4,7 +4,7 @@ Annotates every expression with its type, checks call signatures against the
 definitions visible in the environment (functions may be defined in any
 order and in other units of the same snapshot), verifies that every path
 through a non-void function ends in a return, and computes each function's
-syntactic read/write sets over global variables.
+syntactic read/write sets over global variables and the functions it calls.
 
 Conditions of `if`/`while` and the arguments of `assert`/`assume` must be
 bool; there is no implicit int-to-bool conversion anywhere.
@@ -65,6 +65,7 @@ class _Checker:
         self.scopes: list[dict[str, ast.Type]] = []
         self.reads: set[str] = set()
         self.writes: set[str] = set()
+        self.callees: set[str] = set()
 
     def error(self, span: ast.Span, message: str) -> None:
         self.diagnostics.append(Diagnostic(self.path, span, "error", message))
@@ -98,6 +99,7 @@ class _Checker:
         self.scopes = [{}]
         self.reads = set()
         self.writes = set()
+        self.callees = set()
         for p in fn.params:
             self.declare(p.name, p.ty, p.span)
         self.check_block(fn.body, fn)
@@ -107,6 +109,7 @@ class _Checker:
             self.error(fn.span, f"function {fn.name!r}: not all paths return a value")
         fn.reads_globals = frozenset(self.reads)
         fn.writes_globals = frozenset(self.writes)
+        fn.callees = frozenset(self.callees)
 
     def _definitely_returns(self, stmt: Stmt) -> bool:
         if isinstance(stmt, Return):
@@ -311,6 +314,7 @@ class _Checker:
             for a in expr.args:
                 self.check_expr(a)
             return None
+        self.callees.add(expr.name)
         if len(expr.args) != len(fn.params):
             self.error(
                 expr.span,
@@ -360,15 +364,26 @@ def build_environment(units: list[SourceUnit], width: int) -> tuple[Environment,
     return Environment(globals_map, functions, width), diagnostics
 
 
-def type_check(units: list[SourceUnit], width: int = 32) -> Environment:
+def type_check(
+    units: list[SourceUnit], width: int = 32, checked: list[SourceUnit] | None = None
+) -> Environment:
     """Type-check a set of units that together form one program.
 
     Returns the shared environment on success; raises TypeCheckError carrying
-    every diagnostic found otherwise. Expression `ty` annotations and the
-    per-function global read/write sets are filled in as a side effect.
+    every diagnostic found otherwise. Expression `ty` annotations and each
+    function's `reads_globals`, `writes_globals` and `callees` are filled in
+    as a side effect.
+
+    The environment, and with it every duplicate-name diagnostic, spans all
+    of `units`; declarations are checked only in the `checked` units (all of
+    them by default). A test view passes its test units: the snapshot units
+    already passed their own check, and test files declare no globals, so
+    the added functions cannot give a snapshot body a new error or type.
     """
     env, diagnostics = build_environment(units, width)
-    for unit in units:
+    if checked is None:
+        checked = units
+    for unit in checked:
         for g in unit.globals:
             if g.init is None:
                 continue
@@ -382,7 +397,7 @@ def type_check(units: list[SourceUnit], width: int = 32) -> Environment:
                         f"initializer type does not match global {g.name!r} ({g.ty})",
                     )
                 )
-    for unit in units:
+    for unit in checked:
         checker = _Checker(env, unit.path)
         for fn in unit.functions:
             checker.check_function(fn)

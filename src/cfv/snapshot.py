@@ -9,6 +9,7 @@ type-checked together at one integer width.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from cfv.errors import Diagnostic, FrontendError, InputError
@@ -32,16 +33,22 @@ class Snapshot:
     def globals(self) -> dict[str, GlobalDecl]:
         return self.env.globals
 
+    @cached_property
+    def _unit_of(self) -> dict[int, SourceUnit]:
+        """The unit of each declaration, keyed by the declaration's id. The
+        units hold every key's object, so no id is reused while this lives."""
+        return {id(d): unit for unit in self.units for d in unit.declarations}
+
     def function_source(self, fn: FunctionDef) -> str:
         """Raw body text of a function, for byte-level change detection.
 
         The unit is found by identity, so `fn` must be one of this
         snapshot's own definitions; for any other the text is empty.
         """
-        for unit in self.units:
-            if any(d is fn for d in unit.declarations):
-                return unit.source_text[fn.body_span.start : fn.body_span.end]
-        return ""
+        unit = self._unit_of.get(id(fn))
+        if unit is None:
+            return ""
+        return unit.source_text[fn.body_span.start : fn.body_span.end]
 
 
 def read_source(path: Path) -> str:

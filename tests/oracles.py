@@ -96,3 +96,32 @@ def first_difference(old: Snapshot, new: Snapshot, name: str, width: int):
         if a != b:
             return values, a, b
     return None
+
+
+def called_names(fn: ast.FunctionDef) -> set[str]:
+    """Every function name called anywhere in fn's body, found by walking
+    the tree rather than read from the type checker's `callees`."""
+    return {e.name for e in ast.all_exprs(fn) if isinstance(e, ast.Call)}
+
+
+def call_graph_edges(snap: Snapshot, bodies: list[ast.FunctionDef]) -> dict[str, tuple[str, ...]]:
+    """Direct-call edges over snap's functions plus bodies, by walking."""
+    functions = dict(snap.functions)
+    for fn in bodies:
+        functions.setdefault(fn.name, fn)
+    return {
+        name: tuple(sorted(called_names(functions[name]) & functions.keys()))
+        for name in sorted(functions)
+    }
+
+
+def closure_names(fn: ast.FunctionDef, snap: Snapshot) -> set[str]:
+    """Names of fn and of every snap function it reaches by direct calls."""
+    seen: set[str] = set()
+    stack = [fn]
+    while stack:
+        f = stack.pop()
+        if f.name not in seen:
+            seen.add(f.name)
+            stack.extend(snap.functions[n] for n in called_names(f) if n in snap.functions)
+    return seen

@@ -179,6 +179,75 @@ class TestLexer:
             ("eof", "", 23),
         ]
 
+    # Exact tokens and comments (text, (line, col, start, end), end_line) on
+    # inputs where skipped whitespace moves the line and column.
+    @pytest.mark.parametrize(
+        "src, tokens, comments",
+        [
+            (
+                "int\tx;\r\n\tint y;\r\n  \t \r\n",
+                [
+                    ("keyword", "int", 1, 1, 0, 3),
+                    ("ident", "x", 1, 5, 4, 5),
+                    ("op", ";", 1, 6, 5, 6),
+                    ("keyword", "int", 2, 2, 9, 12),
+                    ("ident", "y", 2, 6, 13, 14),
+                    ("op", ";", 2, 7, 14, 15),
+                    ("eof", "", 4, 1, 23, 23),
+                ],
+                [],
+            ),
+            ("", [("eof", "", 1, 1, 0, 0)], []),
+            (" \t\r\n\n  ", [("eof", "", 3, 3, 7, 7)], []),
+            ("\r\n", [("eof", "", 2, 1, 2, 2)], []),
+            (
+                "a /* b\n c\n */ d /* e */ f\n g",
+                [
+                    ("ident", "a", 1, 1, 0, 1),
+                    ("ident", "d", 3, 5, 14, 15),
+                    ("ident", "f", 3, 15, 24, 25),
+                    ("ident", "g", 4, 2, 27, 28),
+                    ("eof", "", 4, 3, 28, 28),
+                ],
+                [("b\n c", (1, 3, 2, 13), 3), ("e", (3, 7, 16, 23), 3)],
+            ),
+            (
+                "a // one\r\n\t// two\r\nb",
+                [
+                    ("ident", "a", 1, 1, 0, 1),
+                    ("ident", "b", 3, 1, 19, 20),
+                    ("eof", "", 3, 2, 20, 20),
+                ],
+                [("one", (1, 3, 2, 9), 1), ("two", (2, 2, 11, 18), 2)],
+            ),
+        ],
+    )
+    def test_exact_tokens_and_comments(self, src, tokens, comments):
+        got_tokens, got_comments = tokenize(src, "t.c")
+        assert [tuple(t) for t in got_tokens] == tokens
+        assert [
+            (c.text, (c.span.line, c.span.col, c.span.start, c.span.end), c.end_line)
+            for c in got_comments
+        ] == comments
+
+    @pytest.mark.parametrize(
+        "src, message, span",
+        [
+            ("int x;\r\n \t#x", "preprocessor directives are not supported", (2, 3, 10, 11)),
+            ("int x; #", "unexpected character '#'", (1, 8, 7, 8)),
+            ("\n\n  \n\t$", "unexpected character '$'", (4, 2, 6, 7)),
+            ("int x;\n\n   /* open\n", "unterminated block comment", (3, 4, 11, 12)),
+            ("\n010", "octal literals are not supported", (2, 1, 1, 2)),
+            ("x\n  0x;", "malformed hex literal", (2, 3, 4, 5)),
+        ],
+    )
+    def test_exact_diagnostic_spans(self, src, message, span):
+        with pytest.raises(UnsupportedConstructError) as exc:
+            tokenize(src, "t.c")
+        (diag,) = exc.value.diagnostics
+        s = diag.span
+        assert (diag.path, diag.message, (s.line, s.col, s.start, s.end)) == ("t.c", message, span)
+
     def test_numbers_and_words(self):
         tokens, _ = tokenize("0x1fG 123abc _a1 while", "t.c")
         assert [(t.kind, t.text) for t in tokens] == [
@@ -338,6 +407,21 @@ class TestTypeCheck:
         assert by_name["writer"].writes_globals == {"h"}
         assert by_name["element"].reads_globals == {"arr", "g"}
         assert by_name["element"].writes_globals == {"arr"}
+
+    def test_callees(self):
+        unit = parse_ok(
+            """
+            int id(int x){return x;}
+            int pair(int a, int b){return id(a) + id(id(b));}
+            void nested(){while (pair(1, 2) > 0) { if (true) { pair(id(0), 1); } }}
+            int self(int n){if (n > 0) { return self(n - 1); } return 0;}
+            """
+        )
+        by_name = {f.name: f for f in unit.functions}
+        assert by_name["id"].callees == set()
+        assert by_name["pair"].callees == {"id"}
+        assert by_name["nested"].callees == {"pair", "id"}
+        assert by_name["self"].callees == {"self"}
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(TypeCheckError):

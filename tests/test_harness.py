@@ -1,5 +1,9 @@
+import sys
+from pathlib import Path
+
 import pytest
 
+from cfv.equivalence import closure_functions
 from cfv.errors import InputError
 from cfv.harness import (
     CallGraph,
@@ -8,9 +12,13 @@ from cfv.harness import (
     load_tests,
     select_tests,
 )
-from cfv.minic import ast
+from cfv.minic import ast, typecheck
 from cfv.minic.normalize import normalize_alpha
-from cfv.snapshot import snapshot_from_sources
+from cfv.minic.parser import parse_unit
+from cfv.pipeline import RunConfig, run_pipeline
+from cfv.snapshot import load_snapshot, snapshot_from_sources
+
+from oracles import CORPUS, REPO_ROOT, call_graph_edges, called_names, closure_names
 
 LIB = """
 int counter = 0;
@@ -222,3 +230,124 @@ void test_a(){
         t, _ = self.make_test("void test_a(){assert(true);}", tmp_path)
         with pytest.raises(ValueError):
             generalize(t, set())
+
+
+def write_scale_corpus(out: Path, seed: int) -> Path:
+    """Write the benchmark's seeded many-module corpus under out."""
+    bench = str(REPO_ROOT / "cfvbench")
+    sys.path.insert(0, bench)
+    try:
+        import scale
+    finally:
+        sys.path.remove(bench)
+    files, _ = scale.generate(seed)
+    scale.write_corpus(out, files)
+    return out
+
+
+@pytest.fixture(scope="module")
+def scale_seed7(tmp_path_factory):
+    return write_scale_corpus(tmp_path_factory.mktemp("scale"), 7)
+
+
+class TestCalleesFromTheChecker:
+    """`callees` recorded by the type checker against a walk of each body."""
+
+    @pytest.mark.parametrize(
+        "case, width",
+        [
+            ("minivec", 32),
+            ("scenarios/rename", 32),
+            ("scenarios/negindex", 8),
+            ("scenarios/timeout", 8),
+            ("scale7", 8),
+        ],
+    )
+    def test_call_graph_and_closures_match_a_walk(self, case, width, scale_seed7):
+        root = scale_seed7 if case == "scale7" else CORPUS / case
+        old = load_snapshot(root / "old", width)
+        new = load_snapshot(root / "new", width)
+        tests, view = load_tests(root / "tests", new)
+        bodies = [t.body for t in tests]
+        for snap in (old, new, view):
+            for fn in snap.functions.values():
+                assert fn.callees == called_names(fn), fn.name
+                assert {f.name for f in closure_functions(fn, snap)} == closure_names(fn, snap)
+        for snap in (old, new):
+            assert build_call_graph(snap, []).edges == call_graph_edges(snap, [])
+        assert build_call_graph(view, tests).edges == call_graph_edges(view, bodies)
+        assert build_call_graph(new, tests).edges == call_graph_edges(new, bodies)
+
+        # generalize rebuilds a body with dataclasses.replace, which must
+        # carry `callees` over.
+        generalized = [generalize(t, set(view.functions)) for t in tests]
+        for t, gt in zip(tests, generalized):
+            assert gt.body.callees == t.body.callees == called_names(gt.body)
+        if case in ("minivec", "scale7"):
+            assert any(gt.body is not t.body for t, gt in zip(tests, generalized))
+
+
+class TestCheckedOnce:
+    def test_each_body_is_type_checked_once_per_run(self, tmp_path, monkeypatch):
+        root = CORPUS / "minivec"
+        expected = sum(
+            len(parse_unit(path.read_text(), path.name).functions)
+            for part in ("old", "new", "tests")
+            for path in (root / part).glob("*.c")
+        )
+        checked: list[str] = []
+        original = typecheck._Checker.check_function
+
+        def counting(self, fn):
+            checked.append(fn.name)
+            return original(self, fn)
+
+        monkeypatch.setattr(typecheck._Checker, "check_function", counting)
+        cfg = RunConfig(
+            old_dir=str(root / "old"),
+            new_dir=str(root / "new"),
+            tests_dir=str(root / "tests"),
+            out_path=str(tmp_path / "report.json"),
+        )
+        run_pipeline(cfg)
+        assert len(checked) == expected
+
+    @pytest.mark.parametrize(
+        "src, diagnostic",
+        [
+            (
+                "int add(int a, int b) { return a - b; }\n"
+                "void test_a() { assert(add(1, 2) == 3); }\n",
+                (1, 1, "'add' already defined in lib.c"),
+            ),
+            (
+                "void test_a() {\n    int r = missing(2);\n    assert(r == 2);\n}\n",
+                (2, 13, "call to undefined function 'missing'"),
+            ),
+        ],
+    )
+    def test_view_diagnostics(self, tmp_path, src, diagnostic):
+        snap = snapshot_from_sources({"lib.c": LIB}, "lib", 8)
+        (tmp_path / "t.c").write_text(src)
+        with pytest.raises(InputError) as exc:
+            load_tests(tmp_path, snap)
+        (d,) = exc.value.diagnostics
+        assert (d.path, d.span.line, d.span.col, d.message) == (str(tmp_path / "t.c"), *diagnostic)
+
+
+class TestFunctionSource:
+    def test_text_is_found_by_identity(self, tests_and_view):
+        tests, view = tests_and_view
+        snap = snapshot_from_sources({"lib.c": LIB}, "lib", 8)
+        twice = snap.functions["twice"]
+        assert snap.function_source(twice) == "{ return add(x, x); }"
+
+        again = snapshot_from_sources({"lib.c": LIB}, "lib", 8).functions["twice"]
+        assert again == twice
+        assert snap.function_source(again) == ""
+
+        assert view.function_source(view.functions["twice"]) == "{ return add(x, x); }"
+        helper = view.functions["helper_three"]
+        assert view.function_source(helper) == "{ return add(1, 2); }"
+        assert view.function_source(tests[0].body) == "{\n    assert(twice(2) == 4);\n}"
+        assert snap.function_source(helper) == ""
