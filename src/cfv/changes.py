@@ -15,7 +15,7 @@ size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cfv.minic.ast import FunctionDef, GlobalDecl, literal_value
 from cfv.minic.normalize import normalize_alpha
@@ -47,18 +47,22 @@ class ChangeSet:
         ]
 
 
+def same_signature(a: FunctionDef, b: FunctionDef) -> bool:
+    """Same positional parameter types and the same return type."""
+    return (
+        a.return_type == b.return_type
+        and len(a.params) == len(b.params)
+        and all(pa.ty == pb.ty for pa, pb in zip(a.params, b.params))
+    )
+
+
 def structural_equiv(a: FunctionDef, b: FunctionDef) -> bool:
     """Stage-1 equivalence: equal ASTs after canonical alpha renaming.
 
-    Positional parameter types and the return type must match. Spans and
-    comments never matter; local names never matter; anything else
-    (including operand order) does.
+    The signatures must match. Spans and comments never matter; local
+    names never matter; anything else (including operand order) does.
     """
-    if len(a.params) != len(b.params) or a.return_type != b.return_type:
-        return False
-    if any(pa.ty != pb.ty for pa, pb in zip(a.params, b.params)):
-        return False
-    return normalize_alpha(a) == normalize_alpha(b)
+    return same_signature(a, b) and normalize_alpha(a) == normalize_alpha(b)
 
 
 def _global_signature(decl: GlobalDecl) -> tuple:

@@ -26,14 +26,14 @@ pairs go straight to testing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from cfv.changes import changed_globals, structural_equiv
-from cfv.errors import EncodeTimeout, SignatureMismatchError
+from cfv.changes import changed_globals, same_signature, structural_equiv
+from cfv.errors import EncodeTimeout
 from cfv.interp import DEFAULT_FUEL, Outcome, run_function, zero_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
-from cfv.solver import Sat, SolverStats, Timeout, Unknown, Unsat, sat_solve
+from cfv.solver import SolverStats, Timeout, Unknown, sat_solve, solve_bounded
 from cfv.ssa import (
     GLOBAL_PREFIX,
     NONDET_PREFIX,
@@ -109,31 +109,12 @@ def transitive_writes(fn: ast.FunctionDef, snap: Snapshot) -> set[str]:
     return out
 
 
-def _signatures_match(a: ast.FunctionDef, b: ast.FunctionDef) -> bool:
-    return (
-        len(a.params) == len(b.params)
-        and all(pa.ty == pb.ty for pa, pb in zip(a.params, b.params))
-        and a.return_type == b.return_type
-    )
-
-
 def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
-    """Satisfiable iff some shared input separates the two encodings."""
+    """Satisfiable iff some shared input separates the two encodings, whose
+    signatures and shared globals' types check_equivalence has compared."""
     if old.builder is not new.builder:
         raise ValueError("miter sides must share one term builder")
     b = old.builder
-
-    old_params = [s for s in old.slots if s.kind == "param"]
-    new_params = [s for s in new.slots if s.kind == "param"]
-    if len(old_params) != len(new_params):
-        raise SignatureMismatchError("parameter counts differ")
-    for so, sn in zip(old_params, new_params):
-        if so.terms[0].width != sn.terms[0].width:
-            raise SignatureMismatchError(f"parameter {so.name!r} type differs")
-    if (old.ret is None) != (new.ret is None):
-        raise SignatureMismatchError("return kinds differ")
-    if old.ret is not None and old.ret.width != new.ret.width:
-        raise SignatureMismatchError("return types differ")
 
     diffs: list[Term] = []
     if old.ret is not None:
@@ -161,15 +142,9 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
         shape = old.globals_final.get(name) or new.globals_final.get(name)
         vo = final_value(old, name, shape)
         vn = final_value(new, name, shape)
-        if isinstance(vo, tuple) != isinstance(vn, tuple) or (
-            isinstance(vo, tuple) and len(vo) != len(vn)
-        ):
-            raise SignatureMismatchError(f"global {name!r} shape differs")
         if isinstance(vo, tuple):
             diffs.extend(b.ne(x, y) for x, y in zip(vo, vn))
         else:
-            if vo.width != vn.width:
-                raise SignatureMismatchError(f"global {name!r} type differs")
             diffs.append(b.ne(vo, vn))
 
     ok_diff = b.xor(old.assertion_ok, new.assertion_ok)
@@ -187,21 +162,11 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
 
     inputs: list[Term] = []
     seen: set[int] = set()
-    for term in old.input_terms() + new.input_terms() + baselines:
+    for term in old.inputs + new.inputs + baselines:
         if term.uid not in seen:
             seen.add(term.uid)
             inputs.append(term)
     return Formula(b, root, tuple(inputs))
-
-
-def completeness_formula(old: SsaProgram, new: SsaProgram, miter: Formula) -> Formula | None:
-    """Satisfiable iff some allowed input escapes the unwinding bound."""
-    b = old.builder
-    uc = b.and_(old.unwinding_complete, new.unwinding_complete)
-    if uc.is_const and uc.value:
-        return None
-    root = b.all_([old.assume_ok, new.assume_ok, b.not_(uc)])
-    return Formula(b, root, miter.inputs)
 
 
 def decode_witness(
@@ -243,13 +208,9 @@ def replay(
     for name, value in witness.globals.items():
         if name in globals_init:
             globals_init[name] = list(value) if isinstance(value, list) else value
-    nondet_values = {
-        (rec.span.start, rec.site_occurrence): witness.nondets[rec.name]
-        for rec in prog.nondet_records
-        if rec.name in witness.nondets
-    }
     outcome: Outcome = run_function(
-        snap, fn, list(witness.params), globals_init, nondet_values, fuel
+        snap, fn, list(witness.params), globals_init,
+        prog.nondet_values(witness.nondets), fuel,
     )
     return Observables(outcome.ok, outcome.status, outcome.ret, outcome.globals)
 
@@ -274,7 +235,7 @@ def check_equivalence(
     solve = solve_fn if solve_fn is not None else sat_solve
     old_snap, new_snap = snaps
 
-    if not _signatures_match(old_fn, new_fn):
+    if not same_signature(old_fn, new_fn):
         return NotEquivalent("signature_mismatch")
 
     reads = transitive_reads(old_fn, old_snap) | transitive_reads(new_fn, new_snap)
@@ -301,19 +262,14 @@ def check_equivalence(
         miter = build_miter(old_ssa, new_ssa)
     except EncodeTimeout:
         return Unknown("timeout")
-    except SignatureMismatchError:
-        return NotEquivalent("signature_mismatch")
 
-    result = solve(miter, deadline=deadline, stats=stats)
+    assume_ok = builder.and_(old_ssa.assume_ok, new_ssa.assume_ok)
+    unwound = builder.and_(old_ssa.unwinding_complete, new_ssa.unwinding_complete)
+    result = solve_bounded(solve, miter, assume_ok, unwound, deadline, stats)
     if isinstance(result, Timeout):
         return Unknown("timeout")
-    if isinstance(result, Unsat):
-        comp = completeness_formula(old_ssa, new_ssa, miter)
-        if comp is None:
-            return Equivalent("formal", cfg.loop_bound, True)
-        comp_result = solve(comp, deadline=deadline, stats=stats)
-        complete = isinstance(comp_result, Unsat)
-        return Equivalent("formal", cfg.loop_bound, complete)
+    if isinstance(result, bool):
+        return Equivalent("formal", cfg.loop_bound, result)
 
     witness = decode_witness(result.model, len(old_fn.params), snaps)
     obs_old = replay(old_snap, old_fn, old_ssa, witness)

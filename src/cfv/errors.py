@@ -44,10 +44,6 @@ class TypeCheckError(FrontendError):
     pass
 
 
-class SignatureMismatchError(CfvError):
-    """Two function versions cannot share inputs (arity, types, or globals)."""
-
-
 class EncodeTimeout(CfvError):
     """Building a query ran past its deadline: its terms (the SSA encoding
     or the miter) or its CNF (bit-blasting)."""

@@ -31,7 +31,7 @@ from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.parser import parse_unit
 from cfv.minic.typecheck import type_check
-from cfv.snapshot import Snapshot, read_source, under
+from cfv.snapshot import Snapshot, read_sources, under
 
 
 @dataclass
@@ -71,10 +71,7 @@ def load_tests(tests_dir: str | Path, snap: Snapshot) -> tuple[list[TestCase], S
         raise InputError(
             [Diagnostic(str(tests_dir), ast.DUMMY_SPAN, "error", "not a directory")]
         )
-    sources = {
-        str(path.relative_to(tests_dir)): read_source(path)
-        for path in sorted(tests_dir.rglob("*.c"))
-    }
+    sources = read_sources(tests_dir)
     try:
         return _check_tests(sources, snap)
     except InputError as err:

@@ -62,7 +62,11 @@ def _make_backend(spec: str):
     if spec == "internal":
         return make_solve_fn(None)
     if spec.startswith("external:"):
-        return make_solve_fn(ExternalSolver(spec[len("external:") :]))
+        try:
+            external = ExternalSolver(spec[len("external:") :])
+        except ValueError as err:
+            raise ConfigError(f"backend {spec!r}: {err}") from None
+        return make_solve_fn(external)
     raise ConfigError(f"unknown backend {spec!r}")
 
 

@@ -93,9 +93,11 @@ class ExternalSolver:
     """Runs an external QF_BV solver over the emitted script."""
 
     def __init__(self, command_template: str):
-        if "{file}" not in command_template:
+        """Raises ValueError when the template does not split as a shell
+        command line or has no `{file}` argument."""
+        self.argv = shlex.split(command_template)
+        if not any("{file}" in part for part in self.argv):
             raise ValueError("external solver command needs a {file} placeholder")
-        self.command_template = command_template
 
     def decide(self, formula: Formula, timeout_s: float | None = None) -> str:
         """Returns "sat", "unsat", or "unknown"."""
@@ -103,10 +105,7 @@ class ExternalSolver:
         with tempfile.TemporaryDirectory(prefix="cfv-smt-") as tmp:
             path = Path(tmp) / "query.smt2"
             path.write_text(script, encoding="utf-8")
-            argv = [
-                part.replace("{file}", str(path))
-                for part in shlex.split(self.command_template)
-            ]
+            argv = [part.replace("{file}", str(path)) for part in self.argv]
             try:
                 proc = subprocess.run(
                     argv, capture_output=True, text=True, timeout=timeout_s

@@ -65,6 +65,15 @@ def read_source(path: Path) -> str:
         ) from None
 
 
+def read_sources(directory: Path) -> dict[str, str]:
+    """{path relative to directory: text} of every `.c` file below it, in
+    sorted order."""
+    return {
+        str(p.relative_to(directory)): read_source(p)
+        for p in sorted(directory.rglob("*.c"))
+    }
+
+
 def under(origin: Path, err: InputError) -> InputError:
     """err with every diagnostic path joined to where its file came from:
     the directory it was read from, or the diff that patched it. So errors
@@ -103,10 +112,7 @@ def load_snapshot(directory: str | Path, width: int = 32, label: str | None = No
         raise InputError(
             [Diagnostic(str(directory), DUMMY_SPAN, "error", "not a directory")]
         )
-    sources = {
-        str(p.relative_to(directory)): read_source(p)
-        for p in sorted(directory.rglob("*.c"))
-    }
+    sources = read_sources(directory)
     if not sources:
         raise InputError(
             [Diagnostic(str(directory), DUMMY_SPAN, "error", "no .c files found")]
@@ -223,10 +229,7 @@ def load_snapshot_from_diff(
 ) -> Snapshot:
     """Snapshot of base_dir with a unified diff applied on top."""
     base_dir = Path(base_dir)
-    sources = {
-        str(p.relative_to(base_dir)): read_source(p)
-        for p in sorted(base_dir.rglob("*.c"))
-    }
+    sources = read_sources(base_dir)
     diff_text = read_source(Path(diff_path))
     try:
         patched = apply_unified_diff(sources, diff_text)

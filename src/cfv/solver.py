@@ -20,14 +20,14 @@ for booleans.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from cfv.bitblast import bitblast
 from cfv.dpll import solve_cnf
 from cfv.errors import DomainTooLargeError, EncodeTimeout
-from cfv.terms import BOOL, Formula, bulk_evaluate, evaluate
+from cfv.terms import BOOL, Formula, Term, bulk_evaluate, evaluate
 
 EXHAUSTIVE_BIT_CAP = 20
 _CHUNK_BITS = 16
@@ -116,6 +116,23 @@ def sat_solve(
         else:
             model[term.name] = sum(assignment[v] << i for i, v in enumerate(bits))
     return Sat(model)
+
+
+def solve_bounded(
+    solve, formula: Formula, assume_ok: Term, unwound: Term, deadline, stats
+) -> Sat | Timeout | bool:
+    """solve(formula), with Unsat turned into whether the bound is complete:
+    True unless an input allowed by assume_ok escapes the unwinding bound
+    (CBMC's unwinding check, one more call unless unwound is constant true)
+    or that call times out."""
+    result = solve(formula, deadline=deadline, stats=stats)
+    if not isinstance(result, Unsat):
+        return result
+    if unwound.is_const and unwound.value:
+        return True
+    b = formula.builder
+    escape = Formula(b, b.and_(assume_ok, b.not_(unwound)), formula.inputs)
+    return isinstance(solve(escape, deadline=deadline, stats=stats), Unsat)
 
 
 def _default_model(formula: Formula) -> Model:

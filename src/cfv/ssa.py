@@ -22,7 +22,7 @@ verification starts from the snapshot's declared initial values.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cfv.errors import CfvError, EncodeTimeout
 from cfv.interp import initial_globals
@@ -57,16 +57,6 @@ class UnrollConfig:
 
 
 @dataclass
-class InputSlot:
-    kind: str  # "param", "global", "nondet"
-    name: str
-    terms: tuple[Term, ...]
-
-    def flat(self):
-        return self.terms
-
-
-@dataclass
 class NondetRecord:
     name: str  # input symbol name
     span: Span
@@ -75,33 +65,34 @@ class NondetRecord:
 
 @dataclass
 class SsaProgram:
-    fn_name: str
-    width: int
     builder: TermBuilder
-    slots: list[InputSlot]
+    # Parameters, then globals and nondets in order of first use; least
+    # models compare inputs in this order.
+    inputs: list[Term]
     ret: Term | None
-    return_type: ast.Type
     globals_final: dict[str, Term | tuple[Term, ...]]
-    globals_read: set[str]
     globals_written: set[str]
     assertion_ok: Term
     unwinding_complete: Term
     assume_ok: Term
     nondet_records: list[NondetRecord]
 
-    def input_terms(self) -> list[Term]:
-        out: list[Term] = []
-        for slot in self.slots:
-            out.extend(slot.terms)
-        return out
+    def nondet_values(self, model: dict[str, int | bool]) -> dict[tuple[int, int], int | bool]:
+        """The model's nondet values keyed by (site offset, occurrence), as
+        the interpreter reads them on replay."""
+        return {
+            (rec.span.start, rec.site_occurrence): model[rec.name]
+            for rec in self.nondet_records
+            if rec.name in model
+        }
 
 
 class _Frame:
-    __slots__ = ("scopes", "values", "ret_flag", "ret_val")
+    __slots__ = ("scopes", "ret_flag", "ret_val")
 
-    def __init__(self, ret_flag: Term, ret_val: Term | None):
-        self.scopes: list[dict[str, int]] = [{}]
-        self.values: dict[int, Term | tuple[Term, ...]] = {}
+    def __init__(self, scope: dict, ret_flag: Term, ret_val: Term | None):
+        # Innermost last; each maps a local name straight to its term.
+        self.scopes: list[dict[str, Term | tuple[Term, ...]]] = [scope]
         self.ret_flag = ret_flag
         self.ret_val = ret_val
 
@@ -131,13 +122,10 @@ class Encoder:
     def encode_function(self, fn: ast.FunctionDef) -> SsaProgram:
         b = self.b
         self.global_env: dict[str, Term | tuple[Term, ...]] = {}
-        self.globals_read: set[str] = set()
         self.globals_written: set[str] = set()
-        self.slots: list[InputSlot] = []
+        self.inputs: list[Term] = []
         self.nondet_records: list[NondetRecord] = []
-        self._nondet_counter = 0
         self._site_counts: dict[int, int] = {}
-        self._key_counter = 0
         self.ok = b.true
         self.uc = b.true
         self.assume = b.true
@@ -154,29 +142,23 @@ class Encoder:
                 else:
                     self.global_env[name] = b.const(value, self.width)
 
-        frame = _Frame(b.false, self._default(fn.return_type))
+        params: dict[str, Term | tuple[Term, ...]] = {}
         for i, p in enumerate(fn.params):
             if isinstance(p.ty, ast.ArrayType):
                 raise CfvError("array parameters are outside the subset")
             width = BOOL if isinstance(p.ty, ast.BoolType) else self.width
-            term = b.input(f"{PARAM_PREFIX}{i}", width)
-            self.slots.append(InputSlot("param", p.name, (term,)))
-            key = self._fresh_key()
-            frame.scopes[0][p.name] = key
-            frame.values[key] = term
+            params[p.name] = b.input(f"{PARAM_PREFIX}{i}", width)
+            self.inputs.append(params[p.name])
+        frame = _Frame(params, b.false, self._default(fn.return_type))
 
         self.exec_block(fn.body, b.true, frame)
 
         ret = None if isinstance(fn.return_type, ast.VoidType) else frame.ret_val
         return SsaProgram(
-            fn_name=fn.name,
-            width=self.width,
             builder=b,
-            slots=self.slots,
+            inputs=self.inputs,
             ret=ret,
-            return_type=fn.return_type,
             globals_final=dict(self.global_env),
-            globals_read=set(self.globals_read),
             globals_written=set(self.globals_written),
             assertion_ok=self.ok,
             unwinding_complete=self.uc,
@@ -185,10 +167,6 @@ class Encoder:
         )
 
     # -- helpers ---------------------------------------------------------------
-
-    def _fresh_key(self) -> int:
-        self._key_counter += 1
-        return self._key_counter
 
     def _default(self, ty: ast.Type) -> Term | tuple[Term, ...] | None:
         if isinstance(ty, ast.VoidType):
@@ -203,53 +181,38 @@ class Encoder:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise EncodeTimeout("encoding exceeded the time limit")
 
-    def _global_decl(self, name: str) -> ast.GlobalDecl:
-        return self.snap.globals[name]
-
     def global_value(self, name: str) -> Term | tuple[Term, ...]:
         value = self.global_env.get(name)
         if value is not None:
             return value
         # First read in symbolic mode: materialize fresh shared inputs.
-        decl = self._global_decl(name)
-        b = self.b
-        if isinstance(decl.ty, ast.ArrayType):
-            terms = tuple(
-                b.input(f"{GLOBAL_PREFIX}{name}!{i}", self.width)
-                for i in range(decl.ty.length)
+        ty = self.snap.globals[name].ty
+        if isinstance(ty, ast.ArrayType):
+            value = tuple(
+                self.b.input(f"{GLOBAL_PREFIX}{name}!{i}", self.width)
+                for i in range(ty.length)
             )
-            value = terms
-        elif isinstance(decl.ty, ast.BoolType):
-            value = b.input(f"{GLOBAL_PREFIX}{name}", BOOL)
-            terms = (value,)
+            self.inputs.extend(value)
         else:
-            value = b.input(f"{GLOBAL_PREFIX}{name}", self.width)
-            terms = (value,)
-        self.slots.append(InputSlot("global", name, terms))
+            width = BOOL if isinstance(ty, ast.BoolType) else self.width
+            value = self.b.input(f"{GLOBAL_PREFIX}{name}", width)
+            self.inputs.append(value)
         self.global_env[name] = value
         return value
 
-    def resolve(self, name: str, frame: _Frame) -> tuple[str, int | None]:
-        """Returns ("local", key) or ("global", None)."""
+    def read_var(self, name: str, frame: _Frame) -> Term | tuple[Term, ...]:
         for scope in reversed(frame.scopes):
             if name in scope:
-                return "local", scope[name]
-        return "global", None
-
-    def read_var(self, name: str, frame: _Frame) -> Term | tuple[Term, ...]:
-        kind, key = self.resolve(name, frame)
-        if kind == "local":
-            return frame.values[key]
-        self.globals_read.add(name)
+                return scope[name]
         return self.global_value(name)
 
     def write_var(self, name: str, value, frame: _Frame) -> None:
-        kind, key = self.resolve(name, frame)
-        if kind == "local":
-            frame.values[key] = value
-        else:
-            self.globals_written.add(name)
-            self.global_env[name] = value
+        for scope in reversed(frame.scopes):
+            if name in scope:
+                scope[name] = value
+                return
+        self.globals_written.add(name)
+        self.global_env[name] = value
 
     def ok_require(self, guard: Term, cond: Term) -> None:
         self.ok = self.b.and_(self.ok, self.b.implies(guard, cond))
@@ -275,12 +238,13 @@ class Encoder:
         if isinstance(stmt, ast.Block):
             self.exec_block(stmt, eff, frame)
         elif isinstance(stmt, ast.VarDecl):
-            key = self._fresh_key()
-            frame.scopes[-1][stmt.name] = key
+            # The initializer sees the enclosing scopes, as in the type
+            # checker and the interpreter.
             if stmt.init is not None:
-                frame.values[key] = self.eval(stmt.init, eff, frame)
+                value = self.eval(stmt.init, eff, frame)
             else:
-                frame.values[key] = self._default(stmt.declared_type)
+                value = self._default(stmt.declared_type)
+            frame.scopes[-1][stmt.name] = value
         elif isinstance(stmt, ast.Assign):
             self.exec_assign(stmt, eff, frame)
         elif isinstance(stmt, ast.If):
@@ -383,13 +347,12 @@ class Encoder:
         raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
 
     def fresh_nondet(self, span: Span, width: int) -> Term:
-        name = f"{NONDET_PREFIX}{self._nondet_counter}"
-        self._nondet_counter += 1
+        name = f"{NONDET_PREFIX}{len(self.nondet_records)}"
         site = span.start
         occurrence = self._site_counts.get(site, 0)
         self._site_counts[site] = occurrence + 1
         term = self.b.input(name, width)
-        self.slots.append(InputSlot("nondet", name, (term,)))
+        self.inputs.append(term)
         self.nondet_records.append(NondetRecord(name, span, occurrence))
         return term
 
@@ -446,11 +409,11 @@ class Encoder:
             return self._default(fn.return_type)
         self._check_deadline()
         self.depth += 1
-        callee = _Frame(b.false, self._default(fn.return_type))
-        for p, value in zip(fn.params, args):
-            key = self._fresh_key()
-            callee.scopes[0][p.name] = key
-            callee.values[key] = value
+        callee = _Frame(
+            {p.name: value for p, value in zip(fn.params, args)},
+            b.false,
+            self._default(fn.return_type),
+        )
         self.exec_block(fn.body, guard, callee)
         self.depth -= 1
         return callee.ret_val
@@ -476,4 +439,4 @@ def verification_formula(prog: SsaProgram) -> Formula:
     root = b.all_(
         [prog.assume_ok, prog.unwinding_complete, b.not_(prog.assertion_ok)]
     )
-    return Formula(b, root, tuple(prog.input_terms()))
+    return Formula(b, root, tuple(prog.inputs))

@@ -21,9 +21,9 @@ from cfv.interp import DEFAULT_FUEL, run_function
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
-from cfv.solver import Sat, SolverStats, Timeout, Unknown, Unsat, sat_solve
+from cfv.solver import SolverStats, Timeout, Unknown, sat_solve, solve_bounded
 from cfv.ssa import UnrollConfig, encode_ssa, verification_formula
-from cfv.terms import Formula, collector_paused, to_signed
+from cfv.terms import collector_paused, to_signed
 
 
 @dataclass
@@ -68,27 +68,17 @@ def verify_test(
     except EncodeTimeout:
         return Unknown("timeout")
     formula = verification_formula(prog)
-    result = solve(formula, deadline=deadline, stats=stats)
+    result = solve_bounded(
+        solve, formula, prog.assume_ok, prog.unwinding_complete, deadline, stats
+    )
     if isinstance(result, Timeout):
         return Unknown("timeout")
-    if isinstance(result, Unsat):
-        b = prog.builder
-        uc = prog.unwinding_complete
-        if uc.is_const and uc.value:
-            return Pass(cfg.loop_bound, True)
-        comp = Formula(
-            b, b.and_(prog.assume_ok, b.not_(uc)), formula.inputs
-        )
-        comp_result = solve(comp, deadline=deadline, stats=stats)
-        return Pass(cfg.loop_bound, isinstance(comp_result, Unsat))
+    if isinstance(result, bool):
+        return Pass(cfg.loop_bound, result)
 
     model = result.model
-    nondet_values = {
-        (rec.span.start, rec.site_occurrence): model[rec.name]
-        for rec in prog.nondet_records
-    }
     outcome = run_function(
-        snap, gt.body, [], None, nondet_values, fuel, record_trace=True
+        snap, gt.body, [], None, prog.nondet_values(model), fuel, record_trace=True
     )
     if outcome.status not in ("assert_fail", "trap"):
         raise RuntimeError(

@@ -57,9 +57,13 @@ class TestStageOne:
 
 class TestStageTwo:
     def test_commutated_addition_is_formal(self):
-        verdict = check("int f(int a, int b){return a + b;}", "int f(int a, int b){return b + a;}")
-        assert isinstance(verdict, Equivalent) and verdict.mode == "formal"
-        assert verdict.complete
+        # Loop-free, so the bound is complete without a second call.
+        stats = SolverStats()
+        verdict = check(
+            "int f(int a, int b){return a + b;}", "int f(int a, int b){return b + a;}", stats=stats
+        )
+        assert verdict == Equivalent("formal", W4.loop_bound, complete=True)
+        assert stats.solver_calls == 1
 
     def test_subtraction_swap_has_witness(self):
         verdict = check("int f(int a, int b){return a - b;}", "int f(int a, int b){return b - a;}")
@@ -88,10 +92,48 @@ class TestStageTwo:
         # g' == 0 on one side vs g' == g on the other: differ when g != 0.
         assert isinstance(verdict, Equivalent) or isinstance(verdict, NotEquivalent)
 
-    def test_signature_mismatch(self):
-        verdict = check("int f(int a){return a;}", "int f(int a, int b){return a;}")
-        assert isinstance(verdict, NotEquivalent)
-        assert verdict.reason == "signature_mismatch"
+    # build_miter pairs inputs without checking shapes, so each of these
+    # must be caught before anything is encoded.
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("int f(int a){return a;}", "int f(int a, int b){return a;}"),
+            ("int f(int a){return 0;}", "int f(bool a){return 0;}"),
+            ("int f(int a){return a;}", "bool f(int a){return a == 0;}"),
+            ("int g; int f(){return g;}", "bool g; int f(){if (g) {return 1;} return 0;}"),
+            ("int g[4]; void f(){g[0] = 1;}", "int g[5]; void f(){g[0] = 1;}"),
+        ],
+        ids=["arity", "parameter-int-bool", "return-int-bool", "read-global-int-bool", "written-array-4-5"],
+    )
+    def test_signature_mismatch(self, old, new):
+        stats = SolverStats()
+        assert check(old, new, stats=stats) == NotEquivalent("signature_mismatch")
+        assert stats.solver_calls == 0
+
+    def test_data_dependent_loop_is_equivalent_within_the_bound_only(self):
+        # The miter is false once both return 0; the second call finds an n
+        # that runs past the bound of 2.
+        old = "int f(int n){int i = 0; while (i < n) { i = i + 1; } return 0;}"
+        new = "int f(int n){int i = 0; while (i < n) { i = i + 2; } return 0;}"
+        stats = SolverStats()
+        verdict = check(old, new, UnrollConfig(loop_bound=2, timeout_s=20, width=4), stats=stats)
+        assert verdict == Equivalent("formal", 2, complete=False)
+        assert stats.solver_calls == 2
+
+    @pytest.mark.parametrize(
+        "old",
+        [
+            "int f(int x){ { int x = x + 1; return x; } }",
+            "int x; int f(){ int x = x + 1; return x; }",
+        ],
+        ids=["parameter", "global"],
+    )
+    def test_initializer_reads_the_shadowed_name(self, old):
+        # The initializer sees the outer x, as in C, the type checker and
+        # the interpreter; the encoder used to look up the inner x unbound.
+        new = old.replace("int x = x + 1; return x;", "return x + 1;")
+        verdict = check(old, new)
+        assert verdict == Equivalent("formal", W4.loop_bound, complete=True)
 
     def test_timeout_yields_unknown(self):
         cfg = UnrollConfig(timeout_s=1.0, width=32)

@@ -452,8 +452,29 @@ class TestCli:
 
     def test_unknown_backend_rejected(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
-        with pytest.raises(ConfigError):
-            run_pipeline(base_config(tmp_path, backend="quantum"))
+        # An unknown kind, a command without {file}, an unclosed quote.
+        for spec in ("quantum", "external:true", "external:'x {file}"):
+            with pytest.raises(ConfigError):
+                run_pipeline(base_config(tmp_path, backend=spec))
+
+    @pytest.mark.parametrize(
+        "spec", ["external:true", "external:'x {file}"], ids=["no-placeholder", "unclosed-quote"]
+    )
+    def test_malformed_external_backend_exits_three(self, tmp_path, spec):
+        write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
+        src = str(Path(cfv.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "cfv", "analyze", "--old", str(tmp_path / "old"),
+             "--new", str(tmp_path / "new"), "--tests", str(tmp_path / "tests"),
+             "--out", str(tmp_path / "report.json"), "--backend", spec],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3
+        assert "error:" in done.stderr and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize(
         "expr, message, col",
