@@ -15,8 +15,9 @@ input bits: nothing else reads it, and on the width-32 vec_insert miter
 the inputs is a gate, a function of the inputs. So a least satisfying input
 valuation, extended by the gate values it forces, is the lexicographically
 least model over variables 1..n, with input valuations compared in the
-counting order the exhaustive oracle uses. dpll returns that model whether
-it simulates the gates or searches the clauses.
+counting order of the test suite's enumeration oracle
+(tests/oracles.exhaustive_solve). dpll returns that model whether it
+simulates the gates or searches the clauses.
 
 Arithmetic is structural: ripple-carry adders, subtraction as a + ~b + 1,
 shift-and-add multiplication, barrel shifters, and comparisons by
@@ -27,7 +28,7 @@ branches propagate without a case split.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cfv.dpll import SIM_MAX_INPUT_BITS
 from cfv.errors import EncodeTimeout
@@ -43,7 +44,6 @@ class CnfFormula:
     # input name -> variable index per bit, least significant first;
     # bools get a single entry.
     input_bits: dict[str, tuple[int, ...]]
-    inputs: tuple[Term, ...]
     # (var, kind, operand literals) per gate, operands before their users:
     # "and" (a, b), "xor" (x, y) over variables, "maj" (a, b, c) and
     # "ite" (c, a, b), the last meaning c ? a : b.
@@ -55,16 +55,6 @@ class CnfFormula:
     def num_inputs(self) -> int:
         """Input bits; they take variables 2..num_inputs + 1."""
         return sum(map(len, self.input_bits.values()))
-
-    def check(self) -> None:
-        for clause in self.clauses:
-            seen = set()
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"bad literal {lit}")
-                if -lit in seen:
-                    raise ValueError(f"clause contains {lit} and {-lit}")
-                seen.add(lit)
 
 
 class _Blaster:
@@ -312,7 +302,6 @@ def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
         blaster.num_vars,
         blaster.clauses,
         input_bits,
-        tuple(formula.inputs),
         blaster.gates,
         root_lit,
     )

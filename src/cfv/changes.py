@@ -37,15 +37,6 @@ class ChangeSet:
     def modified_names(self) -> list[str]:
         return [new.name for _, new in self.modified]
 
-    def category_partition(self) -> list[set[str]]:
-        return [
-            set(self.added),
-            set(self.removed),
-            set(self.modified_names),
-            {old for old, _ in self.renamed} | {new for _, new in self.renamed},
-            set(self.unchanged),
-        ]
-
 
 def same_signature(a: FunctionDef, b: FunctionDef) -> bool:
     """Same positional parameter types and the same return type."""

@@ -21,9 +21,8 @@ from pathlib import Path
 import cfv
 from cfv.changes import compute_changeset
 from cfv.equivalence import Equivalent, NotEquivalent, check_equivalence
-from cfv.errors import CfvError, ConfigError, FrontendError, InputError
+from cfv.errors import ConfigError, FrontendError, InputError
 from cfv.harness import GeneralizedTest, load_tests
-from cfv.minic.ast import Span
 from cfv.minic.metrics import cyclomatic_complexity
 from cfv.pipeline import RunConfig, run_pipeline
 from cfv.report import exit_code, witness_json

@@ -64,6 +64,7 @@ rest of the clause implies its negation.
 from __future__ import annotations
 
 import time
+from functools import cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -109,8 +110,10 @@ def solve_cnf(
     return search(num_vars, clauses, deadline)
 
 
-def _lane_patterns(bits: int) -> list[int]:
-    """Word b has lane l set exactly when bit b of l is set, l < 2^bits."""
+@cache
+def _lane_patterns(bits: int) -> tuple[int, ...]:
+    """Word b has lane l set exactly when bit b of l is set, l < 2^bits.
+    Built on the first simulation rather than at import."""
     lanes = 1 << bits
     patterns = []
     for b in range(bits):
@@ -121,10 +124,7 @@ def _lane_patterns(bits: int) -> list[int]:
             word |= word << period
             period *= 2
         patterns.append(word)
-    return patterns
-
-
-_LANE_PATTERNS = _lane_patterns(_LANE_BITS)
+    return tuple(patterns)
 
 
 def simulate(circuit: CnfFormula, deadline: float | None = None) -> DpllResult:
@@ -140,11 +140,12 @@ def simulate(circuit: CnfFormula, deadline: float | None = None) -> DpllResult:
     # the end of the list, which never overlaps 1..n.
     w = [0] * (2 * n + 1)
     w[1] = mask
+    patterns = _lane_patterns(_LANE_BITS)
     # Valuation bit i drives variable k + 1 - i. The low lane_bits of the
     # valuation are the lane number, the others the chunk number.
     for i in range(lane_bits):
         v = k + 1 - i
-        w[v] = _LANE_PATTERNS[i] & mask
+        w[v] = patterns[i] & mask
         w[-v] = w[v] ^ mask
     gates = circuit.gates
     root = circuit.root

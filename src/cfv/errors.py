@@ -49,10 +49,6 @@ class EncodeTimeout(CfvError):
     or the miter) or its CNF (bit-blasting)."""
 
 
-class DomainTooLargeError(CfvError):
-    """Exhaustive enumeration was asked for more input bits than the cap."""
-
-
 class ConfigError(CfvError):
     """Bad CLI flags or paths."""
 

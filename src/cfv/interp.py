@@ -339,24 +339,6 @@ class Interpreter:
 # -- public entry points -------------------------------------------------------
 
 
-@dataclass
-class PassResult:
-    pass
-
-
-@dataclass
-class AssertFailResult:
-    span: Span
-
-
-@dataclass
-class OutOfFuelResult:
-    pass
-
-
-InterpResult = PassResult | AssertFailResult | OutOfFuelResult
-
-
 def run_function(
     snap: Snapshot,
     fn: ast.FunctionDef,
@@ -368,18 +350,3 @@ def run_function(
 ) -> Outcome:
     interp = Interpreter(snap, fuel, nondet_values, record_trace)
     return interp.run_function(fn, args, globals_init)
-
-
-def interpret_concrete(test_body: ast.FunctionDef, snap: Snapshot, fuel: int = DEFAULT_FUEL) -> InterpResult:
-    """Run a nondet-free test body from the snapshot's initial global state."""
-    for e in ast.all_exprs(test_body):
-        if isinstance(e, (ast.NondetInt, ast.NondetBool)):
-            raise InterpreterError(
-                f"test {test_body.name!r} contains nondet intrinsics"
-            )
-    outcome = run_function(snap, test_body, [], fuel=fuel)
-    if outcome.status in ("ok", "assume_halt"):
-        return PassResult()
-    if outcome.status == "out_of_fuel":
-        return OutOfFuelResult()
-    return AssertFailResult(outcome.span)

@@ -17,6 +17,7 @@ solver.
 from __future__ import annotations
 
 import shlex
+import shutil
 import subprocess
 import tempfile
 from pathlib import Path
@@ -94,13 +95,19 @@ class ExternalSolver:
 
     def __init__(self, command_template: str):
         """Raises ValueError when the template does not split as a shell
-        command line or has no `{file}` argument."""
+        command line, has no `{file}` argument, or names a command that
+        cannot be found."""
         self.argv = shlex.split(command_template)
         if not any("{file}" in part for part in self.argv):
             raise ValueError("external solver command needs a {file} placeholder")
+        if shutil.which(self.argv[0]) is None:
+            raise ValueError(
+                f"external solver command {self.argv[0]!r} not found or not executable"
+            )
 
     def decide(self, formula: Formula, timeout_s: float | None = None) -> str:
-        """Returns "sat", "unsat", or "unknown"."""
+        """Returns "sat", "unsat", or "unknown" (also on a timeout). A
+        command that fails to start raises OSError."""
         script = emit_smtlib(formula)
         with tempfile.TemporaryDirectory(prefix="cfv-smt-") as tmp:
             path = Path(tmp) / "query.smt2"
@@ -110,7 +117,7 @@ class ExternalSolver:
                 proc = subprocess.run(
                     argv, capture_output=True, text=True, timeout=timeout_s
                 )
-            except (subprocess.TimeoutExpired, OSError):
+            except subprocess.TimeoutExpired:
                 return "unknown"
         first = proc.stdout.strip().splitlines()
         verdict = first[0].strip() if first else ""

@@ -1,17 +1,15 @@
-"""Decision procedures over formulas.
+"""The decision procedure over formulas.
 
-Two independent routes decide the same Formula type:
+sat_solve decides a Formula by Tseitin bit-blasting, then dpll.solve_cnf:
+bit-parallel simulation of the blasted circuit for formulas of at most
+dpll.SIM_MAX_INPUT_BITS input bits, the conflict-driven learning core over
+its clauses above that. It returns the lexicographically least satisfying
+model (inputs compared as unsigned tuples in slot order), which keeps
+witnesses reproducible.
 
-* sat_solve: Tseitin bit-blasting, then dpll.solve_cnf: bit-parallel
-  simulation of the blasted circuit for formulas of at most
-  dpll.SIM_MAX_INPUT_BITS input bits, the conflict-driven learning core
-  over its clauses above that.
-* exhaustive_solve: vectorized enumeration of every input valuation,
-  capped at 20 input bits. This is the oracle the test suite holds the
-  solver route against; it shares nothing with the CNF path.
-
-Both return the lexicographically least satisfying model (inputs compared
-as unsigned tuples in slot order), which keeps witnesses reproducible.
+The test suite holds this route against an independent oracle,
+tests/oracles.exhaustive_solve, which evaluates the formula on every input
+valuation and shares nothing with bitblast or dpll.
 
 Models map input names to unsigned residues for bitvectors and to bools
 for booleans.
@@ -22,15 +20,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from cfv.bitblast import bitblast
 from cfv.dpll import solve_cnf
-from cfv.errors import DomainTooLargeError, EncodeTimeout
-from cfv.terms import BOOL, Formula, Term, bulk_evaluate, evaluate
-
-EXHAUSTIVE_BIT_CAP = 20
-_CHUNK_BITS = 16
+from cfv.errors import EncodeTimeout
+from cfv.terms import BOOL, Formula, Term
 
 Model = dict[str, int | bool]
 
@@ -139,55 +132,6 @@ def _default_model(formula: Formula) -> Model:
     return {
         t.name: (False if t.width == BOOL else 0) for t in formula.inputs
     }
-
-
-def exhaustive_solve(formula: Formula, cap_bits: int = EXHAUSTIVE_BIT_CAP) -> SolveResult:
-    """Enumerate every valuation, first satisfying model in counting order.
-
-    Raises DomainTooLargeError beyond cap_bits total input bits.
-    """
-    total_bits = formula.input_bits
-    if total_bits > cap_bits:
-        raise DomainTooLargeError(
-            f"{total_bits} input bits exceed the exhaustive cap of {cap_bits}"
-        )
-    if formula.root.is_const:
-        return Sat(_default_model(formula)) if formula.root.value else Unsat()
-
-    # Input i occupies the bits above all later inputs, so increasing index
-    # walks valuations in lexicographic (slot-order counting) order.
-    shifts: list[int] = []
-    acc = 0
-    for term in reversed(formula.inputs):
-        shifts.append(acc)
-        acc += max(term.width, 1)
-    shifts.reverse()
-
-    total = 1 << total_bits
-    step = 1 << min(_CHUNK_BITS, total_bits)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.uint64)
-        env: dict[str, np.ndarray] = {}
-        for term, shift in zip(formula.inputs, shifts):
-            width = max(term.width, 1)
-            chunk = (idx >> np.uint64(shift)) & np.uint64((1 << width) - 1)
-            env[term.name] = chunk.astype(bool) if term.width == BOOL else chunk
-        result = bulk_evaluate(formula.root, env)
-        result = np.broadcast_to(result, idx.shape)
-        if result.any():
-            first = int(np.argmax(result))
-            model: Model = {}
-            for term, shift in zip(formula.inputs, shifts):
-                width = max(term.width, 1)
-                value = (int(idx[first]) >> shift) & ((1 << width) - 1)
-                model[term.name] = bool(value) if term.width == BOOL else value
-            return Sat(model)
-    return Unsat()
-
-
-def check_model(formula: Formula, model: Model) -> bool:
-    """True when the model satisfies the formula under concrete evaluation."""
-    return bool(evaluate(formula.root, model))
 
 
 def make_solve_fn(external=None):

@@ -31,9 +31,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from cfv.errors import EncodeTimeout
 
@@ -562,87 +560,3 @@ def postorder(root: Term) -> list[Term]:
             if a.uid not in seen:
                 stack.append((a, False))
     return order
-
-
-def evaluate(root: Term, env: dict[str, int | bool]) -> int | bool:
-    """Concrete evaluation; env maps input names to unsigned residues/bools.
-
-    One valuation is bulk_evaluate over arrays of length 1. Each input is
-    read at its term's width: a bool input is truthiness, a bitvector is
-    masked.
-    """
-    lanes = {
-        t.name: np.array([bool(env[t.name])])
-        if t.width == BOOL
-        else np.array([int(env[t.name]) & mask(t.width)], dtype=np.uint64)
-        for t in postorder(root)
-        if t.op == "input"
-    }
-    result = np.broadcast_to(bulk_evaluate(root, lanes), (1,))[0]
-    return bool(result) if root.width == BOOL else int(result)
-
-
-def bulk_evaluate(root: Term, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Vectorized evaluation over many valuations at once.
-
-    Bitvector arrays are uint64 residues, bool terms become bool arrays.
-    Used by the exhaustive enumeration oracle.
-    """
-    values: dict[int, np.ndarray] = {}
-    with np.errstate(over="ignore"):
-        for t in postorder(root):
-            values[t.uid] = _bulk_node(t, values, env)
-    return values[root.uid]
-
-
-def _signed64(v: np.ndarray, w: int) -> np.ndarray:
-    half = np.uint64(1 << (w - 1))
-    return v.astype(np.int64) - ((v & half).astype(np.int64) << np.int64(1))
-
-
-def _bulk_node(t: Term, values, env):
-    op = t.op
-    if op == "const":
-        if t.width == BOOL:
-            return np.bool_(bool(t.value))
-        return np.uint64(t.value)
-    if op == "input":
-        return env[t.name]
-    a = values[t.args[0].uid] if t.args else None
-    b = values[t.args[1].uid] if len(t.args) > 1 else None
-    w = t.args[0].width if t.args else t.width
-    m = np.uint64(mask(w)) if w != BOOL else None
-    if op == "not":
-        return ~a
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "eq":
-        return a == b
-    if op == "slt":
-        return _signed64(a, w) < _signed64(b, w)
-    if op == "ite":
-        return np.where(a, values[t.args[1].uid], values[t.args[2].uid])
-    if op == "add":
-        return (a + b) & m
-    if op == "sub":
-        return (a - b) & m
-    if op == "mul":
-        return (a * b) & m
-    if op == "band":
-        return a & b
-    if op == "bor":
-        return a | b
-    if op == "bxor":
-        return a ^ b
-    if op == "bnot":
-        return (~a) & m
-    if op == "shl":
-        return (a << (b & np.uint64(w - 1))) & m
-    if op == "ashr":
-        amt = (b & np.uint64(w - 1)).astype(np.int64)
-        return (_signed64(a, w) >> amt).astype(np.uint64) & m
-    raise AssertionError(f"unknown op {op}")  # pragma: no cover

@@ -1,17 +1,34 @@
 """Brute-force ground truth shared by the oracle-backed tests.
 
-Everything here goes through the reference interpreter only; none of it
-touches the encoder or the solver it is used to judge.
+Two independent oracles live here, and neither touches the encoder or the
+solver it is used to judge:
+
+* Program oracles run functions and test bodies through the reference
+  interpreter only (functions_equivalent_bruteforce, interpret_concrete).
+* A numpy term enumerator (evaluate, bulk_evaluate, exhaustive_solve)
+  evaluates a term DAG on every input valuation. It reads only the Term
+  data structure and shares nothing with bitblast or dpll, so it can judge
+  sat_solve's verdicts and least models.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from cfv.interp import run_function, zero_globals
+import numpy as np
+
+from cfv.errors import CfvError
+from cfv.interp import DEFAULT_FUEL, InterpreterError, run_function, zero_globals
 from cfv.minic import ast
+from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
+from cfv.solver import Model, Sat, SolveResult, Unsat, _default_model
+from cfv.terms import BOOL, Formula, Term, mask, postorder
+
+EXHAUSTIVE_BIT_CAP = 20
+_CHUNK_BITS = 16
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
@@ -125,3 +142,179 @@ def closure_names(fn: ast.FunctionDef, snap: Snapshot) -> set[str]:
             seen.add(f.name)
             stack.extend(snap.functions[n] for n in called_names(f) if n in snap.functions)
     return seen
+
+
+# -- concrete runs of test bodies ----------------------------------------------
+
+
+@dataclass
+class PassResult:
+    pass
+
+
+@dataclass
+class AssertFailResult:
+    span: Span
+
+
+@dataclass
+class OutOfFuelResult:
+    pass
+
+
+InterpResult = PassResult | AssertFailResult | OutOfFuelResult
+
+
+def interpret_concrete(test_body: ast.FunctionDef, snap: Snapshot, fuel: int = DEFAULT_FUEL) -> InterpResult:
+    """Run a nondet-free test body from the snapshot's initial global state."""
+    for e in ast.all_exprs(test_body):
+        if isinstance(e, (ast.NondetInt, ast.NondetBool)):
+            raise InterpreterError(
+                f"test {test_body.name!r} contains nondet intrinsics"
+            )
+    outcome = run_function(snap, test_body, [], fuel=fuel)
+    if outcome.status in ("ok", "assume_halt"):
+        return PassResult()
+    if outcome.status == "out_of_fuel":
+        return OutOfFuelResult()
+    return AssertFailResult(outcome.span)
+
+
+# -- the term enumerator -------------------------------------------------------
+
+
+class DomainTooLargeError(CfvError):
+    """Exhaustive enumeration was asked for more input bits than the cap."""
+
+
+def evaluate(root: Term, env: dict[str, int | bool]) -> int | bool:
+    """Concrete evaluation; env maps input names to unsigned residues/bools.
+
+    One valuation is bulk_evaluate over arrays of length 1. Each input is
+    read at its term's width: a bool input is truthiness, a bitvector is
+    masked.
+    """
+    lanes = {
+        t.name: np.array([bool(env[t.name])])
+        if t.width == BOOL
+        else np.array([int(env[t.name]) & mask(t.width)], dtype=np.uint64)
+        for t in postorder(root)
+        if t.op == "input"
+    }
+    result = np.broadcast_to(bulk_evaluate(root, lanes), (1,))[0]
+    return bool(result) if root.width == BOOL else int(result)
+
+
+def bulk_evaluate(root: Term, env: dict[str, np.ndarray]) -> np.ndarray:
+    """Vectorized evaluation over many valuations at once.
+
+    Bitvector arrays are uint64 residues, bool terms become bool arrays.
+    Used by the exhaustive enumeration oracle.
+    """
+    values: dict[int, np.ndarray] = {}
+    with np.errstate(over="ignore"):
+        for t in postorder(root):
+            values[t.uid] = _bulk_node(t, values, env)
+    return values[root.uid]
+
+
+def _signed64(v: np.ndarray, w: int) -> np.ndarray:
+    half = np.uint64(1 << (w - 1))
+    return v.astype(np.int64) - ((v & half).astype(np.int64) << np.int64(1))
+
+
+def _bulk_node(t: Term, values, env):
+    op = t.op
+    if op == "const":
+        if t.width == BOOL:
+            return np.bool_(bool(t.value))
+        return np.uint64(t.value)
+    if op == "input":
+        return env[t.name]
+    a = values[t.args[0].uid] if t.args else None
+    b = values[t.args[1].uid] if len(t.args) > 1 else None
+    w = t.args[0].width if t.args else t.width
+    m = np.uint64(mask(w)) if w != BOOL else None
+    if op == "not":
+        return ~a
+    if op == "and":
+        return a & b
+    if op == "or":
+        return a | b
+    if op == "xor":
+        return a ^ b
+    if op == "eq":
+        return a == b
+    if op == "slt":
+        return _signed64(a, w) < _signed64(b, w)
+    if op == "ite":
+        return np.where(a, values[t.args[1].uid], values[t.args[2].uid])
+    if op == "add":
+        return (a + b) & m
+    if op == "sub":
+        return (a - b) & m
+    if op == "mul":
+        return (a * b) & m
+    if op == "band":
+        return a & b
+    if op == "bor":
+        return a | b
+    if op == "bxor":
+        return a ^ b
+    if op == "bnot":
+        return (~a) & m
+    if op == "shl":
+        return (a << (b & np.uint64(w - 1))) & m
+    if op == "ashr":
+        amt = (b & np.uint64(w - 1)).astype(np.int64)
+        return (_signed64(a, w) >> amt).astype(np.uint64) & m
+    raise AssertionError(f"unknown op {op}")  # pragma: no cover
+
+
+def exhaustive_solve(formula: Formula, cap_bits: int = EXHAUSTIVE_BIT_CAP) -> SolveResult:
+    """Enumerate every valuation, first satisfying model in counting order.
+
+    Raises DomainTooLargeError beyond cap_bits total input bits.
+    """
+    total_bits = formula.input_bits
+    if total_bits > cap_bits:
+        raise DomainTooLargeError(
+            f"{total_bits} input bits exceed the exhaustive cap of {cap_bits}"
+        )
+    if formula.root.is_const:
+        return Sat(_default_model(formula)) if formula.root.value else Unsat()
+
+    # Input i occupies the bits above all later inputs, so increasing index
+    # walks valuations in lexicographic (slot-order counting) order.
+    shifts: list[int] = []
+    acc = 0
+    for term in reversed(formula.inputs):
+        shifts.append(acc)
+        acc += max(term.width, 1)
+    shifts.reverse()
+
+    total = 1 << total_bits
+    step = 1 << min(_CHUNK_BITS, total_bits)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.uint64)
+        env: dict[str, np.ndarray] = {}
+        for term, shift in zip(formula.inputs, shifts):
+            width = max(term.width, 1)
+            chunk = (idx >> np.uint64(shift)) & np.uint64((1 << width) - 1)
+            env[term.name] = chunk.astype(bool) if term.width == BOOL else chunk
+        result = bulk_evaluate(formula.root, env)
+        result = np.broadcast_to(result, idx.shape)
+        if result.any():
+            first = int(np.argmax(result))
+            model: Model = {}
+            for term, shift in zip(formula.inputs, shifts):
+                width = max(term.width, 1)
+                value = (int(idx[first]) >> shift) & ((1 << width) - 1)
+                model[term.name] = bool(value) if term.width == BOOL else value
+            return Sat(model)
+    return Unsat()
+
+
+def check_model(formula: Formula, model: Model) -> bool:
+    """True when the model satisfies the formula under concrete evaluation."""
+    return bool(evaluate(formula.root, model))

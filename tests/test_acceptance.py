@@ -23,18 +23,26 @@ from cfv.equivalence import (
     replay,
 )
 from cfv.harness import GeneralizedTest, load_tests
-from cfv.interp import AssertFailResult, PassResult, interpret_concrete
 from cfv.minic.metrics import cyclomatic_complexity
 from cfv.pipeline import RunConfig, run_pipeline
 from cfv.report import exit_code, render_report, strip_timings
 from cfv.snapshot import load_snapshot, snapshot_from_sources
-from cfv.solver import Sat, Unsat, check_model, exhaustive_solve, sat_solve
+from cfv.solver import Sat, Unsat, sat_solve
 from cfv.ssa import UnrollConfig
 from cfv.terms import to_signed
 from cfv.verify import Fail, Pass, concretize, verify_test
 
 from generators import RandomTestGen, fixture_snapshot, random_formula, random_pair
-from oracles import CORPUS, functions_equivalent_bruteforce, first_difference
+from oracles import (
+    CORPUS,
+    AssertFailResult,
+    PassResult,
+    check_model,
+    exhaustive_solve,
+    first_difference,
+    functions_equivalent_bruteforce,
+    interpret_concrete,
+)
 
 MINIVEC = CORPUS / "minivec"
 SCENARIOS = CORPUS / "scenarios"

@@ -15,6 +15,16 @@ from cfv.snapshot import (
 from generators import FunctionGen, mutate_function
 
 
+def category_partition(cs) -> list[set[str]]:
+    return [
+        set(cs.added),
+        set(cs.removed),
+        set(cs.modified_names),
+        {old for old, _ in cs.renamed} | {new for _, new in cs.renamed},
+        set(cs.unchanged),
+    ]
+
+
 def snap(src: str, label: str = "s", width: int = 8):
     return snapshot_from_sources({"t.c": src}, label, width)
 
@@ -118,7 +128,7 @@ class TestChangeSet:
         new = snap(format_unit(mutate_function(rng, unit, 8)), "new")
         cs = compute_changeset(old, new)
         universe = set(old.functions) | set(new.functions)
-        parts = cs.category_partition()
+        parts = category_partition(cs)
         assert set().union(*parts) == universe
         total = sum(len(p) for p in parts)
         assert total == len(universe) + len(cs.renamed)  # renames span both sides

@@ -89,8 +89,12 @@ class TestStageTwo:
         old = "int g; void f(int x){g = 0 - g + g;}"  # writes g with a read
         new = "int g; void f(int x){}"  # leaves g alone
         verdict = check(old, new)
-        # g' == 0 on one side vs g' == g on the other: differ when g != 0.
-        assert isinstance(verdict, Equivalent) or isinstance(verdict, NotEquivalent)
+        # g' == 0 on one side vs g' == g on the other: differ when g != 0,
+        # and g = 1 is the least such start.
+        assert isinstance(verdict, NotEquivalent) and verdict.reason == "behavior"
+        assert verdict.witness.globals == {"g": 1}
+        assert verdict.old_observables.globals["g"] == 0
+        assert verdict.new_observables.globals["g"] == 1
 
     # build_miter pairs inputs without checking shapes, so each of these
     # must be caught before anything is encoded.

@@ -17,12 +17,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import cfv
 from cfv.cli import main
 from cfv.report import render_report, strip_timings
 
@@ -79,6 +83,39 @@ def test_outputs_match_the_golden_files(case, source, width, code, tmp_path):
     if case in HASHED:
         report, diff = sha256(report) + "\n", sha256(diff) + "\n"
     assert (report, diff) == expected(case)
+
+
+# cfv itself needs nothing outside the standard library; only the test
+# oracles use numpy. Each run gets a fresh interpreter, so nothing imported
+# by the running tests counts.
+SRC_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join([str(Path(cfv.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]),
+)
+WITHOUT_NUMPY = "import sys; sys.modules['numpy'] = None; from cfv.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_cli_import_leaves_numpy_out():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, cfv.cli; print('numpy' in sys.modules)"],
+        env=SRC_ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_analyze_without_numpy_matches_the_golden_report(tmp_path):
+    root = CORPUS / "minivec"
+    out = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, "analyze", "--old", str(root / "old"),
+         "--new", str(root / "new"), "--tests", str(root / "tests"),
+         "--width", "32", "--out", str(out)],
+        env=SRC_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    report = render_report(strip_timings(json.loads(out.read_text(encoding="utf-8"))))
+    assert report == expected("minivec")[0]
 
 
 if __name__ == "__main__":

@@ -1,14 +1,9 @@
 import pytest
 
-from cfv.interp import (
-    AssertFailResult,
-    InterpreterError,
-    OutOfFuelResult,
-    PassResult,
-    interpret_concrete,
-    run_function,
-)
+from cfv.interp import InterpreterError, run_function
 from cfv.snapshot import snapshot_from_sources
+
+from oracles import AssertFailResult, OutOfFuelResult, PassResult, interpret_concrete
 
 
 def snap(src: str, width: int = 8):

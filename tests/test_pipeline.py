@@ -452,13 +452,18 @@ class TestCli:
 
     def test_unknown_backend_rejected(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
-        # An unknown kind, a command without {file}, an unclosed quote.
-        for spec in ("quantum", "external:true", "external:'x {file}"):
+        # An unknown kind, a command without {file}, an unclosed quote, a
+        # command that does not exist.
+        for spec in (
+            "quantum", "external:true", "external:'x {file}", "external:/nonexistent/solver {file}"
+        ):
             with pytest.raises(ConfigError):
                 run_pipeline(base_config(tmp_path, backend=spec))
 
     @pytest.mark.parametrize(
-        "spec", ["external:true", "external:'x {file}"], ids=["no-placeholder", "unclosed-quote"]
+        "spec",
+        ["external:true", "external:'x {file}", "external:/nonexistent/solver {file}"],
+        ids=["no-placeholder", "unclosed-quote", "missing-command"],
     )
     def test_malformed_external_backend_exits_three(self, tmp_path, spec):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)

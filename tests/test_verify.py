@@ -4,17 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfv.harness import GeneralizedTest, load_tests
-from cfv.interp import (
-    AssertFailResult,
-    PassResult,
-    interpret_concrete,
-)
 from cfv.snapshot import snapshot_from_sources
 from cfv.ssa import UnrollConfig
 from cfv.terms import to_signed
 from cfv.verify import Fail, Pass, Unknown, concretize, verify_test
 
 from generators import RandomTestGen, fixture_snapshot
+from oracles import AssertFailResult, PassResult, interpret_concrete
 
 
 W4 = UnrollConfig(loop_bound=4, timeout_s=20, width=4)
