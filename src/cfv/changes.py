@@ -1,16 +1,15 @@
 """Function-level change classification between two snapshots.
 
 Name-matched functions with byte-identical bodies are unchanged; with
-differing bodies they are modified. Names present on only one side are
-first probed pairwise for renames (structural equivalence of bodies,
-greedily in lexicographic order of old names); leftovers are removed or
-added. A change to the initializer or type of a global also marks every
-function that reads it as modified (paired with itself), since the initial
-program state it observes shifts even though its own text did not.
+differing bodies they are modified. Each name found on the old side only is
+then paired, in lexicographic order, with the least unpaired new-only name
+whose function is structurally equivalent, as a rename; leftovers are
+removed or added. A change to the initializer or type of a global also marks
+every function that reads it as modified (paired with itself), since the
+initial program state it observes shifts even though its own text did not.
 
-The rename probe is the fast stage of equivalence checking: pure AST
-comparison after canonical renaming, never a solver call, linear in tree
-size.
+Structural equivalence is the fast stage of equivalence checking: equal
+alpha keys (`minic.normalize`), never a solver call, linear in tree size.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cfv.minic.ast import FunctionDef, GlobalDecl, literal_value
-from cfv.minic.normalize import normalize_alpha
+from cfv.minic.normalize import alpha_key
 from cfv.snapshot import Snapshot
 
 
@@ -40,20 +39,18 @@ class ChangeSet:
 
 def same_signature(a: FunctionDef, b: FunctionDef) -> bool:
     """Same positional parameter types and the same return type."""
-    return (
-        a.return_type == b.return_type
-        and len(a.params) == len(b.params)
-        and all(pa.ty == pb.ty for pa, pb in zip(a.params, b.params))
-    )
+    same_params = [p.ty for p in a.params] == [p.ty for p in b.params]
+    return same_params and a.return_type == b.return_type
 
 
 def structural_equiv(a: FunctionDef, b: FunctionDef) -> bool:
-    """Stage-1 equivalence: equal ASTs after canonical alpha renaming.
+    """Stage-1 equivalence: equal alpha keys.
 
-    The signatures must match. Spans and comments never matter; local
-    names never matter; anything else (including operand order) does.
+    The signatures must match. Spans, comments and the names of the
+    function, its parameters and its locals never matter; anything else
+    (including operand order and the names of globals) does.
     """
-    return same_signature(a, b) and normalize_alpha(a) == normalize_alpha(b)
+    return alpha_key(a) == alpha_key(b)
 
 
 def _global_signature(decl: GlobalDecl) -> tuple:
@@ -93,14 +90,16 @@ def compute_changeset(old: Snapshot, new: Snapshot) -> ChangeSet:
     only_old = sorted(old_names - new_names)
     only_new = sorted(new_names - old_names)
     renamed: list[tuple[str, str]] = []
+    unmatched: dict[tuple, list[str]] = {}
+    for new_name in only_new:
+        unmatched.setdefault(alpha_key(new.functions[new_name]), []).append(new_name)
     for old_name in list(only_old):
-        fn_old = old.functions[old_name]
-        for new_name in only_new:
-            if structural_equiv(fn_old, new.functions[new_name]):
-                renamed.append((old_name, new_name))
-                only_old.remove(old_name)
-                only_new.remove(new_name)
-                break
+        candidates = unmatched.get(alpha_key(old.functions[old_name]))
+        if candidates:
+            new_name = candidates.pop(0)
+            renamed.append((old_name, new_name))
+            only_old.remove(old_name)
+            only_new.remove(new_name)
 
     return ChangeSet(
         added=only_new,

@@ -1,15 +1,15 @@
 """Two-stage equivalence checking of function versions.
 
-Stage 1 compares canonically renamed ASTs and costs no solver time. Stage 2
-encodes both versions over shared inputs (positional parameters, globals by
-name, nondet occurrences paired in order) and asks the solver for an input
-that makes their observables differ. Observables are the return value, the
-final value of every written global, and the assertion outcome; value
-differences only count on inputs where both sides stay assertion-clean,
-since a trapped run observes nothing beyond the trap itself. The miter
-compares each observable through TermBuilder.eq, which compares two guarded
-update chains by the leaves each side can select. Where both sides select
-the shared initial value, that leaf comparison is true before any solving.
+Stage 1 compares alpha keys and costs no solver time. Stage 2 encodes both
+versions over shared inputs (positional parameters, globals by name, nondet
+occurrences paired in order) and asks the solver for an input that makes
+their observables differ. Observables are the return value, the final value
+of every written global, and the assertion outcome; value differences only
+count on inputs where both sides stay assertion-clean, since a trapped run
+observes nothing beyond the trap itself. The miter compares each observable
+through TermBuilder.eq, which compares two guarded update chains by the
+leaves each side can select. Where both sides select the shared initial
+value, that leaf comparison is true before any solving.
 
 Every behavioral verdict is replayed through the reference interpreter
 before being reported: a NotEquivalent witness that does not reproduce a
@@ -262,6 +262,8 @@ def check_equivalence(
         miter = build_miter(old_ssa, new_ssa)
     except EncodeTimeout:
         return Unknown("timeout")
+    except RecursionError:  # inlining stacks bodies each as deep as the parser allows
+        return Unknown("unsupported")
 
     assume_ok = builder.and_(old_ssa.assume_ok, new_ssa.assume_ok)
     unwound = builder.and_(old_ssa.unwinding_complete, new_ssa.unwinding_complete)

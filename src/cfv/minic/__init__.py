@@ -1,19 +1,18 @@
-"""Frontend for the MiniC subset: lexing, parsing, types, normalization."""
+"""Frontend for the MiniC subset: lexing, parsing, types and alpha keys."""
 
 from cfv.minic.metrics import cyclomatic_complexity
-from cfv.minic.normalize import normalize_alpha
+from cfv.minic.normalize import alpha_key
 from cfv.minic.parser import parse_unit
 from cfv.minic.printer import format_expr, format_function, format_unit
-from cfv.minic.typecheck import Environment, type_check, type_check_unit
+from cfv.minic.typecheck import Environment, type_check
 
 __all__ = [
     "Environment",
+    "alpha_key",
     "cyclomatic_complexity",
     "format_expr",
     "format_function",
     "format_unit",
-    "normalize_alpha",
     "parse_unit",
     "type_check",
-    "type_check_unit",
 ]

@@ -3,8 +3,8 @@
 Every node carries a source span. Equality between nodes is structural and
 span-insensitive (spans and inferred types are excluded from comparison), so
 two parses of the same text, or of texts differing only in layout and
-comments, compare equal. This is the equality used by the structural
-equivalence stage and by the parse/print round-trip tests.
+comments, compare equal. The round-trip tests use it; the structural
+equivalence stage compares the flat keys of `normalize.alpha_key` instead.
 
 Value semantics: all integers are two's complement at one configurable width
 per snapshot; arrays are fixed-length with int elements; booleans are a

@@ -15,13 +15,14 @@ Binary operators are parsed by precedence climbing over the levels of
 of at least its minimum level, recursing one level up for each right
 operand, so chains of one level come out left-associative.
 
-Later passes walk the tree recursively, so the parser bounds its depth. Each
-node on the path from the function body to a leaf costs the stack frames
-that the hungriest pass spends on a node of its kind (FRAMES), and a path
-that costs more than MAX_DEPTH is reported as unsupported at the token that
-crosses the bound. A `for` with an init clause thus costs what its desugared
-block, `while` and body cost, an `else if` what its wrapping block and `if`
-cost, and each operator of the flat chain `x + x + x` one binary node.
+The parser, the type checker, the encoder, the interpreter and the tree
+rewriters recurse, so the parser bounds the depth of the tree. Each node on
+the path from the function body to a leaf costs the stack frames that the
+hungriest pass spends on a node of its kind (FRAMES), and a path that costs
+more than MAX_DEPTH is reported as unsupported at the token that crosses the
+bound. A `for` with an init clause thus costs what its desugared block,
+`while` and body cost, an `else if` what its wrapping block and `if` cost,
+and each operator of the flat chain `x + x + x` one binary node.
 """
 
 from __future__ import annotations
@@ -31,21 +32,15 @@ from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.lexer import Token, tokenize
 
-# Stack frames per node, measured with CPython 3.11 as the growth per nesting
-# level of the deepest of `cfv diff`, `cfv equiv` and `cfv analyze`. No pass
-# spends more on a statement or operator than the `==` of two
-# alpha-normalised trees in `changes.structural_equiv`, a dataclass
-# comparison that recurses through C frames as well as Python ones. A
-# parenthesis builds no node and costs the frames of the parser itself.
+# Stack frames per node: the most that any pass of `cfv diff`, `cfv equiv` or
+# `cfv analyze` spends on a node of the kind, measured with CPython 3.11 by
+# bisecting the recursion limit each pass needs per nesting level. Blocks are
+# costed by the type checker's return analysis, `while` by the encoder, binary
+# and unary nodes by the type checker, and calls, indices and parentheses
+# (which build no node) by the parser. The structural stage spends none.
 FRAMES = {
-    ast.Block: 4,
-    ast.If: 3,
-    ast.While: 3,
-    ast.Binary: 3,
-    ast.Unary: 3,
-    ast.Call: 4,
-    ast.ArrayIndex: 4,
-    "(": 4,
+    ast.Block: 3, ast.If: 1, ast.While: 2,
+    ast.Binary: 3, ast.Unary: 2, ast.Call: 4, ast.ArrayIndex: 4, "(": 4,
 }
 # Python's default recursion limit is 1000 frames, and the CLI under pytest
 # sits about 60 deep when it starts on a function body.

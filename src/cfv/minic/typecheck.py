@@ -405,7 +405,3 @@ def type_check(
     if diagnostics:
         raise TypeCheckError(diagnostics)
     return env
-
-
-def type_check_unit(unit: SourceUnit, width: int = 32) -> Environment:
-    return type_check([unit], width)

@@ -67,6 +67,8 @@ def verify_test(
         )
     except EncodeTimeout:
         return Unknown("timeout")
+    except RecursionError:  # inlining stacks bodies each as deep as the parser allows
+        return Unknown("unsupported")
     formula = verification_formula(prog)
     result = solve_bounded(
         solve, formula, prog.assume_ok, prog.unwinding_complete, deadline, stats

@@ -12,6 +12,10 @@ Three families, all deterministic per seed, plus a resized corpus module:
 * minivec_sources, the corpus vector module with a larger buffer, for
   deadline tests that need a miter too large to finish in time.
 
+`normalize_alpha` renames a function canonically. It serves the rename
+mutation and is the reference that `cfv.minic.normalize.alpha_key` is
+checked against.
+
 Generated loops are counting loops with at most three iterations so a bound
 of four unrolls them completely, keeping bounded and unbounded semantics
 identical, which is what lets plain interpretation serve as ground truth.
@@ -20,10 +24,10 @@ identical, which is what lets plain interpretation serve as ground truth.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from cfv.minic import ast
 from cfv.minic.ast import DUMMY_SPAN as S
-from cfv.minic.normalize import normalize_alpha
 from cfv.minic.printer import format_unit
 from cfv.snapshot import Snapshot, snapshot_from_sources
 from cfv.terms import BOOL, Formula, Term, TermBuilder
@@ -221,6 +225,69 @@ class FunctionGen:
         )
         decls.append(fn)
         return ast.SourceUnit("gen.c", decls)
+
+
+# ---------------------------------------------------------------------------
+# Canonical alpha renaming
+#
+# Parameters become p0, p1, ... in signature order; locals become v0, v1, ...
+# in declaration order; recursive calls and the function's own name are
+# replaced by a fixed placeholder. Globals and calls to other functions keep
+# their names, so a global named like a canonical local would be confused
+# with it; the generators declare only the global `g`.
+
+SELF_PLACEHOLDER = "$self"
+
+
+class _Renamer:
+    def __init__(self, fn: ast.FunctionDef):
+        self.fn_name = fn.name
+        self.counter = 0
+        self.scopes: list[dict[str, str]] = [
+            {p.name: f"p{i}" for i, p in enumerate(fn.params)}
+        ]
+
+    def resolve(self, name: str) -> str:
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name]
+        return name  # a global
+
+    def expr(self, e: ast.Expr) -> ast.Expr | None:
+        if isinstance(e, ast.VarRef):
+            return ast.VarRef(e.span, self.resolve(e.name), e.ty)
+        if isinstance(e, ast.ArrayIndex):
+            index = ast.map_expr(e.index, self.expr)
+            return ast.ArrayIndex(e.span, self.resolve(e.name), index, e.ty)
+        if isinstance(e, ast.Call) and e.name == self.fn_name:
+            args = [ast.map_expr(a, self.expr) for a in e.args]
+            return ast.Call(e.span, SELF_PLACEHOLDER, args, e.ty)
+        return None
+
+    def stmt(self, s: ast.Stmt) -> ast.Stmt | None:
+        if isinstance(s, ast.Block):
+            self.scopes.append({})
+            stmts = [ast.map_stmt(x, self.expr, self.stmt) for x in s.stmts]
+            self.scopes.pop()
+            return ast.Block(s.span, stmts)
+        if isinstance(s, ast.VarDecl):
+            init = None if s.init is None else ast.map_expr(s.init, self.expr)
+            new = f"v{self.counter}"
+            self.counter += 1
+            self.scopes[-1][s.name] = new
+            return ast.VarDecl(s.span, new, s.declared_type, init)
+        return None
+
+
+def normalize_alpha(fn: ast.FunctionDef) -> ast.FunctionDef:
+    """Return a canonically renamed copy of fn. Deterministic and idempotent."""
+    renamer = _Renamer(fn)
+    return replace(
+        fn,
+        name=SELF_PLACEHOLDER,
+        params=[replace(p, name=f"p{i}") for i, p in enumerate(fn.params)],
+        body=ast.map_stmt(fn.body, renamer.expr, renamer.stmt),
+    )
 
 
 def _mutation_points(fn: ast.FunctionDef):

@@ -17,17 +17,15 @@ import pytest
 from cfv.equivalence import (
     Equivalent,
     NotEquivalent,
-    Unknown,
     check_equivalence,
     observables_differ,
-    replay,
 )
 from cfv.harness import GeneralizedTest, load_tests
 from cfv.minic.metrics import cyclomatic_complexity
 from cfv.pipeline import RunConfig, run_pipeline
 from cfv.report import exit_code, render_report, strip_timings
 from cfv.snapshot import load_snapshot, snapshot_from_sources
-from cfv.solver import Sat, Unsat, sat_solve
+from cfv.solver import Sat, sat_solve
 from cfv.ssa import UnrollConfig
 from cfv.terms import to_signed
 from cfv.verify import Fail, Pass, concretize, verify_test

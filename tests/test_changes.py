@@ -82,6 +82,18 @@ class TestChangeSet:
         assert cs.renamed == [("f", "g")]
         assert not cs.added and not cs.removed
 
+    def test_global_named_like_a_parameter_blocks_the_rename(self):
+        old = snap("int p0 = 5; int g(int a){return p0;}")
+        new = snap("int p0 = 5; int h(int p0){return p0;}")
+        cs = compute_changeset(old, new)
+        assert (cs.removed, cs.added, cs.renamed) == (["g"], ["h"], [])
+
+    def test_rename_pairs_with_the_least_equal_new_name(self):
+        old = snap("int a(int x){return x;}\nint b(int x){return x + 1;}\nint c(int x){return x;}")
+        new = snap("int d(int y){return y + 1;}\nint e(int y){return y;}\nint f(int y){return y;}")
+        cs = compute_changeset(old, new)
+        assert cs.renamed == [("a", "e"), ("b", "d"), ("c", "f")]
+
     def test_rename_pairs_greedily_by_old_name(self):
         body = "{return 7;}"
         old = snap(f"int a1()\n{body}\nint a2()\n{body}")

@@ -11,13 +11,12 @@ from cfv.equivalence import (
     build_miter,
     check_equivalence,
     observables_differ,
-    replay,
     transitive_reads,
 )
 from cfv.snapshot import load_snapshot, snapshot_from_sources
 from cfv.solver import SolverStats, Unsat, sat_solve
-from cfv.ssa import UnrollConfig, encode_ssa, verification_formula
-from cfv.terms import TermBuilder, postorder, to_signed
+from cfv.ssa import UnrollConfig, encode_ssa
+from cfv.terms import TermBuilder, postorder
 
 from generators import minivec_sources, random_pair
 from oracles import CORPUS, functions_equivalent_bruteforce

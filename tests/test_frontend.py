@@ -1,26 +1,21 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cfv.errors import MiniCSyntaxError, TypeCheckError, UnsupportedConstructError
-from cfv.minic import (
-    cyclomatic_complexity,
-    format_unit,
-    normalize_alpha,
-    parse_unit,
-    type_check_unit,
-)
+from cfv.minic import alpha_key, cyclomatic_complexity, format_unit, parse_unit, type_check
 from cfv.minic import ast
-from cfv.minic.ast import Span
+from cfv.minic.ast import DUMMY_SPAN as S, Span
 from cfv.minic.lexer import tokenize
 
-from generators import FunctionGen
+from generators import FunctionGen, mutate_function, normalize_alpha
 
 
 def parse_ok(src: str, width: int = 32):
     unit = parse_unit(src, "t.c", width)
-    type_check_unit(unit, width)
+    type_check([unit], width)
     return unit
 
 
@@ -75,17 +70,17 @@ class TestParser:
         handwritten = fn(
             "int f(int n){int s = 0; { int i = 0; while (i < n) { s = s + i; i = i + 1; } } return s;}"
         )
-        assert normalize_alpha(looped) == normalize_alpha(handwritten)
+        assert alpha_key(looped) == alpha_key(handwritten)
 
     def test_for_without_init_is_a_bare_while(self):
         a = fn("int f(int n){for (; n > 0;) { n = n - 1; } return n;}")
         b = fn("int f(int n){while (n > 0) { n = n - 1; } return n;}")
-        assert normalize_alpha(a) == normalize_alpha(b)
+        assert alpha_key(a) == alpha_key(b)
 
     def test_braceless_bodies_normalize_like_braced(self):
         a = fn("int f(int x){if (x > 0) return 1; return 0;}")
         b = fn("int f(int x){if (x > 0) { return 1; } return 0;}")
-        assert normalize_alpha(a) == normalize_alpha(b)
+        assert alpha_key(a) == alpha_key(b)
 
     def test_spans_nest_within_parents(self):
         unit = parse_ok("int f(int x){ if (x > 0) { x = x - 1; } return x; }")
@@ -375,7 +370,7 @@ class TestTypeCheck:
 
     def test_well_typed_unit_passes(self):
         unit = parse_unit("bool f(int x){return x == 0;}", "t.c")
-        type_check_unit(unit)
+        type_check([unit])
         assert isinstance(unit.functions[0].body.stmts[0].value.ty, ast.BoolType)
 
     def test_undefined_symbol(self):
@@ -440,32 +435,93 @@ class TestNormalize:
     def test_canonical_renaming(self):
         a = fn("int f(int a){int b = a; return b;}")
         b = fn("int g(int zz){int q = zz; return q;}", name="g")
-        assert normalize_alpha(a) == normalize_alpha(b)
+        assert alpha_key(a) == alpha_key(b)
 
     def test_idempotent(self):
+        """Renaming to the canonical names leaves the key as it is."""
         f = fn("int f(int a){int b = a; while (b > 0) { b = b - 1; } return b;}")
-        once = normalize_alpha(f)
-        assert normalize_alpha(once) == once
+        assert alpha_key(normalize_alpha(f)) == alpha_key(f)
 
     def test_operand_order_matters(self):
         a = fn("int f(int a, int b){return a + b;}")
         b = fn("int f(int a, int b){return b + a;}")
-        assert normalize_alpha(a) != normalize_alpha(b)
+        assert alpha_key(a) != alpha_key(b)
 
     def test_self_call_is_anonymous(self):
         a = fn("int f(int n){if (n <= 0) { return 0; } return f(n - 1);}")
         b = fn("int g(int n){if (n <= 0) { return 0; } return g(n - 1);}", name="g")
-        assert normalize_alpha(a) == normalize_alpha(b)
+        assert alpha_key(a) == alpha_key(b)
 
     def test_globals_keep_their_names(self):
         a = fn("int g; int f(){return g;}")
         b_unit = parse_ok("int h; int f(){return h;}")
         b = b_unit.functions[0]
-        assert normalize_alpha(a) != normalize_alpha(b)
+        assert alpha_key(a) != alpha_key(b)
 
     def test_preserves_complexity(self):
+        """The reference renaming used by the rename mutation changes
+        neither the complexity nor the key."""
         f = fn("int f(int x){if (x > 0 && x < 9) { while (x > 1) { x = x - 1; } } return x;}")
         assert cyclomatic_complexity(f) == cyclomatic_complexity(normalize_alpha(f))
+        assert alpha_key(f) == alpha_key(normalize_alpha(f))
+
+    @pytest.mark.parametrize(
+        "global_src, local_src",
+        [
+            ("int p0 = 5; int f(int a){return p0;}", "int f(int p0){return p0;}"),
+            ("int v0 = 1; int f(){int t = 1; return v0;}", "int f(){int v0 = 1; return v0;}"),
+        ],
+        ids=["parameter", "local"],
+    )
+    def test_global_named_like_a_canonical_name(self, global_src, local_src):
+        """The reference renaming confuses these pairs; the key does not."""
+        a, b = fn(global_src), fn(local_src)
+        assert normalize_alpha(a) == normalize_alpha(b)
+        assert alpha_key(a) != alpha_key(b)
+
+    def test_declaration_binds_after_its_initializer(self):
+        a = fn("int f(int x){{ int x = x + 1; return x; }}")
+        b = fn("int f(int x){{ int y = x + 1; return y; }}")
+        assert alpha_key(a) == alpha_key(b)
+
+    def test_scope_closes_with_its_block(self):
+        a = fn("int f(int x){{ int x = 1; x = 2; } return x;}")
+        b = fn("int f(int x){{ int y = 1; y = 2; } return x;}")
+        c = fn("int f(int x){{ int y = 1; x = 2; } return x;}")
+        assert alpha_key(a) == alpha_key(b)
+        assert alpha_key(a) != alpha_key(c)
+
+    def test_deep_nesting_needs_no_recursion(self):
+        """Two trees of 5,000 nested `if`s, too deep for any recursive walk
+        under the default recursion limit, built without the parser."""
+        def nested(name: str) -> ast.FunctionDef:
+            int_type = ast.IntType(8)
+            body = ast.Block(S, [ast.Return(S, ast.VarRef(S, name))])
+            for _ in range(5_000):
+                cond = ast.Binary(S, ">", ast.VarRef(S, name), ast.IntLit(S, 0))
+                body = ast.Block(S, [ast.If(S, cond, body, None)])
+            return ast.FunctionDef("f", [ast.Param(name, int_type)], int_type, body)
+
+        assert sys.getrecursionlimit() <= 1_000
+        a, b = alpha_key(nested("x")), alpha_key(nested("y"))
+        assert a == b
+        assert a.count(ast.If) == 5_000
+
+    def test_agrees_with_the_reference_renaming(self):
+        """Over generated functions and their mutations, which declare no
+        global named like a canonical name, equal keys are exactly equal
+        canonically renamed trees."""
+        agree = 0
+        for seed in range(250):
+            rng = random.Random(seed)
+            unit = FunctionGen(rng, width=8, with_global=rng.random() < 0.5).function()
+            variants = [mutate_function(rng, unit, 8).functions[0] for _ in range(3)]
+            for a in variants:
+                for b in variants:
+                    same = normalize_alpha(a) == normalize_alpha(b)
+                    assert (alpha_key(a) == alpha_key(b)) == same
+                    agree += same
+        assert 0 < agree < 250 * 9
 
 
 # One function holding every kind of expression and statement node.
@@ -548,13 +604,13 @@ class TestComplexity:
 @given(st.integers(0, 10_000))
 def test_roundtrip_print_parse(seed):
     """Printing and reparsing a generated unit reproduces the tree and its
-    typing; normalization commutes with the round trip."""
+    typing; the alpha key commutes with the round trip."""
     rng = random.Random(seed)
     unit = FunctionGen(rng, width=8, with_global=rng.random() < 0.5).function()
     text = format_unit(unit)
     reparsed = parse_unit(text, "gen.c", 8)
     assert reparsed.declarations == unit.declarations
-    type_check_unit(reparsed, 8)
+    type_check([reparsed], 8)
     again = parse_unit(format_unit(reparsed), "gen.c", 8)
     assert again.declarations == reparsed.declarations
-    assert normalize_alpha(again.functions[0]) == normalize_alpha(reparsed.functions[0])
+    assert alpha_key(again.functions[0]) == alpha_key(reparsed.functions[0])

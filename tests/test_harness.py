@@ -6,14 +6,13 @@ import pytest
 from cfv.equivalence import closure_functions
 from cfv.errors import InputError
 from cfv.harness import (
-    CallGraph,
     build_call_graph,
     generalize,
     load_tests,
     select_tests,
 )
 from cfv.minic import ast, typecheck
-from cfv.minic.normalize import normalize_alpha
+from cfv.minic.normalize import alpha_key
 from cfv.minic.parser import parse_unit
 from cfv.pipeline import RunConfig, run_pipeline
 from cfv.snapshot import load_snapshot, snapshot_from_sources
@@ -224,7 +223,7 @@ void test_a(){
             sites[sym] = (nondet_span.start, 0)
         cx = Counterexample(valuation, sites, DUMMY_SPAN, [])
         restored = concretize(gt, cx, 8)
-        assert normalize_alpha(restored.body) == normalize_alpha(t.body)
+        assert alpha_key(restored.body) == alpha_key(t.body)
 
     def test_targets_must_be_nonempty(self, tmp_path):
         t, _ = self.make_test("void test_a(){assert(true);}", tmp_path)

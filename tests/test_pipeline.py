@@ -328,6 +328,47 @@ class TestCli:
         assert "witness" in capsys.readouterr().out
         assert main(["equiv", str(tmp_path / "a.c"), str(tmp_path / "b.c"), "nope"]) == 3
 
+    @pytest.mark.parametrize(
+        "old_src, new_src",
+        [
+            ("int p0 = 5; int f(int a) { return p0; }", "int f(int p0) { return p0; }"),
+            ("int v0 = 1; int f() { int t = 1; return v0; }", "int f() { int v0 = 1; return v0; }"),
+        ],
+        ids=["global-p0", "global-v0"],
+    )
+    def test_equiv_tells_a_global_from_a_renamed_local(self, tmp_path, capsys, old_src, new_src):
+        (tmp_path / "a.c").write_text(old_src)
+        (tmp_path / "b.c").write_text(new_src)
+        assert main(["equiv", str(tmp_path / "a.c"), str(tmp_path / "b.c"), "f"]) == 1
+        assert "not equivalent (behavior)" in capsys.readouterr().out
+
+    def test_diff_tells_a_global_from_a_renamed_parameter(self, tmp_path, capsys):
+        write_tree(
+            tmp_path,
+            "int p0 = 5; int g(int a) { return p0; }\n",
+            "int p0 = 5; int h(int p0) { return p0; }\n",
+            TESTS,
+        )
+        assert main(["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "removed: g" in out and "added: h" in out
+        assert not any(line.startswith("renamed") for line in out)
+
+    def test_inlining_past_the_stack_is_unsupported(self, tmp_path, capsys):
+        """Each body is within the parser's bound, but inlining a recursive
+        call stacks several of them: the encoder runs out of stack."""
+        nest = 100
+        body = f"{'if (n > 0) { ' * nest}r = f(n - 1) + 1;{' }' * nest}"
+        old = f"int f(int n) {{ int r = 0; {body} return r; }}\n"
+        new = old.replace("int r = 0;", "int r = 0; if (n == 3) { r = 9; }")
+        write_tree(tmp_path, old, new, "void test_f() { assert(f(3) == 3); }\n")
+        a, b = str(tmp_path / "old" / "lib.c"), str(tmp_path / "new" / "lib.c")
+        assert main(["equiv", a, b, "f"]) == 2
+        assert "unknown (unsupported)" in capsys.readouterr().out
+        argv = ["verify", "--tests", str(tmp_path / "tests"), "--src", str(tmp_path / "old")]
+        assert main(argv) == 2
+        assert "test_f: unknown (unsupported)" in capsys.readouterr().out
+
     def test_complexity_subcommand(self, tmp_path, capsys):
         d = tmp_path / "src"
         d.mkdir()
@@ -524,32 +565,38 @@ class TestCli:
 # the leaf and then encodes both. Loops run once, so the encoding stays small.
 DEEP_FORMS = {
     "parentheses": (224, lambda n, leaf: f"return {'(' * n}{leaf}{')' * n};"),
-    "unary": (298, lambda n, leaf: f"return {'- ' * n}{leaf};"),
-    "flat-chain": (298, lambda n, leaf: f"return {' + '.join([leaf] + ['x'] * n)};"),
+    "unary": (448, lambda n, leaf: f"return {'- ' * n}{leaf};"),
+    "flat-chain": (299, lambda n, leaf: f"return {' + '.join([leaf] + ['x'] * n)};"),
     "right-chain": (
         256,
         lambda n, leaf: f"return {'x - (' * (n // 2)}{'- ' * (n % 2)}{leaf}{')' * (n // 2)};",
     ),
     "calls": (224, lambda n, leaf: f"return {'g(' * n}{leaf}{')' * n};"),
     "indices": (127, lambda n, leaf: f"return {'a[' * n}{leaf} & 3{' & 3]' * n};"),
-    "blocks": (224, lambda n, leaf: f"{'{ ' * n}x = {leaf};{' }' * n} return x;"),
-    "if-blocks": (128, lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;"),
-    "bare-ifs": (128, lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;"),
+    "blocks": (299, lambda n, leaf: f"{'{ ' * n}x = {leaf};{' }' * n} return x;"),
+    "if-blocks": (224, lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;"),
+    "bare-ifs": (224, lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;"),
+    # Every arm returns, so the type checker's return analysis walks the
+    # whole chain.
+    "if-else-returns": (
+        224,
+        lambda n, leaf: f"{'if (x > 0) { return 1; } else { ' * n}x = {leaf}; return x;{' }' * n}",
+    ),
     "else-ifs": (
-        128,
+        224,
         lambda n, leaf: " else ".join(f"if (x == {i}) {{ x = x; }}" for i in range(n - 1))
         + f" else if (x == {n}) {{ x = {leaf}; }} return x;",
     ),
     "while-loops": (
-        128,
+        179,
         lambda n, leaf: f"{'while (true) { ' * n}x = {leaf}; return x;{' }' * n} return x;",
     ),
     "for-loops": (
-        81,
+        111,
         lambda n, leaf: f"{'for (int i = 0; i < 1; i = i + 1) { ' * n}x = {leaf};{' }' * n} return x;",
     ),
     "for-loops-without-init": (
-        128,
+        179,
         lambda n, leaf: f"{'for (; true; x = x) { ' * n}x = {leaf}; return x;{' }' * n} return x;",
     ),
 }
@@ -606,10 +653,10 @@ class TestNestingBound:
 
 def test_tests_at_the_bound_are_generalized_verified_and_concretized(tmp_path):
     """Test bodies as deep as the parser takes them go through generalize,
-    verify and concretize: a call under 200 parentheses, and one under 127
+    verify and concretize: a call under 200 parentheses, and one under 223
     nested `if` blocks."""
     parens = 200
-    ifs = 127
+    ifs = 223
     tests = (
         f"void test_parens() {{ int x = {'(' * parens}add(1, 2){')' * parens}; assert(x == 3); }}\n"
         f"void test_ifs() {{ int y = 0; {'if (y == 0) { ' * ifs}y = add(2, 2);{' }' * ifs}"
