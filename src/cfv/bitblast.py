@@ -1,27 +1,35 @@
 """Tseitin transformation from term DAGs to CNF.
 
+The circuit is built first: gate constructors fold constants and hash
+structurally, and only record each gate as (kind, operand literals). Then
+one backward pass from the root marks the gates in its cone of influence
+(Biere et al., "Symbolic Model Checking without BDDs", TACAS 1999), and one
+forward pass writes their clauses. Gates nothing reads, such as the sum
+bits of a comparison's subtractor, get neither a variable nor a clause.
+
 Variable layout: variable 1 is the constant true (pinned by a unit clause),
-then the formula inputs get variables in slot order with each bitvector's
-bits allocated most-significant first, then one variable per logic gate in
-the order the gates are created. A gate is created after its operands, so
-its variable lies above theirs.
+then the formula inputs get variables 2..k + 1 in slot order with each
+bitvector's bits allocated most-significant first, then one variable per
+live gate, in the order the gates were created. A gate is created after its
+operands, so its variable lies above theirs.
 
 The result carries two views of one circuit: the Tseitin clauses, with the
-root literal as a unit clause, and the gate list (var, kind, operands) in
-that same topological order, with the root literal. The gate list is kept
-only for formulas dpll simulates, those of at most dpll.SIM_MAX_INPUT_BITS
-input bits: nothing else reads it, and on the width-32 vec_insert miter
-(87k variables) it cost about 12 MB of peak memory. Every variable above
-the inputs is a gate, a function of the inputs. So a least satisfying input
-valuation, extended by the gate values it forces, is the lexicographically
-least model over variables 1..n, with input valuations compared in the
-counting order of the test suite's enumeration oracle
-(tests/oracles.exhaustive_solve). dpll returns that model whether it
-simulates the gates or searches the clauses.
+root literal as a unit clause, and the gate list (var, kind, operands) of
+the live gates in that same topological order, with the root literal. The
+gate list is kept only for formulas dpll simulates, those of at most
+dpll.SIM_MAX_INPUT_BITS input bits: nothing else reads it, and on the
+width-32 vec_insert miter (14k variables) it would hold 1.8 MB while the
+learning core searches. Every variable above the inputs is a gate, a
+function of the inputs. So a least satisfying input valuation, extended by
+the gate values it forces, is the lexicographically least model over
+variables 1..n, with input valuations compared in the counting order of the
+test suite's enumeration oracle (tests/oracles.exhaustive_solve). dpll
+returns that model whether it simulates the gates or searches the clauses.
 
 Arithmetic is structural: ripple-carry adders, subtraction as a + ~b + 1,
-shift-and-add multiplication, barrel shifters, and comparisons by
-subtract-and-inspect. ITE gates carry the two redundant clauses so equal
+shift-and-add multiplication, barrel shifters, signed comparison from the
+borrow chain and sign bits, and equality as an AND chain from the most
+significant bit down. ITE gates carry the two redundant clauses so equal
 branches propagate without a case split.
 """
 
@@ -35,6 +43,7 @@ from cfv.errors import EncodeTimeout
 from cfv.terms import BOOL, Formula, Term, postorder
 
 TRUE_LIT = 1
+_POLL_MASK = 4095  # poll the deadline every 4,096 gates built or emitted
 
 
 @dataclass
@@ -58,34 +67,32 @@ class CnfFormula:
 
 
 class _Blaster:
-    def __init__(self, deadline: float | None, record_gates: bool):
-        self.clauses: list[tuple[int, ...]] = []
-        self.num_vars = 1  # var 1 is constant true
-        self.clauses.append((TRUE_LIT,))
-        self.gate_cache: dict[tuple, int] = {}
-        self.gates: list[tuple[int, str, tuple[int, ...]]] | None = [] if record_gates else None
-        self.deadline = deadline
-        self._ticks = 0
+    """Builds the circuit with constant folding and structural hashing; the
+    clauses are written afterwards, by cnf(), for the root's cone only."""
 
-    def tick(self) -> None:
-        self._ticks += 1
-        if self.deadline is not None and self._ticks % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                raise EncodeTimeout("bit-blasting exceeded the time limit")
+    def __init__(self, deadline: float | None):
+        self.num_vars = 1  # var 1 is constant true
+        # (kind, operand literals) -> gate variable. A gate is inserted when
+        # it is created, so the keys list the circuit in creation order,
+        # which is topological.
+        self.gate_cache: dict[tuple, int] = {}
+        self.deadline = deadline
+
+    def poll(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise EncodeTimeout("bit-blasting exceeded the time limit")
 
     def new_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
 
-    def new_gate(self, kind: str, operands: tuple[int, ...]) -> int:
-        self.tick()
-        g = self.new_var()
-        if self.gates is not None:
-            self.gates.append((g, kind, operands))
+    def gate(self, key: tuple) -> int:
+        g = self.gate_cache.get(key)
+        if g is None:
+            g = self.gate_cache[key] = self.new_var()
+            if g & _POLL_MASK == 0:
+                self.poll()
         return g
-
-    def add(self, *lits: int) -> None:
-        self.clauses.append(tuple(lits))
 
     # -- gates ----------------------------------------------------------------
     # Constant operands are folded here as well: term-level folding misses
@@ -102,15 +109,7 @@ class _Blaster:
             return a
         if a == -b:
             return -TRUE_LIT
-        key = ("and",) + tuple(sorted((a, b)))
-        g = self.gate_cache.get(key)
-        if g is None:
-            g = self.new_gate("and", (a, b))
-            self.add(-g, a)
-            self.add(-g, b)
-            self.add(g, -a, -b)
-            self.gate_cache[key] = g
-        return g
+        return self.gate(("and", a, b) if a < b else ("and", b, a))
 
     def or_gate(self, a: int, b: int) -> int:
         return -self.and_gate(-a, -b)
@@ -134,15 +133,7 @@ class _Blaster:
         x, y = abs(a), abs(b)
         if x > y:
             x, y = y, x
-        key = ("xor", x, y)
-        g = self.gate_cache.get(key)
-        if g is None:
-            g = self.new_gate("xor", (x, y))
-            self.add(-g, x, y)
-            self.add(-g, -x, -y)
-            self.add(g, -x, y)
-            self.add(g, x, -y)
-            self.gate_cache[key] = g
+        g = self.gate(("xor", x, y))
         return -g if flip else g
 
     def maj_gate(self, a: int, b: int, c: int) -> int:
@@ -172,19 +163,7 @@ class _Blaster:
             return b
         if b == -c:
             return a
-        key = ("maj",) + tuple(lits)
-        g = self.gate_cache.get(key)
-        if g is None:
-            a, b, c = lits
-            g = self.new_gate("maj", (a, b, c))
-            self.add(-g, a, b)
-            self.add(-g, a, c)
-            self.add(-g, b, c)
-            self.add(g, -a, -b)
-            self.add(g, -a, -c)
-            self.add(g, -b, -c)
-            self.gate_cache[key] = g
-        return g
+        return self.gate(("maj", *lits))
 
     def ite_gate(self, c: int, a: int, b: int) -> int:
         if c == TRUE_LIT:
@@ -207,19 +186,7 @@ class _Blaster:
             return self.and_gate(c, a)  # c ? a : c
         if b == -c:
             return self.or_gate(-c, a)  # c ? a : !c
-        key = ("ite", c, a, b)
-        g = self.gate_cache.get(key)
-        if g is None:
-            g = self.new_gate("ite", (c, a, b))
-            self.add(-g, -c, a)
-            self.add(-g, c, b)
-            self.add(g, -c, -a)
-            self.add(g, c, -b)
-            # Redundant, but lets equal branches propagate g without deciding c.
-            self.add(g, -a, -b)
-            self.add(-g, a, b)
-            self.gate_cache[key] = g
-        return g
+        return self.gate(("ite", c, a, b))
 
     # -- word-level helpers (bit lists are LSB first) -------------------------
 
@@ -261,15 +228,82 @@ class _Blaster:
         return cur
 
     def equal_bits(self, a: list[int], b: list[int]) -> int:
+        # MSB first: comparisons with constants that share their high bits,
+        # such as x == 0 ... x == 7, then share a prefix of the chain.
         acc = TRUE_LIT
-        for x, y in zip(a, b):
+        for x, y in zip(reversed(a), reversed(b)):
             acc = self.and_gate(acc, -self.xor_gate(x, y))
         return acc
 
     def slt_bits(self, a: list[int], b: list[int]) -> int:
-        diff = self.sub_bits(a, b)
+        # The sign bit of a + ~b + 1, from the carry chain alone.
+        carry = TRUE_LIT
+        for x, y in zip(a[:-1], b[:-1]):
+            carry = self.maj_gate(x, -y, carry)
         sa, sb = a[-1], b[-1]
-        return self.ite_gate(self.xor_gate(sa, sb), sa, diff[-1])
+        diff_sign = self.xor_gate(self.xor_gate(sa, -sb), carry)
+        return self.ite_gate(self.xor_gate(sa, sb), sa, diff_sign)
+
+    def cnf(self, root: int, input_bits: dict[str, tuple[int, ...]]) -> CnfFormula:
+        """The clauses of the gates in the root's cone of influence.
+
+        One backward pass marks the live gates; they are renumbered from
+        num_inputs + 2 upward in creation order, so operands still precede
+        their users, and their clauses are written in that order.
+        """
+        live = bytearray(self.num_vars + 1)
+        live[abs(root)] = 1
+        for key, g in reversed(self.gate_cache.items()):
+            if live[g]:
+                for lit in key[1:]:
+                    live[abs(lit)] = 1
+        num_inputs = sum(map(len, input_bits.values()))
+        n = num_inputs + 1
+        # ren[lit] is the renumbered literal. Negative literals index from
+        # the end of the list, which never overlaps 1..num_vars.
+        ren = [0] * (2 * self.num_vars + 1)
+        for v in range(1, n + 1):
+            ren[v], ren[-v] = v, -v
+        clauses: list[tuple[int, ...]] = [(TRUE_LIT,)]
+        gates: list[tuple[int, str, tuple[int, ...]]] | None = (
+            [] if num_inputs <= SIM_MAX_INPUT_BITS else None
+        )
+        for key, old in self.gate_cache.items():
+            if not live[old]:
+                continue
+            n += 1
+            if n & _POLL_MASK == 0:
+                self.poll()
+            g = ren[old] = n
+            ren[-old] = -n
+            kind = key[0]
+            if kind == "and":
+                a, b = ren[key[1]], ren[key[2]]
+                clauses += ((-g, a), (-g, b), (g, -a, -b))
+                ops = (a, b)
+            elif kind == "xor":
+                x, y = ren[key[1]], ren[key[2]]
+                clauses += ((-g, x, y), (-g, -x, -y), (g, -x, y), (g, x, -y))
+                ops = (x, y)
+            elif kind == "maj":
+                a, b, c = ren[key[1]], ren[key[2]], ren[key[3]]
+                clauses += (
+                    (-g, a, b), (-g, a, c), (-g, b, c), (g, -a, -b), (g, -a, -c), (g, -b, -c)
+                )
+                ops = (a, b, c)
+            else:  # ite: c ? a : b
+                c, a, b = ren[key[1]], ren[key[2]], ren[key[3]]
+                # The last two are redundant, but let equal branches
+                # propagate g without deciding c.
+                clauses += (
+                    (-g, -c, a), (-g, c, b), (g, -c, -a), (g, c, -b), (g, -a, -b), (-g, a, b)
+                )
+                ops = (c, a, b)
+            if gates is not None:
+                gates.append((g, kind, ops))
+        root = ren[root]
+        clauses.append((root,))
+        return CnfFormula(n, clauses, input_bits, gates, root)
 
 
 def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
@@ -278,7 +312,7 @@ def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
     Deterministic: identical formulas produce identical CNFs. Raises
     EncodeTimeout when the optional deadline passes.
     """
-    blaster = _Blaster(deadline, formula.input_bits <= SIM_MAX_INPUT_BITS)
+    blaster = _Blaster(deadline)
     input_bits: dict[str, tuple[int, ...]] = {}
     bits: dict[int, list[int]] = {}  # term uid -> literals (LSB first; bools 1 lit)
 
@@ -296,15 +330,7 @@ def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
             continue
         bits[term.uid] = _blast_node(blaster, term, bits)
 
-    root_lit = bits[formula.root.uid][0]
-    blaster.add(root_lit)
-    return CnfFormula(
-        blaster.num_vars,
-        blaster.clauses,
-        input_bits,
-        blaster.gates,
-        root_lit,
-    )
+    return blaster.cnf(bits[formula.root.uid][0], input_bits)
 
 
 def _blast_node(bl: _Blaster, t: Term, bits: dict[int, list[int]]) -> list[int]:

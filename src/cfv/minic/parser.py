@@ -35,11 +35,12 @@ from cfv.minic.lexer import Token, tokenize
 # Stack frames per node: the most that any pass of `cfv diff`, `cfv equiv` or
 # `cfv analyze` spends on a node of the kind, measured with CPython 3.11 by
 # bisecting the recursion limit each pass needs per nesting level. Blocks are
-# costed by the type checker's return analysis, `while` by the encoder, binary
-# and unary nodes by the type checker, and calls, indices and parentheses
-# (which build no node) by the parser. The structural stage spends none.
+# costed by the parser, the encoder, the interpreter and the AST rewriter,
+# `while` by the encoder, binary and unary nodes by the type checker, and
+# calls, indices and parentheses (which build no node) by the parser. The
+# structural stage spends none.
 FRAMES = {
-    ast.Block: 3, ast.If: 1, ast.While: 2,
+    ast.Block: 2, ast.If: 1, ast.While: 2,
     ast.Binary: 3, ast.Unary: 2, ast.Call: 4, ast.ArrayIndex: 4, "(": 4,
 }
 # Python's default recursion limit is 1000 frames, and the CLI under pytest

@@ -115,7 +115,11 @@ class _Checker:
         if isinstance(stmt, Return):
             return True
         if isinstance(stmt, Block):
-            return any(self._definitely_returns(s) for s in stmt.stmts)
+            # A loop, not any() over a generator: one stack frame a block.
+            for s in stmt.stmts:
+                if self._definitely_returns(s):
+                    return True
+            return False
         if isinstance(stmt, If):
             return (
                 stmt.else_body is not None

@@ -565,38 +565,38 @@ class TestCli:
 # the leaf and then encodes both. Loops run once, so the encoding stays small.
 DEEP_FORMS = {
     "parentheses": (224, lambda n, leaf: f"return {'(' * n}{leaf}{')' * n};"),
-    "unary": (448, lambda n, leaf: f"return {'- ' * n}{leaf};"),
+    "unary": (449, lambda n, leaf: f"return {'- ' * n}{leaf};"),
     "flat-chain": (299, lambda n, leaf: f"return {' + '.join([leaf] + ['x'] * n)};"),
     "right-chain": (
-        256,
+        257,
         lambda n, leaf: f"return {'x - (' * (n // 2)}{'- ' * (n % 2)}{leaf}{')' * (n // 2)};",
     ),
     "calls": (224, lambda n, leaf: f"return {'g(' * n}{leaf}{')' * n};"),
     "indices": (127, lambda n, leaf: f"return {'a[' * n}{leaf} & 3{' & 3]' * n};"),
-    "blocks": (299, lambda n, leaf: f"{'{ ' * n}x = {leaf};{' }' * n} return x;"),
-    "if-blocks": (224, lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;"),
-    "bare-ifs": (224, lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;"),
+    "blocks": (449, lambda n, leaf: f"{'{ ' * n}x = {leaf};{' }' * n} return x;"),
+    "if-blocks": (299, lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;"),
+    "bare-ifs": (299, lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;"),
     # Every arm returns, so the type checker's return analysis walks the
     # whole chain.
     "if-else-returns": (
-        224,
+        299,
         lambda n, leaf: f"{'if (x > 0) { return 1; } else { ' * n}x = {leaf}; return x;{' }' * n}",
     ),
     "else-ifs": (
-        224,
+        299,
         lambda n, leaf: " else ".join(f"if (x == {i}) {{ x = x; }}" for i in range(n - 1))
         + f" else if (x == {n}) {{ x = {leaf}; }} return x;",
     ),
     "while-loops": (
-        179,
+        224,
         lambda n, leaf: f"{'while (true) { ' * n}x = {leaf}; return x;{' }' * n} return x;",
     ),
     "for-loops": (
-        111,
+        149,
         lambda n, leaf: f"{'for (int i = 0; i < 1; i = i + 1) { ' * n}x = {leaf};{' }' * n} return x;",
     ),
     "for-loops-without-init": (
-        179,
+        224,
         lambda n, leaf: f"{'for (; true; x = x) { ' * n}x = {leaf}; return x;{' }' * n} return x;",
     ),
 }
@@ -653,10 +653,10 @@ class TestNestingBound:
 
 def test_tests_at_the_bound_are_generalized_verified_and_concretized(tmp_path):
     """Test bodies as deep as the parser takes them go through generalize,
-    verify and concretize: a call under 200 parentheses, and one under 223
+    verify and concretize: a call under 200 parentheses, and one under 298
     nested `if` blocks."""
     parens = 200
-    ifs = 223
+    ifs = 298
     tests = (
         f"void test_parens() {{ int x = {'(' * parens}add(1, 2){')' * parens}; assert(x == 3); }}\n"
         f"void test_ifs() {{ int y = 0; {'if (y == 0) { ' * ifs}y = add(2, 2);{' }' * ifs}"

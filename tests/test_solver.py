@@ -1,10 +1,11 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfv.bitblast import bitblast
+from cfv.bitblast import _blast_node, bitblast
 from cfv.dpll import search, solve_cnf
 from cfv.errors import EncodeTimeout
 from cfv.smtlib import ExternalSolver, emit_smtlib
@@ -355,6 +356,49 @@ class TestAgreement:
             assert check_model(f, fast.model)
         if not f.root.is_const:  # sat_solve simulates these; search the clauses too
             assert learned_model(f) == (slow.model if isinstance(slow, Sat) else None)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100)
+    def test_every_gate_lies_in_the_root_cone(self, seed):
+        # Variables above the inputs are exactly the gates, each after its
+        # operands, and each read by the root through the gate list.
+        f = random_formula(random.Random(seed), width=4, max_inputs=3, depth=4)
+        cnf = bitblast(f)
+        assert [g for g, _, _ in cnf.gates] == list(range(cnf.num_inputs + 2, cnf.num_vars + 1))
+        for g, _, ops in cnf.gates:
+            assert all(abs(op) < g for op in ops)
+        reached = {abs(cnf.root)}
+        for g, _, ops in reversed(cnf.gates):
+            if g in reached:
+                reached.update(abs(op) for op in ops)
+        assert reached >= {g for g, _, _ in cnf.gates}
+
+    def test_equalities_share_their_high_bits(self):
+        # Chained from the MSB, x == 0 ... x == 7 share one chain over the
+        # 29 upper zero bits; chained from the LSB, each builds its own
+        # (284 variables).
+        f = single_input_formula(32, lambda b, x: b.any_([b.eq(x, b.const(i, 32)) for i in range(8)]))
+        assert bitblast(f).num_vars <= 90
+        assert sat_solve(f).model == {"x": 0}
+
+    def test_deadline_passing_while_clauses_are_written_raises(self, monkeypatch):
+        f = miter_formula(32)
+        assert bitblast(f).num_vars > 4096  # so writing the clauses polls the clock
+        root_built = []
+
+        def blast_node(bl, t, bits):
+            out = _blast_node(bl, t, bits)
+            if t is f.root:
+                root_built.append(True)
+            return out
+
+        # The clock passes the deadline only once the root's gates exist.
+        clock = SimpleNamespace(monotonic=lambda: 10.0 if root_built else 0.0)
+        monkeypatch.setattr("cfv.bitblast._blast_node", blast_node)
+        monkeypatch.setattr("cfv.bitblast.time", clock)
+        with pytest.raises(EncodeTimeout):
+            bitblast(f, deadline=1.0)
+        assert root_built
 
     def test_cnf_shape_invariants(self):
         rng = random.Random(7)
