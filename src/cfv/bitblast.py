@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass
 
 from cfv.dpll import SIM_MAX_INPUT_BITS
-from cfv.errors import EncodeTimeout
+from cfv.errors import Timeout
 from cfv.terms import BOOL, Formula, Term, postorder
 
 TRUE_LIT = 1
@@ -80,7 +80,7 @@ class _Blaster:
 
     def poll(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise EncodeTimeout("bit-blasting exceeded the time limit")
+            raise Timeout("bit-blasting exceeded the time limit")
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -310,9 +310,11 @@ def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
     """Translate a formula into an equisatisfiable CNF.
 
     Deterministic: identical formulas produce identical CNFs. Raises
-    EncodeTimeout when the optional deadline passes.
+    Timeout when the optional deadline passes: on entry, then every 4,096
+    gates built or emitted.
     """
     blaster = _Blaster(deadline)
+    blaster.poll()
     input_bits: dict[str, tuple[int, ...]] = {}
     bits: dict[int, list[int]] = {}  # term uid -> literals (LSB first; bools 1 lit)
 

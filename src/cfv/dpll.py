@@ -26,6 +26,9 @@ solve_cnf picks the procedure by the formula's input-bit count:
   corpus/minivec/old, 64 input bits and 2,891 variables once blasted,
   takes about 0.35 s on a 2-core x86-64 host.
 
+solve_cnf also polls the deadline on entry. A poll that finds it passed
+raises errors.Timeout, so a result is only ever "sat" or "unsat".
+
 How simulation keeps the least-model contract. Input bits take variables
 2..k + 1, most significant first, so valuation i gives variable 2 + j bit
 k - 1 - j of i. The low 12 bits of i pick the lane and the high bits the
@@ -68,6 +71,8 @@ import time
 from functools import cache
 from typing import TYPE_CHECKING
 
+from cfv.errors import Timeout
+
 if TYPE_CHECKING:
     from cfv.bitblast import CnfFormula
 
@@ -78,7 +83,6 @@ RESTART_UNIT = 100  # conflicts per Luby unit
 VAR_DECAY = 0.95
 FIRST_REDUCE = 2000  # learned clauses kept before the first deletion
 _POLL_MASK = 511  # poll the deadline every 512 steps
-_TIMEOUT = -2
 _LANE_BITS = 12  # 4,096 valuations per simulated chunk
 
 
@@ -86,14 +90,13 @@ class DpllResult:
     __slots__ = ("status", "assignment")
 
     def __init__(self, status: str, assignment: list[int] | None = None):
-        self.status = status  # "sat", "unsat", "timeout"
+        self.status = status  # "sat" or "unsat"
         self.assignment = assignment
 
 
 def solve_cnf(
     num_vars: int,
     clauses: list[tuple[int, ...]],
-    timeout_s: float | None = None,
     deadline: float | None = None,
     circuit: CnfFormula | None = None,
 ) -> DpllResult:
@@ -102,13 +105,17 @@ def solve_cnf(
     circuit is the bit-blasted formula the clauses encode. With at most
     SIM_MAX_INPUT_BITS input bits it is simulated; otherwise, or without a
     circuit, the learning core searches the clauses. Either way the model
-    is the lexicographically least one.
+    is the lexicographically least one. Raises Timeout past the deadline.
     """
-    if deadline is None and timeout_s is not None:
-        deadline = time.monotonic() + timeout_s
+    _check(deadline)
     if circuit is not None and circuit.num_inputs <= SIM_MAX_INPUT_BITS:
         return simulate(circuit, deadline)
     return search(num_vars, clauses, deadline)
+
+
+def _check(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise Timeout("solving exceeded the time limit")
 
 
 @cache
@@ -151,8 +158,7 @@ def simulate(circuit: CnfFormula, deadline: float | None = None) -> DpllResult:
     gates = circuit.gates
     root = circuit.root
     for chunk in range(1 << (k - lane_bits)):
-        if deadline is not None and time.monotonic() > deadline:
-            return DpllResult("timeout")
+        _check(deadline)
         for i in range(lane_bits, k):
             v = k + 1 - i
             w[v] = mask if chunk >> (i - lane_bits) & 1 else 0
@@ -308,15 +314,15 @@ def search(
         watches[b].append(ci)
 
     def propagate() -> int:
-        """Unit propagation; a conflicting clause index, -1, or _TIMEOUT."""
+        """Unit propagation; a conflicting clause index or -1."""
         nonlocal qhead, steps
         dl = len(trail_lim)
         while qhead < len(trail):
             f = -trail[qhead]  # the literal just made false
             qhead += 1
             steps += 1
-            if deadline is not None and not steps & _POLL_MASK and time.monotonic() > deadline:
-                return _TIMEOUT
+            if not steps & _POLL_MASK:
+                _check(deadline)
             ws = watches[f]
             i = 0
             end = len(ws)
@@ -459,8 +465,6 @@ def search(
     max_learnts = FIRST_REDUCE
     while True:
         confl = propagate()
-        if confl == _TIMEOUT:
-            return DpllResult("timeout")
         if confl >= 0:
             if not trail_lim:
                 return DpllResult("unsat")
@@ -520,7 +524,7 @@ def search(
             lit = v if phase[v] else -v
 
         steps += 1
-        if deadline is not None and not steps & _POLL_MASK and time.monotonic() > deadline:
-            return DpllResult("timeout")
+        if not steps & _POLL_MASK:
+            _check(deadline)
         trail_lim.append(len(trail))
         assign(lit, -1)

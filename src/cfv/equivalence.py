@@ -16,11 +16,13 @@ before being reported: a NotEquivalent witness that does not reproduce a
 concrete difference is a bug, not a result.
 
 A time limit covers encoding, building the miter, bit-blasting and
-solving; on expiry the verdict is Unknown and the caller treats the pair as
-changed. A pair whose relevant globals changed their declared initial value
-is also Unknown: the input-relational encoding compares functions over
-shared arbitrary states and cannot see initial-state divergence, so such
-pairs go straight to testing.
+solving. Each of those stages raises errors.Timeout at the poll that finds
+it expired; check_equivalence catches it in one place, the verdict is
+Unknown("timeout"), and the caller treats the pair as changed. A pair
+whose relevant globals changed their declared initial value is also
+Unknown: the input-relational encoding compares functions over shared
+arbitrary states and cannot see initial-state divergence, so such pairs go
+straight to testing.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import time
 from dataclasses import dataclass
 
 from cfv.changes import changed_globals, same_signature, structural_equiv
-from cfv.errors import EncodeTimeout
+from cfv.errors import Timeout
 from cfv.interp import DEFAULT_FUEL, Outcome, run_function, zero_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
-from cfv.solver import SolverStats, Timeout, Unknown, sat_solve, solve_bounded
+from cfv.solver import SolverStats, Unknown, sat_solve, solve_bounded
 from cfv.ssa import (
     GLOBAL_PREFIX,
     NONDET_PREFIX,
@@ -95,18 +97,14 @@ def closure_functions(fn: ast.FunctionDef, snap: Snapshot) -> list[ast.FunctionD
     return list(seen.values())
 
 
-def transitive_reads(fn: ast.FunctionDef, snap: Snapshot) -> set[str]:
-    out: set[str] = set()
+def transitive_globals(fn: ast.FunctionDef, snap: Snapshot) -> tuple[set[str], set[str]]:
+    """The globals fn and its callee closure read, and those they write."""
+    reads: set[str] = set()
+    writes: set[str] = set()
     for f in closure_functions(fn, snap):
-        out |= f.reads_globals
-    return out
-
-
-def transitive_writes(fn: ast.FunctionDef, snap: Snapshot) -> set[str]:
-    out: set[str] = set()
-    for f in closure_functions(fn, snap):
-        out |= f.writes_globals
-    return out
+        reads |= f.reads_globals
+        writes |= f.writes_globals
+    return reads, writes
 
 
 def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
@@ -238,9 +236,10 @@ def check_equivalence(
     if not same_signature(old_fn, new_fn):
         return NotEquivalent("signature_mismatch")
 
-    reads = transitive_reads(old_fn, old_snap) | transitive_reads(new_fn, new_snap)
-    writes = transitive_writes(old_fn, old_snap) | transitive_writes(new_fn, new_snap)
-    for name in sorted(reads | writes):
+    reads_old, writes_old = transitive_globals(old_fn, old_snap)
+    reads_new, writes_new = transitive_globals(new_fn, new_snap)
+    reads = reads_old | reads_new
+    for name in sorted(reads | writes_old | writes_new):
         d_old = old_snap.globals.get(name)
         d_new = new_snap.globals.get(name)
         if d_old is not None and d_new is not None and d_old.ty != d_new.ty:
@@ -257,19 +256,16 @@ def check_equivalence(
     deadline = time.monotonic() + cfg.timeout_s
     builder = TermBuilder(deadline)
     try:
-        old_ssa = encode_ssa(old_fn, old_snap, cfg, builder, True, deadline)
-        new_ssa = encode_ssa(new_fn, new_snap, cfg, builder, True, deadline)
+        old_ssa = encode_ssa(old_fn, old_snap, cfg, builder)
+        new_ssa = encode_ssa(new_fn, new_snap, cfg, builder)
         miter = build_miter(old_ssa, new_ssa)
-    except EncodeTimeout:
+        assume_ok = builder.and_(old_ssa.assume_ok, new_ssa.assume_ok)
+        unwound = builder.and_(old_ssa.unwinding_complete, new_ssa.unwinding_complete)
+        result = solve_bounded(solve, miter, assume_ok, unwound, deadline, stats)
+    except Timeout:
         return Unknown("timeout")
     except RecursionError:  # inlining stacks bodies each as deep as the parser allows
         return Unknown("unsupported")
-
-    assume_ok = builder.and_(old_ssa.assume_ok, new_ssa.assume_ok)
-    unwound = builder.and_(old_ssa.unwinding_complete, new_ssa.unwinding_complete)
-    result = solve_bounded(solve, miter, assume_ok, unwound, deadline, stats)
-    if isinstance(result, Timeout):
-        return Unknown("timeout")
     if isinstance(result, bool):
         return Equivalent("formal", cfg.loop_bound, result)
 

@@ -1,4 +1,10 @@
-"""Diagnostics and exception types shared across the toolkit."""
+"""Diagnostics and exception types shared across the toolkit.
+
+Timeout is the one way a stage reports that it ran out of time. Every stage
+that polls a deadline (building terms, encoding, bit-blasting, simulation,
+the learning core, the external-backend guard) raises it at the poll, and
+each check catches it once and records Unknown("timeout").
+"""
 
 from __future__ import annotations
 
@@ -44,9 +50,9 @@ class TypeCheckError(FrontendError):
     pass
 
 
-class EncodeTimeout(CfvError):
-    """Building a query ran past its deadline: its terms (the SSA encoding
-    or the miter) or its CNF (bit-blasting)."""
+class Timeout(CfvError):
+    """A stage polled its deadline (an absolute time.monotonic() value) and
+    found it passed."""
 
 
 class ConfigError(CfvError):

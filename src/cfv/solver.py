@@ -13,6 +13,11 @@ valuation and shares nothing with bitblast or dpll.
 
 Models map input names to unsigned residues for bitvectors and to bools
 for booleans.
+
+A deadline is always an absolute time.monotonic() value. A stage that finds
+it passed raises errors.Timeout, which sat_solve lets through: a result is
+Sat or Unsat, never a timeout. The one catch here is in solve_bounded, where
+a timed-out completeness call means the bound is not known to be complete.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 from cfv.bitblast import bitblast
 from cfv.dpll import solve_cnf
-from cfv.errors import EncodeTimeout
+from cfv.errors import Timeout
 from cfv.terms import BOOL, Formula, Term
 
 Model = dict[str, int | bool]
@@ -38,12 +43,7 @@ class Unsat:
     pass
 
 
-@dataclass
-class Timeout:
-    pass
-
-
-SolveResult = Sat | Unsat | Timeout
+SolveResult = Sat | Unsat
 
 
 @dataclass
@@ -58,21 +58,18 @@ class SolverStats:
     """Counts actual solver invocations; stage-1 equivalence must stay at 0."""
 
     solver_calls: int = 0
-    timeouts: int = 0
 
     def merge(self, other: "SolverStats") -> None:
         self.solver_calls += other.solver_calls
-        self.timeouts += other.timeouts
 
 
 def sat_solve(
     formula: Formula,
-    timeout_s: float | None = None,
     deadline: float | None = None,
     stats: SolverStats | None = None,
 ) -> SolveResult:
     """Decide via bit-blasting, then simulation or a SAT core; the deadline
-    covers both stages.
+    covers both stages, and either raises Timeout once it has passed.
 
     Up to dpll.SIM_MAX_INPUT_BITS (16) input bits the blasted circuit is
     simulated on every valuation, 4,096 at a time, in counting order; the
@@ -81,23 +78,12 @@ def sat_solve(
     that returns the least model. Either way the model is the
     lexicographically least one.
     """
-    if deadline is None and timeout_s is not None:
-        deadline = time.monotonic() + timeout_s
     if stats is not None:
         stats.solver_calls += 1
     if formula.root.is_const:
         return Sat(_default_model(formula)) if formula.root.value else Unsat()
-    try:
-        cnf = bitblast(formula, deadline)
-    except EncodeTimeout:
-        if stats is not None:
-            stats.timeouts += 1
-        return Timeout()
+    cnf = bitblast(formula, deadline)
     result = solve_cnf(cnf.num_vars, cnf.clauses, deadline=deadline, circuit=cnf)
-    if result.status == "timeout":
-        if stats is not None:
-            stats.timeouts += 1
-        return Timeout()
     if result.status == "unsat":
         return Unsat()
     assignment = result.assignment
@@ -113,11 +99,11 @@ def sat_solve(
 
 def solve_bounded(
     solve, formula: Formula, assume_ok: Term, unwound: Term, deadline, stats
-) -> Sat | Timeout | bool:
+) -> Sat | bool:
     """solve(formula), with Unsat turned into whether the bound is complete:
     True unless an input allowed by assume_ok escapes the unwinding bound
     (CBMC's unwinding check, one more call unless unwound is constant true)
-    or that call times out."""
+    or that call times out. A timeout of the first call propagates."""
     result = solve(formula, deadline=deadline, stats=stats)
     if not isinstance(result, Unsat):
         return result
@@ -125,7 +111,10 @@ def solve_bounded(
         return True
     b = formula.builder
     escape = Formula(b, b.and_(assume_ok, b.not_(unwound)), formula.inputs)
-    return isinstance(solve(escape, deadline=deadline, stats=stats), Unsat)
+    try:
+        return isinstance(solve(escape, deadline=deadline, stats=stats), Unsat)
+    except Timeout:
+        return False
 
 
 def _default_model(formula: Formula) -> Model:
@@ -141,30 +130,28 @@ def make_solve_fn(external=None):
     results still go through the internal solver because witnesses need a
     model in our own format. Anything the external tool cannot answer falls
     back to the internal route as well. A call made with its deadline
-    already passed is a Timeout and starts no external process.
+    already passed raises Timeout and starts no external process.
     """
     if external is None:
         return sat_solve
 
     def solve(
         formula: Formula,
-        timeout_s: float | None = None,
         deadline: float | None = None,
         stats: SolverStats | None = None,
     ) -> SolveResult:
-        remaining = timeout_s
+        remaining = None
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 if stats is not None:
                     stats.solver_calls += 1
-                    stats.timeouts += 1
-                return Timeout()
+                raise Timeout("the deadline passed before the external solver started")
         verdict = external.decide(formula, remaining)
         if verdict == "unsat":
             if stats is not None:
                 stats.solver_calls += 1
             return Unsat()
-        return sat_solve(formula, timeout_s=timeout_s, deadline=deadline, stats=stats)
+        return sat_solve(formula, deadline=deadline, stats=stats)
 
     return solve

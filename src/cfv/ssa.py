@@ -17,14 +17,17 @@ through the interpreter.
 Two entry-state modes: equivalence checking reads globals as fresh shared
 input symbols (a function can be called in any state), while whole-test
 verification starts from the snapshot's declared initial values.
+
+The builder's deadline, if it has one, bounds the encoding: each loop
+iteration and each inlined call polls it through TermBuilder.check_deadline,
+which raises errors.Timeout once it has passed.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from cfv.errors import CfvError, EncodeTimeout
+from cfv.errors import CfvError
 from cfv.interp import initial_globals
 from cfv.minic import ast
 from cfv.minic.ast import Span
@@ -104,7 +107,6 @@ class Encoder:
         cfg: UnrollConfig,
         builder: TermBuilder | None = None,
         symbolic_globals: bool = True,
-        deadline: float | None = None,
     ):
         if snap.width != cfg.width:
             raise ValueError(
@@ -112,9 +114,8 @@ class Encoder:
             )
         self.snap = snap
         self.cfg = cfg
-        self.b = builder if builder is not None else TermBuilder(deadline)
+        self.b = builder if builder is not None else TermBuilder()
         self.symbolic_globals = symbolic_globals
-        self.deadline = deadline
         self.width = cfg.width
 
     # -- entry ----------------------------------------------------------------
@@ -176,10 +177,6 @@ class Encoder:
         if isinstance(ty, ast.ArrayType):
             return tuple(self.b.const(0, self.width) for _ in range(ty.length))
         return self.b.const(0, self.width)
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise EncodeTimeout("encoding exceeded the time limit")
 
     def global_value(self, name: str) -> Term | tuple[Term, ...]:
         value = self.global_env.get(name)
@@ -298,7 +295,7 @@ class Encoder:
         b = self.b
         g = eff
         for _ in range(self.cfg.loop_bound):
-            self._check_deadline()
+            self.b.check_deadline()
             live = b.and_(g, b.not_(frame.ret_flag))
             cond = self.eval(stmt.cond, live, frame)
             g = b.and_(live, cond)
@@ -407,7 +404,7 @@ class Encoder:
             # Call chain exceeds the inlining bound on this path.
             self.uc = b.and_(self.uc, b.not_(guard))
             return self._default(fn.return_type)
-        self._check_deadline()
+        self.b.check_deadline()
         self.depth += 1
         callee = _Frame(
             {p.name: value for p, value in zip(fn.params, args)},
@@ -425,10 +422,9 @@ def encode_ssa(
     cfg: UnrollConfig,
     builder: TermBuilder | None = None,
     symbolic_globals: bool = True,
-    deadline: float | None = None,
 ) -> SsaProgram:
     """Encode one type-checked function under the given unrolling bounds."""
-    encoder = Encoder(snap, cfg, builder, symbolic_globals, deadline)
+    encoder = Encoder(snap, cfg, builder, symbolic_globals)
     return encoder.encode_function(fn)
 
 

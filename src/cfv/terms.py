@@ -33,7 +33,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from cfv.errors import EncodeTimeout
+from cfv.errors import Timeout
 
 BOOL = 0
 
@@ -102,8 +102,9 @@ class TermBuilder:
 
     One builder per solving task; terms from different builders must not be
     mixed. All ops validate operand widths. With a deadline (a
-    time.monotonic() value), eq raises EncodeTimeout once it has passed: it
-    is the one op whose single call can expand into thousands of nodes.
+    time.monotonic() value), eq raises errors.Timeout once it has passed: it
+    is the one op whose single call can expand into thousands of nodes. The
+    encoder polls the same deadline through check_deadline.
     """
 
     def __init__(self, deadline: float | None = None) -> None:
@@ -268,16 +269,17 @@ class TermBuilder:
         self._poll()
         return result
 
+    def check_deadline(self) -> None:
+        """Raise Timeout if the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise Timeout("building terms exceeded the time limit")
+
     def _poll(self) -> None:
-        """Count one unit of miter work; read the clock once per
-        _EQ_POLL_EVERY units and raise EncodeTimeout past the deadline."""
+        """Count one unit of miter work; check the deadline once per
+        _EQ_POLL_EVERY units."""
         self._eq_work += 1
-        if (
-            self.deadline is not None
-            and self._eq_work % _EQ_POLL_EVERY == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise EncodeTimeout("building terms exceeded the time limit")
+        if self._eq_work % _EQ_POLL_EVERY == 0:
+            self.check_deadline()
 
     def _leaf_pairs(self, a: Term, b: Term) -> Term:
         """eq(a, b) for two ites under different guards:

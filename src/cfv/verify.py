@@ -8,6 +8,10 @@ through the reference interpreter with tracing on; the counterexample that
 comes out therefore carries a real execution trace and a failing assertion
 site, not a decoded guess. Concretization turns that counterexample back
 into an ordinary nondet-free test that fails under plain interpretation.
+
+The time limit covers encoding and solving. A stage that finds it expired
+raises errors.Timeout; verify_test catches it in one place and returns
+Unknown("timeout").
 """
 
 from __future__ import annotations
@@ -15,15 +19,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from cfv.errors import EncodeTimeout
+from cfv.errors import Timeout
 from cfv.harness import GeneralizedTest, TestCase
 from cfv.interp import DEFAULT_FUEL, run_function
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
-from cfv.solver import SolverStats, Timeout, Unknown, sat_solve, solve_bounded
+from cfv.solver import SolverStats, Unknown, sat_solve, solve_bounded
 from cfv.ssa import UnrollConfig, encode_ssa, verification_formula
-from cfv.terms import collector_paused, to_signed
+from cfv.terms import TermBuilder, collector_paused, to_signed
 
 
 @dataclass
@@ -62,19 +66,15 @@ def verify_test(
     solve = solve_fn if solve_fn is not None else sat_solve
     deadline = time.monotonic() + cfg.timeout_s
     try:
-        prog = encode_ssa(
-            gt.body, snap, cfg, symbolic_globals=False, deadline=deadline
+        prog = encode_ssa(gt.body, snap, cfg, TermBuilder(deadline), symbolic_globals=False)
+        result = solve_bounded(
+            solve, verification_formula(prog), prog.assume_ok,
+            prog.unwinding_complete, deadline, stats,
         )
-    except EncodeTimeout:
+    except Timeout:
         return Unknown("timeout")
     except RecursionError:  # inlining stacks bodies each as deep as the parser allows
         return Unknown("unsupported")
-    formula = verification_formula(prog)
-    result = solve_bounded(
-        solve, formula, prog.assume_ok, prog.unwinding_complete, deadline, stats
-    )
-    if isinstance(result, Timeout):
-        return Unknown("timeout")
     if isinstance(result, bool):
         return Pass(cfg.loop_bound, result)
 

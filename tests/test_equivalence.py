@@ -11,7 +11,7 @@ from cfv.equivalence import (
     build_miter,
     check_equivalence,
     observables_differ,
-    transitive_reads,
+    transitive_globals,
 )
 from cfv.snapshot import load_snapshot, snapshot_from_sources
 from cfv.solver import SolverStats, Unsat, sat_solve
@@ -28,11 +28,13 @@ def snap(src: str, label: str = "s", width: int = 4):
     return snapshot_from_sources({"t.c": src}, label, width)
 
 
-def check(old_src: str, new_src: str, cfg: UnrollConfig = W4, name: str = "f", stats=None):
+def check(
+    old_src: str, new_src: str, cfg: UnrollConfig = W4, name: str = "f", stats=None, solve_fn=None
+):
     old = snap(old_src, "old", cfg.width)
     new = snap(new_src, "new", cfg.width)
     return check_equivalence(
-        old.functions[name], new.functions[name], (old, new), cfg, stats
+        old.functions[name], new.functions[name], (old, new), cfg, stats, solve_fn
     )
 
 
@@ -146,6 +148,21 @@ class TestStageTwo:
             cfg,
         )
         assert isinstance(verdict, Unknown) and verdict.reason == "timeout"
+
+    def test_timed_out_completeness_call_leaves_the_bound_incomplete(
+        self, second_call_past_deadline
+    ):
+        # The loop stops by itself within the bound, so the completeness
+        # query is unsat, but unwinding_complete is not constant. When that
+        # second call times out, the proof stands and only completeness is
+        # given up.
+        old = "int f(int n){int s = 0; int i = 0; while (i < n && i < 3) { s = s + 2; i = i + 1; } return s;}"
+        new = old.replace("s = s + 2;", "s = s + 1; s = s + 1;")
+        assert check(old, new) == Equivalent("formal", W4.loop_bound, complete=True)
+        solve, calls = second_call_past_deadline
+        verdict = check(old, new, solve_fn=solve)
+        assert len(calls) == 2 and calls[1].input_bits <= 16
+        assert verdict == Equivalent("formal", W4.loop_bound, complete=False)
 
     def test_miter_build_obeys_the_time_limit(self):
         # With a 32-element buffer unrolled 32 times, vec_insert's width-8
@@ -280,5 +297,5 @@ class TestProperties:
 
 
 def test_transitive_reads_follow_calls():
-    s = snap("int g; int inner(){return g;} int f(){return inner();}")
-    assert transitive_reads(s.functions["f"], s) == {"g"}
+    s = snap("int g; int h; int inner(){h = 1; return g;} int f(){return inner();}")
+    assert transitive_globals(s.functions["f"], s) == ({"g"}, {"h"})

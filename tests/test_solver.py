@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from cfv.bitblast import _blast_node, bitblast
 from cfv.dpll import search, solve_cnf
-from cfv.errors import EncodeTimeout
+from cfv.errors import Timeout
 from cfv.smtlib import ExternalSolver, emit_smtlib
 from cfv.solver import (
     Sat,
     SolverStats,
-    Timeout,
     Unsat,
     make_solve_fn,
     sat_solve,
@@ -211,15 +210,17 @@ class TestSolverExamples:
         lhs = b.mul(b.add(p, b.const(1, 32)), q)
         rhs = b.add(b.mul(p, q), q)
         f = Formula(b, b.ne(lhs, rhs), (p, q))
-        assert isinstance(sat_solve(f, timeout_s=1.0), Timeout)
+        with pytest.raises(Timeout):
+            sat_solve(f, deadline=time.monotonic() + 1.0)
 
     def test_blasting_past_the_deadline_raises_the_shared_timeout(self):
         f = miter_formula(32)  # thousands of gates, so the blaster polls
-        with pytest.raises(EncodeTimeout):
+        with pytest.raises(Timeout):
             bitblast(f, deadline=time.monotonic() - 1)
         stats = SolverStats()
-        assert isinstance(sat_solve(f, deadline=time.monotonic() - 1, stats=stats), Timeout)
-        assert stats.timeouts == 1
+        with pytest.raises(Timeout):
+            sat_solve(f, deadline=time.monotonic() - 1, stats=stats)
+        assert stats.solver_calls == 1
 
 
 def miter_formula(width):
@@ -253,7 +254,7 @@ def boundary_formula(flags):
 
 class TestSimulation:
     def test_width8_multiplier_miter_is_unsat_quickly(self):
-        assert isinstance(sat_solve(miter_formula(8), timeout_s=5), Unsat)
+        assert isinstance(sat_solve(miter_formula(8), deadline=time.monotonic() + 5), Unsat)
 
     def test_single_valuations_are_found_in_every_chunk_and_lane(self):
         b = TermBuilder()
@@ -274,7 +275,15 @@ class TestSimulation:
     def test_deadline_already_past_times_out(self):
         f = miter_formula(8)
         assert f.input_bits == 16
-        assert isinstance(sat_solve(f, deadline=time.monotonic() - 1), Timeout)
+        with pytest.raises(Timeout):
+            sat_solve(f, deadline=time.monotonic() - 1)
+
+    def test_blasting_entered_past_the_deadline_raises_at_once(self):
+        # Far fewer gates than the blaster's periodic poll interval.
+        f = single_input_formula(8, lambda b, x: b.eq(b.add(x, b.const(3, 8)), b.const(7, 8)))
+        assert bitblast(f).num_vars < 100
+        with pytest.raises(Timeout):
+            bitblast(f, deadline=time.monotonic() - 1)
 
 
 class TestDpll:
@@ -289,6 +298,12 @@ class TestDpll:
     def test_no_clauses_is_sat(self):
         result = solve_cnf(2, [])
         assert result.status == "sat"
+
+    def test_search_entered_past_the_deadline_raises_at_once(self):
+        # No circuit, so the learning core runs; it needs far fewer than
+        # the 512 steps between its periodic polls.
+        with pytest.raises(Timeout):
+            solve_cnf(2, [(1, 2), (-1, 2)], deadline=time.monotonic() - 1)
 
     def test_backtracking(self):
         # (x1 | x2) & (!x1 | x2) & (x1 | !x2) forces x1 = x2 = true.
@@ -396,7 +411,7 @@ class TestAgreement:
         clock = SimpleNamespace(monotonic=lambda: 10.0 if root_built else 0.0)
         monkeypatch.setattr("cfv.bitblast._blast_node", blast_node)
         monkeypatch.setattr("cfv.bitblast.time", clock)
-        with pytest.raises(EncodeTimeout):
+        with pytest.raises(Timeout):
             bitblast(f, deadline=1.0)
         assert root_built
 
@@ -468,10 +483,10 @@ class TestSmtlib:
         formula = Formula(b, b.eq(x, b.const(1, 8)), (x,))
         stats = SolverStats()
         solve = make_solve_fn(ext)
-        result = solve(formula, deadline=time.monotonic() - 1.0, stats=stats)
-        assert isinstance(result, Timeout)
+        with pytest.raises(Timeout):
+            solve(formula, deadline=time.monotonic() - 1.0, stats=stats)
         assert ext.calls == []
-        assert (stats.solver_calls, stats.timeouts) == (1, 1)
+        assert stats.solver_calls == 1
         assert isinstance(solve(formula, deadline=time.monotonic() + 5.0), Unsat)
         assert len(ext.calls) == 1 and 0 < ext.calls[0] <= 5.0
 

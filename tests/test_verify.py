@@ -63,6 +63,29 @@ void test_a(){
         result = verify_test(gt, view, W4)
         assert isinstance(result, Pass) and not result.complete
 
+    def test_timed_out_completeness_call_leaves_the_bound_incomplete(
+        self, tmp_path, second_call_past_deadline
+    ):
+        # The loop stops by itself within the bound, so the completeness
+        # query is unsat; when it times out the test still passes, only
+        # incompletely.
+        gt, view = as_generalized(
+            """
+void test_a(){
+    int n = nondet_int();
+    int i = 0;
+    while (i < n && i < 3) { i = i + 1; }
+    assert(i <= 3);
+}
+""",
+            tmp_path=tmp_path,
+        )
+        assert verify_test(gt, view, W4) == Pass(W4.loop_bound, True)
+        solve, calls = second_call_past_deadline
+        result = verify_test(gt, view, W4, solve_fn=solve)
+        assert len(calls) == 2 and calls[1].input_bits <= 16
+        assert result == Pass(W4.loop_bound, False)
+
     def test_bounds_violation_is_found(self, tmp_path):
         gt, view = as_generalized(
             "void test_a(){int x = nondet_int(); int v = buf[x]; assert(v == v);}",
