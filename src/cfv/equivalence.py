@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from cfv.changes import changed_globals, same_signature, structural_equiv
 from cfv.errors import Timeout
-from cfv.interp import DEFAULT_FUEL, Outcome, run_function, zero_globals
+from cfv.interp import Outcome, run_function, zero_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
 from cfv.solver import SolverStats, Unknown, sat_solve, solve_bounded
@@ -113,6 +113,7 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
     if old.builder is not new.builder:
         raise ValueError("miter sides must share one term builder")
     b = old.builder
+    b.check_deadline()
 
     diffs: list[Term] = []
     if old.ret is not None:
@@ -199,7 +200,6 @@ def replay(
     fn: ast.FunctionDef,
     prog: SsaProgram,
     witness: Witness,
-    fuel: int = DEFAULT_FUEL,
 ) -> Observables:
     """Run fn concretely on the witness and package its observables."""
     globals_init = zero_globals(snap)
@@ -208,7 +208,7 @@ def replay(
             globals_init[name] = list(value) if isinstance(value, list) else value
     outcome: Outcome = run_function(
         snap, fn, list(witness.params), globals_init,
-        prog.nondet_values(witness.nondets), fuel,
+        prog.nondet_values(witness.nondets),
     )
     return Observables(outcome.ok, outcome.status, outcome.ret, outcome.globals)
 

@@ -126,9 +126,7 @@ def _check_tests(
                     )
                 )
                 continue
-            if not any(
-                isinstance(s, ast.Assert) for s in ast.walk_stmts(fn.body)
-            ):
+            if not any(isinstance(n, ast.Assert) for n in ast.preorder(fn.body)):
                 diagnostics.append(
                     Diagnostic(
                         unit.path,
@@ -234,7 +232,7 @@ def generalize(t: TestCase, targets: set[str]) -> GeneralizedTest:
     if not targets:
         raise ValueError("targets must be nonempty")
     manual = any(
-        isinstance(e, (ast.NondetInt, ast.NondetBool)) for e in ast.all_exprs(t.body)
+        isinstance(e, (ast.NondetInt, ast.NondetBool)) for e in ast.preorder(t.body.body)
     )
     gen = _Generalizer(targets)
     body = ast.map_stmt(t.body.body, gen.expr, gen.stmt)

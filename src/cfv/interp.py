@@ -10,6 +10,12 @@ access site.
 Execution is fuel-bounded (a nontermination guard) and can record a trace
 of every executed assignment, which is how counterexample traces are
 produced: a failing input is simply re-run concretely.
+
+Each call gets a frame that maps the slots the type checker gave the
+callee's parameters and locals to their values; a variable is read with one
+lookup of its node's slot, and names are never resolved here. Apart from
+the frontend, the interpreter imports only the word arithmetic of
+`cfv.terms`, nothing of the encoder, blaster or solver it judges.
 """
 
 from __future__ import annotations
@@ -146,11 +152,9 @@ class Interpreter:
         self.call_depth += 1
         if self.call_depth > MAX_CALL_DEPTH:
             raise _Halt("out_of_fuel", span)
-        scopes: list[dict[str, Value]] = [
-            {p.name: v for p, v in zip(fn.params, args)}
-        ]
+        frame: dict[int, Value] = dict(enumerate(args))
         try:
-            self.exec_block(fn.body, scopes)
+            self.exec_block(fn.body, frame)
         except _ReturnSignal as sig:
             return sig.value
         finally:
@@ -159,84 +163,78 @@ class Interpreter:
 
     # -- statements ------------------------------------------------------------
 
-    def exec_block(self, block: ast.Block, scopes: list[dict[str, Value]]) -> None:
-        scopes.append({})
-        try:
-            for stmt in block.stmts:
-                self.exec_stmt(stmt, scopes)
-        finally:
-            scopes.pop()
+    def exec_block(self, block: ast.Block, frame: dict[int, Value]) -> None:
+        for stmt in block.stmts:
+            self.exec_stmt(stmt, frame)
 
-    def exec_stmt(self, stmt: ast.Stmt, scopes) -> None:
+    def exec_stmt(self, stmt: ast.Stmt, frame: dict[int, Value]) -> None:
         self.burn(stmt.span)
         if isinstance(stmt, ast.Block):
-            self.exec_block(stmt, scopes)
+            self.exec_block(stmt, frame)
         elif isinstance(stmt, ast.VarDecl):
             if isinstance(stmt.declared_type, ast.ArrayType):
                 value: Value = [0] * stmt.declared_type.length
             elif stmt.init is not None:
-                value = self.eval(stmt.init, scopes)
+                value = self.eval(stmt.init, frame)
             elif isinstance(stmt.declared_type, ast.BoolType):
                 value = False
             else:
                 value = 0
-            scopes[-1][stmt.name] = value
+            frame[ast.slot_of(stmt)] = value
             if not isinstance(value, list):
                 self.record(stmt.span, stmt.name, value)
         elif isinstance(stmt, ast.Assign):
-            self.exec_assign(stmt, scopes)
+            self.exec_assign(stmt, frame)
         elif isinstance(stmt, ast.If):
-            if self.eval(stmt.cond, scopes):
-                self.exec_block(stmt.then_body, scopes)
+            if self.eval(stmt.cond, frame):
+                self.exec_block(stmt.then_body, frame)
             elif stmt.else_body is not None:
-                self.exec_block(stmt.else_body, scopes)
+                self.exec_block(stmt.else_body, frame)
         elif isinstance(stmt, ast.While):
             while True:
                 self.burn(stmt.span)
-                if not self.eval(stmt.cond, scopes):
+                if not self.eval(stmt.cond, frame):
                     break
-                self.exec_block(stmt.body, scopes)
+                self.exec_block(stmt.body, frame)
         elif isinstance(stmt, ast.Return):
-            value = self.eval(stmt.value, scopes) if stmt.value is not None else None
+            value = self.eval(stmt.value, frame) if stmt.value is not None else None
             raise _ReturnSignal(value)
         elif isinstance(stmt, ast.Assert):
-            if not self.eval(stmt.cond, scopes):
+            if not self.eval(stmt.cond, frame):
                 raise _Halt("assert_fail", stmt.span)
         elif isinstance(stmt, ast.Assume):
-            if not self.eval(stmt.cond, scopes):
+            if not self.eval(stmt.cond, frame):
                 raise _Halt("assume_halt", stmt.span)
         elif isinstance(stmt, ast.ExprStmt):
-            self.eval(stmt.expr, scopes, allow_void=True)
+            self.eval(stmt.expr, frame, allow_void=True)
         else:  # pragma: no cover
             raise AssertionError(f"unknown statement {stmt!r}")
 
-    def exec_assign(self, stmt: ast.Assign, scopes) -> None:
+    def exec_assign(self, stmt: ast.Assign, frame: dict[int, Value]) -> None:
         target = stmt.target
         if isinstance(target, ast.VarRef):
-            value = self.eval(stmt.value, scopes)
-            self.store(target.name, value, scopes)
+            value = self.eval(stmt.value, frame)
+            self.store(target, value, frame)
             self.record(stmt.span, target.name, value)
         else:
             assert isinstance(target, ast.ArrayIndex)
-            idx = self.eval(target.index, scopes)
-            arr = self.load(target.name, scopes)
+            idx = self.eval(target.index, frame)
+            arr = self.load(target, frame)
             self.check_bounds(idx, len(arr), target.span)
-            value = self.eval(stmt.value, scopes)
+            value = self.eval(stmt.value, frame)
             arr[to_signed(idx, self.width)] = value
             self.record(stmt.span, f"{target.name}[{to_signed(idx, self.width)}]", value)
 
-    def load(self, name: str, scopes) -> Value:
-        for scope in reversed(scopes):
-            if name in scope:
-                return scope[name]
-        return self.globals[name]
+    def load(self, ref: ast.VarRef | ast.ArrayIndex, frame: dict[int, Value]) -> Value:
+        slot = ast.slot_of(ref)
+        return self.globals[ref.name] if slot == ast.GLOBAL else frame[slot]
 
-    def store(self, name: str, value, scopes) -> None:
-        for scope in reversed(scopes):
-            if name in scope:
-                scope[name] = value
-                return
-        self.globals[name] = value
+    def store(self, ref: ast.VarRef, value, frame: dict[int, Value]) -> None:
+        slot = ast.slot_of(ref)
+        if slot == ast.GLOBAL:
+            self.globals[ref.name] = value
+        else:
+            frame[slot] = value
 
     def check_bounds(self, idx: int, length: int, span: Span) -> None:
         signed = to_signed(idx, self.width)
@@ -245,7 +243,7 @@ class Interpreter:
 
     # -- expressions ---------------------------------------------------------
 
-    def eval(self, expr: ast.Expr, scopes, allow_void: bool = False):
+    def eval(self, expr: ast.Expr, frame: dict[int, Value], allow_void: bool = False):
         self.burn(expr.span)
         w = self.width
         if isinstance(expr, ast.IntLit):
@@ -253,24 +251,24 @@ class Interpreter:
         if isinstance(expr, ast.BoolLit):
             return expr.value
         if isinstance(expr, ast.VarRef):
-            return self.load(expr.name, scopes)
+            return self.load(expr, frame)
         if isinstance(expr, ast.ArrayIndex):
-            idx = self.eval(expr.index, scopes)
-            arr = self.load(expr.name, scopes)
+            idx = self.eval(expr.index, frame)
+            arr = self.load(expr, frame)
             self.check_bounds(idx, len(arr), expr.span)
             return arr[to_signed(idx, w)]
         if isinstance(expr, ast.Unary):
-            v = self.eval(expr.operand, scopes)
+            v = self.eval(expr.operand, frame)
             if expr.op == "-":
                 return to_unsigned(-v, w)
             if expr.op == "~":
                 return v ^ mask(w)
             return not v
         if isinstance(expr, ast.Binary):
-            return self.eval_binary(expr, scopes)
+            return self.eval_binary(expr, frame)
         if isinstance(expr, ast.Call):
             fn = self.snap.functions[expr.name]
-            args = [self.eval(a, scopes) for a in expr.args]
+            args = [self.eval(a, frame) for a in expr.args]
             return self.call(fn, args, expr.span)
         if isinstance(expr, (ast.NondetInt, ast.NondetBool)):
             if self.nondet_values is None:
@@ -291,19 +289,19 @@ class Interpreter:
             return to_unsigned(int(value), w)
         raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
 
-    def eval_binary(self, expr: ast.Binary, scopes):
+    def eval_binary(self, expr: ast.Binary, frame: dict[int, Value]):
         op = expr.op
         w = self.width
         if op == "&&":
-            return bool(self.eval(expr.left, scopes)) and bool(
-                self.eval(expr.right, scopes)
+            return bool(self.eval(expr.left, frame)) and bool(
+                self.eval(expr.right, frame)
             )
         if op == "||":
-            return bool(self.eval(expr.left, scopes)) or bool(
-                self.eval(expr.right, scopes)
+            return bool(self.eval(expr.left, frame)) or bool(
+                self.eval(expr.right, frame)
             )
-        a = self.eval(expr.left, scopes)
-        b = self.eval(expr.right, scopes)
+        a = self.eval(expr.left, frame)
+        b = self.eval(expr.right, frame)
         if op == "+":
             return (a + b) & mask(w)
         if op == "-":

@@ -1,10 +1,17 @@
 """Typed AST for the MiniC subset.
 
 Every node carries a source span. Equality between nodes is structural and
-span-insensitive (spans and inferred types are excluded from comparison), so
-two parses of the same text, or of texts differing only in layout and
-comments, compare equal. The round-trip tests use it; the structural
-equivalence stage compares the flat keys of `normalize.alpha_key` instead.
+span-insensitive (spans, inferred types and slots are excluded from
+comparison), so two parses of the same text, or of texts differing only in
+layout and comments, compare equal. The round-trip tests use it; the
+structural equivalence stage compares the flat keys of `normalize.alpha_key`
+instead.
+
+Names are resolved once, by the type checker: it writes a `slot` onto every
+`VarDecl`, `VarRef` and `ArrayIndex`. Parameters hold slots 0..n-1 and each
+local declaration the next slot in source order; a reference to a global
+holds `GLOBAL`. A parsed tree has no slots yet, and `slot_of` raises on it,
+so no pass reads an unchecked name as a global.
 
 Value semantics: all integers are two's complement at one configurable width
 per snapshot; arrays are fixed-length with int elements; booleans are a
@@ -78,7 +85,8 @@ VALID_WIDTHS = (4, 8, 16, 32)
 # ---------------------------------------------------------------------------
 # Expressions
 #
-# `ty` is filled in by the type checker and never participates in equality.
+# `ty` and `slot` are filled in by the type checker and never participate in
+# equality.
 
 
 @dataclass
@@ -102,6 +110,7 @@ class BoolLit(Expr):
 class VarRef(Expr):
     name: str
     ty: Type | None = field(default=None, compare=False, repr=False)
+    slot: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -109,6 +118,7 @@ class ArrayIndex(Expr):
     name: str
     index: Expr
     ty: Type | None = field(default=None, compare=False, repr=False)
+    slot: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -182,6 +192,7 @@ class VarDecl(Stmt):
     name: str
     declared_type: Type
     init: Expr | None
+    slot: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -280,6 +291,17 @@ class SourceUnit:
         return [d for d in self.declarations if isinstance(d, GlobalDecl)]
 
 
+# The slot of a reference to a global.
+GLOBAL = -1
+
+
+def slot_of(node: VarRef | ArrayIndex | VarDecl) -> int:
+    """The slot the type checker gave node: a local's, or GLOBAL."""
+    if node.slot is None:
+        raise ValueError(f"{node.name!r} at {node.span} is unresolved; type-check it first")
+    return node.slot
+
+
 def literal_value(e: Expr | None) -> int | bool | None:
     """The value of an int or bool literal or a negated int literal, else None."""
     if isinstance(e, (IntLit, BoolLit)):
@@ -298,7 +320,7 @@ def map_expr(e: Expr, hook: ExprHook) -> Expr:
     """Rebuild an expression through hook, which sees each node before its
     children. The hook returns a replacement node, used as it is, or None,
     which means "rebuild this node around its mapped children". Rebuilt
-    nodes keep their span and type; leaves are kept as they are.
+    nodes keep their span, type and slot; leaves are kept as they are.
     """
     new = hook(e)
     if new is not None:
@@ -310,7 +332,7 @@ def map_expr(e: Expr, hook: ExprHook) -> Expr:
     if isinstance(e, Unary):
         return Unary(e.span, e.op, map_expr(e.operand, hook), e.ty)
     if isinstance(e, ArrayIndex):
-        return ArrayIndex(e.span, e.name, map_expr(e.index, hook), e.ty)
+        return ArrayIndex(e.span, e.name, map_expr(e.index, hook), e.ty, e.slot)
     if isinstance(e, Call):
         return Call(e.span, e.name, [map_expr(a, hook) for a in e.args], e.ty)
     raise AssertionError(f"unknown expression {e!r}")  # pragma: no cover
@@ -321,7 +343,7 @@ def map_stmt(s: Stmt, expr_hook: ExprHook, stmt_hook: StmtHook = lambda s: None)
     map_expr(e, expr_hook). stmt_hook has the same contract as the
     expression hook: a replacement is used as it is, None means "rebuild
     this statement around its mapped children", and rebuilt statements keep
-    their span. Children are mapped in source order.
+    their span and slot. Children are mapped in source order.
     """
     new = stmt_hook(s)
     if new is not None:
@@ -332,7 +354,7 @@ def map_stmt(s: Stmt, expr_hook: ExprHook, stmt_hook: StmtHook = lambda s: None)
         return Assign(s.span, map_expr(s.target, expr_hook), map_expr(s.value, expr_hook))
     if isinstance(s, VarDecl):
         init = None if s.init is None else map_expr(s.init, expr_hook)
-        return VarDecl(s.span, s.name, s.declared_type, init)
+        return VarDecl(s.span, s.name, s.declared_type, init, s.slot)
     if isinstance(s, If):
         return If(
             s.span,
@@ -351,51 +373,39 @@ def map_stmt(s: Stmt, expr_hook: ExprHook, stmt_hook: StmtHook = lambda s: None)
     raise AssertionError(f"unknown statement {s!r}")  # pragma: no cover
 
 
-def walk_stmts(stmt: Stmt):
-    """Yield stmt and all statements nested inside it, preorder."""
-    yield stmt
-    if isinstance(stmt, Block):
-        for s in stmt.stmts:
-            yield from walk_stmts(s)
-    elif isinstance(stmt, If):
-        yield from walk_stmts(stmt.then_body)
-        if stmt.else_body is not None:
-            yield from walk_stmts(stmt.else_body)
-    elif isinstance(stmt, While):
-        yield from walk_stmts(stmt.body)
-
-
-def walk_exprs_of_stmt(stmt: Stmt):
-    """Yield the expressions directly attached to one statement."""
-    if isinstance(stmt, VarDecl) and stmt.init is not None:
-        yield stmt.init
-    elif isinstance(stmt, Assign):
-        yield stmt.target
-        yield stmt.value
-    elif isinstance(stmt, (If, While, Assert, Assume)):
-        yield stmt.cond
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        yield stmt.value
-    elif isinstance(stmt, ExprStmt):
-        yield stmt.expr
-
-
-def walk_exprs(expr: Expr):
-    """Yield expr and all subexpressions, preorder."""
-    yield expr
-    if isinstance(expr, ArrayIndex):
-        yield from walk_exprs(expr.index)
-    elif isinstance(expr, Unary):
-        yield from walk_exprs(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from walk_exprs(expr.left)
-        yield from walk_exprs(expr.right)
-    elif isinstance(expr, Call):
-        for a in expr.args:
-            yield from walk_exprs(a)
-
-
-def all_exprs(fn: FunctionDef):
-    for stmt in walk_stmts(fn.body):
-        for e in walk_exprs_of_stmt(stmt):
-            yield from walk_exprs(e)
+def preorder(node: Stmt | Expr):
+    """Yield node and every statement and expression below it: each
+    statement, then the expressions attached to it in preorder, then its
+    child statements. The walk keeps its own stack, so no depth of nesting
+    exhausts Python's."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node is None:  # an absent else branch, initializer or value
+            continue
+        yield node
+        cls = type(node)
+        if cls is Binary:
+            stack += (node.right, node.left)
+        elif cls is Block:
+            stack += reversed(node.stmts)
+        elif cls is ArrayIndex:
+            stack.append(node.index)
+        elif cls is Unary:
+            stack.append(node.operand)
+        elif cls is Call:
+            stack += reversed(node.args)
+        elif cls is VarDecl:
+            stack.append(node.init)
+        elif cls is Assign:
+            stack += (node.value, node.target)
+        elif cls is If:
+            stack += (node.else_body, node.then_body, node.cond)
+        elif cls is While:
+            stack += (node.body, node.cond)
+        elif cls is Return:
+            stack.append(node.value)
+        elif cls is Assert or cls is Assume:
+            stack.append(node.cond)
+        elif cls is ExprStmt:
+            stack.append(node.expr)

@@ -12,11 +12,9 @@ from cfv.minic import ast
 
 def cyclomatic_complexity(fn: ast.FunctionDef) -> int:
     count = 1
-    for stmt in ast.walk_stmts(fn.body):
-        if isinstance(stmt, (ast.If, ast.While)):
+    for node in ast.preorder(fn.body):
+        if isinstance(node, (ast.If, ast.While)) or (
+            isinstance(node, ast.Binary) and node.op in ast.BOOL_CONNECTIVES
+        ):
             count += 1
-        for root in ast.walk_exprs_of_stmt(stmt):
-            for e in ast.walk_exprs(root):
-                if isinstance(e, ast.Binary) and e.op in ast.BOOL_CONNECTIVES:
-                    count += 1
     return count

@@ -6,6 +6,13 @@ order and in other units of the same snapshot), verifies that every path
 through a non-void function ends in a return, and computes each function's
 syntactic read/write sets over global variables and the functions it calls.
 
+It is the one pass that resolves names under C block scoping. Each
+parameter and local gets a slot: parameters take 0..n-1 in order, and each
+local declaration takes the next slot in source order once its initializer
+is checked, so `int x = x + 1;` reads the outer `x`. The slot, or
+`ast.GLOBAL`, is written onto every `VarDecl`, `VarRef` and `ArrayIndex`;
+the encoder, the interpreter and the alpha key read it from there.
+
 Conditions of `if`/`while` and the arguments of `assert`/`assume` must be
 bool; there is no implicit int-to-bool conversion anywhere.
 """
@@ -62,7 +69,9 @@ class _Checker:
         self.path = path
         self.diagnostics: list[Diagnostic] = []
         self.int_type = IntType(env.width)
-        self.scopes: list[dict[str, ast.Type]] = []
+        # Innermost last; each maps a local's name to its type and slot.
+        self.scopes: list[dict[str, tuple[ast.Type, int]]] = []
+        self.next_slot = 0
         self.reads: set[str] = set()
         self.writes: set[str] = set()
         self.callees: set[str] = set()
@@ -78,25 +87,31 @@ class _Checker:
     def pop_scope(self) -> None:
         self.scopes.pop()
 
-    def declare(self, name: str, ty: ast.Type, span: ast.Span) -> None:
+    def declare(self, name: str, ty: ast.Type, span: ast.Span) -> int:
+        """Bind name in the innermost scope to the next slot and return it."""
         if name in self.scopes[-1]:
             self.error(span, f"redefinition of {name!r}")
-        self.scopes[-1][name] = ty
+        slot = self.next_slot
+        self.next_slot += 1
+        self.scopes[-1][name] = (ty, slot)
+        return slot
 
-    def lookup(self, name: str) -> tuple[ast.Type | None, bool]:
-        """Resolve a name; second element is True when it is a global."""
+    def lookup(self, name: str) -> tuple[ast.Type | None, int | None]:
+        """Resolve a name to its type and slot, ast.GLOBAL for a global;
+        (None, None) when it is undefined."""
         for scope in reversed(self.scopes):
             if name in scope:
-                return scope[name], False
+                return scope[name]
         g = self.env.globals.get(name)
         if g is not None:
-            return g.ty, True
-        return None, False
+            return g.ty, ast.GLOBAL
+        return None, None
 
     # -- functions -----------------------------------------------------------
 
     def check_function(self, fn: FunctionDef) -> None:
         self.scopes = [{}]
+        self.next_slot = 0
         self.reads = set()
         self.writes = set()
         self.callees = set()
@@ -146,7 +161,7 @@ class _Checker:
                         f"initializer of {stmt.name!r} has type {ty}, expected"
                         f" {stmt.declared_type}",
                     )
-            self.declare(stmt.name, stmt.declared_type, stmt.span)
+            stmt.slot = self.declare(stmt.name, stmt.declared_type, stmt.span)
         elif isinstance(stmt, Assign):
             self.check_assign(stmt)
         elif isinstance(stmt, If):
@@ -170,7 +185,7 @@ class _Checker:
     def check_assign(self, stmt: Assign) -> None:
         target = stmt.target
         if isinstance(target, VarRef):
-            ty, is_global = self.lookup(target.name)
+            ty, slot = self.lookup(target.name)
             if ty is None:
                 self.error(target.span, f"undefined variable {target.name!r}")
                 self.check_expr(stmt.value)
@@ -179,7 +194,8 @@ class _Checker:
                 self.error(target.span, "arrays cannot be assigned as a whole")
                 return
             target.ty = ty
-            if is_global:
+            target.slot = slot
+            if slot == ast.GLOBAL:
                 self.writes.add(target.name)
             vty = self.check_expr(stmt.value)
             if vty is not None and vty != ty:
@@ -216,7 +232,7 @@ class _Checker:
     # -- expressions -----------------------------------------------------------
 
     def check_array_index(self, expr: ArrayIndex, writing: bool) -> ast.Type | None:
-        ty, is_global = self.lookup(expr.name)
+        ty, slot = self.lookup(expr.name)
         if ty is None:
             self.error(expr.span, f"undefined variable {expr.name!r}")
             self.check_expr(expr.index)
@@ -225,7 +241,8 @@ class _Checker:
             self.error(expr.span, f"{expr.name!r} is not an array")
             self.check_expr(expr.index)
             return None
-        if is_global:
+        expr.slot = slot
+        if slot == ast.GLOBAL:
             self.reads.add(expr.name)
             if writing:
                 self.writes.add(expr.name)
@@ -250,7 +267,7 @@ class _Checker:
         if isinstance(expr, NondetBool):
             return BoolType()
         if isinstance(expr, VarRef):
-            ty, is_global = self.lookup(expr.name)
+            ty, slot = self.lookup(expr.name)
             if ty is None:
                 if expr.name in self.env.functions:
                     self.error(expr.span, f"{expr.name!r} is a function, not a variable")
@@ -260,7 +277,8 @@ class _Checker:
             if isinstance(ty, ArrayType):
                 self.error(expr.span, f"array {expr.name!r} used without an index")
                 return None
-            if is_global:
+            expr.slot = slot
+            if slot == ast.GLOBAL:
                 self.reads.add(expr.name)
             return ty
         if isinstance(expr, ArrayIndex):
@@ -374,9 +392,10 @@ def type_check(
     """Type-check a set of units that together form one program.
 
     Returns the shared environment on success; raises TypeCheckError carrying
-    every diagnostic found otherwise. Expression `ty` annotations and each
-    function's `reads_globals`, `writes_globals` and `callees` are filled in
-    as a side effect.
+    every diagnostic found otherwise. Expression `ty` annotations, the
+    `slot` of every declaration and variable reference, and each function's
+    `reads_globals`, `writes_globals` and `callees` are filled in as a side
+    effect.
 
     The environment, and with it every duplicate-name diagnostic, spans all
     of `units`; declarations are checked only in the `checked` units (all of

@@ -18,6 +18,10 @@ Two entry-state modes: equivalence checking reads globals as fresh shared
 input symbols (a function can be called in any state), while whole-test
 verification starts from the snapshot's declared initial values.
 
+Each inlined call gets a frame that maps the slots the type checker gave
+the callee's parameters and locals to their current terms; a variable is
+read with one lookup of its node's slot, and names are never resolved here.
+
 The builder's deadline, if it has one, bounds the encoding: each loop
 iteration and each inlined call polls it through TermBuilder.check_deadline,
 which raises errors.Timeout once it has passed.
@@ -91,11 +95,11 @@ class SsaProgram:
 
 
 class _Frame:
-    __slots__ = ("scopes", "ret_flag", "ret_val")
+    __slots__ = ("locals", "ret_flag", "ret_val")
 
-    def __init__(self, scope: dict, ret_flag: Term, ret_val: Term | None):
-        # Innermost last; each maps a local name straight to its term.
-        self.scopes: list[dict[str, Term | tuple[Term, ...]]] = [scope]
+    def __init__(self, args: list, ret_flag: Term, ret_val: Term | None):
+        # Slot -> term; the arguments fill the parameters' slots 0..n-1.
+        self.locals: dict[int, Term | tuple[Term, ...]] = dict(enumerate(args))
         self.ret_flag = ret_flag
         self.ret_val = ret_val
 
@@ -143,13 +147,13 @@ class Encoder:
                 else:
                     self.global_env[name] = b.const(value, self.width)
 
-        params: dict[str, Term | tuple[Term, ...]] = {}
+        params = []
         for i, p in enumerate(fn.params):
             if isinstance(p.ty, ast.ArrayType):
                 raise CfvError("array parameters are outside the subset")
             width = BOOL if isinstance(p.ty, ast.BoolType) else self.width
-            params[p.name] = b.input(f"{PARAM_PREFIX}{i}", width)
-            self.inputs.append(params[p.name])
+            params.append(b.input(f"{PARAM_PREFIX}{i}", width))
+        self.inputs.extend(params)
         frame = _Frame(params, b.false, self._default(fn.return_type))
 
         self.exec_block(fn.body, b.true, frame)
@@ -197,19 +201,19 @@ class Encoder:
         self.global_env[name] = value
         return value
 
-    def read_var(self, name: str, frame: _Frame) -> Term | tuple[Term, ...]:
-        for scope in reversed(frame.scopes):
-            if name in scope:
-                return scope[name]
-        return self.global_value(name)
+    def read_var(self, ref: ast.VarRef | ast.ArrayIndex, frame: _Frame) -> Term | tuple[Term, ...]:
+        slot = ast.slot_of(ref)
+        if slot == ast.GLOBAL:
+            return self.global_value(ref.name)
+        return frame.locals[slot]
 
-    def write_var(self, name: str, value, frame: _Frame) -> None:
-        for scope in reversed(frame.scopes):
-            if name in scope:
-                scope[name] = value
-                return
-        self.globals_written.add(name)
-        self.global_env[name] = value
+    def write_var(self, ref: ast.VarRef | ast.ArrayIndex, value, frame: _Frame) -> None:
+        slot = ast.slot_of(ref)
+        if slot == ast.GLOBAL:
+            self.globals_written.add(ref.name)
+            self.global_env[ref.name] = value
+        else:
+            frame.locals[slot] = value
 
     def ok_require(self, guard: Term, cond: Term) -> None:
         self.ok = self.b.and_(self.ok, self.b.implies(guard, cond))
@@ -224,10 +228,8 @@ class Encoder:
     # -- statements ----------------------------------------------------------
 
     def exec_block(self, block: ast.Block, guard: Term, frame: _Frame) -> None:
-        frame.scopes.append({})
         for stmt in block.stmts:
             self.exec_stmt(stmt, guard, frame)
-        frame.scopes.pop()
 
     def exec_stmt(self, stmt: ast.Stmt, guard: Term, frame: _Frame) -> None:
         b = self.b
@@ -235,13 +237,11 @@ class Encoder:
         if isinstance(stmt, ast.Block):
             self.exec_block(stmt, eff, frame)
         elif isinstance(stmt, ast.VarDecl):
-            # The initializer sees the enclosing scopes, as in the type
-            # checker and the interpreter.
             if stmt.init is not None:
                 value = self.eval(stmt.init, eff, frame)
             else:
                 value = self._default(stmt.declared_type)
-            frame.scopes[-1][stmt.name] = value
+            frame.locals[ast.slot_of(stmt)] = value
         elif isinstance(stmt, ast.Assign):
             self.exec_assign(stmt, eff, frame)
         elif isinstance(stmt, ast.If):
@@ -274,12 +274,12 @@ class Encoder:
             value = self.eval(stmt.value, eff, frame)
             # The guarded update needs the previous value; under a constant
             # true guard the ite folds and the read disappears again.
-            old = self.read_var(target.name, frame)
-            self.write_var(target.name, b.ite(eff, value, old), frame)
+            old = self.read_var(target, frame)
+            self.write_var(target, b.ite(eff, value, old), frame)
         else:
             assert isinstance(target, ast.ArrayIndex)
             idx = self.eval(target.index, eff, frame)
-            arr = self.read_var(target.name, frame)
+            arr = self.read_var(target, frame)
             assert isinstance(arr, tuple)
             self.ok_require(eff, self.bounds_guard(idx, len(arr)))
             value = self.eval(stmt.value, eff, frame)
@@ -289,7 +289,7 @@ class Encoder:
                 )
                 for j in range(len(arr))
             )
-            self.write_var(target.name, updated, frame)
+            self.write_var(target, updated, frame)
 
     def exec_while(self, stmt: ast.While, eff: Term, frame: _Frame) -> None:
         b = self.b
@@ -316,10 +316,10 @@ class Encoder:
         if isinstance(expr, ast.BoolLit):
             return b.bool_const(expr.value)
         if isinstance(expr, ast.VarRef):
-            return self.read_var(expr.name, frame)
+            return self.read_var(expr, frame)
         if isinstance(expr, ast.ArrayIndex):
             idx = self.eval(expr.index, guard, frame)
-            arr = self.read_var(expr.name, frame)
+            arr = self.read_var(expr, frame)
             assert isinstance(arr, tuple)
             self.ok_require(guard, self.bounds_guard(idx, len(arr)))
             value = b.const(0, self.width)
@@ -406,11 +406,7 @@ class Encoder:
             return self._default(fn.return_type)
         self.b.check_deadline()
         self.depth += 1
-        callee = _Frame(
-            {p.name: value for p, value in zip(fn.params, args)},
-            b.false,
-            self._default(fn.return_type),
-        )
+        callee = _Frame(args, b.false, self._default(fn.return_type))
         self.exec_block(fn.body, guard, callee)
         self.depth -= 1
         return callee.ret_val

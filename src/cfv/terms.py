@@ -37,9 +37,10 @@ from cfv.errors import Timeout
 
 BOOL = 0
 
-# TermBuilder.eq reads the clock once per this many new cached pairs and
-# compared leaf pairs.
-_EQ_POLL_EVERY = 1024
+# TermBuilder.eq reads the clock once per this many new cached pairs,
+# compared leaf pairs and ite nodes given a selection condition: about 1 ms
+# of miter building on minivec's vec_insert.
+_EQ_POLL_EVERY = 128
 
 _COMMUTATIVE = frozenset({"add", "mul", "band", "bor", "bxor", "and", "or", "xor", "eq"})
 
@@ -304,7 +305,8 @@ class TermBuilder:
         """(leaf, selection condition) for each non-ite leaf of root's ite
         DAG, newest first. A leaf's condition is the OR of the guard paths
         from root that reach it; under any valuation exactly one condition
-        holds, the one of the leaf root evaluates to."""
+        holds, the one of the leaf root evaluates to. The deadline is
+        polled per ite node."""
         nodes = {root.uid: root}
         stack = [root]
         while stack:
@@ -323,6 +325,7 @@ class TermBuilder:
             if term.op != "ite":
                 leaves.append((term, cond))
                 continue
+            self._poll()
             c, then, other = term.args
             for branch, guard in ((then, c), (other, self.not_(c))):
                 picked = self.and_(cond, guard)

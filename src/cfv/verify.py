@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from cfv.errors import Timeout
 from cfv.harness import GeneralizedTest, TestCase
-from cfv.interp import DEFAULT_FUEL, run_function
+from cfv.interp import run_function
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
@@ -60,7 +60,6 @@ def verify_test(
     snap: Snapshot,
     cfg: UnrollConfig,
     stats: SolverStats | None = None,
-    fuel: int = DEFAULT_FUEL,
     solve_fn=None,
 ) -> VerificationResult:
     solve = solve_fn if solve_fn is not None else sat_solve
@@ -80,7 +79,7 @@ def verify_test(
 
     model = result.model
     outcome = run_function(
-        snap, gt.body, [], None, prog.nondet_values(model), fuel, record_trace=True
+        snap, gt.body, [], None, prog.nondet_values(model), record_trace=True
     )
     if outcome.status not in ("assert_fail", "trap"):
         raise RuntimeError(

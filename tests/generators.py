@@ -29,6 +29,7 @@ from dataclasses import replace
 from cfv.minic import ast
 from cfv.minic.ast import DUMMY_SPAN as S
 from cfv.minic.printer import format_unit
+from cfv.minic.typecheck import type_check
 from cfv.snapshot import Snapshot, snapshot_from_sources
 from cfv.terms import BOOL, Formula, Term, TermBuilder
 from oracles import CORPUS
@@ -255,10 +256,10 @@ class _Renamer:
 
     def expr(self, e: ast.Expr) -> ast.Expr | None:
         if isinstance(e, ast.VarRef):
-            return ast.VarRef(e.span, self.resolve(e.name), e.ty)
+            return ast.VarRef(e.span, self.resolve(e.name), e.ty, e.slot)
         if isinstance(e, ast.ArrayIndex):
             index = ast.map_expr(e.index, self.expr)
-            return ast.ArrayIndex(e.span, self.resolve(e.name), index, e.ty)
+            return ast.ArrayIndex(e.span, self.resolve(e.name), index, e.ty, e.slot)
         if isinstance(e, ast.Call) and e.name == self.fn_name:
             args = [ast.map_expr(a, self.expr) for a in e.args]
             return ast.Call(e.span, SELF_PLACEHOLDER, args, e.ty)
@@ -275,7 +276,7 @@ class _Renamer:
             new = f"v{self.counter}"
             self.counter += 1
             self.scopes[-1][s.name] = new
-            return ast.VarDecl(s.span, new, s.declared_type, init)
+            return ast.VarDecl(s.span, new, s.declared_type, init, s.slot)
         return None
 
 
@@ -293,30 +294,24 @@ def normalize_alpha(fn: ast.FunctionDef) -> ast.FunctionDef:
 def _mutation_points(fn: ast.FunctionDef):
     """Mutable expressions, excluding loop conditions and counter updates
     so every mutant still unrolls completely at the oracle bound."""
-    skip_stmts: set[int] = set()
-    counters: set[str] = set()
-    for stmt in ast.walk_stmts(fn.body):
-        if isinstance(stmt, ast.While):
-            cond = stmt.cond
-            if isinstance(cond, ast.Binary) and isinstance(cond.left, ast.VarRef):
-                counters.add(cond.left.name)
-    for stmt in ast.walk_stmts(fn.body):
-        if isinstance(stmt, ast.While):
-            skip_stmts.add(id(stmt))  # its condition, via walk_exprs_of_stmt
-        if (
-            isinstance(stmt, ast.Assign)
-            and isinstance(stmt.target, ast.VarRef)
-            and stmt.target.name in counters
-        ):
-            skip_stmts.add(id(stmt))
+    counters = {
+        n.cond.left.name
+        for n in ast.preorder(fn.body)
+        if isinstance(n, ast.While)
+        and isinstance(n.cond, ast.Binary)
+        and isinstance(n.cond.left, ast.VarRef)
+    }
     points = []
-    for stmt in ast.walk_stmts(fn.body):
-        if id(stmt) in skip_stmts:
-            continue
-        for root in ast.walk_exprs_of_stmt(stmt):
-            for e in ast.walk_exprs(root):
-                if isinstance(e, ast.Binary) or isinstance(e, ast.IntLit):
-                    points.append(e)
+    skip = False  # whether the statement that owns the next expressions is skipped
+    for node in ast.preorder(fn.body):
+        if isinstance(node, ast.Stmt):
+            skip = isinstance(node, ast.While) or (
+                isinstance(node, ast.Assign)
+                and isinstance(node.target, ast.VarRef)
+                and node.target.name in counters
+            )
+        elif not skip and isinstance(node, (ast.Binary, ast.IntLit)):
+            points.append(node)
     return points
 
 
@@ -483,6 +478,9 @@ class RandomTestGen:
         from cfv.minic.parser import parse_unit
 
         parsed = parse_unit(text, "gen_test.c", self.width)
+        # Checked against the fixture view, as load_tests checks test units.
+        view = fixture_snapshot(self.width)
+        type_check(view.units + [parsed], self.width, checked=[parsed])
         return TestCase("test_generated", "generated", parsed.functions[0]), text
 
 

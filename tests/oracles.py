@@ -118,7 +118,7 @@ def first_difference(old: Snapshot, new: Snapshot, name: str, width: int):
 def called_names(fn: ast.FunctionDef) -> set[str]:
     """Every function name called anywhere in fn's body, found by walking
     the tree rather than read from the type checker's `callees`."""
-    return {e.name for e in ast.all_exprs(fn) if isinstance(e, ast.Call)}
+    return {e.name for e in ast.preorder(fn.body) if isinstance(e, ast.Call)}
 
 
 def call_graph_edges(snap: Snapshot, bodies: list[ast.FunctionDef]) -> dict[str, tuple[str, ...]]:
@@ -167,7 +167,7 @@ InterpResult = PassResult | AssertFailResult | OutOfFuelResult
 
 def interpret_concrete(test_body: ast.FunctionDef, snap: Snapshot, fuel: int = DEFAULT_FUEL) -> InterpResult:
     """Run a nondet-free test body from the snapshot's initial global state."""
-    for e in ast.all_exprs(test_body):
+    for e in ast.preorder(test_body.body):
         if isinstance(e, (ast.NondetInt, ast.NondetBool)):
             raise InterpreterError(
                 f"test {test_body.name!r} contains nondet intrinsics"

@@ -13,6 +13,7 @@ from cfv.equivalence import (
     observables_differ,
     transitive_globals,
 )
+from cfv.errors import Timeout
 from cfv.snapshot import load_snapshot, snapshot_from_sources
 from cfv.solver import SolverStats, Unsat, sat_solve
 from cfv.ssa import UnrollConfig, encode_ssa
@@ -177,6 +178,15 @@ class TestStageTwo:
         )
         assert time.monotonic() - t0 <= cfg.timeout_s + 0.15
         assert verdict == Unknown("timeout")
+
+    def test_miter_build_polls_the_deadline_on_entry(self):
+        s = snap("int g; int f(int x){g = x; return x + 1;}")
+        builder = TermBuilder()
+        old = encode_ssa(s.functions["f"], s, W4, builder)
+        new = encode_ssa(s.functions["f"], s, W4, builder)
+        builder.deadline = time.monotonic() - 1
+        with pytest.raises(Timeout):
+            build_miter(old, new)
 
     def test_vec_insert_miter_compares_leaves(self):
         # Comparing the two sides' ite trees leaf by leaf gives about 8.8k

@@ -88,7 +88,7 @@ class TestParser:
 
         def check(stmt, lo, hi):
             assert lo <= stmt.span.start <= stmt.span.end <= hi
-            for child in ast.walk_stmts(stmt):
+            for child in ast.preorder(stmt):
                 assert stmt.span.start <= child.span.start
                 assert child.span.end <= stmt.span.end
 
@@ -493,12 +493,14 @@ class TestNormalize:
 
     def test_deep_nesting_needs_no_recursion(self):
         """Two trees of 5,000 nested `if`s, too deep for any recursive walk
-        under the default recursion limit, built without the parser."""
+        under the default recursion limit, built without the parser. Each
+        reference carries the parameter's slot 0, as the type checker would
+        resolve it."""
         def nested(name: str) -> ast.FunctionDef:
             int_type = ast.IntType(8)
-            body = ast.Block(S, [ast.Return(S, ast.VarRef(S, name))])
+            body = ast.Block(S, [ast.Return(S, ast.VarRef(S, name, int_type, 0))])
             for _ in range(5_000):
-                cond = ast.Binary(S, ">", ast.VarRef(S, name), ast.IntLit(S, 0))
+                cond = ast.Binary(S, ">", ast.VarRef(S, name, int_type, 0), ast.IntLit(S, 0))
                 body = ast.Block(S, [ast.If(S, cond, body, None)])
             return ast.FunctionDef("f", [ast.Param(name, int_type)], int_type, body)
 
@@ -515,7 +517,11 @@ class TestNormalize:
         for seed in range(250):
             rng = random.Random(seed)
             unit = FunctionGen(rng, width=8, with_global=rng.random() < 0.5).function()
-            variants = [mutate_function(rng, unit, 8).functions[0] for _ in range(3)]
+            variants = []
+            for _ in range(3):
+                mutant = mutate_function(rng, unit, 8)
+                type_check([mutant], 8)
+                variants.append(mutant.functions[0])
             for a in variants:
                 for b in variants:
                     same = normalize_alpha(a) == normalize_alpha(b)
@@ -542,9 +548,7 @@ int f(int p) {
 
 
 def nodes(body: ast.Block) -> list:
-    stmts = list(ast.walk_stmts(body))
-    exprs = [e for s in stmts for root in ast.walk_exprs_of_stmt(s) for e in ast.walk_exprs(root)]
-    return stmts + exprs
+    return list(ast.preorder(body))
 
 
 class TestMap:
@@ -579,7 +583,7 @@ class TestMap:
         exprs = [n for n in nodes(copy) if isinstance(n, ast.Expr)]
         assert not any(isinstance(e, ast.Call) for e in exprs)
         assert any(e is zero for e in exprs)
-        assert any(s is body.stmts[4] for s in ast.walk_stmts(copy))
+        assert any(s is body.stmts[4] for s in ast.preorder(copy))
 
 
 class TestComplexity:
@@ -613,4 +617,5 @@ def test_roundtrip_print_parse(seed):
     type_check([reparsed], 8)
     again = parse_unit(format_unit(reparsed), "gen.c", 8)
     assert again.declarations == reparsed.declarations
+    type_check([again], 8)
     assert alpha_key(again.functions[0]) == alpha_key(reparsed.functions[0])

@@ -191,8 +191,8 @@ void test_a(){
             tmp_path,
         )
         gt = generalize(t, {"add"})
-        kinds_before = [type(s).__name__ for s in ast.walk_stmts(t.body.body)]
-        kinds_after = [type(s).__name__ for s in ast.walk_stmts(gt.body.body)]
+        kinds_before = [type(s).__name__ for s in ast.preorder(t.body.body) if isinstance(s, ast.Stmt)]
+        kinds_after = [type(s).__name__ for s in ast.preorder(gt.body.body) if isinstance(s, ast.Stmt)]
         assert kinds_before == kinds_after
         assert len(gt.substitutions) == 1  # the literal 3 in add(r, 3)
 
@@ -214,7 +214,7 @@ void test_a(){
             nondet_span = None
             # the nondet node carries the replaced literal's span
             count = 0
-            for e in ast.all_exprs(gt.body):
+            for e in ast.preorder(gt.body.body):
                 if isinstance(e, (ast.NondetInt, ast.NondetBool)):
                     if count == i:
                         nondet_span = e.span
@@ -249,19 +249,38 @@ def scale_seed7(tmp_path_factory):
     return write_scale_corpus(tmp_path_factory.mktemp("scale"), 7)
 
 
-class TestCalleesFromTheChecker:
-    """`callees` recorded by the type checker against a walk of each body."""
+def slots(fn: ast.FunctionDef, globals_: set[str]) -> list[int]:
+    """The slots of fn's declarations and variable references in preorder,
+    checked for consistency: parameters hold 0..n-1 and declarations the
+    next slots in order; a reference holds ast.GLOBAL for a global, or the
+    slot of a parameter or declaration of its name."""
+    named = [n for n in ast.preorder(fn.body) if isinstance(n, (ast.VarDecl, ast.VarRef, ast.ArrayIndex))]
+    declared = [p.name for p in fn.params] + [n.name for n in named if isinstance(n, ast.VarDecl)]
+    decls = iter(range(len(fn.params), len(declared)))
+    for node in named:
+        if isinstance(node, ast.VarDecl):
+            assert node.slot == next(decls), (fn.name, node.name)
+        elif node.slot == ast.GLOBAL:
+            assert node.name in globals_, (fn.name, node.name)
+        else:
+            assert declared[node.slot] == node.name, (fn.name, node.name)
+    return [n.slot for n in named]
 
-    @pytest.mark.parametrize(
-        "case, width",
-        [
-            ("minivec", 32),
-            ("scenarios/rename", 32),
-            ("scenarios/negindex", 8),
-            ("scenarios/timeout", 8),
-            ("scale7", 8),
-        ],
-    )
+
+@pytest.mark.parametrize(
+    "case, width",
+    [
+        ("minivec", 32),
+        ("scenarios/rename", 32),
+        ("scenarios/negindex", 8),
+        ("scenarios/timeout", 8),
+        ("scale7", 8),
+    ],
+)
+class TestCalleesFromTheChecker:
+    """What the type checker records on every corpus and on scale seed 7:
+    `callees` against a walk of each body, and the slot of every name."""
+
     def test_call_graph_and_closures_match_a_walk(self, case, width, scale_seed7):
         root = scale_seed7 if case == "scale7" else CORPUS / case
         old = load_snapshot(root / "old", width)
@@ -284,6 +303,24 @@ class TestCalleesFromTheChecker:
             assert gt.body.callees == t.body.callees == called_names(gt.body)
         if case in ("minivec", "scale7"):
             assert any(gt.body is not t.body for t, gt in zip(tests, generalized))
+
+    def test_every_name_carries_its_slot(self, case, width, scale_seed7):
+        from cfv.verify import Counterexample, concretize
+
+        root = scale_seed7 if case == "scale7" else CORPUS / case
+        new = load_snapshot(root / "new", width)
+        tests, view = load_tests(root / "tests", new)
+        for snap in (load_snapshot(root / "old", width), new, view):
+            for fn in snap.functions.values():
+                slots(fn, set(snap.globals))
+        # generalize and concretize rebuild bodies through map_stmt, which
+        # carries the slots over.
+        no_values = Counterexample({}, {}, ast.DUMMY_SPAN, [])
+        for t in tests:
+            before = slots(t.body, set(view.globals))
+            gt = generalize(t, set(view.functions))
+            assert slots(gt.body, set(view.globals)) == before
+            assert slots(concretize(gt, no_values, width).body, set(view.globals)) == before
 
 
 class TestCheckedOnce:

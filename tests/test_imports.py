@@ -1,5 +1,12 @@
-"""Every imported name is used: read somewhere in its module, or exported
-through the module's `__all__`. `from __future__ import ...` is exempt."""
+"""Import hygiene, checked on the source without importing it.
+
+Every imported name is used: read somewhere in its module, or exported
+through the module's `__all__`. `from __future__ import ...` is exempt.
+
+The reference interpreter judges the encoder, the blaster and the solver,
+so nothing it imports, directly or through other `cfv` modules, reaches
+them.
+"""
 
 import ast
 
@@ -47,3 +54,42 @@ def test_no_unused_imports():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def module_path(name: str):
+    base = REPO_ROOT.joinpath("src", *name.split("."))
+    return base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
+
+
+def reached_from(root: str) -> set[str]:
+    """The cfv modules that importing root runs: its packages, and what
+    every import statement in them names, followed transitively. A name
+    imported from a package counts when it is a submodule."""
+    seen: set[str] = set()
+    stack = [root]
+    while stack:
+        name = stack.pop()
+        if name in seen or not module_path(name).exists():
+            continue
+        seen.add(name)
+        parts = name.split(".")
+        stack += [".".join(parts[:i]) for i in range(1, len(parts))]
+        for node in ast.walk(ast.parse(module_path(name).read_text())):
+            if isinstance(node, ast.Import):
+                stack += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                stack.append(node.module)
+                stack += [f"{node.module}.{alias.name}" for alias in node.names]
+    return seen
+
+
+JUDGED = {f"cfv.{m}" for m in ("ssa", "bitblast", "dpll", "solver", "equivalence", "verify")}
+
+
+def test_the_walk_follows_imports():
+    assert {"cfv", "cfv.minic", "cfv.minic.ast", "cfv.snapshot"} <= reached_from("cfv.interp")
+    assert JUDGED - {"cfv.verify"} <= reached_from("cfv.equivalence")
+
+
+def test_the_interpreter_reaches_nothing_it_judges():
+    assert reached_from("cfv.interp") & JUDGED == set()

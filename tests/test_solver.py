@@ -152,6 +152,20 @@ class TestIteEquality:
         if not f.root.is_const:  # sat_solve simulates these; search the clauses too
             assert learned_model(f) == (slow.model if isinstance(slow, Sat) else None)
 
+    def test_leaf_selections_poll_the_deadline(self):
+        # 300 ite nodes under distinct guards select between two leaves, so
+        # eq compares only 2 x 2 leaf pairs; the deadline is seen while the
+        # selection conditions are built.
+        b = TermBuilder()
+        x, y = b.input("x", 4), b.input("y", 4)
+        chain = y
+        for i in range(300):
+            chain = b.ite(b.input(f"c{i}", BOOL), chain, x)
+        other = b.ite(b.input("d", BOOL), x, y)
+        b.deadline = time.monotonic() - 1
+        with pytest.raises(Timeout):
+            b.eq(chain, other)
+
 
 class TestSolverExamples:
     def test_constant_true_root(self):

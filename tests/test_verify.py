@@ -154,7 +154,7 @@ class TestConcretize:
         conc = concretize(gt, result.counterexample, 4)
         assert not any(
             isinstance(e, (ast.NondetInt, ast.NondetBool))
-            for e in ast.all_exprs(conc.body)
+            for e in ast.preorder(conc.body.body)
         )
 
 
