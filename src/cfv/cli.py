@@ -72,18 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cfv {cfv.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="run the full pipeline")
+    p = sub.add_parser("analyze", help="run the full pipeline", description="Run the full pipeline. Every query is decided in-process by cfv's own bit-blaster and SAT core; no external solver is started.")
     p.add_argument("--old", required=True, metavar="DIR")
     p.add_argument("--new", metavar="DIR")
     p.add_argument("--diff", metavar="FILE", help="unified diff applied to --old instead of --new")
     p.add_argument("--tests", required=True, metavar="DIR")
     p.add_argument("--budget", type=float, default=300.0, metavar="S", help="wall-clock budget of the whole run in seconds; equivalence checks stop at half of it, and an item left with under 0.05 s is reported unknown (default 300)")
-    p.add_argument(
-        "--backend",
-        default="internal",
-        metavar="SPEC",
-        help='"internal" or external:"CMD {file}" for an external QF_BV solver',
-    )
     p.add_argument("--out", required=True, metavar="FILE")
     _unroll_args(p)
 
@@ -123,7 +117,6 @@ def cmd_analyze(args) -> int:
         out_path=args.out,
         budget_s=args.budget,
         unroll=_unroll_from(args),
-        backend=args.backend,
         diff_path=args.diff,
     )
     report = run_pipeline(cfg)

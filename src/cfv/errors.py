@@ -2,8 +2,8 @@
 
 Timeout is the one way a stage reports that it ran out of time. Every stage
 that polls a deadline (building terms, encoding, bit-blasting, simulation,
-the learning core, the external-backend guard) raises it at the poll, and
-each check catches it once and records Unknown("timeout").
+the learning core) raises it at the poll, and each check catches it once
+and records Unknown("timeout").
 """
 
 from __future__ import annotations

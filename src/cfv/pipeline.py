@@ -3,7 +3,8 @@
 The run proceeds change classification -> equivalence checks on modified
 pairs -> test selection over the call graph -> generalization ->
 verification, and assembles the report. Renamed and unchanged functions
-never reach a solver.
+never reach a solver; every other check decides its queries in-process with
+solver.sat_solve.
 
 Each phase is one loop over its items, and one rule dispatches every item:
 the time its phase has left is read when the item starts. With less than
@@ -28,9 +29,8 @@ from cfv.errors import ConfigError
 from cfv.harness import build_call_graph, generalize, load_tests, select_tests
 from cfv.minic.printer import format_function
 from cfv.report import SCHEMA_VERSION, result_json, tool_block, verdict_json, write_report
-from cfv.smtlib import ExternalSolver
 from cfv.snapshot import load_snapshot, load_snapshot_from_diff
-from cfv.solver import SolverStats, Unknown, make_solve_fn
+from cfv.solver import SolverStats, Unknown
 from cfv.ssa import UnrollConfig
 from cfv.terms import collector_paused
 from cfv.verify import Fail, concretize, verify_test
@@ -48,7 +48,6 @@ class RunConfig:
     out_path: str | None = None
     budget_s: float = 300.0
     unroll: UnrollConfig = field(default_factory=UnrollConfig)
-    backend: str = "internal"
     diff_path: str | None = None  # apply to old_dir instead of reading new_dir
 
     def __post_init__(self) -> None:
@@ -58,23 +57,10 @@ class RunConfig:
             raise ConfigError("either a new directory or a diff is required")
 
 
-def _make_backend(spec: str):
-    if spec == "internal":
-        return make_solve_fn(None)
-    if spec.startswith("external:"):
-        try:
-            external = ExternalSolver(spec[len("external:") :])
-        except ValueError as err:
-            raise ConfigError(f"backend {spec!r}: {err}") from None
-        return make_solve_fn(external)
-    raise ConfigError(f"unknown backend {spec!r}")
-
-
 @collector_paused()
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute the whole flow and return the report dictionary."""
     t_start = time.monotonic()
-    solve_fn = _make_backend(cfg.backend)
     width = cfg.unroll.width
 
     old_snap = load_snapshot(cfg.old_dir, width, label=None)
@@ -125,7 +111,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             verdict, calls, wall = run_item(
                 eq_deadline,
                 lambda unroll, item_stats: check_equivalence(
-                    *modified, (old_snap, new_snap), unroll, item_stats, solve_fn
+                    *modified, (old_snap, new_snap), unroll, item_stats
                 ),
             )
         verdicts[new_name] = verdict
@@ -165,9 +151,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         gt = generalize(t, triggers)
         result, _, wall = run_item(
             total_deadline,
-            lambda unroll, item_stats: verify_test(
-                gt, view, unroll, item_stats, solve_fn=solve_fn
-            ),
+            lambda unroll, item_stats: verify_test(gt, view, unroll, item_stats),
         )
         concretized = None
         if isinstance(result, Fail):
@@ -209,7 +193,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "inline_depth": cfg.unroll.depth,
             "pair_timeout_s": cfg.unroll.timeout_s,
             "budget_s": cfg.budget_s,
-            "backend": cfg.backend,
         },
         "changes": {
             "counts": {

@@ -142,12 +142,18 @@ def _parse_range(spec: str) -> tuple[int, int]:
 def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
     """Apply a unified diff to {path: text}, returning the patched mapping.
 
-    Strict: context lines must match the base text exactly. Understands
-    `a/`-`b/` prefixes and /dev/null for added or deleted files.
+    Strict, as `git apply` is: context lines must match the base text
+    exactly, a text with no `---`/`+++` file header is an error, and so is a
+    hunk with fewer lines than its header counts or a hunk line after the
+    counts are used up. Lines between files that are not hunk lines (such
+    as `diff --git`, `index` and `\\ No newline at end of file`) are
+    skipped. Understands `a/`-`b/` prefixes and /dev/null for added or
+    deleted files.
     """
     result = dict(base)
     lines = diff_text.splitlines()
     i = 0
+    found_header = False
 
     def strip_prefix(name: str) -> str:
         name = name.split("\t")[0].strip()
@@ -155,13 +161,21 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
             return name[2:]
         return name
 
+    def at_file_header(i: int) -> bool:
+        return (
+            lines[i].startswith("--- ")
+            and i + 1 < len(lines)
+            and lines[i + 1].startswith("+++ ")
+        )
+
     while i < len(lines):
         if not lines[i].startswith("--- "):
             i += 1
             continue
         old_name = strip_prefix(lines[i][4:])
-        if i + 1 >= len(lines) or not lines[i + 1].startswith("+++ "):
+        if not at_file_header(i):
             raise DiffError(f"missing +++ line after line {i + 1}")
+        found_header = True
         new_name = strip_prefix(lines[i + 1][4:])
         i += 2
         if old_name == "/dev/null":
@@ -172,18 +186,24 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
             old_lines = result[old_name].splitlines()
         new_lines = list(old_lines)
         offset = 0
-        while i < len(lines) and lines[i].startswith("@@"):
+        while i < len(lines) and not at_file_header(i):
             header = lines[i]
+            if header[:1] in (" ", "+", "-"):
+                raise DiffError(f"line {i + 1} is outside any hunk: {header!r}")
+            i += 1
+            if not header.startswith("@@"):
+                continue  # a "\ No newline" marker or the next file's preamble
             try:
                 ranges = header.split("@@")[1].strip().split()
                 old_start, old_count = _parse_range(ranges[0])
                 _, new_count = _parse_range(ranges[1])
             except (IndexError, ValueError) as exc:
                 raise DiffError(f"bad hunk header {header!r}") from exc
-            i += 1
             cursor = max(old_start - 1, 0) + offset
             old_left, new_left = old_count, new_count
-            while i < len(lines) and (old_left > 0 or new_left > 0):
+            while old_left > 0 or new_left > 0:
+                if i >= len(lines) or at_file_header(i):
+                    raise DiffError(f"truncated hunk {header!r} in {old_name}")
                 line = lines[i]
                 tag = line[:1]
                 if tag == " " or line == "":
@@ -210,14 +230,16 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
                 else:
                     raise DiffError(f"unexpected line in hunk: {line!r}")
                 i += 1
-            while i < len(lines) and lines[i].startswith("\\"):
-                i += 1
+            if old_left or new_left:
+                raise DiffError(f"hunk {header!r} in {old_name} does not match its counts")
         if new_name == "/dev/null":
             result.pop(old_name, None)
         else:
             result[new_name] = "\n".join(new_lines) + ("\n" if new_lines else "")
             if old_name != new_name and old_name != "/dev/null":
                 result.pop(old_name, None)
+    if not found_header:
+        raise DiffError("no file header (--- and +++ lines) in the diff")
     return result
 
 

@@ -1,4 +1,5 @@
-"""The decision procedure over formulas.
+"""The decision procedure over formulas, the only one cfv has: no query
+leaves the process, so every Unsat comes from this core.
 
 sat_solve decides a Formula by Tseitin bit-blasting, then dpll.solve_cnf:
 bit-parallel simulation of the blasted circuit for formulas of at most
@@ -22,7 +23,6 @@ a timed-out completeness call means the bound is not known to be complete.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from cfv.bitblast import bitblast
@@ -122,36 +122,3 @@ def _default_model(formula: Formula) -> Model:
         t.name: (False if t.width == BOOL else 0) for t in formula.inputs
     }
 
-
-def make_solve_fn(external=None):
-    """Build the solving callable the pipeline hands around.
-
-    With an external solver configured, it decides sat/unsat first; sat
-    results still go through the internal solver because witnesses need a
-    model in our own format. Anything the external tool cannot answer falls
-    back to the internal route as well. A call made with its deadline
-    already passed raises Timeout and starts no external process.
-    """
-    if external is None:
-        return sat_solve
-
-    def solve(
-        formula: Formula,
-        deadline: float | None = None,
-        stats: SolverStats | None = None,
-    ) -> SolveResult:
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                if stats is not None:
-                    stats.solver_calls += 1
-                raise Timeout("the deadline passed before the external solver started")
-        verdict = external.decide(formula, remaining)
-        if verdict == "unsat":
-            if stats is not None:
-                stats.solver_calls += 1
-            return Unsat()
-        return sat_solve(formula, deadline=deadline, stats=stats)
-
-    return solve

@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfv.changes import compute_changeset, structural_equiv
+from cfv.cli import main
 from cfv.errors import InputError
 from cfv.minic.printer import format_unit
 from cfv.snapshot import (
+    DiffError,
     apply_unified_diff,
     load_snapshot_from_diff,
     snapshot_from_sources,
 )
 
 from generators import FunctionGen, mutate_function
+from oracles import CORPUS
 
 
 def category_partition(cs) -> list[set[str]]:
@@ -203,6 +206,66 @@ class TestUnifiedDiff:
         )
         with pytest.raises(ValueError):
             apply_unified_diff(self.BASE, diff)
+
+    # Each text below is one that `git apply` rejects.
+    def test_a_text_without_a_file_header_is_an_error(self, tmp_path):
+        for text in ("", "not a patch\n", "@@ -1,1 +1,1 @@\n-int f()\n+int g()\n"):
+            with pytest.raises(DiffError, match="no file header"):
+                apply_unified_diff(self.BASE, text)
+        garbage = tmp_path / "garbage.txt"
+        garbage.write_text("not a patch\n")
+        assert main(["diff", "--old", str(CORPUS / "minivec" / "old"), "--diff", str(garbage)]) == 3
+
+    @pytest.mark.parametrize(
+        "rest",
+        ["", "--- /dev/null\n+++ b/b.c\n@@ -0,0 +1,1 @@\n+int g(){return 0;}\n"],
+        ids=["end-of-text", "next-file"],
+    )
+    def test_a_truncated_hunk_is_an_error(self, rest):
+        diff = "--- a/a.c\n+++ b/a.c\n@@ -1,4 +1,4 @@\n int f()\n {\n-    return 1;\n+    return 2;\n"
+        with pytest.raises(DiffError, match="truncated hunk"):
+            apply_unified_diff(self.BASE, diff + rest)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "-    return 1;\n+    return 2;\n+    int extra = 1;\n",
+            "-    return 1;\n+    return 2;\n }\n",
+            "-    return 1;\n+    return 2;\n-}\n",
+            "-    return 1;\n-}\n+    return 2;\n",
+        ],
+        ids=["added", "context", "deleted", "deleted-within-the-new-count"],
+    )
+    def test_hunk_lines_past_the_counts_are_an_error(self, body):
+        diff = "--- a/a.c\n+++ b/a.c\n@@ -3,1 +3,1 @@\n" + body
+        with pytest.raises(DiffError):
+            apply_unified_diff(self.BASE, diff)
+
+    def test_git_preamble_lines_apply(self):
+        diff = (
+            "diff --git a/a.c b/a.c\n"
+            "index 3b18e51..a0c4f3b 100644\n"
+            "--- a/a.c\n"
+            "+++ b/a.c\n"
+            "@@ -1,4 +1,4 @@\n"
+            " int f()\n"
+            " {\n"
+            "-    return 1;\n"
+            "+    return 2;\n"
+            " }\n"
+            "\\ No newline at end of file\n"
+            "diff --git a/b.c b/b.c\n"
+            "new file mode 100644\n"
+            "index 0000000..1f2a3b4\n"
+            "--- /dev/null\n"
+            "+++ b/b.c\n"
+            "@@ -0,0 +1,1 @@\n"
+            "+int g(){return 0;}\n"
+        )
+        assert apply_unified_diff(self.BASE, diff) == {
+            "a.c": "int f()\n{\n    return 2;\n}\n",
+            "b.c": "int g(){return 0;}\n",
+        }
 
     def test_load_snapshot_from_diff(self, tmp_path):
         base = tmp_path / "base"

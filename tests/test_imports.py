@@ -5,7 +5,8 @@ through the module's `__all__`. `from __future__ import ...` is exempt.
 
 The reference interpreter judges the encoder, the blaster and the solver,
 so nothing it imports, directly or through other `cfv` modules, reaches
-them.
+them. And no `cfv` module imports `subprocess`: every query is decided by
+the in-process solver.
 """
 
 import ast
@@ -74,13 +75,21 @@ def reached_from(root: str) -> set[str]:
         seen.add(name)
         parts = name.split(".")
         stack += [".".join(parts[:i]) for i in range(1, len(parts))]
-        for node in ast.walk(ast.parse(module_path(name).read_text())):
-            if isinstance(node, ast.Import):
-                stack += [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                stack.append(node.module)
-                stack += [f"{node.module}.{alias.name}" for alias in node.names]
+        stack += imported_modules(module_path(name))
     return seen
+
+
+def imported_modules(path) -> list[str]:
+    """What every import statement of the source at path names, with each
+    name of a `from` import also taken as a possible submodule."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return names
 
 
 JUDGED = {f"cfv.{m}" for m in ("ssa", "bitblast", "dpll", "solver", "equivalence", "verify")}
@@ -93,3 +102,15 @@ def test_the_walk_follows_imports():
 
 def test_the_interpreter_reaches_nothing_it_judges():
     assert reached_from("cfv.interp") & JUDGED == set()
+
+
+def test_cfv_starts_no_process():
+    """One solver: no cfv module can hand a query to another program, so
+    every Unsat comes from the in-process core."""
+    assert "subprocess" in imported_modules(REPO_ROOT / "tests" / "test_golden.py")
+    found = [
+        str(path.relative_to(REPO_ROOT))
+        for path in sorted((REPO_ROOT / "src" / "cfv").rglob("*.py"))
+        if any(name.split(".")[0] == "subprocess" for name in imported_modules(path))
+    ]
+    assert found == []

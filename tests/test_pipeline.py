@@ -479,49 +479,6 @@ class TestCli:
         )
         assert code == 3
 
-    def test_external_backend_stub(self, tmp_path):
-        write_tree(tmp_path, LIB_OLD, LIB_NEW_EQUIV, TESTS)
-        stub = tmp_path / "stub.py"
-        # Claims unsat for everything: fine for an equivalent-only change.
-        stub.write_text("print('unsat')\n")
-        report = run_pipeline(
-            base_config(tmp_path, backend=f"external:python3 {stub} {{file}}")
-        )
-        (entry,) = report["equivalence"]
-        assert entry["verdict"]["kind"] == "equivalent"
-        assert exit_code(report) == 0
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
-        # An unknown kind, a command without {file}, an unclosed quote, a
-        # command that does not exist.
-        for spec in (
-            "quantum", "external:true", "external:'x {file}", "external:/nonexistent/solver {file}"
-        ):
-            with pytest.raises(ConfigError):
-                run_pipeline(base_config(tmp_path, backend=spec))
-
-    @pytest.mark.parametrize(
-        "spec",
-        ["external:true", "external:'x {file}", "external:/nonexistent/solver {file}"],
-        ids=["no-placeholder", "unclosed-quote", "missing-command"],
-    )
-    def test_malformed_external_backend_exits_three(self, tmp_path, spec):
-        write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
-        src = str(Path(cfv.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "cfv", "analyze", "--old", str(tmp_path / "old"),
-             "--new", str(tmp_path / "new"), "--tests", str(tmp_path / "tests"),
-             "--out", str(tmp_path / "report.json"), "--backend", spec],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 3
-        assert "error:" in done.stderr and "Traceback" not in done.stderr
-
     @pytest.mark.parametrize(
         "expr, message, col",
         [

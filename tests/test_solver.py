@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from cfv.bitblast import _blast_node, bitblast
 from cfv.dpll import search, solve_cnf
 from cfv.errors import Timeout
-from cfv.smtlib import ExternalSolver, emit_smtlib
 from cfv.solver import (
     Sat,
     SolverStats,
     Unsat,
-    make_solve_fn,
     sat_solve,
 )
 from cfv.terms import BOOL, Formula, TermBuilder, to_signed
@@ -437,76 +435,6 @@ class TestAgreement:
                 continue
             cnf = bitblast(f)
             check_cnf(cnf)  # no empty/tautological clauses, indices in range
-
-
-class TestSmtlib:
-    def test_single_bool_input(self):
-        b = TermBuilder()
-        p = b.input("b", BOOL)
-        text = emit_smtlib(Formula(b, p, (p,)))
-        assert "(declare-const |b| Bool)" in text
-        assert "(assert |b|)" in text
-        assert text.endswith("(check-sat)\n(get-model)\n")
-
-    def test_deterministic_output(self):
-        def build():
-            b = TermBuilder()
-            x, y = b.input("x", 4), b.input("y", 4)
-            root = b.eq(b.add(x, y), b.const(3, 4))
-            return Formula(b, root, (x, y))
-
-        assert emit_smtlib(build()) == emit_smtlib(build())
-
-    def test_shifts_are_masked_in_output(self):
-        b = TermBuilder()
-        x, y = b.input("x", 8), b.input("y", 8)
-        text = emit_smtlib(Formula(b, b.ne(b.shl(x, y), x), (x, y)))
-        assert "(bvshl |x| (bvand |y| (_ bv7 8)))" in text
-
-    def test_external_solver_stub(self, tmp_path):
-        stub = tmp_path / "stub.py"
-        stub.write_text(
-            "import sys\n"
-            "text = open(sys.argv[1]).read()\n"
-            "print('unsat' if 'bv255' in text else 'sat')\n"
-        )
-        ext = ExternalSolver(f"python3 {stub} {{file}}")
-        b = TermBuilder()
-        x = b.input("x", 8)
-        f_unsat = Formula(b, b.eq(x, b.const(255, 8)), (x,))
-        f_sat = Formula(b, b.eq(x, b.const(1, 8)), (x,))
-        assert ext.decide(f_unsat) == "unsat"
-        assert ext.decide(f_sat) == "sat"
-        solve = make_solve_fn(ext)
-        assert isinstance(solve(f_unsat), Unsat)
-        result = solve(f_sat)  # sat falls through to the internal solver
-        assert isinstance(result, Sat) and result.model == {"x": 1}
-
-    def test_external_solver_not_started_past_the_deadline(self):
-        class Recorder:
-            def __init__(self):
-                self.calls = []
-
-            def decide(self, formula, timeout_s=None):
-                self.calls.append(timeout_s)
-                return "unsat"
-
-        ext = Recorder()
-        b = TermBuilder()
-        x = b.input("x", 8)
-        formula = Formula(b, b.eq(x, b.const(1, 8)), (x,))
-        stats = SolverStats()
-        solve = make_solve_fn(ext)
-        with pytest.raises(Timeout):
-            solve(formula, deadline=time.monotonic() - 1.0, stats=stats)
-        assert ext.calls == []
-        assert stats.solver_calls == 1
-        assert isinstance(solve(formula, deadline=time.monotonic() + 5.0), Unsat)
-        assert len(ext.calls) == 1 and 0 < ext.calls[0] <= 5.0
-
-    def test_external_solver_requires_placeholder(self):
-        with pytest.raises(ValueError):
-            ExternalSolver("z3 -smt2")
 
 
 def test_signed_helpers():
