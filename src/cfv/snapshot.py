@@ -143,12 +143,12 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
     """Apply a unified diff to {path: text}, returning the patched mapping.
 
     Strict, as `git apply` is: context lines must match the base text
-    exactly, a text with no `---`/`+++` file header is an error, and so is a
-    hunk with fewer lines than its header counts or a hunk line after the
-    counts are used up. Lines between files that are not hunk lines (such
-    as `diff --git`, `index` and `\\ No newline at end of file`) are
-    skipped. Understands `a/`-`b/` prefixes and /dev/null for added or
-    deleted files.
+    exactly, a text with no `---`/`+++` file header is an error, and so are
+    a file header with no hunk after it, a hunk with fewer lines than its
+    header counts and a hunk line after the counts are used up. Lines
+    between files that are not hunk lines (such as `diff --git`, `index`
+    and `\\ No newline at end of file`) are skipped. Understands `a/`-`b/`
+    prefixes and /dev/null for added or deleted files.
     """
     result = dict(base)
     lines = diff_text.splitlines()
@@ -186,6 +186,7 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
             old_lines = result[old_name].splitlines()
         new_lines = list(old_lines)
         offset = 0
+        hunks = 0
         while i < len(lines) and not at_file_header(i):
             header = lines[i]
             if header[:1] in (" ", "+", "-"):
@@ -199,6 +200,7 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
                 _, new_count = _parse_range(ranges[1])
             except (IndexError, ValueError) as exc:
                 raise DiffError(f"bad hunk header {header!r}") from exc
+            hunks += 1
             cursor = max(old_start - 1, 0) + offset
             old_left, new_left = old_count, new_count
             while old_left > 0 or new_left > 0:
@@ -232,6 +234,8 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
                 i += 1
             if old_left or new_left:
                 raise DiffError(f"hunk {header!r} in {old_name} does not match its counts")
+        if not hunks:
+            raise DiffError(f"no hunk after the file header of {old_name}")
         if new_name == "/dev/null":
             result.pop(old_name, None)
         else:

@@ -4,15 +4,26 @@ One pass of guarded symbolic execution produces, per function, the return
 term, the final term of every touched global, and three boolean guards:
 
 * assertion_ok: every assert and every array bounds check holds,
-* unwinding_complete: no loop or call chain ran past its bound,
-* assume_ok: every executed assume held.
+* unwinding_complete: no loop or call chain ran past its bound while every
+  check before that point held,
+* assume_ok: every assume held that was executed while every check before
+  it held.
 
 Loops unroll loop_bound times with the residual entry falsifying
-unwinding_complete; calls inline up to inline_depth the same way. State
-updates are guarded if-then-else rewrites, so join points need no explicit
-merging. Every nondet intrinsic occurrence becomes a fresh input symbol
-tagged with its source site, which is what lets counterexamples replay
-through the interpreter.
+unwinding_complete; calls inline up to inline_depth the same way. A run
+stops at its first failed check, as the interpreter's does, so neither an
+assume nor a bound reached after one restricts the inputs: each is guarded
+by the conjunction of the checks encoded before it. Otherwise an input that
+fails an assert and then a later assume, or then runs a loop past its
+bound, would be excluded from the query that looks for the failure. So an
+assume is a top-level conjunct of assume_ok only when no check can fail
+before it, and the bounds solver.sat_solve reads from such conjuncts hold
+on every run.
+
+State updates are guarded if-then-else rewrites, so join points need no
+explicit merging. Every nondet intrinsic occurrence becomes a fresh input
+symbol tagged with its source site, which is what lets counterexamples
+replay through the interpreter.
 
 Two entry-state modes: equivalence checking reads globals as fresh shared
 input symbols (a function can be called in any state), while whole-test
@@ -261,7 +272,7 @@ class Encoder:
             self.ok_require(eff, cond)
         elif isinstance(stmt, ast.Assume):
             cond = self.eval(stmt.cond, eff, frame)
-            self.assume = b.and_(self.assume, b.implies(eff, cond))
+            self.assume = b.and_(self.assume, b.implies(b.and_(eff, self.ok), cond))
         elif isinstance(stmt, ast.ExprStmt):
             self.eval(stmt.expr, eff, frame, allow_void=True)
         else:  # pragma: no cover
@@ -305,7 +316,7 @@ class Encoder:
         live = b.and_(g, b.not_(frame.ret_flag))
         cond = self.eval(stmt.cond, live, frame)
         residual = b.and_(live, cond)
-        self.uc = b.and_(self.uc, b.not_(residual))
+        self.uc = b.and_(self.uc, b.not_(b.and_(residual, self.ok)))
 
     # -- expressions -------------------------------------------------------------
 
@@ -402,7 +413,7 @@ class Encoder:
         args = [self.eval(a, guard, frame) for a in expr.args]
         if self.depth + 1 > self.cfg.depth:
             # Call chain exceeds the inlining bound on this path.
-            self.uc = b.and_(self.uc, b.not_(guard))
+            self.uc = b.and_(self.uc, b.not_(b.and_(guard, self.ok)))
             return self._default(fn.return_type)
         self.b.check_deadline()
         self.depth += 1

@@ -44,6 +44,9 @@ _EQ_POLL_EVERY = 128
 
 _COMMUTATIVE = frozenset({"add", "mul", "band", "bor", "bxor", "and", "or", "xor", "eq"})
 
+# The TermBuilder method that builds each op, where it is not the op's name.
+_CONSTRUCTOR = {"not": "not_", "and": "and_", "or": "or_"}
+
 
 @contextmanager
 def collector_paused():
@@ -103,9 +106,9 @@ class TermBuilder:
 
     One builder per solving task; terms from different builders must not be
     mixed. All ops validate operand widths. With a deadline (a
-    time.monotonic() value), eq raises errors.Timeout once it has passed: it
-    is the one op whose single call can expand into thousands of nodes. The
-    encoder polls the same deadline through check_deadline.
+    time.monotonic() value), eq and substitute raise errors.Timeout once it
+    has passed: they are the calls that can expand into thousands of nodes.
+    The encoder polls the same deadline through check_deadline.
     """
 
     def __init__(self, deadline: float | None = None) -> None:
@@ -528,6 +531,41 @@ class TermBuilder:
         return self._bv2(
             "ashr", a, b, lambda x, y, w: to_signed(x, w) >> (y & (w - 1))
         )
+
+    # -- substitution ----------------------------------------------------------
+
+    def substitute(self, root: Term, mapping: dict[Term, Term]) -> Term:
+        """root with each input of mapping replaced by its term.
+
+        Every node above a replaced input is rebuilt through this builder's
+        own constructors, so constants fold, sums renormalise and eq is
+        pushed through ite again; a node whose operands are all unchanged is
+        kept as it is. The walk is iterative, with one memo per call. The
+        deadline is polled on entry and then as eq polls it, once per
+        _EQ_POLL_EVERY rebuilt nodes.
+        """
+        self.check_deadline()
+        nodes = {root.uid: root}
+        stack = [root]
+        while stack:
+            for a in stack.pop().args:
+                if a.uid not in nodes:
+                    nodes[a.uid] = a
+                    stack.append(a)
+        new: dict[int, Term] = {t.uid: v for t, v in mapping.items()}
+        # A term is newer than its operands, so ascending uids visit every
+        # operand before the terms that use it.
+        for uid in sorted(nodes):
+            if uid in new:
+                continue
+            term = nodes[uid]
+            args = tuple([new[a.uid] for a in term.args])
+            if args == term.args:  # Terms compare by identity
+                new[uid] = term
+                continue
+            self._poll()
+            new[uid] = getattr(self, _CONSTRUCTOR.get(term.op, term.op))(*args)
+        return new[root.uid]
 
 
 @dataclass

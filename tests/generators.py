@@ -410,8 +410,10 @@ class RandomTestGen:
     """Random nondet-free test bodies over the fixture snapshot.
 
     Some asserts hold and some do not; some array accesses go out of
-    bounds. The point is agreement between the encoder and the
-    interpreter, not test health.
+    bounds. Assumes, at top level and under `if`, come before and after
+    asserts, so a failed check can precede a failed assume: the run stops
+    at whichever fails first. The point is agreement between the encoder
+    and the interpreter, not test health.
     """
 
     def __init__(self, rng: random.Random, width: int = 4):
@@ -427,6 +429,11 @@ class RandomTestGen:
         return ast.Call(
             S, name, [self.gen.int_expr(vars_, 1), self.gen.int_expr(vars_, 1)]
         )
+
+    def check(self, vars_: list[str]) -> ast.Stmt:
+        """An assert or, less often, an assume of a random condition."""
+        kind = ast.Assert if self.rng.random() < 0.6 else ast.Assume
+        return kind(S, self.gen.bool_expr(vars_, 1))
 
     def body(self) -> ast.FunctionDef:
         rng = self.rng
@@ -456,10 +463,10 @@ class RandomTestGen:
                     )
                 )
             elif roll < 0.8:
-                stmts.append(ast.Assert(S, self.gen.bool_expr(vars_, 1)))
+                stmts.append(self.check(vars_))
             else:
                 then_body = ast.Block(
-                    S, [ast.Assert(S, self.gen.bool_expr(vars_, 1))]
+                    S, [self.check(vars_) for _ in range(rng.randint(1, 2))]
                 )
                 stmts.append(ast.If(S, self.gen.bool_expr(vars_, 1), then_body, None))
         stmts.append(ast.Assert(S, self.gen.bool_expr(vars_, 1)))

@@ -221,6 +221,20 @@ class TestUnifiedDiff:
         ["", "--- /dev/null\n+++ b/b.c\n@@ -0,0 +1,1 @@\n+int g(){return 0;}\n"],
         ids=["end-of-text", "next-file"],
     )
+    def test_a_file_header_without_a_hunk_is_an_error(self, tmp_path, capsys, rest):
+        with pytest.raises(DiffError, match="no hunk after the file header of a.c"):
+            apply_unified_diff(self.BASE, "--- a/a.c\n+++ b/a.c\n" + rest)
+        header = tmp_path / "hdr.diff"
+        header.write_text("--- a/vec.c\n+++ b/vec.c\n" + rest.replace("b.c", "extra.c"))
+        old = str(CORPUS / "minivec" / "old")
+        assert main(["diff", "--old", old, "--diff", str(header)]) == 3
+        assert capsys.readouterr().err.startswith(f"{header}:")
+
+    @pytest.mark.parametrize(
+        "rest",
+        ["", "--- /dev/null\n+++ b/b.c\n@@ -0,0 +1,1 @@\n+int g(){return 0;}\n"],
+        ids=["end-of-text", "next-file"],
+    )
     def test_a_truncated_hunk_is_an_error(self, rest):
         diff = "--- a/a.c\n+++ b/a.c\n@@ -1,4 +1,4 @@\n int f()\n {\n-    return 1;\n+    return 2;\n"
         with pytest.raises(DiffError, match="truncated hunk"):

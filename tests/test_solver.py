@@ -9,6 +9,7 @@ from cfv.bitblast import _blast_node, bitblast
 from cfv.dpll import search, solve_cnf
 from cfv.errors import Timeout
 from cfv.solver import (
+    SPLIT_MAX,
     Sat,
     SolverStats,
     Unsat,
@@ -367,6 +368,107 @@ class TestDpll:
         rhs = b.add(b.add(b.mul(x, y), y), b.ite(hit, one, b.const(0, 6)))
         f = Formula(b, b.ne(lhs, rhs), (x, y))
         assert learned_model(f) == exhaustive_solve(f).model == {"a": hit_a, "b": hit_mask}
+
+
+def with_bounds(f, x, lo, hi, rng):
+    """f with lo <= x <= hi (signed) conjoined, in forms the case split
+    reads, chosen at random; lo > hi leaves no value."""
+    b, w = f.builder, x.width
+    smallest, largest = -(1 << (w - 1)), (1 << (w - 1)) - 1
+    c = lambda v: b.const(v, w)
+    if lo == hi and rng.random() < 0.5:
+        return Formula(b, b.and_(b.eq(x, c(lo)), f.root), f.inputs)
+    if lo == smallest or rng.random() < 0.5:
+        low = b.not_(b.slt(x, c(lo)))
+    else:
+        low = b.slt(c(lo - 1), x)
+    if hi == largest or rng.random() < 0.5:
+        high = b.not_(b.slt(c(hi), x))
+    else:
+        high = b.slt(x, c(hi + 1))
+    return Formula(b, b.all_([low, f.root, high]), f.inputs)
+
+
+class TestCaseSplit:
+    @pytest.fixture
+    def blasted(self, monkeypatch):
+        """The formulas sat_solve bit-blasts, in call order."""
+        calls = []
+        real = bitblast
+
+        def spy(formula, deadline=None):
+            calls.append(formula)
+            return real(formula, deadline)
+
+        monkeypatch.setattr("cfv.solver.bitblast", spy)
+        return calls
+
+    def test_random_bounds_agree_with_enumeration(self, blasted):
+        decided = fell_back = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            width = rng.randint(3, 6)
+            f = random_formula(rng, width=width, max_inputs=2, depth=3)
+            x = rng.choice(f.inputs)
+            lo = rng.randrange(-(1 << (width - 1)), (1 << (width - 1)) - 3)
+            f = with_bounds(f, x, lo, lo + rng.randint(-1, 3), rng)
+            if seed % 10 == 0:  # contradictory bounds on top
+                f = with_bounds(f, x, lo + 2, lo + 1, rng)
+            before = len(blasted)
+            fast, slow = sat_solve(f), exhaustive_solve(f)
+            assert type(fast) is type(slow), seed
+            if isinstance(fast, Sat):
+                assert fast.model == slow.model, seed
+            if not f.root.is_const:
+                if len(blasted) > before:
+                    fell_back += 1
+                else:
+                    decided += 1
+        assert decided and fell_back, (decided, fell_back)
+
+    @pytest.mark.parametrize(
+        "sizes, split",
+        [((SPLIT_MAX,), True), ((SPLIT_MAX + 1,), False), ((4, 4), True), ((4, 5), False)],
+    )
+    def test_at_most_split_max_joint_values_split(self, blasted, sizes, split):
+        # Inputs bounded to 0..n - 1, the first by strict and the second by
+        # negated comparisons, so a bound one value too wide in any of the
+        # four forms splits on too many values; the sum of their squares is
+        # 9 mod 16.
+        b = TermBuilder()
+        xs = tuple(b.input(f"x{i}", 8) for i in range(len(sizes)))
+        c = lambda v: b.const(v, 8)
+        bounds = [
+            [b.slt(c(-1), x), b.slt(x, c(n))] if i == 0
+            else [b.not_(b.slt(x, c(0))), b.not_(b.slt(c(n - 1), x))]
+            for i, (x, n) in enumerate(zip(xs, sizes))
+        ]
+        squares = c(0)
+        for x in xs:
+            squares = b.add(squares, b.mul(x, x))
+        root = b.all_(sum(bounds, []) + [b.eq(b.band(squares, c(15)), c(9))])
+        f = Formula(b, root, xs)
+        assert sat_solve(f).model == exhaustive_solve(f).model
+        assert (not blasted) == split
+
+    def test_least_model_orders_cases_as_unsigned_residues(self, blasted):
+        # x in -2..1 and x < 0: the least model is x = -2, residue 254, and
+        # the free input a before it is 0.
+        b = TermBuilder()
+        a, x = b.input("a", 8), b.input("x", 8)
+        c = lambda v: b.const(v, 8)
+        root = b.all_([b.not_(b.slt(x, c(-2))), b.not_(b.slt(c(1), x)), b.slt(x, c(0))])
+        f = Formula(b, root, (a, x))
+        assert sat_solve(f).model == exhaustive_solve(f).model == {"a": 0, "x": 254}
+        assert not blasted
+
+    def test_contradictory_bounds_are_unsat_before_blasting(self, blasted):
+        f = miter_formula(32)  # far too hard to blast and search here
+        b = f.builder
+        p = f.inputs[0]
+        root = b.all_([b.slt(p, b.const(3, 32)), f.root, b.eq(p, b.const(7, 32))])
+        assert isinstance(sat_solve(Formula(b, root, f.inputs)), Unsat)
+        assert not blasted
 
 
 class TestAgreement:

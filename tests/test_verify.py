@@ -1,16 +1,21 @@
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfv.cli import main
 from cfv.harness import GeneralizedTest, load_tests
-from cfv.snapshot import snapshot_from_sources
+from cfv.interp import run_function
+from cfv.minic import ast
+from cfv.snapshot import load_snapshot, snapshot_from_sources
 from cfv.ssa import UnrollConfig
-from cfv.terms import to_signed
+from cfv.terms import TermBuilder, to_signed
 from cfv.verify import Fail, Pass, Unknown, concretize, verify_test
 
 from generators import RandomTestGen, fixture_snapshot
-from oracles import AssertFailResult, PassResult, interpret_concrete
+from oracles import CORPUS, AssertFailResult, PassResult, interpret_concrete
 
 
 W4 = UnrollConfig(loop_bound=4, timeout_s=20, width=4)
@@ -129,6 +134,114 @@ void test_a(){
         assert [name for _, name, _ in cx.trace] == ["x", "y"]
         assert cx.trace[-1][2] == 3
         assert cx.failing_assert.line == 5
+
+
+class TestChecksBeforeAssumesAndBounds:
+    """A run stops at its first failed check, so neither a later assume nor
+    a loop that would then run past its bound may hide the failure."""
+
+    LIB = "int id(int x) { return x; }\n"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "    int x = nondet_int();\n    assert(id(x) != 5);\n    assume(x != 5);\n",
+            "    int x = 5;\n    assert(id(x) != 5);\n    assume(x != 5);\n",
+            "    int n = nondet_int();\n    assert(n < 100);\n    int i = 0;\n"
+            "    while (i < n) { i = i + 1; }\n",
+        ],
+        ids=["nondet-then-assume", "constant-then-assume", "then-long-loop"],
+    )
+    def test_the_failure_is_reported_and_replays(self, tmp_path, capsys, body):
+        src = "void test_a() {\n" + body + "}\n"
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "lib.c").write_text(self.LIB)
+        (tmp_path / "tests").mkdir()
+        gt, view = as_generalized(src, self.LIB, width=8, tmp_path=tmp_path / "tests")
+        argv = ["verify", "--src", str(tmp_path / "src"), "--tests", str(tmp_path / "tests")]
+        assert main(argv + ["--width", "8"]) == 1
+        assert capsys.readouterr().out == "test_a: fail at t.c:3:5\n"
+
+        result = verify_test(gt, view, UnrollConfig(width=8))
+        assert isinstance(result, Fail)
+        replayed = interpret_concrete(concretize(gt, result.counterexample, 8).body, view)
+        assert isinstance(replayed, AssertFailResult)
+        assert replayed.span == result.counterexample.failing_assert
+
+
+class TestCaseSplit:
+    """Queries whose assumptions confine an input to a few values are
+    decided by cases, without blasting."""
+
+    BOUNDED = "void test_a(){{int x = nondet_int(); assume(0 <= x); assume(x <= 3); {}}}"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "assert(x * 3 - 5 != 1);",
+            "assert(x * x <= 9);",
+            "int y = x << 2; assert(y != 12 && y != 4);",
+            "assert(buf[x] == 0);",
+            "if (x > 1) { assume(x == 3); } assert(x != 3);",
+        ],
+    )
+    def test_agrees_with_the_interpreter_on_every_value(self, tmp_path, monkeypatch, body):
+        gt, view = as_generalized(
+            self.BOUNDED.format(body), snap_src="int buf[2];", tmp_path=tmp_path
+        )
+        (site,) = [
+            e.span.start for e in ast.preorder(gt.body.body) if isinstance(e, ast.NondetInt)
+        ]
+        failing = [
+            x for x in range(4)
+            if run_function(view, gt.body, [], None, {(site, 0): x}).status
+            in ("assert_fail", "trap")
+        ]
+
+        def no_blasting(*args, **kwargs):
+            raise AssertionError("the query reached the blaster")
+
+        monkeypatch.setattr("cfv.solver.bitblast", no_blasting)
+        result = verify_test(gt, view, W4)
+        if failing:
+            assert isinstance(result, Fail)
+            assert list(result.counterexample.valuation.values()) == failing[:1]
+        else:
+            assert result == Pass(W4.loop_bound, True)
+
+    def test_deadline_passing_during_substitution_gives_unknown(self, tmp_path, monkeypatch):
+        gt, view = as_generalized(
+            self.BOUNDED.format("assert(x * x != 4);"), tmp_path=tmp_path
+        )
+        assert isinstance(verify_test(gt, view, W4), Fail)
+        substituting = []
+        original = TermBuilder.substitute
+
+        def substitute(builder, root, mapping):
+            substituting.append(mapping)
+            return original(builder, root, mapping)
+
+        # The terms' clock passes the deadline once substitution begins.
+        clock = SimpleNamespace(monotonic=lambda: math.inf if substituting else 0.0)
+        monkeypatch.setattr(TermBuilder, "substitute", substitute)
+        monkeypatch.setattr("cfv.terms.time", clock)
+        assert verify_test(gt, view, W4) == Unknown("timeout")
+        assert substituting
+
+    def test_the_width_32_insert_proof_needs_no_search(self, tmp_path, monkeypatch):
+        # test_insert_general confines pos to 0..2, and each case folds.
+        (tmp_path / "insert_tests.c").write_text(
+            (CORPUS / "minivec" / "tests" / "insert_tests.c").read_text()
+        )
+        tests, view = load_tests(tmp_path, load_snapshot(CORPUS / "minivec" / "old", 32))
+        (t,) = [t for t in tests if t.name == "test_insert_general"]
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the query reached the SAT core")
+
+        monkeypatch.setattr("cfv.dpll.search", no_search)
+        gt = GeneralizedTest(t.name, t.body, [], manual=True)
+        assert verify_test(gt, view, UnrollConfig(timeout_s=60, width=32)) == Pass(8, True)
 
 
 class TestConcretize:
