@@ -16,11 +16,12 @@ operands, so its variable lies above theirs.
 The result carries two views of one circuit: the Tseitin clauses, with the
 root literal as a unit clause, and the gate list (var, kind, operands) of
 the live gates in that same topological order, with the root literal. The
-gate list is kept only for formulas dpll simulates, those of at most
-dpll.SIM_MAX_INPUT_BITS input bits: nothing else reads it, and on the
-width-32 vec_insert miter (14k variables) it would hold 1.8 MB while the
-learning core searches. Every variable above the inputs is a gate, a
-function of the inputs. So a least satisfying input valuation, extended by
+gate list is kept only for formulas of at most SIM_MAX_INPUT_BITS input
+bits, and this module alone reads that threshold: dpll.solve_cnf simulates
+exactly the formulas that carry a gate list and searches the clauses of the
+rest. On the width-32 vec_insert miter (14k variables) the list would hold
+1.8 MB while the learning core searches. Every variable above the inputs
+is a gate, a function of the inputs. So a least satisfying input valuation, extended by
 the gate values it forces, is the lexicographically least model over
 variables 1..n, with input valuations compared in the counting order of the
 test suite's enumeration oracle (tests/oracles.exhaustive_solve). dpll
@@ -35,14 +36,13 @@ branches propagate without a case split.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from cfv.dpll import SIM_MAX_INPUT_BITS
-from cfv.errors import Timeout
+from cfv.errors import check_deadline
 from cfv.terms import BOOL, Formula, Term, postorder
 
 TRUE_LIT = 1
+SIM_MAX_INPUT_BITS = 16  # formulas up to this many input bits keep gates
 _POLL_MASK = 4095  # poll the deadline every 4,096 gates built or emitted
 
 
@@ -78,10 +78,6 @@ class _Blaster:
         self.gate_cache: dict[tuple, int] = {}
         self.deadline = deadline
 
-    def poll(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise Timeout("bit-blasting exceeded the time limit")
-
     def new_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
@@ -91,7 +87,7 @@ class _Blaster:
         if g is None:
             g = self.gate_cache[key] = self.new_var()
             if g & _POLL_MASK == 0:
-                self.poll()
+                check_deadline(self.deadline, "bit-blasting")
         return g
 
     # -- gates ----------------------------------------------------------------
@@ -273,7 +269,7 @@ class _Blaster:
                 continue
             n += 1
             if n & _POLL_MASK == 0:
-                self.poll()
+                check_deadline(self.deadline, "bit-blasting")
             g = ren[old] = n
             ren[-old] = -n
             kind = key[0]
@@ -306,15 +302,15 @@ class _Blaster:
         return CnfFormula(n, clauses, input_bits, gates, root)
 
 
-def bitblast(formula: Formula, deadline: float | None = None) -> CnfFormula:
+def bitblast(formula: Formula) -> CnfFormula:
     """Translate a formula into an equisatisfiable CNF.
 
     Deterministic: identical formulas produce identical CNFs. Raises
-    Timeout when the optional deadline passes: on entry, then every 4,096
+    Timeout when the builder's deadline passes: on entry, then every 4,096
     gates built or emitted.
     """
-    blaster = _Blaster(deadline)
-    blaster.poll()
+    blaster = _Blaster(formula.builder.deadline)
+    check_deadline(blaster.deadline, "bit-blasting")
     input_bits: dict[str, tuple[int, ...]] = {}
     bits: dict[int, list[int]] = {}  # term uid -> literals (LSB first; bools 1 lit)
 

@@ -44,6 +44,12 @@ def _unroll_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=60.0, metavar="S", help="time limit in seconds for each equivalence pair and each test (default 60)")
 
 
+def _new_or_diff(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--new", metavar="DIR")
+    group.add_argument("--diff", metavar="FILE", help="unified diff applied to --old instead of --new")
+
+
 def _unroll_from(args) -> UnrollConfig:
     try:
         return UnrollConfig(
@@ -72,10 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cfv {cfv.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="run the full pipeline", description="Run the full pipeline. Every query is decided in-process by cfv's own bit-blaster and SAT core; no external solver is started.")
+    p = sub.add_parser("analyze", help="run the full pipeline", description="Run the full pipeline. Every query is decided in-process: by cases when its own bounds confine an input to a few values, by simulating the bit-blasted circuit when it has few input bits, and otherwise by cfv's own SAT core; no external solver is started.")
     p.add_argument("--old", required=True, metavar="DIR")
-    p.add_argument("--new", metavar="DIR")
-    p.add_argument("--diff", metavar="FILE", help="unified diff applied to --old instead of --new")
+    _new_or_diff(p)
     p.add_argument("--tests", required=True, metavar="DIR")
     p.add_argument("--budget", type=float, default=300.0, metavar="S", help="wall-clock budget of the whole run in seconds; equivalence checks stop at half of it, and an item left with under 0.05 s is reported unknown (default 300)")
     p.add_argument("--out", required=True, metavar="FILE")
@@ -83,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diff", help="classify function-level changes")
     p.add_argument("--old", required=True, metavar="DIR")
-    p.add_argument("--new", metavar="DIR")
-    p.add_argument("--diff", metavar="FILE")
+    _new_or_diff(p)
     p.add_argument("--width", type=int, default=32, choices=(4, 8, 16, 32))
 
     p = sub.add_parser("equiv", help="check one function across two files")
@@ -148,10 +152,8 @@ def cmd_diff(args) -> int:
     old_snap = load_snapshot(args.old, args.width)
     if args.diff is not None:
         new_snap = load_snapshot_from_diff(args.old, args.diff, args.width)
-    elif args.new is not None:
-        new_snap = load_snapshot(args.new, args.width)
     else:
-        raise ConfigError("diff needs --new or --diff")
+        new_snap = load_snapshot(args.new, args.width)
     cs = compute_changeset(old_snap, new_snap)
     for name in cs.unchanged:
         print(f"unchanged: {name}")

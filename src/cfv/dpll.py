@@ -4,30 +4,34 @@ Both keep one contract: the model returned is the lexicographically least
 one, with variable 1 the most significant, so verdicts and models are fully
 reproducible.
 
-solve_cnf picks the procedure by the formula's input-bit count:
+solve_cnf picks the procedure by whether the blasted formula kept its gate
+list, which bitblast does for formulas of at most bitblast.SIM_MAX_INPUT_BITS
+(16) input bits:
 
-* Up to SIM_MAX_INPUT_BITS it simulates the blasted circuit on every input
-  valuation, bit-parallel. A chunk packs 4,096 valuations into one Python
-  int per variable, one lane per valuation, and each gate is one to three
-  `& | ^` operations over the whole chunk (word-parallel simulation, as in
+* With a gate list it simulates the circuit on every input valuation,
+  bit-parallel. A chunk packs 4,096 valuations into one Python int per
+  variable, one lane per valuation, and each gate is one to three `& | ^`
+  operations over the whole chunk (word-parallel simulation, as in
   Kuehlmann et al., "Robust Boolean Reasoning for Equivalence Checking and
   Functional Property Verification", IEEE TCAD 2002). The deadline is
   polled before each chunk. At most 16 chunks decide such a query
   outright: the width-8 miter of (a + 1) * b against a * b + b (16 input
   bits, UNSAT) takes about 2 ms, where the learning core takes about 33 s
   on a 2-core x86-64 host.
-* Above it, and for a raw CNF with no circuit, it runs conflict-driven
-  clause learning after Chaff (Moskewicz et al., 2001) and MiniSat (Een &
-  Sorensson, 2003): two-watched-literal propagation, 1-UIP learning with
-  recursive clause minimisation, VSIDS decisions on an indexed heap, Luby
-  restarts, and deletion of learned clauses by literal block distance. The
-  deadline is polled every 512 steps, a step being a decision or a
-  propagated literal. The width-32 miter of minivec's vec_insert, 352
-  input bits and 14,262 variables once blasted, is satisfiable; finding
-  its least model takes about 0.09 s on a 2-core x86-64 host.
+* Without one it runs conflict-driven clause learning after Chaff
+  (Moskewicz et al., 2001) and MiniSat (Een & Sorensson, 2003):
+  two-watched-literal propagation, 1-UIP learning with recursive clause
+  minimisation, VSIDS decisions on an indexed heap, Luby restarts, and
+  deletion of learned clauses by literal block distance. The deadline is
+  polled every 512 steps, a step being a decision or a propagated literal.
+  The width-32 miter of minivec's vec_insert, 352 input bits and 14,262
+  variables once blasted, is satisfiable; finding its least model takes
+  about 0.09 s on a 2-core x86-64 host.
 
-solve_cnf also polls the deadline on entry. A poll that finds it passed
-raises errors.Timeout, so a result is only ever "sat" or "unsat".
+solve_cnf also polls the deadline on entry. Every poll goes through
+errors.check_deadline, which raises errors.Timeout once the deadline has
+passed, so a result is only ever "sat" or "unsat". search, the learning
+core itself, also takes a raw CNF.
 
 How simulation keeps the least-model contract. Input bits take variables
 2..k + 1, most significant first, so valuation i gives variable 2 + j bit
@@ -67,17 +71,15 @@ rest of the clause implies its negation.
 
 from __future__ import annotations
 
-import time
 from functools import cache
 from typing import TYPE_CHECKING
 
-from cfv.errors import Timeout
+from cfv.errors import check_deadline
 
 if TYPE_CHECKING:
     from cfv.bitblast import CnfFormula
 
 UNASSIGNED = -1
-SIM_MAX_INPUT_BITS = 16
 STATIC_PROBE_CONFLICTS = 20
 RESTART_UNIT = 100  # conflicts per Luby unit
 VAR_DECAY = 0.95
@@ -94,28 +96,18 @@ class DpllResult:
         self.assignment = assignment
 
 
-def solve_cnf(
-    num_vars: int,
-    clauses: list[tuple[int, ...]],
-    deadline: float | None = None,
-    circuit: CnfFormula | None = None,
-) -> DpllResult:
-    """Decide a CNF. assignment[v] is 0/1 for v in 1..num_vars when sat.
+def solve_cnf(cnf: CnfFormula, deadline: float | None = None) -> DpllResult:
+    """Decide a bit-blasted formula. assignment[v] is 0/1 for v in
+    1..cnf.num_vars when sat.
 
-    circuit is the bit-blasted formula the clauses encode. With at most
-    SIM_MAX_INPUT_BITS input bits it is simulated; otherwise, or without a
-    circuit, the learning core searches the clauses. Either way the model
-    is the lexicographically least one. Raises Timeout past the deadline.
+    A formula with a gate list is simulated; otherwise the learning core
+    searches its clauses. Either way the model is the lexicographically
+    least one. Raises Timeout past the deadline.
     """
-    _check(deadline)
-    if circuit is not None and circuit.num_inputs <= SIM_MAX_INPUT_BITS:
-        return simulate(circuit, deadline)
-    return search(num_vars, clauses, deadline)
-
-
-def _check(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise Timeout("solving exceeded the time limit")
+    check_deadline(deadline, "solving")
+    if cnf.gates is not None:
+        return simulate(cnf, deadline)
+    return search(cnf.num_vars, cnf.clauses, deadline)
 
 
 @cache
@@ -158,7 +150,7 @@ def simulate(circuit: CnfFormula, deadline: float | None = None) -> DpllResult:
     gates = circuit.gates
     root = circuit.root
     for chunk in range(1 << (k - lane_bits)):
-        _check(deadline)
+        check_deadline(deadline, "solving")
         for i in range(lane_bits, k):
             v = k + 1 - i
             w[v] = mask if chunk >> (i - lane_bits) & 1 else 0
@@ -322,7 +314,7 @@ def search(
             qhead += 1
             steps += 1
             if not steps & _POLL_MASK:
-                _check(deadline)
+                check_deadline(deadline, "solving")
             ws = watches[f]
             i = 0
             end = len(ws)
@@ -525,6 +517,6 @@ def search(
 
         steps += 1
         if not steps & _POLL_MASK:
-            _check(deadline)
+            check_deadline(deadline, "solving")
         trail_lim.append(len(trail))
         assign(lit, -1)

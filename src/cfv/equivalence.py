@@ -15,14 +15,14 @@ Every behavioral verdict is replayed through the reference interpreter
 before being reported: a NotEquivalent witness that does not reproduce a
 concrete difference is a bug, not a result.
 
-A time limit covers encoding, building the miter, bit-blasting and
-solving. Each of those stages raises errors.Timeout at the poll that finds
-it expired; check_equivalence catches it in one place, the verdict is
-Unknown("timeout"), and the caller treats the pair as changed. A pair
-whose relevant globals changed their declared initial value is also
-Unknown: the input-relational encoding compares functions over shared
-arbitrary states and cannot see initial-state divergence, so such pairs go
-straight to testing.
+A time limit, the deadline of the check's one TermBuilder, covers encoding,
+building the miter, the case split, bit-blasting and solving. Each of those
+stages raises errors.Timeout at the poll that finds it expired;
+check_equivalence catches it in one place, the verdict is Unknown("timeout"),
+and the caller treats the pair as changed. A pair whose relevant globals
+changed their declared initial value is also Unknown: the input-relational
+encoding compares functions over shared arbitrary states and cannot see
+initial-state divergence, so such pairs go straight to testing.
 """
 
 from __future__ import annotations
@@ -64,19 +64,13 @@ class Witness:
 
 
 @dataclass
-class Observables:
-    ok: bool
-    status: str
-    ret: int | bool | None
-    globals: dict
-
-
-@dataclass
 class NotEquivalent:
     reason: str  # "behavior" or "signature_mismatch"
     witness: Witness | None = None
-    old_observables: Observables | None = None
-    new_observables: Observables | None = None
+    # The two replays of the witness; their ok, status, ret and globals
+    # are the observables.
+    old_observables: Outcome | None = None
+    new_observables: Outcome | None = None
 
 
 EquivalenceVerdict = Equivalent | NotEquivalent | Unknown
@@ -200,20 +194,19 @@ def replay(
     fn: ast.FunctionDef,
     prog: SsaProgram,
     witness: Witness,
-) -> Observables:
-    """Run fn concretely on the witness and package its observables."""
+) -> Outcome:
+    """Run fn concretely on the witness."""
     globals_init = zero_globals(snap)
     for name, value in witness.globals.items():
         if name in globals_init:
             globals_init[name] = list(value) if isinstance(value, list) else value
-    outcome: Outcome = run_function(
+    return run_function(
         snap, fn, list(witness.params), globals_init,
         prog.nondet_values(witness.nondets),
     )
-    return Observables(outcome.ok, outcome.status, outcome.ret, outcome.globals)
 
 
-def observables_differ(a: Observables, b: Observables) -> bool:
+def observables_differ(a: Outcome, b: Outcome) -> bool:
     if a.ok != b.ok:
         return True
     if not a.ok:
@@ -228,9 +221,7 @@ def check_equivalence(
     snaps: tuple[Snapshot, Snapshot],
     cfg: UnrollConfig,
     stats: SolverStats | None = None,
-    solve_fn=None,
 ) -> EquivalenceVerdict:
-    solve = solve_fn if solve_fn is not None else sat_solve
     old_snap, new_snap = snaps
 
     if not same_signature(old_fn, new_fn):
@@ -253,15 +244,14 @@ def check_equivalence(
     if structural_equiv(old_fn, new_fn):
         return Equivalent("structural", 0, True)
 
-    deadline = time.monotonic() + cfg.timeout_s
-    builder = TermBuilder(deadline)
+    builder = TermBuilder(time.monotonic() + cfg.timeout_s)
     try:
         old_ssa = encode_ssa(old_fn, old_snap, cfg, builder)
         new_ssa = encode_ssa(new_fn, new_snap, cfg, builder)
         miter = build_miter(old_ssa, new_ssa)
         assume_ok = builder.and_(old_ssa.assume_ok, new_ssa.assume_ok)
         unwound = builder.and_(old_ssa.unwinding_complete, new_ssa.unwinding_complete)
-        result = solve_bounded(solve, miter, assume_ok, unwound, deadline, stats)
+        result = solve_bounded(sat_solve, miter, assume_ok, unwound, stats)
     except Timeout:
         return Unknown("timeout")
     except RecursionError:  # inlining stacks bodies each as deep as the parser allows

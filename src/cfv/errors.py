@@ -1,13 +1,15 @@
 """Diagnostics and exception types shared across the toolkit.
 
-Timeout is the one way a stage reports that it ran out of time. Every stage
-that polls a deadline (building terms, encoding, bit-blasting, simulation,
-the learning core) raises it at the poll, and each check catches it once
-and records Unknown("timeout").
+Timeout is the one way a stage reports that it ran out of time, and
+check_deadline is the one place that raises it. Every stage that polls a
+deadline (building terms, encoding, the case split, bit-blasting,
+simulation, the learning core) calls it at the poll, naming itself, and
+each check catches Timeout once and records Unknown("timeout").
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -53,6 +55,13 @@ class TypeCheckError(FrontendError):
 class Timeout(CfvError):
     """A stage polled its deadline (an absolute time.monotonic() value) and
     found it passed."""
+
+
+def check_deadline(deadline: float | None, stage: str) -> None:
+    """Raise Timeout, naming stage, once deadline has passed. A None
+    deadline never passes."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise Timeout(f"{stage} exceeded the time limit")
 
 
 class ConfigError(CfvError):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from math import inf
 
 from cfv.changes import compute_changeset
 from cfv.equivalence import Equivalent, check_equivalence
@@ -51,10 +52,10 @@ class RunConfig:
     diff_path: str | None = None  # apply to old_dir instead of reading new_dir
 
     def __post_init__(self) -> None:
-        if not self.budget_s > 0:  # NaN included
-            raise ConfigError("budget must be positive")
-        if self.new_dir is None and self.diff_path is None:
-            raise ConfigError("either a new directory or a diff is required")
+        if not 0 < self.budget_s < inf:  # NaN included
+            raise ConfigError("budget must be positive and finite")
+        if (self.new_dir is None) == (self.diff_path is None):
+            raise ConfigError("exactly one of a new directory and a diff is required")
 
 
 @collector_paused()

@@ -19,10 +19,10 @@ from cfv.equivalence import (
     Equivalent,
     EquivalenceVerdict,
     NotEquivalent,
-    Observables,
     Unknown,
     Witness,
 )
+from cfv.interp import Outcome
 from cfv.minic.ast import Span
 from cfv.terms import to_signed
 from cfv.verify import Counterexample, Fail, Pass, VerificationResult
@@ -55,7 +55,7 @@ def witness_json(w: Witness, width: int) -> dict:
     }
 
 
-def observables_json(o: Observables, width: int) -> dict:
+def observables_json(o: Outcome, width: int) -> dict:
     return {
         "ok": o.ok,
         "status": o.status,
@@ -125,7 +125,9 @@ def strip_timings(node: Any) -> Any:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as JSON; a NaN or infinite value is a ValueError, since
+    JSON has no literal for either."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(report: dict, out_path: str | Path) -> None:

@@ -26,7 +26,7 @@ tuples in slot order), which keeps witnesses reproducible:
   "STP", CAV 2007): the generalized insert test confines its index with
   assume(pos >= 0) and assume(pos <= vec_len()), and its three cases fold.
 * By bit-parallel simulation of the Tseitin-blasted circuit, for formulas
-  of at most dpll.SIM_MAX_INPUT_BITS input bits.
+  of at most bitblast.SIM_MAX_INPUT_BITS input bits.
 * By the conflict-driven learning core over the blasted clauses above that.
 
 The test suite holds every route against an independent oracle,
@@ -36,22 +36,23 @@ valuation and shares nothing with TermBuilder.substitute, bitblast or dpll.
 Models map input names to unsigned residues for bitvectors and to bools
 for booleans.
 
-A deadline is always an absolute time.monotonic() value. A stage that finds
-it passed raises errors.Timeout, which sat_solve lets through: a result is
-Sat or Unsat, never a timeout. The one catch here is in solve_bounded, where
-a timed-out completeness call means the bound is not known to be complete.
+The deadline is the formula's own, formula.builder.deadline, an absolute
+time.monotonic() value or None; no call here takes it as an argument. Each
+stage polls it through errors.check_deadline, which raises errors.Timeout
+once it has passed, and sat_solve lets that through: a result is Sat or
+Unsat, never a timeout. The one catch here is in solve_bounded, where a
+timed-out completeness call means the bound is not known to be complete.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product
 from math import inf
 
 from cfv.bitblast import bitblast
 from cfv.dpll import solve_cnf
-from cfv.errors import Timeout
+from cfv.errors import Timeout, check_deadline
 from cfv.terms import BOOL, Formula, Term, to_signed, to_unsigned
 
 Model = dict[str, int | bool]
@@ -90,17 +91,13 @@ class SolverStats:
         self.solver_calls += other.solver_calls
 
 
-def sat_solve(
-    formula: Formula,
-    deadline: float | None = None,
-    stats: SolverStats | None = None,
-) -> SolveResult:
+def sat_solve(formula: Formula, stats: SolverStats | None = None) -> SolveResult:
     """Decide by cases, or via bit-blasting, then simulation or a SAT core.
-    The deadline covers every stage, and each raises Timeout once it has
-    passed. The case split polls it before each case, and the builder's own
-    deadline while it rebuilds the root.
+    The builder's deadline covers every stage, and each raises Timeout once
+    it has passed. The case split polls it before each case and, through the
+    builder, while it rebuilds the root.
 
-    Up to dpll.SIM_MAX_INPUT_BITS (16) input bits the blasted circuit is
+    Up to bitblast.SIM_MAX_INPUT_BITS (16) input bits the blasted circuit is
     simulated on every valuation, 4,096 at a time, in counting order; the
     first valuation that satisfies the root is the least model. Above that
     the learning core searches the clauses and ends with a static search
@@ -111,11 +108,11 @@ def sat_solve(
         stats.solver_calls += 1
     if formula.root.is_const:
         return Sat(_default_model(formula)) if formula.root.value else Unsat()
-    decided = _decide_by_cases(formula, deadline)
+    decided = _decide_by_cases(formula)
     if decided is not None:
         return decided
-    cnf = bitblast(formula, deadline)
-    result = solve_cnf(cnf.num_vars, cnf.clauses, deadline=deadline, circuit=cnf)
+    cnf = bitblast(formula)
+    result = solve_cnf(cnf, formula.builder.deadline)
     if result.status == "unsat":
         return Unsat()
     assignment = result.assignment
@@ -130,13 +127,13 @@ def sat_solve(
 
 
 def solve_bounded(
-    solve, formula: Formula, assume_ok: Term, unwound: Term, deadline, stats
+    solve, formula: Formula, assume_ok: Term, unwound: Term, stats
 ) -> Sat | bool:
     """solve(formula), with Unsat turned into whether the bound is complete:
     True unless an input allowed by assume_ok escapes the unwinding bound
     (CBMC's unwinding check, one more call unless unwound is constant true)
     or that call times out. A timeout of the first call propagates."""
-    result = solve(formula, deadline=deadline, stats=stats)
+    result = solve(formula, stats=stats)
     if not isinstance(result, Unsat):
         return result
     if unwound.is_const and unwound.value:
@@ -144,12 +141,12 @@ def solve_bounded(
     b = formula.builder
     escape = Formula(b, b.and_(assume_ok, b.not_(unwound)), formula.inputs)
     try:
-        return isinstance(solve(escape, deadline=deadline, stats=stats), Unsat)
+        return isinstance(solve(escape, stats=stats), Unsat)
     except Timeout:
         return False
 
 
-def _decide_by_cases(formula: Formula, deadline: float | None) -> SolveResult | None:
+def _decide_by_cases(formula: Formula) -> SolveResult | None:
     """The query decided by splitting on its bounded inputs (see the module
     docstring), or None when there is nothing to split on or a case root
     does not fold to a constant."""
@@ -171,8 +168,7 @@ def _decide_by_cases(formula: Formula, deadline: float | None) -> SolveResult | 
         return None
     b = formula.builder
     for case in product(*values):
-        if deadline is not None and time.monotonic() > deadline:
-            raise Timeout("the case split exceeded the time limit")
+        check_deadline(b.deadline, "the case split")
         mapping = {x: b.const(v, x.width) for x, v in zip(split, case)}
         root = b.substitute(formula.root, mapping)
         if not root.is_const:

@@ -41,6 +41,7 @@ which raises errors.Timeout once it has passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from cfv.errors import CfvError
 from cfv.interp import initial_globals
@@ -66,8 +67,8 @@ class UnrollConfig:
             raise ValueError("loop_bound must be at least 1")
         if self.inline_depth is not None and self.inline_depth < 1:
             raise ValueError("inline_depth must be at least 1")
-        if not self.timeout_s > 0:  # NaN included
-            raise ValueError("timeout_s must be positive")
+        if not 0 < self.timeout_s < inf:  # NaN included
+            raise ValueError("timeout_s must be positive and finite")
 
     @property
     def depth(self) -> int:

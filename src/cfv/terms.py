@@ -20,6 +20,10 @@ A Formula is a bool root plus the ordered list of input symbols. The order
 fixes the meaning of "lexicographically least model" everywhere: valuations
 are compared as tuples of unsigned input values in slot order.
 
+A check's builder holds its deadline, the only copy of it: encoding, the
+miter and every stage of solver.sat_solve read it from a Formula's builder,
+and each poll goes through errors.check_deadline.
+
 Query data is acyclic and is freed by reference counting: a term points
 only at older terms, the CNF is tuples of ints, and the solver's state holds
 no reference cycles. The cyclic garbage collector would only re-walk it, so
@@ -29,11 +33,10 @@ the entry points that build and drop it run under collector_paused().
 from __future__ import annotations
 
 import gc
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from cfv.errors import Timeout
+from cfv import errors
 
 BOOL = 0
 
@@ -275,8 +278,7 @@ class TermBuilder:
 
     def check_deadline(self) -> None:
         """Raise Timeout if the deadline has passed."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise Timeout("building terms exceeded the time limit")
+        errors.check_deadline(self.deadline, "building terms")
 
     def _poll(self) -> None:
         """Count one unit of miter work; check the deadline once per

@@ -60,15 +60,13 @@ def verify_test(
     snap: Snapshot,
     cfg: UnrollConfig,
     stats: SolverStats | None = None,
-    solve_fn=None,
 ) -> VerificationResult:
-    solve = solve_fn if solve_fn is not None else sat_solve
-    deadline = time.monotonic() + cfg.timeout_s
+    builder = TermBuilder(time.monotonic() + cfg.timeout_s)
     try:
-        prog = encode_ssa(gt.body, snap, cfg, TermBuilder(deadline), symbolic_globals=False)
+        prog = encode_ssa(gt.body, snap, cfg, builder, symbolic_globals=False)
         result = solve_bounded(
-            solve, verification_formula(prog), prog.assume_ok,
-            prog.unwinding_complete, deadline, stats,
+            sat_solve, verification_formula(prog), prog.assume_ok,
+            prog.unwinding_complete, stats,
         )
     except Timeout:
         return Unknown("timeout")

@@ -13,15 +13,16 @@ hypothesis.settings.load_profile("cfv")
 
 @pytest.fixture
 def second_call_past_deadline():
-    """A solve_fn whose second call, the completeness query of
-    solver.solve_bounded, gets a deadline that has already passed; and the
-    list of formulas it was called on."""
+    """A stand-in for sat_solve whose second call, the completeness query of
+    solver.solve_bounded, moves the formula's deadline into the past; and
+    the list of formulas it was called on. Install it over a module's
+    sat_solve with monkeypatch."""
     calls = []
 
-    def solve(formula, deadline=None, stats=None):
+    def solve(formula, stats=None):
         calls.append(formula)
         if len(calls) == 2:
-            deadline = time.monotonic() - 1
-        return sat_solve(formula, deadline=deadline, stats=stats)
+            formula.builder.deadline = time.monotonic() - 1
+        return sat_solve(formula, stats=stats)
 
     return solve, calls

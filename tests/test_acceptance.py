@@ -150,7 +150,8 @@ def test_criterion_4_solver_soundness():
         rng = random.Random(10_000 + seed)
         f = random_formula(rng, width=4, max_inputs=3, depth=rng.randint(2, 4))
         assert f.input_bits <= 12
-        fast = sat_solve(f, deadline=time.monotonic() + 60)
+        f.builder.deadline = time.monotonic() + 60
+        fast = sat_solve(f)
         slow = exhaustive_solve(f)
         assert type(fast) is type(slow), f"seed {seed}: {fast} vs {slow}"
         if isinstance(fast, Sat):

@@ -91,18 +91,19 @@ def test_entry_points_restore_the_collector(case, enabled, collector_state):
         assert gc.isenabled() is enabled, label
 
 
-def test_collector_is_paused_while_solving(collector_state):
+def test_collector_is_paused_while_solving(collector_state, monkeypatch):
     seen = []
 
     def solve(formula, **kwargs):
         seen.append(gc.isenabled())
         return sat_solve(formula, **kwargs)
 
+    monkeypatch.setattr("cfv.equivalence.sat_solve", solve)
     gc.enable()
     old = snapshot_from_sources({"t.c": "int f(int a){return a + 1;}"}, "old", 8)
     new = snapshot_from_sources({"t.c": "int f(int a){return a + 2;}"}, "new", 8)
     verdict = check_equivalence(
-        old.functions["f"], new.functions["f"], (old, new), UnrollConfig(width=8), solve_fn=solve
+        old.functions["f"], new.functions["f"], (old, new), UnrollConfig(width=8)
     )
     assert isinstance(verdict, NotEquivalent)
     assert seen == [False]

@@ -29,14 +29,10 @@ def snap(src: str, label: str = "s", width: int = 4):
     return snapshot_from_sources({"t.c": src}, label, width)
 
 
-def check(
-    old_src: str, new_src: str, cfg: UnrollConfig = W4, name: str = "f", stats=None, solve_fn=None
-):
+def check(old_src: str, new_src: str, cfg: UnrollConfig = W4, name: str = "f", stats=None):
     old = snap(old_src, "old", cfg.width)
     new = snap(new_src, "new", cfg.width)
-    return check_equivalence(
-        old.functions[name], new.functions[name], (old, new), cfg, stats, solve_fn
-    )
+    return check_equivalence(old.functions[name], new.functions[name], (old, new), cfg, stats)
 
 
 class TestStageOne:
@@ -151,7 +147,7 @@ class TestStageTwo:
         assert isinstance(verdict, Unknown) and verdict.reason == "timeout"
 
     def test_timed_out_completeness_call_leaves_the_bound_incomplete(
-        self, second_call_past_deadline
+        self, monkeypatch, second_call_past_deadline
     ):
         # The loop stops by itself within the bound, so the completeness
         # query is unsat, but unwinding_complete is not constant. When that
@@ -161,7 +157,8 @@ class TestStageTwo:
         new = old.replace("s = s + 2;", "s = s + 1; s = s + 1;")
         assert check(old, new) == Equivalent("formal", W4.loop_bound, complete=True)
         solve, calls = second_call_past_deadline
-        verdict = check(old, new, solve_fn=solve)
+        monkeypatch.setattr("cfv.equivalence.sat_solve", solve)
+        verdict = check(old, new)
         assert len(calls) == 2 and calls[1].input_bits <= 16
         assert verdict == Equivalent("formal", W4.loop_bound, complete=False)
 

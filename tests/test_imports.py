@@ -5,8 +5,9 @@ through the module's `__all__`. `from __future__ import ...` is exempt.
 
 The reference interpreter judges the encoder, the blaster and the solver,
 so nothing it imports, directly or through other `cfv` modules, reaches
-them. And no `cfv` module imports `subprocess`: every query is decided by
-the in-process solver.
+them. No `cfv` module imports `subprocess`: every query is decided by the
+in-process solver. And `errors.Timeout` is raised in one place only,
+`errors.check_deadline`, which every deadline poll calls.
 """
 
 import ast
@@ -114,3 +115,44 @@ def test_cfv_starts_no_process():
         if any(name.split(".")[0] == "subprocess" for name in imported_modules(path))
     ]
     assert found == []
+
+
+def timeout_raisers(source: str) -> list[str]:
+    """The function around each `raise Timeout` in source ("<module>" at
+    the top level), in source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name == "Timeout":
+                    found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_every_timeout_raise():
+    source = (
+        "raise Timeout\n"
+        "def f():\n    raise Timeout('x')\n"
+        "def g():\n    def h():\n        raise errors.Timeout()\n    raise ValueError\n"
+    )
+    assert timeout_raisers(source) == ["<module>", "f", "h"]
+
+
+def test_timeout_is_raised_only_by_check_deadline():
+    """One poller: every stage that watches a deadline calls
+    errors.check_deadline, the only code that raises Timeout."""
+    found = [
+        f"{path.relative_to(REPO_ROOT)}:{where}"
+        for path in sorted((REPO_ROOT / "src" / "cfv").rglob("*.py"))
+        for where in timeout_raisers(path.read_text())
+    ]
+    assert found == ["src/cfv/errors.py:check_deadline"]

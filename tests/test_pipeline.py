@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ from cfv.cli import main
 from cfv.errors import ConfigError
 from cfv.minic.lexer import UNSUPPORTED_OPERATORS
 from cfv.pipeline import EQUIVALENCE_BUDGET_FRACTION, MIN_ITEM_S, RunConfig, run_pipeline
-from cfv.report import exit_code, strip_timings
+from cfv.report import exit_code, render_report, strip_timings
 from cfv.ssa import UnrollConfig
 from generators import minivec_sources
 from oracles import CORPUS
@@ -272,7 +273,18 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             base_config(tmp_path, budget_s=float("nan"))
         with pytest.raises(ConfigError):
+            base_config(tmp_path, budget_s=math.inf)
+        with pytest.raises(ConfigError):
             RunConfig(old_dir="x", new_dir=None, tests_dir="y")
+        with pytest.raises(ConfigError):  # the diff would silently win
+            base_config(tmp_path, diff_path=str(tmp_path / "change.diff"))
+
+    def test_a_non_finite_value_is_not_rendered(self):
+        # JSON has no literal for infinity or NaN.
+        assert render_report({"budget_s": 1.5}) == '{\n  "budget_s": 1.5\n}\n'
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                render_report({"budget_s": value})
 
 
 class TestCli:
@@ -458,14 +470,52 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "option",
-        [["--timeout", "0"], ["--timeout", "nan"], ["--bound", "0"]],
-        ids=["zero-timeout", "nan-timeout", "zero-bound"],
+        [["--timeout", "0"], ["--timeout", "nan"], ["--timeout", "inf"], ["--bound", "0"]],
+        ids=["zero-timeout", "nan-timeout", "inf-timeout", "zero-bound"],
     )
     def test_bad_limits_exit_three(self, tmp_path, capsys, option):
         write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
         lib = str(tmp_path / "old" / "lib.c")
         assert main(["equiv", lib, lib, "add", *option]) == 3
         assert "error: " in capsys.readouterr().err
+
+    def test_infinite_budget_exits_three(self, tmp_path, capsys):
+        # An infinite budget would be written to the report as Infinity,
+        # which is not JSON.
+        write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
+        out = tmp_path / "r.json"
+        code = main(
+            [
+                "analyze",
+                "--old", str(tmp_path / "old"),
+                "--new", str(tmp_path / "new"),
+                "--tests", str(tmp_path / "tests"),
+                "--out", str(out),
+                "--budget", "inf",
+            ]
+        )
+        assert code == 3 and not out.exists()
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["diff", "analyze"])
+    def test_new_and_diff_together_are_a_usage_error(self, tmp_path, capsys, command):
+        # --diff used to win and --new was ignored, even when it named no
+        # directory.
+        write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
+        patch = tmp_path / "change.diff"
+        patch.write_text(
+            "--- a/lib.c\n+++ b/lib.c\n@@ -4,1 +4,1 @@\n"
+            "-int add(int a, int b) { return a + b; }\n"
+            "+int add(int a, int b) { return b + a; }\n"
+        )
+        argv = [command, "--old", str(tmp_path / "old"), "--diff", str(patch)]
+        if command == "analyze":
+            argv += ["--tests", str(tmp_path / "tests"), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--new", str(tmp_path / "nonexistent")])
+        assert exc.value.code == 3
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_missing_directory_exits_three(self, tmp_path):
         code = main(

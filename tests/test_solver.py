@@ -223,16 +223,18 @@ class TestSolverExamples:
         lhs = b.mul(b.add(p, b.const(1, 32)), q)
         rhs = b.add(b.mul(p, q), q)
         f = Formula(b, b.ne(lhs, rhs), (p, q))
+        b.deadline = time.monotonic() + 1.0
         with pytest.raises(Timeout):
-            sat_solve(f, deadline=time.monotonic() + 1.0)
+            sat_solve(f)
 
     def test_blasting_past_the_deadline_raises_the_shared_timeout(self):
         f = miter_formula(32)  # thousands of gates, so the blaster polls
+        f.builder.deadline = time.monotonic() - 1
         with pytest.raises(Timeout):
-            bitblast(f, deadline=time.monotonic() - 1)
+            bitblast(f)
         stats = SolverStats()
         with pytest.raises(Timeout):
-            sat_solve(f, deadline=time.monotonic() - 1, stats=stats)
+            sat_solve(f, stats=stats)
         assert stats.solver_calls == 1
 
 
@@ -267,7 +269,9 @@ def boundary_formula(flags):
 
 class TestSimulation:
     def test_width8_multiplier_miter_is_unsat_quickly(self):
-        assert isinstance(sat_solve(miter_formula(8), deadline=time.monotonic() + 5), Unsat)
+        f = miter_formula(8)
+        f.builder.deadline = time.monotonic() + 5
+        assert isinstance(sat_solve(f), Unsat)
 
     def test_single_valuations_are_found_in_every_chunk_and_lane(self):
         b = TermBuilder()
@@ -288,39 +292,45 @@ class TestSimulation:
     def test_deadline_already_past_times_out(self):
         f = miter_formula(8)
         assert f.input_bits == 16
+        f.builder.deadline = time.monotonic() - 1
         with pytest.raises(Timeout):
-            sat_solve(f, deadline=time.monotonic() - 1)
+            sat_solve(f)
 
     def test_blasting_entered_past_the_deadline_raises_at_once(self):
         # Far fewer gates than the blaster's periodic poll interval.
         f = single_input_formula(8, lambda b, x: b.eq(b.add(x, b.const(3, 8)), b.const(7, 8)))
         assert bitblast(f).num_vars < 100
+        f.builder.deadline = time.monotonic() - 1
         with pytest.raises(Timeout):
-            bitblast(f, deadline=time.monotonic() - 1)
+            bitblast(f)
 
 
 class TestDpll:
     def test_empty_clause_unsat(self):
-        assert solve_cnf(1, [(1,), ()]).status == "unsat"
+        assert search(1, [(1,), ()]).status == "unsat"
 
     def test_unit_propagation(self):
-        result = solve_cnf(2, [(1,), (-1, 2)])
+        result = search(2, [(1,), (-1, 2)])
         assert result.status == "sat"
         assert result.assignment[1] == 1 and result.assignment[2] == 1
 
     def test_no_clauses_is_sat(self):
-        result = solve_cnf(2, [])
+        result = search(2, [])
         assert result.status == "sat"
 
     def test_search_entered_past_the_deadline_raises_at_once(self):
-        # No circuit, so the learning core runs; it needs far fewer than
-        # the 512 steps between its periodic polls.
+        # 17 input bits keep no gate list, so the learning core runs; it
+        # needs far fewer than the 512 steps between its periodic polls.
+        f = single_input_formula(17, lambda b, x: b.eq(x, b.const(5, 17)))
+        cnf = bitblast(f)
+        assert cnf.gates is None and cnf.num_vars < 100
+        assert solve_cnf(cnf).status == "sat"
         with pytest.raises(Timeout):
-            solve_cnf(2, [(1, 2), (-1, 2)], deadline=time.monotonic() - 1)
+            solve_cnf(cnf, deadline=time.monotonic() - 1)
 
     def test_backtracking(self):
         # (x1 | x2) & (!x1 | x2) & (x1 | !x2) forces x1 = x2 = true.
-        result = solve_cnf(2, [(1, 2), (-1, 2), (1, -2)])
+        result = search(2, [(1, 2), (-1, 2), (1, -2)])
         assert result.status == "sat"
         assert result.assignment[1] == 1 and result.assignment[2] == 1
 
@@ -345,8 +355,7 @@ class TestDpll:
             if all(any((l > 0) == bool(bits[abs(l) - 1]) for l in c) for c in clauses):
                 least = bits
                 break
-        # solve_cnf without a circuit runs the learning core.
-        result = solve_cnf(n_vars, clauses)
+        result = search(n_vars, clauses)
         assert (result.status == "sat") == (least is not None)
         if least is not None:
             assert result.assignment[1:] == least
@@ -396,9 +405,9 @@ class TestCaseSplit:
         calls = []
         real = bitblast
 
-        def spy(formula, deadline=None):
+        def spy(formula):
             calls.append(formula)
-            return real(formula, deadline)
+            return real(formula)
 
         monkeypatch.setattr("cfv.solver.bitblast", spy)
         return calls
@@ -524,9 +533,10 @@ class TestAgreement:
         # The clock passes the deadline only once the root's gates exist.
         clock = SimpleNamespace(monotonic=lambda: 10.0 if root_built else 0.0)
         monkeypatch.setattr("cfv.bitblast._blast_node", blast_node)
-        monkeypatch.setattr("cfv.bitblast.time", clock)
+        monkeypatch.setattr("cfv.errors.time", clock)
+        f.builder.deadline = 1.0
         with pytest.raises(Timeout):
-            bitblast(f, deadline=1.0)
+            bitblast(f)
         assert root_built
 
     def test_cnf_shape_invariants(self):

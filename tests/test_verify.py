@@ -69,7 +69,7 @@ void test_a(){
         assert isinstance(result, Pass) and not result.complete
 
     def test_timed_out_completeness_call_leaves_the_bound_incomplete(
-        self, tmp_path, second_call_past_deadline
+        self, tmp_path, monkeypatch, second_call_past_deadline
     ):
         # The loop stops by itself within the bound, so the completeness
         # query is unsat; when it times out the test still passes, only
@@ -87,7 +87,8 @@ void test_a(){
         )
         assert verify_test(gt, view, W4) == Pass(W4.loop_bound, True)
         solve, calls = second_call_past_deadline
-        result = verify_test(gt, view, W4, solve_fn=solve)
+        monkeypatch.setattr("cfv.verify.sat_solve", solve)
+        result = verify_test(gt, view, W4)
         assert len(calls) == 2 and calls[1].input_bits <= 16
         assert result == Pass(W4.loop_bound, False)
 
@@ -221,10 +222,10 @@ class TestCaseSplit:
             substituting.append(mapping)
             return original(builder, root, mapping)
 
-        # The terms' clock passes the deadline once substitution begins.
+        # The deadline clock passes the deadline once substitution begins.
         clock = SimpleNamespace(monotonic=lambda: math.inf if substituting else 0.0)
         monkeypatch.setattr(TermBuilder, "substitute", substitute)
-        monkeypatch.setattr("cfv.terms.time", clock)
+        monkeypatch.setattr("cfv.errors.time", clock)
         assert verify_test(gt, view, W4) == Unknown("timeout")
         assert substituting
 
