@@ -236,7 +236,7 @@ def cmd_verify(args) -> int:
         elif isinstance(result, Fail):
             any_fail = True
             span = result.counterexample.failing_assert
-            print(f"{t.name}: fail at {t.path}:{span.line}:{span.col}")
+            print(f"{t.name}: fail at {Path(args.tests) / t.path}:{span.line}:{span.col}")
         else:
             any_unknown = True
             print(f"{t.name}: unknown ({result.reason})")

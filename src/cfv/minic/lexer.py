@@ -1,205 +1,172 @@
-"""Lexer for MiniC: one compiled alternation matched at each position.
+"""Lexer for MiniC: one `findall` over the file, positions on demand.
 
-Whitespace is not a token of its own: it is the optional prefix of every
-match, so each token, each comment and the end of the input cost one regex
-match.
+A single `re.findall` splits the whole source into (whitespace, token)
+pairs: each match skips a run of whitespace and then takes one token, a
+comment, a fault or the end of the input. The token offsets are running
+sums of the pair lengths, and the kinds of keywords and operators come
+from one dict lookup per text; both are done by C-level calls over the
+whole file. Python visits only the tokens the kind table does not know:
+identifiers, numbers, comments, faults and the eof. Line and column are
+not tracked while lexing; a Span computes them from the line starts when
+the parser asks for one.
 
 Tokens are ASCII: numbers are `[0-9]+` or hex `0x[0-9a-fA-F]+`, words are
 `[A-Za-z_][A-Za-z0-9_]*`, and operators are matched longest first. Any other
 character outside a comment, non-ASCII digits and letters included, is an
-"unexpected character" diagnostic.
+"unexpected character" diagnostic. Whitespace is space, tab, carriage
+return, newline, form feed and vertical tab; only a newline starts a line.
 
 Comments are stripped from the token stream but kept (with spans) on the
 side, since test section labels are taken from the comment directly above a
-test function. Tokens carrying C operators that exist outside the subset
-(`/`, `%`, `++`, `->`, ...) are emitted with kind UNSUPPORTED so the parser
-can point at them with a precise diagnostic instead of a generic syntax
-error. Preprocessor directives are rejected here, and so are decimal
-literals with a leading zero, which C reads as octal.
+test function. Tokens carrying C operators or keywords that exist outside
+the subset (`/`, `%`, `++`, `->`, `break`, `struct`, ...) get kind
+UNSUPPORTED so the parser can point at them with a precise diagnostic
+instead of a generic syntax error. Preprocessor directives are rejected
+here, and so are decimal literals with a leading zero, which C reads as
+octal.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, repeat
+from operator import is_, ne
 from typing import NamedTuple
 
 from cfv.errors import Diagnostic, UnsupportedConstructError
 from cfv.minic.ast import Comment, Span
 
 KEYWORDS = frozenset(
-    {
-        "int",
-        "bool",
-        "void",
-        "true",
-        "false",
-        "if",
-        "else",
-        "while",
-        "for",
-        "return",
-        "assert",
-        "assume",
-        "nondet_int",
-        "nondet_bool",
-    }
+    "int bool void true false if else while for return assert assume"
+    " nondet_int nondet_bool".split()
+)
+
+# C11 keywords that the subset lacks; as names they would only mislead.
+UNSUPPORTED_KEYWORDS = frozenset(
+    "auto break case char const continue default do double enum extern float"
+    " goto inline long register restrict short signed sizeof static struct"
+    " switch typedef union unsigned volatile _Alignas _Alignof _Atomic _Bool"
+    " _Complex _Generic _Imaginary _Noreturn _Static_assert _Thread_local".split()
 )
 
 # Operators of the subset.
-OPERATORS = (
-    "<<",
-    ">>",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "<",
-    ">",
-    "=",
-    "!",
-    "~",
-    "&",
-    "|",
-    "^",
-    "+",
-    "-",
-    "*",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ";",
-    ",",
+OPERATORS = tuple(
+    "<< >> <= >= == != && || < > = ! ~ & | ^ + - * ( ) { } [ ] ; ,".split()
 )
 
 # Recognized so the parser can say "unsupported" rather than "syntax error".
-UNSUPPORTED_OPERATORS = (
-    "<<=",
-    ">>=",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "->",
-    "/",
-    "%",
-    "?",
-    ":",
-    ".",
+UNSUPPORTED_OPERATORS = tuple(
+    "<<= >>= ++ -- += -= *= /= %= &= |= ^= -> / % ? : .".split()
 )
 
+WHITESPACE = " \t\r\n\f\v"
 
-# Token kind of each keyword and operator; any other word is an identifier.
+# Token kind of each keyword and operator; any other text is visited.
 _KINDS = (
-    {word: "keyword" for word in KEYWORDS}
-    | {op: "op" for op in OPERATORS}
-    | {op: "unsupported" for op in UNSUPPORTED_OPERATORS}
+    dict.fromkeys(KEYWORDS, "keyword")
+    | dict.fromkeys(OPERATORS, "op")
+    | dict.fromkeys((*UNSUPPORTED_OPERATORS, *UNSUPPORTED_KEYWORDS), "unsupported")
 )
 
-# Each match skips a run of whitespace and then takes one token, so the
-# whitespace needs no match of its own. At the end of the input `eof` matches
-# the empty string, and any character no other group takes is `other`, so
-# every match succeeds. The first group that matches wins, so a complete
-# block comment comes before an unterminated one and comments come before
-# the `/` operator. `int(text, 0)` reads a number token: it takes `0x1f`,
+# Each match is (whitespace, body). The body alternation is tried in order:
+# a complete block comment comes before an unterminated one, and comments
+# before the `/` operator. At the end of the input `\Z` matches the empty
+# string, and any character nothing else takes matches alone, so every
+# match succeeds. `int(text, 0)` reads a number token: it takes `0x1f`,
 # `10` and `00` but not `010`.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:"
+    "([" + re.escape(WHITESPACE) + "]*)("
     + "|".join(
         [
-            r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
-            r"(?P<line_comment>//[^\n]*)",
-            r"(?P<block_comment>/\*.*?\*/)",
-            r"(?P<unterminated>/\*)",
-            r"(?P<bad_hex>0[xX](?![0-9a-fA-F]))",
-            r"(?P<number>0[xX][0-9a-fA-F]+|[1-9][0-9]*|0+(?![0-9]))",
-            r"(?P<octal>0[0-9]+)",
-            "(?P<op>"
-            + "|".join(map(re.escape, sorted(OPERATORS + UNSUPPORTED_OPERATORS, key=len, reverse=True)))
-            + ")",
-            r"(?P<eof>\Z)",
-            r"(?P<other>.)",
+            r"[A-Za-z_][A-Za-z0-9_]*",  # word
+            r"//[^\n]*",  # line comment
+            r"/\*.*?\*/",  # block comment
+            r"/\*",  # unterminated block comment
+            r"0[xX](?![0-9a-fA-F])",  # malformed hex literal
+            r"0[xX][0-9a-fA-F]+|[1-9][0-9]*|0+(?![0-9])",  # number
+            r"0[0-9]+",  # octal
+            "|".join(map(re.escape, sorted(OPERATORS + UNSUPPORTED_OPERATORS, key=len, reverse=True))),
+            r"\Z",  # eof
+            r".",  # unexpected character
         ]
     )
     + ")",
     re.DOTALL,
 )
 
-_ERRORS = {
-    "unterminated": "unterminated block comment",
-    "bad_hex": "malformed hex literal",
-    "octal": "octal literals are not supported",
-}
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# The digit runs that the body takes and that are not octal or bad hex.
+_NUMBER = re.compile(r"0[xX][0-9a-fA-F]+|[1-9][0-9]*|0+").fullmatch
 
 
-# The position is kept as plain ints: most tokens never need a Span.
-class Token(NamedTuple):
-    kind: str  # "ident", "number", "keyword", "op", "unsupported", "eof"
-    text: str
-    line: int
-    col: int
-    start: int
-    end: int
+class Lexed(NamedTuple):
+    """A file's tokens as columns, comments removed; the last token is eof."""
 
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col, self.start, self.end)
+    texts: list[str]
+    kinds: list[str]  # "ident", "number", "keyword", "op", "unsupported", "eof"
+    starts: list[int]
+    ends: list[int]
+    line_starts: list[int]  # offset of the first character of each line
+    comments: list[Comment]
+
+    def span(self, tok: int, end: int | None = None) -> Span:
+        """The span of token tok, or from its start to the offset `end`."""
+        start = self.starts[tok]
+        line_starts = self.line_starts
+        line = bisect_right(line_starts, start)
+        col = start - line_starts[line - 1] + 1
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        return tuple.__new__(Span, (line, col, start, self.ends[tok] if end is None else end))
 
 
-def tokenize(source: str, path: str) -> tuple[list[Token], list[Comment]]:
-    tokens: list[Token] = []
-    comments: list[Comment] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
-    new_token = tuple.__new__  # skips NamedTuple's Python-level __new__
-    pos = 0
-    line = 1
-    line_start = 0  # offset of the first character of `line`
+def _fault(text: str, before: str) -> str:
+    """The diagnostic of a visited token that is not a word, number or
+    comment; `before` is the line's text up to the token."""
+    if text[0] == "0":
+        return "malformed hex literal" if text[1] in "xX" else "octal literals are not supported"
+    if text == "/*":
+        return "unterminated block comment"
+    if text == "#" and not before.strip(WHITESPACE):
+        return "preprocessor directives are not supported"
+    return f"unexpected character {text!r}"
 
-    while True:
-        m = match(source, pos)
-        group = m.lastgroup
-        start, end = m.span(group)
-        if start != pos:
-            newline = source.rfind("\n", pos, start)
-            if newline != -1:
-                line += source.count("\n", pos, start)
-                line_start = newline + 1
-        col = start - line_start + 1
-        if group == "word" or group == "op" or group == "number":
-            text = source[start:end]
-            kind = "number" if group == "number" else _KINDS.get(text, "ident")
-            append(new_token(Token, (kind, text, line, col, start, end)))
-        elif group == "line_comment":
-            span = Span(line, col, start, end)
-            comments.append(Comment(source[start + 2 : end].strip(), span, line))
-        elif group == "block_comment":
-            span = Span(line, col, start, end)
-            newline = source.rfind("\n", start, end)
-            if newline != -1:
-                line += source.count("\n", start, end)
-                line_start = newline + 1
-            comments.append(Comment(source[start + 2 : end - 2].strip(), span, line))
-        elif group == "eof":
-            append(new_token(Token, ("eof", "", line, col, start, end)))
-            return tokens, comments
+
+def lex(source: str, path: str) -> Lexed:
+    """The tokens and comments of source; raises UnsupportedConstructError
+    at the first fault in source order."""
+    flat = list(chain.from_iterable(_TOKEN_RE.findall(source)))
+    texts = flat[1::2]
+    n = texts.index("") + 1  # an empty match may follow the one at \Z
+    del texts[n:]
+    # Where each whitespace run and each text ends: a text starts where the
+    # whitespace before it ends.
+    offsets = list(accumulate(map(len, flat)))
+    starts = offsets[0 : 2 * n : 2]
+    ends = offsets[1 : 2 * n : 2]
+    kinds = list(map(_KINDS.get, texts))
+    line_starts = [0, *map(re.Match.end, re.finditer("\n", source))]
+    lexed = Lexed(texts, kinds, starts, ends, line_starts, [])
+    for i in compress(range(n), map(is_, kinds, repeat(None))):
+        text = texts[i]
+        c = text[:1]
+        if c in _WORD_START:
+            kinds[i] = "ident"
+        elif not c:
+            kinds[i] = "eof"
+        elif _NUMBER(text):
+            kinds[i] = "number"
+        elif c == "/" and text != "/*":
+            kinds[i] = "comment"
+            body = text[2:] if text[1] == "/" else text[2:-2]
+            end_line = bisect_right(line_starts, ends[i] - 1)
+            lexed.comments.append(Comment(body.strip(), lexed.span(i), end_line))
         else:
-            if group != "other":
-                msg = _ERRORS[group]
-            elif source[start] == "#" and not source[line_start:start].strip(" \t\r"):
-                msg = "preprocessor directives are not supported"
-            else:
-                msg = f"unexpected character {source[start]!r}"
-            span = Span(line, col, start, start + 1)
+            span = lexed.span(i, starts[i] + 1)
+            msg = _fault(text, source[span.start - span.col + 1 : span.start])
             raise UnsupportedConstructError([Diagnostic(path, span, "error", msg)])
-        pos = end
+    if lexed.comments:
+        keep = list(map(ne, kinds, repeat("comment")))
+        for column in (texts, kinds, starts, ends):
+            column[:] = compress(column, keep)
+    return lexed

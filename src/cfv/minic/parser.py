@@ -6,6 +6,10 @@ result is a block `{ init; while (cond) { body…; step; } }`, without one it
 is the bare `while`. Single-statement bodies of `if`/`else`/`while` are
 wrapped in a Block, so brace style does not affect the tree.
 
+A token is its index into the lexer's columns (`lexer.Lexed`): the parser
+moves one int along them and compares texts, and it asks for a Span only
+when it builds a node or a diagnostic.
+
 The integer width of `int` is supplied by the caller because the same source
 is checked at width 4 or 8 by the exhaustive test oracles and at width 32 in
 normal runs.
@@ -30,7 +34,7 @@ from __future__ import annotations
 from cfv.errors import Diagnostic, MiniCSyntaxError, UnsupportedConstructError
 from cfv.minic import ast
 from cfv.minic.ast import Span
-from cfv.minic.lexer import Token, tokenize
+from cfv.minic.lexer import Lexed, lex
 
 # Stack frames per node: the most that any pass of `cfv diff`, `cfv equiv` or
 # `cfv analyze` spends on a node of the kind, measured with CPython 3.11 by
@@ -60,81 +64,81 @@ UNSUPPORTED_HINTS = {
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], path: str, width: int):
-        self.tokens = tokens
+    def __init__(self, lexed: Lexed, path: str, width: int):
+        self.texts = lexed.texts
+        self.kinds = lexed.kinds
+        self.ends = lexed.ends
+        self.span = lexed.span
+        self.eof = len(lexed.texts) - 1
         self.path = path
         self.pos = 0
         self.depth = 0  # FRAMES of the nodes above the one being parsed
         self.int_type = ast.IntType(width)
 
     # -- token plumbing ----------------------------------------------------
+    # A token is its index into the lexer's columns. A text equal to an
+    # operator or keyword always has that kind, so texts alone are compared.
 
-    def peek(self) -> Token:
+    def advance(self) -> int:
         # The last token is eof and `advance` never moves past it.
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        tok = self.pos
+        if tok != self.eof:
             self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind in ("op", "keyword")
+        return self.texts[self.pos] == text
 
-    def accept(self, text: str) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok.text == text and tok.kind in ("op", "keyword"):
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.at(text):
-            self.error(f"expected {text!r}, found {tok.text!r}", tok)
-        return self.advance()
+    def expect(self, text: str) -> int:
+        tok = self.pos
+        if self.texts[tok] != text:
+            self.error(f"expected {text!r}, found {self.texts[tok]!r}", tok)
+        self.pos += 1
+        return tok
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        if tok.kind == "unsupported":
-            hint = UNSUPPORTED_HINTS.get(tok.text, f"{tok.text!r} is outside the subset")
-            self.unsupported(hint, tok)
-        raise MiniCSyntaxError([Diagnostic(self.path, tok.span, "error", message)])
+    def error(self, message: str, tok: int | None = None):
+        tok = self.pos if tok is None else tok
+        if self.kinds[tok] == "unsupported":
+            text = self.texts[tok]
+            self.unsupported(UNSUPPORTED_HINTS.get(text, f"{text!r} is outside the subset"), tok)
+        raise MiniCSyntaxError([Diagnostic(self.path, self.span(tok), "error", message)])
 
-    def unsupported(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+    def unsupported(self, message: str, tok: int | None = None):
+        tok = self.pos if tok is None else tok
         raise UnsupportedConstructError(
-            [Diagnostic(self.path, tok.span, "error", message)]
+            [Diagnostic(self.path, self.span(tok), "error", message)]
         )
 
     def reject_unsupported(self):
-        tok = self.tokens[self.pos]
-        if tok.kind == "unsupported":
-            self.error("", tok)
+        if self.kinds[self.pos] == "unsupported":
+            self.error("", self.pos)
 
-    def descend(self, tok: Token, frames: int, below: int = 0) -> None:
+    def descend(self, tok: int, frames: int, below: int = 0) -> None:
         """Enter a node that costs `frames`, with `below` already built under it."""
         self.depth += frames
         if self.depth + below > MAX_DEPTH:
             self.unsupported("nesting is too deep to analyze", tok)
 
-    def span_from(self, start: Token) -> Span:
-        prev = self.tokens[max(self.pos - 1, 0)]
-        return Span(start.line, start.col, start.start, prev.end)
+    def span_from(self, start: int) -> Span:
+        return self.span(start, self.ends[max(self.pos - 1, 0)])
 
     # -- declarations ------------------------------------------------------
 
     def parse_unit(self) -> list[ast.GlobalDecl | ast.FunctionDef]:
         decls: list[ast.GlobalDecl | ast.FunctionDef] = []
-        while self.peek().kind != "eof":
+        while self.pos != self.eof:
             self.reject_unsupported()
             decls.append(self.parse_top_decl())
         return decls
 
     def parse_base_type(self) -> ast.Type:
-        tok = self.peek()
+        tok = self.pos
         if self.accept("int"):
             ty: ast.Type = self.int_type
         elif self.accept("bool"):
@@ -148,10 +152,10 @@ class _Parser:
         return ty
 
     def parse_top_decl(self) -> ast.GlobalDecl | ast.FunctionDef:
-        start = self.peek()
+        start = self.pos
         ty = self.parse_base_type()
-        name_tok = self.peek()
-        if name_tok.kind != "ident":
+        name_tok = self.pos
+        if self.kinds[name_tok] != "ident":
             self.error("expected a name", name_tok)
         self.advance()
         if self.at("("):
@@ -169,64 +173,63 @@ class _Parser:
         init = None
         if self.accept("="):
             if isinstance(ty, ast.ArrayType):
-                self.error("array initializers are not supported", self.peek())
+                self.error("array initializers are not supported", self.pos)
             init = self.parse_const_init()
         self.expect(";")
-        return ast.GlobalDecl(name_tok.text, ty, init, self.span_from(start))
+        return ast.GlobalDecl(self.texts[name_tok], ty, init, self.span_from(start))
 
-    def expect_number(self) -> tuple[int, Token]:
-        tok = self.peek()
-        if tok.kind != "number":
+    def expect_number(self) -> tuple[int, int]:
+        tok = self.pos
+        if self.kinds[tok] != "number":
             self.error("expected an integer literal", tok)
         self.advance()
-        return int(tok.text, 0), tok
+        return int(self.texts[tok], 0), tok
 
     def parse_const_init(self) -> ast.Expr:
         # Global initializers are literal constants, optionally negated.
-        tok = self.peek()
+        tok = self.pos
         if self.accept("true"):
-            return ast.BoolLit(tok.span, True)
+            return ast.BoolLit(self.span(tok), True)
         if self.accept("false"):
-            return ast.BoolLit(tok.span, False)
+            return ast.BoolLit(self.span(tok), False)
         if self.accept("-"):
             value, num = self.expect_number()
-            sp = Span(tok.line, tok.col, tok.start, num.end)
-            return ast.Unary(sp, "-", ast.IntLit(num.span, value))
-        if tok.kind == "number":
+            return ast.Unary(self.span(tok, self.ends[num]), "-", ast.IntLit(self.span(num), value))
+        if self.kinds[tok] == "number":
             self.advance()
-            return ast.IntLit(tok.span, int(tok.text, 0))
+            return ast.IntLit(self.span(tok), int(self.texts[tok], 0))
         self.error("global initializers must be literal constants", tok)
 
     def parse_function(
-        self, return_type: ast.Type, name_tok: Token, start: Token
+        self, return_type: ast.Type, name_tok: int, start: int
     ) -> ast.FunctionDef:
         self.expect("(")
         params: list[ast.Param] = []
         if not self.at(")"):
-            if self.at("void") and self.tokens[self.pos + 1].text == ")":
+            if self.at("void") and self.texts[self.pos + 1] == ")":
                 self.advance()  # `f(void)` style empty parameter list
             else:
                 while True:
-                    pstart = self.peek()
+                    pstart = self.pos
                     pty = self.parse_base_type()
                     if isinstance(pty, ast.VoidType):
-                        self.error("parameters cannot have void type", self.peek())
-                    ptok = self.peek()
-                    if ptok.kind != "ident":
+                        self.error("parameters cannot have void type", self.pos)
+                    ptok = self.pos
+                    if self.kinds[ptok] != "ident":
                         self.error("expected a parameter name", ptok)
                     self.advance()
                     if self.at("["):
                         self.error(
                             "array parameters are not supported; use a global array",
-                            self.peek(),
+                            self.pos,
                         )
-                    params.append(ast.Param(ptok.text, pty, self.span_from(pstart)))
+                    params.append(ast.Param(self.texts[ptok], pty, self.span_from(pstart)))
                     if not self.accept(","):
                         break
         self.expect(")")
         body = self.parse_block()
         return ast.FunctionDef(
-            name_tok.text,
+            self.texts[name_tok],
             params,
             return_type,
             body,
@@ -241,7 +244,7 @@ class _Parser:
         self.descend(start, FRAMES[ast.Block])
         stmts: list[ast.Stmt] = []
         while not self.at("}"):
-            if self.peek().kind == "eof":
+            if self.pos == self.eof:
                 self.error("unexpected end of file inside a block")
             stmts.append(self.parse_stmt())
         self.expect("}")
@@ -251,14 +254,14 @@ class _Parser:
     def parse_body(self) -> ast.Block:
         if self.at("{"):
             return self.parse_block()
-        self.descend(self.peek(), FRAMES[ast.Block])
+        self.descend(self.pos, FRAMES[ast.Block])
         stmt = self.parse_stmt()
         self.depth -= FRAMES[ast.Block]
         return ast.Block(stmt.span, [stmt])
 
     def parse_stmt(self) -> ast.Stmt:
         self.reject_unsupported()
-        start = self.peek()
+        start = self.pos
         if self.at("{"):
             return self.parse_block()
         if self.at("int") or self.at("bool"):
@@ -305,10 +308,10 @@ class _Parser:
         return stmt
 
     def parse_var_decl(self) -> ast.VarDecl:
-        start = self.peek()
+        start = self.pos
         ty = self.parse_base_type()
-        tok = self.peek()
-        if tok.kind != "ident":
+        tok = self.pos
+        if self.kinds[tok] != "ident":
             self.error("expected a variable name", tok)
         self.advance()
         if self.accept("["):
@@ -322,12 +325,12 @@ class _Parser:
         init = None
         if self.accept("="):
             if isinstance(ty, ast.ArrayType):
-                self.error("array initializers are not supported", self.peek())
+                self.error("array initializers are not supported", self.pos)
             init = self.parse_expr()
         self.expect(";")
-        return ast.VarDecl(self.span_from(start), tok.text, ty, init)
+        return ast.VarDecl(self.span_from(start), self.texts[tok], ty, init)
 
-    def parse_for(self, start: Token) -> ast.Stmt:
+    def parse_for(self, start: int) -> ast.Stmt:
         self.expect("(")
         # An init clause goes into a block with the loop; the step goes at
         # the end of the loop body.
@@ -344,7 +347,7 @@ class _Parser:
             self.expect(";")
         self.descend(start, FRAMES[ast.While])
         if self.at(";"):
-            cond: ast.Expr = ast.BoolLit(self.peek().span, True)
+            cond: ast.Expr = ast.BoolLit(self.span(self.pos), True)
         else:
             cond = self.parse_expr()
         self.expect(";")
@@ -366,7 +369,7 @@ class _Parser:
         return ast.Block(full, [init, loop])
 
     def parse_assign_or_expr(self) -> ast.Stmt:
-        start = self.peek()
+        start = self.pos
         expr = self.parse_expr()
         if self.at("="):
             if not isinstance(expr, (ast.VarRef, ast.ArrayIndex)):
@@ -384,7 +387,7 @@ class _Parser:
     def parse_expr(self) -> ast.Expr:
         return self.parse_binary(0)[0]
 
-    def nested_expr(self, tok: Token, frames: int) -> tuple[ast.Expr, int]:
+    def nested_expr(self, tok: int, frames: int) -> tuple[ast.Expr, int]:
         """A full expression under a node that costs `frames`, such as `(`."""
         self.descend(tok, frames)
         result = self.parse_binary(0)
@@ -396,9 +399,10 @@ class _Parser:
         left, height = self.parse_unary()
         cost = FRAMES[ast.Binary]
         while True:
-            self.reject_unsupported()
-            tok = self.tokens[self.pos]
-            level = ast.BINARY_LEVEL.get(tok.text) if tok.kind == "op" else None
+            tok = self.pos
+            if self.kinds[tok] == "unsupported":
+                self.error("", tok)
+            level = ast.BINARY_LEVEL.get(self.texts[tok])
             if level is None or level < min_level:
                 return left, height
             self.pos += 1
@@ -408,30 +412,34 @@ class _Parser:
             height = max(height, right_height) + cost
             ls = left.span
             sp = Span(ls.line, ls.col, ls.start, right.span.end)
-            left = ast.Binary(sp, tok.text, left, right)
+            left = ast.Binary(sp, self.texts[tok], left, right)
 
     def parse_unary(self) -> tuple[ast.Expr, int]:
-        self.reject_unsupported()
-        tok = self.tokens[self.pos]
-        if tok.kind == "op" and tok.text in ("-", "!", "~"):
+        tok = self.pos
+        if self.kinds[tok] == "unsupported":
+            self.error("", tok)
+        text = self.texts[tok]
+        if text in ("-", "!", "~"):
             self.pos += 1
             self.descend(tok, FRAMES[ast.Unary])
             operand, height = self.parse_unary()
             self.depth -= FRAMES[ast.Unary]
-            sp = Span(tok.line, tok.col, tok.start, operand.span.end)
-            return ast.Unary(sp, tok.text, operand), height + FRAMES[ast.Unary]
-        if tok.kind == "op" and tok.text == "&":
+            sp = self.span(tok, operand.span.end)
+            return ast.Unary(sp, text, operand), height + FRAMES[ast.Unary]
+        if text == "&":
             self.unsupported("the address-of operator is not supported", tok)
-        if tok.kind == "op" and tok.text == "*":
+        if text == "*":
             self.unsupported("pointer indirection is not supported", tok)
         return self.parse_postfix()
 
     def parse_postfix(self) -> tuple[ast.Expr, int]:
-        tok = self.tokens[self.pos]
-        if tok.kind == "number":
+        tok = self.pos
+        kind = self.kinds[tok]
+        if kind == "number":
             self.pos += 1
-            return ast.IntLit(tok.span, int(tok.text, 0)), 0
-        if tok.kind == "ident":
+            return ast.IntLit(self.span(tok), int(self.texts[tok], 0)), 0
+        if kind == "ident":
+            name = self.texts[tok]
             self.pos += 1
             if self.accept("("):
                 args: list[ast.Expr] = []
@@ -444,17 +452,17 @@ class _Parser:
                         if not self.accept(","):
                             break
                 self.expect(")")
-                return ast.Call(self.span_from(tok), tok.text, args), height
+                return ast.Call(self.span_from(tok), name, args), height
             if self.accept("["):
                 index, height = self.nested_expr(tok, FRAMES[ast.ArrayIndex])
                 self.expect("]")
-                node = ast.ArrayIndex(self.span_from(tok), tok.text, index)
+                node = ast.ArrayIndex(self.span_from(tok), name, index)
                 return node, height + FRAMES[ast.ArrayIndex]
-            return ast.VarRef(tok.span, tok.text), 0
+            return ast.VarRef(self.span(tok), name), 0
         if self.accept("true"):
-            return ast.BoolLit(tok.span, True), 0
+            return ast.BoolLit(self.span(tok), True), 0
         if self.accept("false"):
-            return ast.BoolLit(tok.span, False), 0
+            return ast.BoolLit(self.span(tok), False), 0
         if self.accept("nondet_int"):
             self.expect("(")
             self.expect(")")
@@ -468,7 +476,7 @@ class _Parser:
             expr = self.nested_expr(tok, FRAMES["("])
             self.expect(")")
             return expr
-        self.error(f"expected an expression, found {tok.text!r}", tok)
+        self.error(f"expected an expression, found {self.texts[tok]!r}", tok)
 
 
 def parse_unit(source: str, path: str, width: int = 32) -> ast.SourceUnit:
@@ -479,7 +487,6 @@ def parse_unit(source: str, path: str, width: int = 32) -> ast.SourceUnit:
     """
     if width not in ast.VALID_WIDTHS:
         raise ValueError(f"width must be one of {ast.VALID_WIDTHS}, got {width}")
-    tokens, comments = tokenize(source, path)
-    parser = _Parser(tokens, path, width)
-    decls = parser.parse_unit()
-    return ast.SourceUnit(path, decls, comments, source)
+    lexed = lex(source, path)
+    decls = _Parser(lexed, path, width).parse_unit()
+    return ast.SourceUnit(path, decls, lexed.comments, source)

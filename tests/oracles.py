@@ -1,7 +1,7 @@
 """Brute-force ground truth shared by the oracle-backed tests.
 
-Two independent oracles live here, and neither touches the encoder or the
-solver it is used to judge:
+Three independent oracles live here, and none touches the code it is used
+to judge:
 
 * Program oracles run functions and test bodies through the reference
   interpreter only (functions_equivalent_bruteforce, interpret_concrete).
@@ -9,20 +9,25 @@ solver it is used to judge:
   evaluates a term DAG on every input valuation. It reads only the Term
   data structure and shares nothing with bitblast or dpll, so it can judge
   sat_solve's verdicts and least models.
+* A reference lexer (reference_tokens) matches one token at a time and
+  tracks lines as it goes. It shares only the keyword and operator tables
+  with `cfv.minic.lexer`, so it can judge the bulk lexer's columns.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from cfv.errors import CfvError
+from cfv.errors import CfvError, Diagnostic, UnsupportedConstructError
 from cfv.interp import DEFAULT_FUEL, InterpreterError, run_function, zero_globals
 from cfv.minic import ast
-from cfv.minic.ast import Span
+from cfv.minic.ast import Comment, Span
+from cfv.minic.lexer import KEYWORDS, OPERATORS, UNSUPPORTED_KEYWORDS, UNSUPPORTED_OPERATORS
 from cfv.snapshot import Snapshot
 from cfv.solver import Model, Sat, SolveResult, Unsat, _default_model
 from cfv.terms import BOOL, Formula, Term, mask, postorder
@@ -318,3 +323,90 @@ def exhaustive_solve(formula: Formula, cap_bits: int = EXHAUSTIVE_BIT_CAP) -> So
 def check_model(formula: Formula, model: Model) -> bool:
     """True when the model satisfies the formula under concrete evaluation."""
     return bool(evaluate(formula.root, model))
+
+
+_REFERENCE_KINDS = (
+    {word: "keyword" for word in KEYWORDS}
+    | {op: "op" for op in OPERATORS}
+    | {text: "unsupported" for text in UNSUPPORTED_OPERATORS + tuple(UNSUPPORTED_KEYWORDS)}
+)
+
+# Each match skips a run of whitespace and then takes one token. At the end
+# of the input `eof` matches the empty string, and any character no other
+# group takes is `other`, so every match succeeds. The first group that
+# matches wins.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"[ \t\r\n\f\v]*(?:"
+    + "|".join(
+        [
+            r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+            r"(?P<line_comment>//[^\n]*)",
+            r"(?P<block_comment>/\*.*?\*/)",
+            r"(?P<unterminated>/\*)",
+            r"(?P<bad_hex>0[xX](?![0-9a-fA-F]))",
+            r"(?P<number>0[xX][0-9a-fA-F]+|[1-9][0-9]*|0+(?![0-9]))",
+            r"(?P<octal>0[0-9]+)",
+            "(?P<op>"
+            + "|".join(map(re.escape, sorted(OPERATORS + UNSUPPORTED_OPERATORS, key=len, reverse=True)))
+            + ")",
+            r"(?P<eof>\Z)",
+            r"(?P<other>.)",
+        ]
+    )
+    + ")",
+    re.DOTALL,
+)
+
+_REFERENCE_ERRORS = {
+    "unterminated": "unterminated block comment",
+    "bad_hex": "malformed hex literal",
+    "octal": "octal literals are not supported",
+}
+
+
+def reference_tokens(source: str, path: str) -> tuple[list[tuple], list[Comment]]:
+    """Tokens as (kind, text, line, col, start, end), the last one eof, and
+    the comments; one regex match per token, lines counted as it goes.
+    Raises UnsupportedConstructError at the first fault."""
+    tokens: list[tuple] = []
+    comments: list[Comment] = []
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of `line`
+    while True:
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        group = m.lastgroup
+        start, end = m.span(group)
+        if start != pos:
+            newline = source.rfind("\n", pos, start)
+            if newline != -1:
+                line += source.count("\n", pos, start)
+                line_start = newline + 1
+        col = start - line_start + 1
+        if group == "word" or group == "op" or group == "number":
+            text = source[start:end]
+            kind = "number" if group == "number" else _REFERENCE_KINDS.get(text, "ident")
+            tokens.append((kind, text, line, col, start, end))
+        elif group == "line_comment":
+            span = Span(line, col, start, end)
+            comments.append(Comment(source[start + 2 : end].strip(), span, line))
+        elif group == "block_comment":
+            span = Span(line, col, start, end)
+            newline = source.rfind("\n", start, end)
+            if newline != -1:
+                line += source.count("\n", start, end)
+                line_start = newline + 1
+            comments.append(Comment(source[start + 2 : end - 2].strip(), span, line))
+        elif group == "eof":
+            tokens.append(("eof", "", line, col, start, end))
+            return tokens, comments
+        else:
+            if group != "other":
+                msg = _REFERENCE_ERRORS[group]
+            elif source[start] == "#" and not source[line_start:start].strip(" \t\r\f\v"):
+                msg = "preprocessor directives are not supported"
+            else:
+                msg = f"unexpected character {source[start]!r}"
+            span = Span(line, col, start, start + 1)
+            raise UnsupportedConstructError([Diagnostic(path, span, "error", msg)])
+        pos = end

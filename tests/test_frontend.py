@@ -4,13 +4,16 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from cfv.errors import MiniCSyntaxError, TypeCheckError, UnsupportedConstructError
+from cfv.errors import InputError, MiniCSyntaxError, TypeCheckError, UnsupportedConstructError
 from cfv.minic import alpha_key, cyclomatic_complexity, format_unit, parse_unit, type_check
 from cfv.minic import ast
 from cfv.minic.ast import DUMMY_SPAN as S, Span
-from cfv.minic.lexer import tokenize
+from cfv.minic.lexer import UNSUPPORTED_KEYWORDS, lex
+from cfv.snapshot import snapshot_from_sources
 
 from generators import FunctionGen, mutate_function, normalize_alpha
+from oracles import CORPUS, reference_tokens
+from test_harness import write_scale_corpus
 
 
 def parse_ok(src: str, width: int = 32):
@@ -100,6 +103,13 @@ class TestParser:
         assert isinstance(ret.value, ast.IntLit) and ret.value.value == 16
 
 
+def lex_rows(source: str, path: str) -> tuple[list[tuple], list]:
+    """lex's columns as rows (kind, text, line, col, start, end), and the comments."""
+    lexed = lex(source, path)
+    rows = [(kind, text, *lexed.span(i)) for i, (kind, text) in enumerate(zip(lexed.kinds, lexed.texts))]
+    return rows, lexed.comments
+
+
 class TestLexer:
     @pytest.mark.parametrize(
         "src, message, line, col",
@@ -117,13 +127,13 @@ class TestLexer:
     )
     def test_diagnostics(self, src, message, line, col):
         with pytest.raises(UnsupportedConstructError) as exc:
-            tokenize(src, "t.c")
+            lex_rows(src, "t.c")
         (diag,) = exc.value.diagnostics
         assert (diag.path, diag.message, diag.span.line, diag.span.col) == ("t.c", message, line, col)
 
     def test_spans_after_block_comment_tab_and_crlf(self):
-        tokens, comments = tokenize("/* a\n b\n */ int\tx = 1;\r\nint y;", "t.c")
-        assert [(t.kind, t.text, t.span) for t in tokens] == [
+        tokens, comments = lex_rows("/* a\n b\n */ int\tx = 1;\r\nint y;", "t.c")
+        assert [(kind, text, Span(*pos)) for kind, text, *pos in tokens] == [
             ("keyword", "int", Span(3, 5, 12, 15)),
             ("ident", "x", Span(3, 9, 16, 17)),
             ("op", "=", Span(3, 11, 18, 19)),
@@ -138,10 +148,10 @@ class TestLexer:
         assert (comment.text, comment.span, comment.end_line) == ("a\n b", Span(1, 1, 0, 11), 3)
 
     def test_line_comment(self):
-        tokens, comments = tokenize("int x; // note \nint y;", "t.c")
+        tokens, comments = lex_rows("int x; // note \nint y;", "t.c")
         (comment,) = comments
         assert (comment.text, comment.span, comment.end_line) == ("note", Span(1, 8, 7, 15), 1)
-        assert tokens[3].span == Span(2, 1, 16, 19)
+        assert Span(*tokens[3][2:]) == Span(2, 1, 16, 19)
 
     def test_node_spans_after_crlf_tab_and_block_comment(self):
         src = "int g;\r\nint f(int a)\r\n{\r\n\treturn a /* x\r\n y */ + 1;\r\n}\r\n"
@@ -157,8 +167,8 @@ class TestLexer:
         assert (comment.text, comment.span, comment.end_line) == ("x\r\n y", Span(4, 11, 35, 46), 5)
 
     def test_longest_match(self):
-        tokens, _ = tokenize("a<<=b->c+=d--!=e >>= f", "t.c")
-        assert [(t.kind, t.text, t.span.col) for t in tokens] == [
+        tokens, _ = lex_rows("a<<=b->c+=d--!=e >>= f", "t.c")
+        assert [(kind, text, col) for kind, text, _, col, _, _ in tokens] == [
             ("ident", "a", 1),
             ("unsupported", "<<=", 2),
             ("ident", "b", 5),
@@ -218,8 +228,8 @@ class TestLexer:
         ],
     )
     def test_exact_tokens_and_comments(self, src, tokens, comments):
-        got_tokens, got_comments = tokenize(src, "t.c")
-        assert [tuple(t) for t in got_tokens] == tokens
+        got_tokens, got_comments = lex_rows(src, "t.c")
+        assert got_tokens == tokens
         assert [
             (c.text, (c.span.line, c.span.col, c.span.start, c.span.end), c.end_line)
             for c in got_comments
@@ -238,14 +248,14 @@ class TestLexer:
     )
     def test_exact_diagnostic_spans(self, src, message, span):
         with pytest.raises(UnsupportedConstructError) as exc:
-            tokenize(src, "t.c")
+            lex_rows(src, "t.c")
         (diag,) = exc.value.diagnostics
         s = diag.span
         assert (diag.path, diag.message, (s.line, s.col, s.start, s.end)) == ("t.c", message, span)
 
     def test_numbers_and_words(self):
-        tokens, _ = tokenize("0x1fG 123abc _a1 while", "t.c")
-        assert [(t.kind, t.text) for t in tokens] == [
+        tokens, _ = lex_rows("0x1fG 123abc _a1 while", "t.c")
+        assert [(kind, text) for kind, text, *_ in tokens] == [
             ("number", "0x1f"),
             ("ident", "G"),
             ("number", "123"),
@@ -254,6 +264,116 @@ class TestLexer:
             ("keyword", "while"),
             ("eof", ""),
         ]
+
+    def test_form_feed_and_vertical_tab_are_whitespace(self):
+        tokens, _ = lex_rows("int\fx;\v\n\vy\f", "t.c")
+        assert tokens == [
+            ("keyword", "int", 1, 1, 0, 3),
+            ("ident", "x", 1, 5, 4, 5),
+            ("op", ";", 1, 6, 5, 6),
+            ("ident", "y", 2, 2, 9, 10),
+            ("eof", "", 2, 4, 11, 11),
+        ]
+        body = parse_unit("int f() {\f return 1; }", "t.c").functions[0].body
+        assert body.stmts[0].span == Span(1, 12, 11, 20)
+
+    @pytest.mark.parametrize(
+        "src, span",
+        [("\f#define X", (1, 2, 1, 2)), ("int x;\n\v\f #if X", (2, 4, 10, 11))],
+    )
+    def test_directive_after_form_feed_or_vertical_tab(self, src, span):
+        with pytest.raises(UnsupportedConstructError) as exc:
+            lex_rows(src, "t.c")
+        (diag,) = exc.value.diagnostics
+        s = diag.span
+        assert (diag.message, (s.line, s.col, s.start, s.end)) == (
+            "preprocessor directives are not supported",
+            span,
+        )
+
+
+def lexer_result(lexer, source: str):
+    """Tokens and comments, or the diagnostics when the lexer rejects the text."""
+    try:
+        tokens, comments = lexer(source, "t.c")
+    except UnsupportedConstructError as err:
+        return err.diagnostics
+    return tokens, [(c.text, tuple(c.span), c.end_line) for c in comments]
+
+
+# Pieces of the random lexer inputs: what starts words, numbers, comments and
+# faults, the whitespace and line breaks, and characters outside the subset.
+LEXER_PIECES = [
+    "a", "Z", "_", "x", "0", "7", "9", "int", "do", " ", "/", "*", "//", "/*", "*/",
+    "0x", "0X", "00", "#", "\r", "\n", "\t", "\f", "\v", "\u00e9", "@", "$",
+]
+
+
+class TestReferenceLexer:
+    """lex agrees with the one-token-at-a-time reference lexer in
+    tests/oracles.py on tokens, comments and the first diagnostic."""
+
+    def test_corpus(self):
+        paths = sorted(CORPUS.rglob("*.c"))
+        assert paths
+        for path in paths:
+            source = path.read_text()
+            assert lexer_result(lex_rows, source) == lexer_result(reference_tokens, source), path
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scale_corpus(self, tmp_path, seed):
+        paths = sorted(write_scale_corpus(tmp_path, seed).rglob("*.c"))
+        assert len(paths) == 120
+        for path in paths:
+            source = path.read_text()
+            assert lexer_result(lex_rows, source) == lexer_result(reference_tokens, source), path
+
+    def test_random_strings(self):
+        rng = random.Random(1904)
+        for _ in range(5000):
+            source = "".join(rng.choices(LEXER_PIECES, k=rng.randrange(25)))
+            assert lexer_result(lex_rows, source) == lexer_result(reference_tokens, source), source
+
+
+class TestUnsupportedKeywords:
+    """C keywords that MiniC lacks are reported at the keyword."""
+
+    @pytest.mark.parametrize(
+        "src, keyword, line, col",
+        [
+            ("int f() { int i = 0; while (true) { i = i + 1; break; } return i; }", "break", 1, 48),
+            ("int f() { do { } while (true); return 0; }", "do", 1, 11),
+            ("int f(int x) {\n  switch (x) { default: return 0; }\n}", "switch", 2, 3),
+            ("int f() { goto out; return 0; }", "goto", 1, 11),
+            ("unsigned int g;", "unsigned", 1, 1),
+            ("int f(unsigned x) { return x; }", "unsigned", 1, 7),
+            ("static int f() { return 0; }", "static", 1, 1),
+            ("struct s { int a; };", "struct", 1, 1),
+            ("int f(int x) { return sizeof(x); }", "sizeof", 1, 23),
+            ("int f() { for (;;) { continue; } return 0; }", "continue", 1, 22),
+            ("int const g = 1;", "const", 1, 5),
+        ],
+    )
+    def test_form(self, src, keyword, line, col):
+        with pytest.raises(InputError) as exc:
+            snapshot_from_sources({"t.c": src}, "t")
+        (diag,) = exc.value.diagnostics
+        assert (diag.message, diag.span.line, diag.span.col) == (
+            f"{keyword!r} is outside the subset",
+            line,
+            col,
+        )
+
+    @pytest.mark.parametrize("keyword", sorted(UNSUPPORTED_KEYWORDS))
+    def test_every_keyword_as_a_name(self, keyword):
+        with pytest.raises(InputError) as exc:
+            snapshot_from_sources({"t.c": f"int f(int a) {{\n  int {keyword} = a;\n}}"}, "t")
+        (diag,) = exc.value.diagnostics
+        assert (diag.message, diag.span.line, diag.span.col) == (
+            f"{keyword!r} is outside the subset",
+            2,
+            7,
+        )
 
 
 def shape(e) -> str:

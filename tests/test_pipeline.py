@@ -381,6 +381,13 @@ class TestCli:
         assert main(argv) == 2
         assert "test_f: unknown (unsupported)" in capsys.readouterr().out
 
+    def test_diff_rejects_a_c_keyword_outside_the_subset(self, tmp_path, capsys):
+        broken = LIB_OLD.replace("return a + b;", "while (true) { break; } return a + b;")
+        write_tree(tmp_path, LIB_OLD, broken, TESTS)
+        assert main(["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"{tmp_path / 'new' / 'lib.c'}:4:40: error: 'break' is outside the subset\n"
+
     def test_complexity_subcommand(self, tmp_path, capsys):
         d = tmp_path / "src"
         d.mkdir()

@@ -161,7 +161,7 @@ class TestChecksBeforeAssumesAndBounds:
         gt, view = as_generalized(src, self.LIB, width=8, tmp_path=tmp_path / "tests")
         argv = ["verify", "--src", str(tmp_path / "src"), "--tests", str(tmp_path / "tests")]
         assert main(argv + ["--width", "8"]) == 1
-        assert capsys.readouterr().out == "test_a: fail at t.c:3:5\n"
+        assert capsys.readouterr().out == f"test_a: fail at {tmp_path / 'tests' / 't.c'}:3:5\n"
 
         result = verify_test(gt, view, UnrollConfig(width=8))
         assert isinstance(result, Fail)
