@@ -21,7 +21,7 @@ from pathlib import Path
 import cfv
 from cfv.changes import compute_changeset
 from cfv.equivalence import Equivalent, NotEquivalent, check_equivalence
-from cfv.errors import ConfigError, FrontendError, InputError
+from cfv.errors import ConfigError, InputError
 from cfv.harness import GeneralizedTest, load_tests
 from cfv.minic.metrics import cyclomatic_complexity
 from cfv.pipeline import RunConfig, run_pipeline
@@ -38,8 +38,7 @@ from cfv.verify import Fail, Pass, verify_test
 
 
 def _unroll_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bound", type=int, default=8, metavar="K", help="loop unrolling bound (default 8)")
-    parser.add_argument("--depth", type=int, default=None, metavar="D", help="call inlining depth (default: bound)")
+    parser.add_argument("--bound", type=int, default=8, metavar="K", help="unwinding bound: loops unroll and calls inline at most K deep (default 8)")
     parser.add_argument("--width", type=int, default=32, metavar="W", choices=(4, 8, 16, 32), help="integer width in bits (default 32)")
     parser.add_argument("--timeout", type=float, default=60.0, metavar="S", help="time limit in seconds for each equivalence pair and each test (default 60)")
 
@@ -54,7 +53,6 @@ def _unroll_from(args) -> UnrollConfig:
     try:
         return UnrollConfig(
             loop_bound=args.bound,
-            inline_depth=args.depth,
             timeout_s=args.timeout,
             width=args.width,
         )
@@ -89,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="classify function-level changes")
     p.add_argument("--old", required=True, metavar="DIR")
     _new_or_diff(p)
-    p.add_argument("--width", type=int, default=32, choices=(4, 8, 16, 32))
 
     p = sub.add_parser("equiv", help="check one function across two files")
     p.add_argument("old_file", metavar="OLDFILE")
@@ -99,18 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="cyclomatic complexity per function")
     p.add_argument("directory", metavar="DIR")
-    p.add_argument("--width", type=int, default=32, choices=(4, 8, 16, 32))
 
     p = sub.add_parser("verify", help="model-check every test against a snapshot")
     p.add_argument("--tests", required=True, metavar="DIR")
     p.add_argument("--src", required=True, metavar="DIR")
     _unroll_args(p)
     return parser
-
-
-def _print_diagnostics(err: InputError | FrontendError) -> None:
-    for diag in err.diagnostics:
-        print(diag, file=sys.stderr)
 
 
 def cmd_analyze(args) -> int:
@@ -149,11 +140,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    old_snap = load_snapshot(args.old, args.width)
+    old_snap = load_snapshot(args.old)
     if args.diff is not None:
-        new_snap = load_snapshot_from_diff(args.old, args.diff, args.width)
+        new_snap = load_snapshot_from_diff(args.old, args.diff)
     else:
-        new_snap = load_snapshot(args.new, args.width)
+        new_snap = load_snapshot(args.new)
     cs = compute_changeset(old_snap, new_snap)
     for name in cs.unchanged:
         print(f"unchanged: {name}")
@@ -207,7 +198,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    snap = load_snapshot(args.directory, args.width)
+    snap = load_snapshot(args.directory)
     total = 0
     rows = []
     for unit in snap.units:
@@ -255,8 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, FrontendError) as err:
-        _print_diagnostics(err)
+    except InputError as err:
+        for diag in err.diagnostics:
+            print(diag, file=sys.stderr)
         return 3
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

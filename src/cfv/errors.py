@@ -1,5 +1,10 @@
 """Diagnostics and exception types shared across the toolkit.
 
+InputError is the one error for bad input: it carries positioned
+diagnostics, and a run that raises it exits 3. Lexing, parsing and type
+checking raise its subclasses; reading sources and applying a diff raise it
+directly.
+
 Timeout is the one way a stage reports that it ran out of time, and
 check_deadline is the one place that raises it. Every stage that polls a
 deadline (building terms, encoding, the case split, bit-blasting,
@@ -32,26 +37,6 @@ class CfvError(Exception):
     """Base class for all toolkit errors."""
 
 
-class FrontendError(CfvError):
-    """Lex/parse/type failure, carrying one or more positioned diagnostics."""
-
-    def __init__(self, diagnostics: list[Diagnostic]):
-        self.diagnostics = diagnostics
-        super().__init__("; ".join(str(d) for d in diagnostics))
-
-
-class MiniCSyntaxError(FrontendError):
-    pass
-
-
-class UnsupportedConstructError(FrontendError):
-    """Input is C, but outside the supported subset."""
-
-
-class TypeCheckError(FrontendError):
-    pass
-
-
 class Timeout(CfvError):
     """A stage polled its deadline (an absolute time.monotonic() value) and
     found it passed."""
@@ -69,8 +54,21 @@ class ConfigError(CfvError):
 
 
 class InputError(CfvError):
-    """Snapshot or test sources failed to parse or type-check."""
+    """Sources that cannot be read, patched, parsed or type-checked,
+    carrying one or more positioned diagnostics."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
         super().__init__("\n".join(str(d) for d in diagnostics))
+
+
+class MiniCSyntaxError(InputError):
+    pass
+
+
+class UnsupportedConstructError(InputError):
+    """Input is C, but outside the supported subset."""
+
+
+class TypeCheckError(InputError):
+    pass

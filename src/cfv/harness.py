@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from cfv.errors import Diagnostic, FrontendError, InputError
+from cfv.errors import Diagnostic, InputError
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.parser import parse_unit
@@ -86,7 +86,7 @@ def _check_tests(
     for rel, source in sources.items():
         try:
             test_units.append(parse_unit(source, rel, snap.width))
-        except FrontendError as err:
+        except InputError as err:
             diagnostics.extend(err.diagnostics)
     if diagnostics:
         raise InputError(diagnostics)
@@ -105,10 +105,7 @@ def _check_tests(
         raise InputError(diagnostics)
 
     units = snap.units + test_units
-    try:
-        env = type_check(units, snap.width, checked=test_units)
-    except FrontendError as err:
-        raise InputError(err.diagnostics) from None
+    env = type_check(units, snap.width, checked=test_units)
     view = Snapshot(f"{snap.label}+tests", units, env, snap.width)
 
     tests: list[TestCase] = []

@@ -206,7 +206,7 @@ class Interpreter:
             if not self.eval(stmt.cond, frame):
                 raise _Halt("assume_halt", stmt.span)
         elif isinstance(stmt, ast.ExprStmt):
-            self.eval(stmt.expr, frame, allow_void=True)
+            self.eval(stmt.expr, frame)
         else:  # pragma: no cover
             raise AssertionError(f"unknown statement {stmt!r}")
 
@@ -243,7 +243,7 @@ class Interpreter:
 
     # -- expressions ---------------------------------------------------------
 
-    def eval(self, expr: ast.Expr, frame: dict[int, Value], allow_void: bool = False):
+    def eval(self, expr: ast.Expr, frame: dict[int, Value]):
         self.burn(expr.span)
         w = self.width
         if isinstance(expr, ast.IntLit):

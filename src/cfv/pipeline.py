@@ -28,6 +28,7 @@ from cfv.changes import compute_changeset
 from cfv.equivalence import Equivalent, check_equivalence
 from cfv.errors import ConfigError
 from cfv.harness import build_call_graph, generalize, load_tests, select_tests
+from cfv.interp import run_function
 from cfv.minic.printer import format_function
 from cfv.report import SCHEMA_VERSION, result_json, tool_block, verdict_json, write_report
 from cfv.snapshot import load_snapshot, load_snapshot_from_diff
@@ -64,7 +65,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     t_start = time.monotonic()
     width = cfg.unroll.width
 
-    old_snap = load_snapshot(cfg.old_dir, width, label=None)
+    old_snap = load_snapshot(cfg.old_dir, width)
     if cfg.diff_path is not None:
         new_snap = load_snapshot_from_diff(cfg.old_dir, cfg.diff_path, width)
     else:
@@ -156,8 +157,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
         )
         concretized = None
         if isinstance(result, Fail):
-            conc = concretize(gt, result.counterexample, width)
-            concretized = format_function(conc.body)
+            cx = result.counterexample
+            conc = concretize(gt, cx, width)
+            # A nondet site reached more than once keeps only its first
+            # value, so the plain test is kept only if it still fails there.
+            replay = run_function(view, conc.body, [])
+            if replay.status in ("assert_fail", "trap") and replay.span == cx.failing_assert:
+                concretized = format_function(conc.body)
         verification_entries.append(
             {
                 "test": t.name,
@@ -191,7 +197,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "config": {
             "width": width,
             "loop_bound": cfg.unroll.loop_bound,
-            "inline_depth": cfg.unroll.depth,
+            "inline_depth": cfg.unroll.loop_bound,  # --bound bounds inlining too
             "pair_timeout_s": cfg.unroll.timeout_s,
             "budget_s": cfg.budget_s,
         },

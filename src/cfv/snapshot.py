@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
-from cfv.errors import Diagnostic, FrontendError, InputError
+from cfv.errors import Diagnostic, InputError
 from cfv.minic.ast import DUMMY_SPAN, FunctionDef, GlobalDecl, SourceUnit, Span
 from cfv.minic.parser import parse_unit
 from cfv.minic.typecheck import Environment, type_check
@@ -95,18 +95,14 @@ def snapshot_from_sources(
     for path in sorted(sources):
         try:
             units.append(parse_unit(sources[path], path, width))
-        except FrontendError as err:
+        except InputError as err:
             diagnostics.extend(err.diagnostics)
     if diagnostics:
         raise InputError(diagnostics)
-    try:
-        env = type_check(units, width)
-    except FrontendError as err:
-        raise InputError(err.diagnostics) from None
-    return Snapshot(label, units, env, width)
+    return Snapshot(label, units, type_check(units, width), width)
 
 
-def load_snapshot(directory: str | Path, width: int = 32, label: str | None = None) -> Snapshot:
+def load_snapshot(directory: str | Path, width: int = 32) -> Snapshot:
     directory = Path(directory)
     if not directory.is_dir():
         raise InputError(
@@ -118,7 +114,7 @@ def load_snapshot(directory: str | Path, width: int = 32, label: str | None = No
             [Diagnostic(str(directory), DUMMY_SPAN, "error", "no .c files found")]
         )
     try:
-        return snapshot_from_sources(sources, label or directory.name, width)
+        return snapshot_from_sources(sources, directory.name, width)
     except InputError as err:
         raise under(directory, err) from None
 
@@ -251,7 +247,6 @@ def load_snapshot_from_diff(
     base_dir: str | Path,
     diff_path: str | Path,
     width: int = 32,
-    label: str | None = None,
 ) -> Snapshot:
     """Snapshot of base_dir with a unified diff applied on top."""
     base_dir = Path(base_dir)
@@ -265,7 +260,7 @@ def load_snapshot_from_diff(
         ) from None
     try:
         return snapshot_from_sources(
-            patched, label or f"{base_dir.name}+{Path(diff_path).name}", width
+            patched, f"{base_dir.name}+{Path(diff_path).name}", width
         )
     except InputError as err:
         raise under(Path(diff_path), err) from None

@@ -10,7 +10,7 @@ term, the final term of every touched global, and three boolean guards:
   it held.
 
 Loops unroll loop_bound times with the residual entry falsifying
-unwinding_complete; calls inline up to inline_depth the same way. A run
+unwinding_complete; calls inline loop_bound deep the same way. A run
 stops at its first failed check, as the interpreter's does, so neither an
 assume nor a bound reached after one restricts the inputs: each is guarded
 by the conjunction of the checks encoded before it. Otherwise an input that
@@ -57,22 +57,15 @@ NONDET_PREFIX = "n"
 
 @dataclass(frozen=True)
 class UnrollConfig:
-    loop_bound: int = 8
-    inline_depth: int | None = None  # defaults to loop_bound
+    loop_bound: int = 8  # bounds loop unrolling and call inlining alike
     timeout_s: float = 60.0
     width: int = 32
 
     def __post_init__(self) -> None:
         if self.loop_bound < 1:
             raise ValueError("loop_bound must be at least 1")
-        if self.inline_depth is not None and self.inline_depth < 1:
-            raise ValueError("inline_depth must be at least 1")
         if not 0 < self.timeout_s < inf:  # NaN included
             raise ValueError("timeout_s must be positive and finite")
-
-    @property
-    def depth(self) -> int:
-        return self.inline_depth if self.inline_depth is not None else self.loop_bound
 
 
 @dataclass
@@ -121,7 +114,7 @@ class Encoder:
         self,
         snap: Snapshot,
         cfg: UnrollConfig,
-        builder: TermBuilder | None = None,
+        builder: TermBuilder,
         symbolic_globals: bool = True,
     ):
         if snap.width != cfg.width:
@@ -130,7 +123,7 @@ class Encoder:
             )
         self.snap = snap
         self.cfg = cfg
-        self.b = builder if builder is not None else TermBuilder()
+        self.b = builder
         self.symbolic_globals = symbolic_globals
         self.width = cfg.width
 
@@ -275,7 +268,7 @@ class Encoder:
             cond = self.eval(stmt.cond, eff, frame)
             self.assume = b.and_(self.assume, b.implies(b.and_(eff, self.ok), cond))
         elif isinstance(stmt, ast.ExprStmt):
-            self.eval(stmt.expr, eff, frame, allow_void=True)
+            self.eval(stmt.expr, eff, frame)
         else:  # pragma: no cover
             raise AssertionError(f"unknown statement {stmt!r}")
 
@@ -321,7 +314,7 @@ class Encoder:
 
     # -- expressions -------------------------------------------------------------
 
-    def eval(self, expr: ast.Expr, guard: Term, frame: _Frame, allow_void: bool = False):
+    def eval(self, expr: ast.Expr, guard: Term, frame: _Frame):
         b = self.b
         if isinstance(expr, ast.IntLit):
             return b.const(expr.value, self.width)
@@ -412,7 +405,7 @@ class Encoder:
         b = self.b
         fn = self.snap.functions[expr.name]
         args = [self.eval(a, guard, frame) for a in expr.args]
-        if self.depth + 1 > self.cfg.depth:
+        if self.depth + 1 > self.cfg.loop_bound:
             # Call chain exceeds the inlining bound on this path.
             self.uc = b.and_(self.uc, b.not_(b.and_(guard, self.ok)))
             return self._default(fn.return_type)
@@ -428,7 +421,7 @@ def encode_ssa(
     fn: ast.FunctionDef,
     snap: Snapshot,
     cfg: UnrollConfig,
-    builder: TermBuilder | None = None,
+    builder: TermBuilder,
     symbolic_globals: bool = True,
 ) -> SsaProgram:
     """Encode one type-checked function under the given unrolling bounds."""

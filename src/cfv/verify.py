@@ -7,7 +7,8 @@ violation within the unrolling bound. A SAT model is immediately re-run
 through the reference interpreter with tracing on; the counterexample that
 comes out therefore carries a real execution trace and a failing assertion
 site, not a decoded guess. Concretization turns that counterexample back
-into an ordinary nondet-free test that fails under plain interpretation.
+into an ordinary nondet-free test; it fails under plain interpretation
+unless some nondet site is reached more than once.
 
 The time limit covers encoding and solving. A stage that finds it expired
 raises errors.Timeout; verify_test catches it in one place and returns
@@ -104,8 +105,9 @@ def _literal_for(value: int | bool, width: int, span: Span) -> ast.Expr:
 def concretize(gt: GeneralizedTest, cx: Counterexample, width: int) -> TestCase:
     """Substitute counterexample values back, yielding a nondet-free test.
 
-    Each intrinsic site receives the value of its first dynamic occurrence;
-    for the loop-free bodies generalization produces, that is the only one.
+    Each intrinsic site receives the value of its first dynamic occurrence.
+    A site reached again, as in a loop, may need another value for the
+    failure, so the result can pass: replay it before reporting it.
     """
     by_site: dict[int, int | bool] = {}
     for symbol, (site, occurrence) in cx.sites.items():

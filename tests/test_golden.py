@@ -55,7 +55,7 @@ def outputs(root: Path, width: int, out: Path) -> tuple[int, str, str]:
     report = render_report(strip_timings(json.loads(out.read_text(encoding="utf-8"))))
     diff = io.StringIO()
     with redirect_stdout(diff):
-        assert main(["diff", *dirs, "--width", str(width)]) == 0
+        assert main(["diff", *dirs]) == 0
     return code, report, diff.getvalue()
 
 

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import cfv
 from cfv import pipeline
-from cfv.cli import main
+from cfv.cli import build_parser, main
 from cfv.errors import ConfigError
 from cfv.minic.lexer import UNSUPPORTED_OPERATORS
 from cfv.pipeline import EQUIVALENCE_BUDGET_FRACTION, MIN_ITEM_S, RunConfig, run_pipeline
@@ -124,6 +126,25 @@ class TestPipeline:
         assert ver["result"]["kind"] == "fail"
         cx = ver["result"]["counterexample"]
         assert cx["concretized_source"] is not None
+        assert exit_code(report) == 1
+
+    def test_a_concretized_test_that_passes_is_not_reported(self, tmp_path):
+        # The nondet site in the loop fails at its second occurrence only;
+        # given its first value, the plain test passes on the new snapshot.
+        write_tree(
+            tmp_path,
+            "int step(int x) { return x + 1; }\n",
+            "int step(int x) { if (x == 3) { return 0; } return x + 1; }\n",
+            "void test_loop() { int i = 0; while (i < 2) { int v = nondet_int();"
+            " assume(v >= 0 && v < 5); if (i == 1) { assert(step(v) == v + 1); }"
+            " i = i + 1; } }\n",
+        )
+        report = run_pipeline(base_config(tmp_path))
+        (ver,) = report["verification"]
+        assert ver["result"]["kind"] == "fail"
+        cx = ver["result"]["counterexample"]
+        assert cx["valuation"] == {"n0": 0, "n1": 3}
+        assert cx["concretized_source"] is None
         assert exit_code(report) == 1
 
     def test_tiny_budget_marks_everything_unknown(self, tmp_path):
@@ -323,7 +344,7 @@ class TestCli:
     def test_diff_subcommand(self, tmp_path, capsys):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_EQUIV, TESTS)
         code = main(
-            ["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new"), "--width", "8"]
+            ["diff", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new")]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -462,7 +483,7 @@ class TestCli:
         "argv, code",
         [
             (["analyze", "--old", "o", "--new", "n", "--tests", "t", "--out", "r", "--jobs", "2"], 3),
-            (["diff", "--old", "o", "--new", "n", "--width", "7"], 3),
+            (["equiv", "a.c", "b.c", "f", "--width", "7"], 3),
             (["analyze", "--old", "o", "--new", "n", "--out", "r"], 3),
             (["--help"], 0),
             (["--version"], 0),
@@ -474,6 +495,46 @@ class TestCli:
             main(argv)
         assert exc.value.code == code
         assert ("error:" in capsys.readouterr().err) == (code == 3)
+
+    def test_the_settings_are_pinned(self):
+        """Every flag of each subcommand and every field of the two
+        configurations, so that a new setting shows up as a diff here."""
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        unroll = ["--bound", "--timeout", "--width"]
+        assert flags == {
+            "analyze": sorted(["--old", "--new", "--diff", "--tests", "--budget", "--out", *unroll]),
+            "diff": ["--diff", "--new", "--old"],
+            "equiv": unroll,
+            "complexity": [],
+            "verify": sorted(["--tests", "--src", *unroll]),
+        }
+        assert sum(map(len, flags.values())) == 20
+        assert [f.name for f in dataclasses.fields(UnrollConfig)] == ["loop_bound", "timeout_s", "width"]
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "old_dir", "new_dir", "tests_dir", "out_path", "budget_s", "unroll", "diff_path",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--old", "o", "--new", "n", "--tests", "t", "--out", "r", "--depth", "3"],
+            ["equiv", "a.c", "b.c", "f", "--depth", "3"],
+            ["verify", "--tests", "t", "--src", "s", "--depth", "3"],
+            ["diff", "--old", "o", "--new", "n", "--width", "8"],
+            ["complexity", "d", "--width", "8"],
+        ],
+        ids=["analyze-depth", "equiv-depth", "verify-depth", "diff-width", "complexity-width"],
+    )
+    def test_removed_settings_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option",

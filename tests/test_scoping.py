@@ -21,6 +21,7 @@ from cfv.minic import alpha_key
 from cfv.minic.parser import parse_unit
 from cfv.snapshot import snapshot_from_sources
 from cfv.ssa import UnrollConfig, encode_ssa
+from cfv.terms import TermBuilder
 from cfv.verify import Pass, verify_test
 
 WIDTH = 8
@@ -116,7 +117,7 @@ def test_an_unchecked_tree_is_never_read(kind):
     snap = _snap(src)
     fn = parse_unit(src, "m.c", WIDTH).functions[0]
     with pytest.raises(ValueError, match="unresolved"):
-        encode_ssa(fn, snap, CFG)
+        encode_ssa(fn, snap, CFG, TermBuilder())
     with pytest.raises(ValueError, match="unresolved"):
         run_function(snap, fn, [1])
     with pytest.raises(ValueError, match="unresolved"):

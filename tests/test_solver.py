@@ -1,11 +1,14 @@
 import random
+import sys
 import time
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfv.bitblast import _blast_node, bitblast
+from cfv import dpll
 from cfv.dpll import search, solve_cnf
 from cfv.errors import Timeout
 from cfv.solver import (
@@ -305,6 +308,56 @@ class TestSimulation:
             bitblast(f)
 
 
+def random_3cnf(rng) -> tuple[int, list[tuple[int, ...]]]:
+    """10-14 variables and about 4.3 clauses a variable, each clause over
+    three distinct variables."""
+    n = rng.randint(10, 14)
+    clauses = [
+        tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(round(4.3 * n))
+    ]
+    return n, clauses
+
+
+def least_model_bruteforce(n: int, clauses) -> list[int] | None:
+    """The lexicographically least model of a CNF (counting order with
+    variable 1 most significant), or None. Each literal is the 2**n-bit set
+    of the assignments that make it true, so a clause is an OR and the
+    formula an AND of such sets; the least model is the lowest set bit."""
+    full = (1 << (1 << n)) - 1
+    sets = {}
+    for v in range(1, n + 1):
+        half = 1 << (n - v)
+        block = ((1 << half) - 1) << half  # assignments with bit n - v set
+        sets[v] = block * (full // ((1 << 2 * half) - 1))
+        sets[-v] = full ^ sets[v]
+    models = full
+    for clause in clauses:
+        any_true = 0
+        for lit in clause:
+            any_true |= sets[lit]
+        models &= any_true
+    if not models:
+        return None
+    m = (models & -models).bit_length() - 1
+    return [(sets[v] >> m) & 1 for v in range(1, n + 1)]
+
+
+# (a + 1) * b != a * b + b + ite(a == hit_a && (b & mask) == mask, 1, 0) at
+# width 6 has models only at a == hit_a; the least is b == mask.
+HITS = [(43, 3), (27, 1), (50, 5)]
+
+
+def hit_formula(hit_a: int, hit_mask: int) -> Formula:
+    b = TermBuilder()
+    x, y = b.input("a", 6), b.input("b", 6)
+    one, mask = b.const(1, 6), b.const(hit_mask, 6)
+    hit = b.and_(b.eq(x, b.const(hit_a, 6)), b.eq(b.band(y, mask), mask))
+    lhs = b.mul(b.add(x, one), y)
+    rhs = b.add(b.add(b.mul(x, y), y), b.ite(hit, one, b.const(0, 6)))
+    return Formula(b, b.ne(lhs, rhs), (x, y))
+
+
 class TestDpll:
     def test_empty_clause_unsat(self):
         assert search(1, [(1,), ()]).status == "unsat"
@@ -347,36 +400,67 @@ class TestDpll:
         ]
         clauses = [tuple(dict.fromkeys(c)) for c in clauses]
         clauses = [c for c in clauses if not any(-l in c for l in c)]
-        # Counting order with variable 1 most significant, so the first
-        # model found is the lexicographically least one.
-        least = None
-        for m in range(1 << n_vars):
-            bits = [(m >> (n_vars - v)) & 1 for v in range(1, n_vars + 1)]
-            if all(any((l > 0) == bool(bits[abs(l) - 1]) for l in c) for c in clauses):
-                least = bits
-                break
+        least = least_model_bruteforce(n_vars, clauses)
         result = search(n_vars, clauses)
         assert (result.status == "sat") == (least is not None)
         if least is not None:
             assert result.assignment[1:] == least
 
-    @pytest.mark.parametrize("hit_a, hit_mask", [(43, 3), (27, 1), (50, 5)])
+    @pytest.mark.parametrize("hit_a, hit_mask", HITS)
     def test_learning_core_finds_least_model_behind_conflicts(self, hit_a, hit_mask):
-        # (a + 1) * b != a * b + b + ite(a == hit_a && (b & mask) == mask, 1, 0)
-        # at width 6. Its only models have a == hit_a, so the static search
-        # hits many conflicts first and the learning core switches to VSIDS,
-        # which may land on any b with (b & mask) == mask. The least model
-        # must still come back: b == mask. A clause minimisation that leaves
-        # its marks set after a failed check learns clauses the formula
-        # does not imply, and returned a larger b on these.
-        b = TermBuilder()
-        x, y = b.input("a", 6), b.input("b", 6)
-        one, mask = b.const(1, 6), b.const(hit_mask, 6)
-        hit = b.and_(b.eq(x, b.const(hit_a, 6)), b.eq(b.band(y, mask), mask))
-        lhs = b.mul(b.add(x, one), y)
-        rhs = b.add(b.add(b.mul(x, y), y), b.ite(hit, one, b.const(0, 6)))
-        f = Formula(b, b.ne(lhs, rhs), (x, y))
+        # The static search hits many conflicts first and the learning core
+        # switches to VSIDS, which may land on any b with (b & mask) == mask.
+        # The least model must still come back: b == mask. A clause
+        # minimisation that leaves its marks set after a failed check learns
+        # clauses the formula does not imply, and returned a larger b on
+        # these.
+        f = hit_formula(hit_a, hit_mask)
         assert learned_model(f) == exhaustive_solve(f).model == {"a": hit_a, "b": hit_mask}
+
+
+class TestClauseDeletionAndRestarts:
+    """With the deletion threshold at 4 learned clauses and a Luby unit of
+    one conflict, the learning core deletes clauses and restarts on small
+    formulas, and must still return the least model."""
+
+    @pytest.fixture(autouse=True)
+    def eager(self, monkeypatch):
+        monkeypatch.setattr(dpll, "FIRST_REDUCE", 4)
+        monkeypatch.setattr(dpll, "RESTART_UNIT", 1)
+
+    @staticmethod
+    @contextmanager
+    def counting(counts):
+        """Count calls of reduce_db and restarts (calls of _luby past its
+        first element) into counts."""
+
+        def profile(frame, event, arg):
+            if event == "call":
+                name = frame.f_code.co_name
+                if name == "reduce_db" or (name == "_luby" and frame.f_locals["x"]):
+                    counts[name] += 1
+
+        sys.setprofile(profile)
+        try:
+            yield
+        finally:
+            sys.setprofile(None)
+
+    def test_random_3cnf_and_hit_formulas_keep_their_least_models(self):
+        counts = {"reduce_db": 0, "_luby": 0}
+        for seed in range(200):
+            n, clauses = random_3cnf(random.Random(seed))
+            least = least_model_bruteforce(n, clauses)
+            with self.counting(counts):
+                result = search(n, clauses)
+            assert (result.status == "sat") == (least is not None), seed
+            if least is not None:
+                assert result.assignment[1:] == least, seed
+        for hit_a, hit_mask in HITS:
+            with self.counting(counts):
+                model = learned_model(hit_formula(hit_a, hit_mask))
+            assert model == {"a": hit_a, "b": hit_mask}
+        assert counts["reduce_db"] > 1000 and counts["_luby"] > 100, counts
 
 
 def with_bounds(f, x, lo, hi, rng):
