@@ -1,12 +1,13 @@
 """Function-level change classification between two snapshots.
 
-Name-matched functions with byte-identical bodies are unchanged; with
-differing bodies they are modified. Each name found on the old side only is
-then paired, in lexicographic order, with the least unpaired new-only name
-whose function is structurally equivalent, as a rename; leftovers are
-removed or added. A change to the initializer or type of a global also marks
-every function that reads it as modified (paired with itself), since the
-initial program state it observes shifts even though its own text did not.
+Name-matched functions with byte-identical bodies (`FunctionDef.body_text`,
+as the parser recorded it) are unchanged; with differing bodies they are
+modified. Each name found on the old side only is then paired, in
+lexicographic order, with the least unpaired new-only name whose function
+is structurally equivalent, as a rename; leftovers are removed or added.
+A change to the initializer or type of a global also marks every function
+that reads it as modified (paired with itself), since the initial program
+state it observes shifts even though its own text did not.
 
 Structural equivalence is the fast stage of equivalence checking: equal
 alpha keys (`minic.normalize`), never a solver call, linear in tree size.
@@ -79,7 +80,7 @@ def compute_changeset(old: Snapshot, new: Snapshot) -> ChangeSet:
     for name in sorted(old_names & new_names):
         fn_old = old.functions[name]
         fn_new = new.functions[name]
-        same_text = old.function_source(fn_old) == new.function_source(fn_new)
+        same_text = fn_old.body_text == fn_new.body_text
         if same_text and not (fn_new.reads_globals & dirty_globals):
             unchanged.append(name)
         else:

@@ -7,9 +7,11 @@ Subcommands:
   complexity  cyclomatic complexity per function of a directory
   verify      bounded model checking of every test against one snapshot
 
-Diagnostics print as path:line:col: severity: message on stderr. Exit
+Diagnostics print as path:line:col: error: message on stderr. Exit
 codes: 0 clean, 1 failing test (or non-equivalent for `equiv`), 2 unknown
-results, 3 bad configuration (usage errors included) or unparseable input.
+results, 3 bad configuration (usage errors included) or unparseable input,
+4 an internal error in cfv (a result that does not replay), printed as one
+`error: internal: ...` line.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from pathlib import Path
 import cfv
 from cfv.changes import compute_changeset
 from cfv.equivalence import Equivalent, NotEquivalent, check_equivalence
-from cfv.errors import ConfigError, InputError
+from cfv.errors import ConfigError, InputError, InternalError
 from cfv.harness import GeneralizedTest, load_tests
+from cfv.interp import MAX_CALL_DEPTH
 from cfv.minic.metrics import cyclomatic_complexity
 from cfv.pipeline import RunConfig, run_pipeline
 from cfv.report import exit_code, witness_json
@@ -38,7 +41,7 @@ from cfv.verify import Fail, Pass, verify_test
 
 
 def _unroll_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bound", type=int, default=8, metavar="K", help="unwinding bound: loops unroll and calls inline at most K deep (default 8)")
+    parser.add_argument("--bound", type=int, default=8, metavar="K", help=f"unwinding bound: loops unroll at most K times, and calls inline at most min(K, {MAX_CALL_DEPTH - 1}) deep (default 8)")
     parser.add_argument("--width", type=int, default=32, metavar="W", choices=(4, 8, 16, 32), help="integer width in bits (default 32)")
     parser.add_argument("--timeout", type=float, default=60.0, metavar="S", help="time limit in seconds for each equivalence pair and each test (default 60)")
 
@@ -256,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except InternalError as err:
+        print(f"error: internal: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ value, that leaf comparison is true before any solving.
 
 Every behavioral verdict is replayed through the reference interpreter
 before being reported: a NotEquivalent witness that does not reproduce a
-concrete difference is a bug, not a result.
+concrete difference is a bug, not a result, and raises errors.InternalError.
 
 A time limit, the deadline of the check's one TermBuilder, covers encoding,
 building the miter, the case split, bit-blasting and solving. Each of those
@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 
 from cfv.changes import changed_globals, same_signature, structural_equiv
-from cfv.errors import Timeout
+from cfv.errors import InternalError, Timeout
 from cfv.interp import Outcome, run_function, zero_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
@@ -183,9 +183,10 @@ def decode_witness(
             nondets[name] = value
     old_snap, new_snap = snaps
     for gname, elems in arrays.items():
+        # Array inputs exist only for globals declared on a side that
+        # reads or writes them.
         decl = new_snap.globals.get(gname) or old_snap.globals.get(gname)
-        length = decl.ty.length if decl is not None else max(elems) + 1
-        globals_vals[gname] = [elems.get(i, 0) for i in range(length)]
+        globals_vals[gname] = [elems.get(i, 0) for i in range(decl.ty.length)]
     return Witness(params, globals_vals, nondets)
 
 
@@ -263,8 +264,7 @@ def check_equivalence(
     obs_old = replay(old_snap, old_fn, old_ssa, witness)
     obs_new = replay(new_snap, new_fn, new_ssa, witness)
     if not observables_differ(obs_old, obs_new):
-        raise RuntimeError(
-            f"internal error: witness for {old_fn.name!r}/{new_fn.name!r} "
-            "does not replay to a difference"
+        raise InternalError(
+            f"witness for {old_fn.name!r}/{new_fn.name!r} does not replay to a difference"
         )
     return NotEquivalent("behavior", witness, obs_old, obs_new)

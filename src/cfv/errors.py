@@ -10,6 +10,10 @@ check_deadline is the one place that raises it. Every stage that polls a
 deadline (building terms, encoding, the case split, bit-blasting,
 simulation, the learning core) calls it at the poll, naming itself, and
 each check catches Timeout once and records Unknown("timeout").
+
+InternalError is a bug in cfv itself, such as a solver model or witness
+that does not replay through the interpreter. A run that raises it prints
+one `error: internal: ...` line and exits 4.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ if TYPE_CHECKING:  # Span stays a type-only import to avoid an import cycle.
 class Diagnostic:
     path: str
     span: Span
-    severity: str  # "error" or "warning"
     message: str
 
     def __str__(self) -> str:
-        return f"{self.path}:{self.span.line}:{self.span.col}: {self.severity}: {self.message}"
+        return f"{self.path}:{self.span.line}:{self.span.col}: error: {self.message}"
 
 
 class CfvError(Exception):
@@ -47,6 +50,10 @@ def check_deadline(deadline: float | None, stage: str) -> None:
     deadline never passes."""
     if deadline is not None and time.monotonic() > deadline:
         raise Timeout(f"{stage} exceeded the time limit")
+
+
+class InternalError(CfvError):
+    """cfv contradicted itself: a result did not replay as it claims."""
 
 
 class ConfigError(CfvError):

@@ -28,7 +28,6 @@ from pathlib import Path
 
 from cfv.errors import Diagnostic, InputError
 from cfv.minic import ast
-from cfv.minic.ast import Span
 from cfv.minic.parser import parse_unit
 from cfv.minic.typecheck import type_check
 from cfv.snapshot import Snapshot, read_sources, under
@@ -68,9 +67,7 @@ def load_tests(tests_dir: str | Path, snap: Snapshot) -> tuple[list[TestCase], S
     """
     tests_dir = Path(tests_dir)
     if not tests_dir.is_dir():
-        raise InputError(
-            [Diagnostic(str(tests_dir), ast.DUMMY_SPAN, "error", "not a directory")]
-        )
+        raise InputError([Diagnostic(str(tests_dir), ast.DUMMY_SPAN, "not a directory")])
     sources = read_sources(tests_dir)
     try:
         return _check_tests(sources, snap)
@@ -93,14 +90,8 @@ def _check_tests(
 
     for unit in test_units:
         for g in unit.globals:
-            diagnostics.append(
-                Diagnostic(
-                    unit.path,
-                    g.span,
-                    "error",
-                    "test files must not declare globals; state belongs to the snapshot",
-                )
-            )
+            message = "test files must not declare globals; state belongs to the snapshot"
+            diagnostics.append(Diagnostic(unit.path, g.span, message))
     if diagnostics:
         raise InputError(diagnostics)
 
@@ -114,24 +105,12 @@ def _check_tests(
             if not fn.name.startswith("test_"):
                 continue
             if not isinstance(fn.return_type, ast.VoidType) or fn.params:
-                diagnostics.append(
-                    Diagnostic(
-                        unit.path,
-                        fn.span,
-                        "error",
-                        f"test {fn.name!r} must be void and take no parameters",
-                    )
-                )
+                message = f"test {fn.name!r} must be void and take no parameters"
+                diagnostics.append(Diagnostic(unit.path, fn.span, message))
                 continue
             if not any(isinstance(n, ast.Assert) for n in ast.preorder(fn.body)):
-                diagnostics.append(
-                    Diagnostic(
-                        unit.path,
-                        fn.span,
-                        "error",
-                        f"test {fn.name!r} contains no assert",
-                    )
-                )
+                message = f"test {fn.name!r} contains no assert"
+                diagnostics.append(Diagnostic(unit.path, fn.span, message))
                 continue
             tests.append(TestCase(fn.name, _section_label(unit, fn), fn, unit.path))
     if diagnostics:
@@ -173,10 +152,8 @@ def select_tests(
 
 @dataclass
 class Substitution:
-    call_span: Span
     arg_position: int
     original: int | bool
-    symbol: str
 
 
 @dataclass
@@ -207,8 +184,7 @@ class _Generalizer:
             if value is None:
                 args.append(ast.map_expr(arg, self.expr))
                 continue
-            symbol = f"s{len(self.substitutions)}"
-            self.substitutions.append(Substitution(e.span, pos, value, symbol))
+            self.substitutions.append(Substitution(pos, value))
             nondet = ast.NondetBool if isinstance(value, bool) else ast.NondetInt
             args.append(nondet(arg.span))
         return ast.Call(e.span, e.name, args, e.ty)

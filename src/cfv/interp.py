@@ -30,7 +30,9 @@ from cfv.terms import mask, to_signed, to_unsigned
 
 DEFAULT_FUEL = 1_000_000
 # Each interpreted call costs several Python frames; keep the guard well
-# under the Python recursion limit.
+# under the Python recursion limit. The entry function counts as one call,
+# and ssa inlines at most MAX_CALL_DEPTH - 1 nested calls, so every model
+# the solver finds can be replayed here.
 MAX_CALL_DEPTH = 100
 
 Value = int | bool | list

@@ -252,7 +252,9 @@ class FunctionDef:
     return_type: Type
     body: Block
     span: Span = field(default=DUMMY_SPAN, compare=False, repr=False)
-    body_span: Span = field(default=DUMMY_SPAN, compare=False, repr=False)
+    # The source text of body.span, filled in by parse_unit, for byte-level
+    # change detection.
+    body_text: str = field(default="", compare=False, repr=False)
     # Sound syntactic over-approximations, filled in by the type checker.
     reads_globals: frozenset[str] = field(default=frozenset(), compare=False)
     writes_globals: frozenset[str] = field(default=frozenset(), compare=False)
@@ -280,7 +282,6 @@ class SourceUnit:
     path: str
     declarations: list[GlobalDecl | FunctionDef]
     comments: list[Comment] = field(default_factory=list, compare=False)
-    source_text: str = field(default="", compare=False, repr=False)
 
     @property
     def functions(self) -> list[FunctionDef]:

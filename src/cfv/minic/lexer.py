@@ -164,7 +164,7 @@ def lex(source: str, path: str) -> Lexed:
         else:
             span = lexed.span(i, starts[i] + 1)
             msg = _fault(text, source[span.start - span.col + 1 : span.start])
-            raise UnsupportedConstructError([Diagnostic(path, span, "error", msg)])
+            raise UnsupportedConstructError([Diagnostic(path, span, msg)])
     if lexed.comments:
         keep = list(map(ne, kinds, repeat("comment")))
         for column in (texts, kinds, starts, ends):

@@ -107,13 +107,11 @@ class _Parser:
         if self.kinds[tok] == "unsupported":
             text = self.texts[tok]
             self.unsupported(UNSUPPORTED_HINTS.get(text, f"{text!r} is outside the subset"), tok)
-        raise MiniCSyntaxError([Diagnostic(self.path, self.span(tok), "error", message)])
+        raise MiniCSyntaxError([Diagnostic(self.path, self.span(tok), message)])
 
     def unsupported(self, message: str, tok: int | None = None):
         tok = self.pos if tok is None else tok
-        raise UnsupportedConstructError(
-            [Diagnostic(self.path, self.span(tok), "error", message)]
-        )
+        raise UnsupportedConstructError([Diagnostic(self.path, self.span(tok), message)])
 
     def reject_unsupported(self):
         if self.kinds[self.pos] == "unsupported":
@@ -229,12 +227,7 @@ class _Parser:
         self.expect(")")
         body = self.parse_block()
         return ast.FunctionDef(
-            self.texts[name_tok],
-            params,
-            return_type,
-            body,
-            span=self.span_from(start),
-            body_span=body.span,
+            self.texts[name_tok], params, return_type, body, span=self.span_from(start)
         )
 
     # -- statements ----------------------------------------------------------
@@ -489,4 +482,7 @@ def parse_unit(source: str, path: str, width: int = 32) -> ast.SourceUnit:
         raise ValueError(f"width must be one of {ast.VALID_WIDTHS}, got {width}")
     lexed = lex(source, path)
     decls = _Parser(lexed, path, width).parse_unit()
-    return ast.SourceUnit(path, decls, lexed.comments, source)
+    for d in decls:
+        if isinstance(d, ast.FunctionDef):
+            d.body_text = source[d.body.span.start : d.body.span.end]
+    return ast.SourceUnit(path, decls, lexed.comments)

@@ -77,7 +77,7 @@ class _Checker:
         self.callees: set[str] = set()
 
     def error(self, span: ast.Span, message: str) -> None:
-        self.diagnostics.append(Diagnostic(self.path, span, "error", message))
+        self.diagnostics.append(Diagnostic(self.path, span, message))
 
     # -- scope handling ------------------------------------------------------
 
@@ -369,14 +369,8 @@ def build_environment(units: list[SourceUnit], width: int) -> tuple[Environment,
         for decl in unit.declarations:
             name = decl.name
             if name in owner:
-                diagnostics.append(
-                    Diagnostic(
-                        unit.path,
-                        decl.span,
-                        "error",
-                        f"{name!r} already defined in {owner[name]}",
-                    )
-                )
+                message = f"{name!r} already defined in {owner[name]}"
+                diagnostics.append(Diagnostic(unit.path, decl.span, message))
                 continue
             owner[name] = unit.path
             if isinstance(decl, GlobalDecl):
@@ -412,14 +406,8 @@ def type_check(
                 continue
             is_bool_init = isinstance(g.init, BoolLit)
             if isinstance(g.ty, BoolType) != is_bool_init:
-                diagnostics.append(
-                    Diagnostic(
-                        unit.path,
-                        g.span,
-                        "error",
-                        f"initializer type does not match global {g.name!r} ({g.ty})",
-                    )
-                )
+                message = f"initializer type does not match global {g.name!r} ({g.ty})"
+                diagnostics.append(Diagnostic(unit.path, g.span, message))
     for unit in checked:
         checker = _Checker(env, unit.path)
         for fn in unit.functions:

@@ -15,7 +15,8 @@ ends at half the budget; verification ends with the budget, so it also gets
 what equivalence left unused.
 
 Exit codes: 0 all green, 1 at least one failing test, 2 no failure but at
-least one Unknown anywhere, 3 configuration or input errors.
+least one Unknown anywhere, 3 configuration or input errors, 4 an internal
+error (a witness or model that does not replay).
 """
 
 from __future__ import annotations
@@ -161,9 +162,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
             conc = concretize(gt, cx, width)
             # A nondet site reached more than once keeps only its first
             # value, so the plain test is kept only if it still fails there.
-            replay = run_function(view, conc.body, [])
+            replay = run_function(view, conc, [])
             if replay.status in ("assert_fail", "trap") and replay.span == cx.failing_assert:
-                concretized = format_function(conc.body)
+                concretized = format_function(conc)
         verification_entries.append(
             {
                 "test": t.name,

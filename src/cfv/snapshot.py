@@ -3,13 +3,14 @@
 A snapshot is loaded from a directory of `.c` files, from in-memory sources,
 or from a base directory plus a unified diff (hunks are applied to the text
 before parsing). All units of a snapshot share one global namespace and are
-type-checked together at one integer width.
+type-checked together at one integer width. Each function carries its own
+body text (`FunctionDef.body_text`), which is what change classification
+compares, so no snapshot keeps the text of its files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 from cfv.errors import Diagnostic, InputError
@@ -33,23 +34,6 @@ class Snapshot:
     def globals(self) -> dict[str, GlobalDecl]:
         return self.env.globals
 
-    @cached_property
-    def _unit_of(self) -> dict[int, SourceUnit]:
-        """The unit of each declaration, keyed by the declaration's id. The
-        units hold every key's object, so no id is reused while this lives."""
-        return {id(d): unit for unit in self.units for d in unit.declarations}
-
-    def function_source(self, fn: FunctionDef) -> str:
-        """Raw body text of a function, for byte-level change detection.
-
-        The unit is found by identity, so `fn` must be one of this
-        snapshot's own definitions; for any other the text is empty.
-        """
-        unit = self._unit_of.get(id(fn))
-        if unit is None:
-            return ""
-        return unit.source_text[fn.body_span.start : fn.body_span.end]
-
 
 def read_source(path: Path) -> str:
     """Text of a source file; bytes that are not UTF-8 raise InputError."""
@@ -60,9 +44,8 @@ def read_source(path: Path) -> str:
         line = data.count(b"\n", 0, at) + 1
         col = at - data.rfind(b"\n", 0, at)
         message = f"byte 0x{data[at]:02x} is not valid UTF-8"
-        raise InputError(
-            [Diagnostic(str(path), Span(line, col, at, at + 1), "error", message)]
-        ) from None
+        span = Span(line, col, at, at + 1)
+        raise InputError([Diagnostic(str(path), span, message)]) from None
 
 
 def read_sources(directory: Path) -> dict[str, str]:
@@ -105,14 +88,10 @@ def snapshot_from_sources(
 def load_snapshot(directory: str | Path, width: int = 32) -> Snapshot:
     directory = Path(directory)
     if not directory.is_dir():
-        raise InputError(
-            [Diagnostic(str(directory), DUMMY_SPAN, "error", "not a directory")]
-        )
+        raise InputError([Diagnostic(str(directory), DUMMY_SPAN, "not a directory")])
     sources = read_sources(directory)
     if not sources:
-        raise InputError(
-            [Diagnostic(str(directory), DUMMY_SPAN, "error", "no .c files found")]
-        )
+        raise InputError([Diagnostic(str(directory), DUMMY_SPAN, "no .c files found")])
     try:
         return snapshot_from_sources(sources, directory.name, width)
     except InputError as err:
@@ -255,9 +234,7 @@ def load_snapshot_from_diff(
     try:
         patched = apply_unified_diff(sources, diff_text)
     except DiffError as err:
-        raise InputError(
-            [Diagnostic(str(diff_path), DUMMY_SPAN, "error", str(err))]
-        ) from None
+        raise InputError([Diagnostic(str(diff_path), DUMMY_SPAN, str(err))]) from None
     try:
         return snapshot_from_sources(
             patched, f"{base_dir.name}+{Path(diff_path).name}", width

@@ -10,7 +10,10 @@ term, the final term of every touched global, and three boolean guards:
   it held.
 
 Loops unroll loop_bound times with the residual entry falsifying
-unwinding_complete; calls inline loop_bound deep the same way. A run
+unwinding_complete; calls inline the same way, at most loop_bound deep and
+never deeper than the interpreter that replays every model can follow:
+it counts the entry function as one call and stops past
+interp.MAX_CALL_DEPTH, so at most MAX_CALL_DEPTH - 1 calls nest. A run
 stops at its first failed check, as the interpreter's does, so neither an
 assume nor a bound reached after one restricts the inputs: each is guarded
 by the conjunction of the checks encoded before it. Otherwise an input that
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from math import inf
 
 from cfv.errors import CfvError
-from cfv.interp import initial_globals
+from cfv.interp import MAX_CALL_DEPTH, initial_globals
 from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
@@ -57,7 +60,7 @@ NONDET_PREFIX = "n"
 
 @dataclass(frozen=True)
 class UnrollConfig:
-    loop_bound: int = 8  # bounds loop unrolling and call inlining alike
+    loop_bound: int = 8  # bounds loop unrolling, and call inlining up to MAX_CALL_DEPTH - 1
     timeout_s: float = 60.0
     width: int = 32
 
@@ -405,7 +408,7 @@ class Encoder:
         b = self.b
         fn = self.snap.functions[expr.name]
         args = [self.eval(a, guard, frame) for a in expr.args]
-        if self.depth + 1 > self.cfg.loop_bound:
+        if self.depth >= min(self.cfg.loop_bound, MAX_CALL_DEPTH - 1):
             # Call chain exceeds the inlining bound on this path.
             self.uc = b.and_(self.uc, b.not_(b.and_(guard, self.ok)))
             return self._default(fn.return_type)

@@ -582,10 +582,6 @@ class Formula:
         if self.root.width != BOOL:
             raise ValueError("formula root must be bool")
 
-    @property
-    def input_bits(self) -> int:
-        return sum(max(t.width, 1) for t in self.inputs)
-
 
 def postorder(root: Term) -> list[Term]:
     """Iterative postorder over the DAG, each node once."""

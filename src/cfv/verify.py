@@ -4,7 +4,8 @@ A test is verified as a local model: its body plus the callees it actually
 reaches are encoded from the snapshot's initial global state, and the
 solver searches for nondet values that reach an assertion or bounds
 violation within the unrolling bound. A SAT model is immediately re-run
-through the reference interpreter with tracing on; the counterexample that
+through the reference interpreter with tracing on (a model that does not
+replay to a failure raises errors.InternalError); the counterexample that
 comes out therefore carries a real execution trace and a failing assertion
 site, not a decoded guess. Concretization turns that counterexample back
 into an ordinary nondet-free test; it fails under plain interpretation
@@ -20,8 +21,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from cfv.errors import Timeout
-from cfv.harness import GeneralizedTest, TestCase
+from cfv.errors import InternalError, Timeout
+from cfv.harness import GeneralizedTest
 from cfv.interp import run_function
 from cfv.minic import ast
 from cfv.minic.ast import Span
@@ -81,8 +82,8 @@ def verify_test(
         snap, gt.body, [], None, prog.nondet_values(model), record_trace=True
     )
     if outcome.status not in ("assert_fail", "trap"):
-        raise RuntimeError(
-            f"internal error: model for {gt.origin!r} does not replay to a failure"
+        raise InternalError(
+            f"model for {gt.origin!r} does not replay to a failure"
             f" (got {outcome.status})"
         )
     valuation = {rec.name: model[rec.name] for rec in prog.nondet_records}
@@ -102,8 +103,8 @@ def _literal_for(value: int | bool, width: int, span: Span) -> ast.Expr:
     return ast.IntLit(span, signed)
 
 
-def concretize(gt: GeneralizedTest, cx: Counterexample, width: int) -> TestCase:
-    """Substitute counterexample values back, yielding a nondet-free test.
+def concretize(gt: GeneralizedTest, cx: Counterexample, width: int) -> ast.FunctionDef:
+    """Substitute counterexample values back, yielding a nondet-free test body.
 
     Each intrinsic site receives the value of its first dynamic occurrence.
     A site reached again, as in a loop, may need another value for the
@@ -124,5 +125,4 @@ def concretize(gt: GeneralizedTest, cx: Counterexample, width: int) -> TestCase:
             value = False if isinstance(e, ast.NondetBool) else 0
         return _literal_for(value, width, e.span)
 
-    body = ast.map_stmt(gt.body.body, literal)
-    return TestCase(gt.origin, gt.origin, replace(gt.body, body=body))
+    return replace(gt.body, body=ast.map_stmt(gt.body.body, literal))

@@ -222,7 +222,7 @@ class FunctionGen:
         stmts = self.statements(vars_, writable, self.rng.randint(1, 3))
         stmts.append(ast.Return(S, self.int_expr(vars_, 2)))
         fn = ast.FunctionDef(
-            "f", params, ast.IntType(self.width), ast.Block(S, stmts), span=S, body_span=S
+            "f", params, ast.IntType(self.width), ast.Block(S, stmts), span=S
         )
         decls.append(fn)
         return ast.SourceUnit("gen.c", decls)
@@ -471,7 +471,7 @@ class RandomTestGen:
                 stmts.append(ast.If(S, self.gen.bool_expr(vars_, 1), then_body, None))
         stmts.append(ast.Assert(S, self.gen.bool_expr(vars_, 1)))
         return ast.FunctionDef(
-            "test_generated", [], ast.VoidType(), ast.Block(S, stmts), span=S, body_span=S
+            "test_generated", [], ast.VoidType(), ast.Block(S, stmts), span=S
         )
 
     def test_case(self):

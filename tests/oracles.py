@@ -276,12 +276,17 @@ def _bulk_node(t: Term, values, env):
     raise AssertionError(f"unknown op {op}")  # pragma: no cover
 
 
+def input_bits(formula: Formula) -> int:
+    """Total bits of the formula's inputs; a bool input counts as one."""
+    return sum(max(t.width, 1) for t in formula.inputs)
+
+
 def exhaustive_solve(formula: Formula, cap_bits: int = EXHAUSTIVE_BIT_CAP) -> SolveResult:
     """Enumerate every valuation, first satisfying model in counting order.
 
     Raises DomainTooLargeError beyond cap_bits total input bits.
     """
-    total_bits = formula.input_bits
+    total_bits = input_bits(formula)
     if total_bits > cap_bits:
         raise DomainTooLargeError(
             f"{total_bits} input bits exceed the exhaustive cap of {cap_bits}"
@@ -408,5 +413,5 @@ def reference_tokens(source: str, path: str) -> tuple[list[tuple], list[Comment]
             else:
                 msg = f"unexpected character {source[start]!r}"
             span = Span(line, col, start, start + 1)
-            raise UnsupportedConstructError([Diagnostic(path, span, "error", msg)])
+            raise UnsupportedConstructError([Diagnostic(path, span, msg)])
         pos = end

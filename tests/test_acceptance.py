@@ -39,6 +39,7 @@ from oracles import (
     exhaustive_solve,
     first_difference,
     functions_equivalent_bruteforce,
+    input_bits,
     interpret_concrete,
 )
 
@@ -149,7 +150,7 @@ def test_criterion_4_solver_soundness():
     for seed in range(count):
         rng = random.Random(10_000 + seed)
         f = random_formula(rng, width=4, max_inputs=3, depth=rng.randint(2, 4))
-        assert f.input_bits <= 12
+        assert input_bits(f) <= 12
         f.builder.deadline = time.monotonic() + 60
         fast = sat_solve(f)
         slow = exhaustive_solve(f)
@@ -205,7 +206,7 @@ def test_criterion_6_generalization_catches_masked_bug(tmp_path):
 
     # ... and its counterexample concretizes to a plain failing test.
     conc = concretize(gt, result.counterexample, width)
-    replay_result = interpret_concrete(conc.body, view_buggy)
+    replay_result = interpret_concrete(conc, view_buggy)
     assert isinstance(replay_result, AssertFailResult)
     assert replay_result.span == result.counterexample.failing_assert
 

@@ -20,7 +20,7 @@ from cfv.ssa import UnrollConfig, encode_ssa
 from cfv.terms import TermBuilder, postorder
 
 from generators import minivec_sources, random_pair
-from oracles import CORPUS, functions_equivalent_bruteforce
+from oracles import CORPUS, functions_equivalent_bruteforce, input_bits
 
 W4 = UnrollConfig(loop_bound=4, timeout_s=20, width=4)
 
@@ -159,7 +159,7 @@ class TestStageTwo:
         solve, calls = second_call_past_deadline
         monkeypatch.setattr("cfv.equivalence.sat_solve", solve)
         verdict = check(old, new)
-        assert len(calls) == 2 and calls[1].input_bits <= 16
+        assert len(calls) == 2 and input_bits(calls[1]) <= 16
         assert verdict == Equivalent("formal", W4.loop_bound, complete=False)
 
     def test_miter_build_obeys_the_time_limit(self):

@@ -159,7 +159,7 @@ class TestLexer:
         f = unit.functions[0]
         ret = f.body.stmts[0]
         assert f.span == Span(2, 1, 8, 54)
-        assert f.body_span == Span(3, 1, 22, 54)
+        assert f.body.span == Span(3, 1, 22, 54)
         assert ret.span == Span(4, 2, 26, 51)
         assert ret.value.span == Span(4, 9, 33, 50)
         assert ret.value.right.span == Span(5, 9, 49, 50)

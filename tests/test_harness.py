@@ -223,7 +223,7 @@ void test_a(){
             sites[sym] = (nondet_span.start, 0)
         cx = Counterexample(valuation, sites, DUMMY_SPAN, [])
         restored = concretize(gt, cx, 8)
-        assert alpha_key(restored.body) == alpha_key(t.body)
+        assert alpha_key(restored) == alpha_key(t.body)
 
     def test_targets_must_be_nonempty(self, tmp_path):
         t, _ = self.make_test("void test_a(){assert(true);}", tmp_path)
@@ -320,7 +320,7 @@ class TestCalleesFromTheChecker:
             before = slots(t.body, set(view.globals))
             gt = generalize(t, set(view.functions))
             assert slots(gt.body, set(view.globals)) == before
-            assert slots(concretize(gt, no_values, width).body, set(view.globals)) == before
+            assert slots(concretize(gt, no_values, width), set(view.globals)) == before
 
 
 class TestCheckedOnce:
@@ -371,19 +371,11 @@ class TestCheckedOnce:
         assert (d.path, d.span.line, d.span.col, d.message) == (str(tmp_path / "t.c"), *diagnostic)
 
 
-class TestFunctionSource:
-    def test_text_is_found_by_identity(self, tests_and_view):
+class TestBodyText:
+    def test_each_definition_carries_its_body_text(self, tests_and_view):
         tests, view = tests_and_view
         snap = snapshot_from_sources({"lib.c": LIB}, "lib", 8)
-        twice = snap.functions["twice"]
-        assert snap.function_source(twice) == "{ return add(x, x); }"
-
-        again = snapshot_from_sources({"lib.c": LIB}, "lib", 8).functions["twice"]
-        assert again == twice
-        assert snap.function_source(again) == ""
-
-        assert view.function_source(view.functions["twice"]) == "{ return add(x, x); }"
-        helper = view.functions["helper_three"]
-        assert view.function_source(helper) == "{ return add(1, 2); }"
-        assert view.function_source(tests[0].body) == "{\n    assert(twice(2) == 4);\n}"
-        assert snap.function_source(helper) == ""
+        assert snap.functions["twice"].body_text == "{ return add(x, x); }"
+        assert view.functions["twice"].body_text == "{ return add(x, x); }"
+        assert view.functions["helper_three"].body_text == "{ return add(1, 2); }"
+        assert tests[0].body.body_text == "{\n    assert(twice(2) == 4);\n}"

@@ -6,8 +6,10 @@ through the module's `__all__`. `from __future__ import ...` is exempt.
 The reference interpreter judges the encoder, the blaster and the solver,
 so nothing it imports, directly or through other `cfv` modules, reaches
 them. No `cfv` module imports `subprocess`: every query is decided by the
-in-process solver. And `errors.Timeout` is raised in one place only,
-`errors.check_deadline`, which every deadline poll calls.
+in-process solver. `errors.Timeout` is raised in one place only,
+`errors.check_deadline`, which every deadline poll calls. And no module
+raises `RuntimeError`: a bug cfv detects in itself is an
+`errors.InternalError`, which the CLI reports in one line.
 """
 
 import ast
@@ -117,9 +119,9 @@ def test_cfv_starts_no_process():
     assert found == []
 
 
-def timeout_raisers(source: str) -> list[str]:
-    """The function around each `raise Timeout` in source ("<module>" at
-    the top level), in source order."""
+def raisers(source: str, exception: str) -> list[str]:
+    """The function around each `raise <exception>` in source ("<module>"
+    at the top level), in source order."""
     found = []
 
     def visit(node, where):
@@ -130,7 +132,7 @@ def timeout_raisers(source: str) -> list[str]:
             if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
                 name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-                if name == "Timeout":
+                if name == exception:
                     found.append(where)
             visit(child, where)
 
@@ -144,15 +146,26 @@ def test_the_check_finds_every_timeout_raise():
         "def f():\n    raise Timeout('x')\n"
         "def g():\n    def h():\n        raise errors.Timeout()\n    raise ValueError\n"
     )
-    assert timeout_raisers(source) == ["<module>", "f", "h"]
+    assert raisers(source, "Timeout") == ["<module>", "f", "h"]
+    assert raisers(source, "ValueError") == ["g"]
+
+
+def raise_sites(exception: str) -> list[str]:
+    """path:function of every `raise <exception>` under src/cfv."""
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{where}"
+        for path in sorted((REPO_ROOT / "src" / "cfv").rglob("*.py"))
+        for where in raisers(path.read_text(), exception)
+    ]
 
 
 def test_timeout_is_raised_only_by_check_deadline():
     """One poller: every stage that watches a deadline calls
     errors.check_deadline, the only code that raises Timeout."""
-    found = [
-        f"{path.relative_to(REPO_ROOT)}:{where}"
-        for path in sorted((REPO_ROOT / "src" / "cfv").rglob("*.py"))
-        for where in timeout_raisers(path.read_text())
-    ]
-    assert found == ["src/cfv/errors.py:check_deadline"]
+    assert raise_sites("Timeout") == ["src/cfv/errors.py:check_deadline"]
+
+
+def test_no_module_raises_runtime_error():
+    """One path for internal errors: a result that does not replay raises
+    errors.InternalError, which `cli.main` turns into exit 4."""
+    assert raise_sites("RuntimeError") == []

@@ -19,6 +19,7 @@ import cfv
 from cfv import pipeline
 from cfv.cli import build_parser, main
 from cfv.errors import ConfigError
+from cfv.interp import Outcome
 from cfv.minic.lexer import UNSUPPORTED_OPERATORS
 from cfv.pipeline import EQUIVALENCE_BUDGET_FRACTION, MIN_ITEM_S, RunConfig, run_pipeline
 from cfv.report import exit_code, render_report, strip_timings
@@ -48,6 +49,9 @@ HARD_NEW = "".join(f"int m{k}(int a, int b) {{ return a * b + {k} * b; }}\n" for
 HARD_TESTS = "".join(
     f"void test_m{k}() {{ assert(m{k}(2, 3) == {(2 + k) * 3}); }}\n" for k in HARD_KS
 )
+
+# f(n) nests n + 1 calls.
+RECURSE = "int f(int n){ if (n <= 0) { return 0; } return f(n - 1) + 1; }\n"
 
 TESTS = """
 // addition basics
@@ -401,6 +405,55 @@ class TestCli:
         argv = ["verify", "--tests", str(tmp_path / "tests"), "--src", str(tmp_path / "old")]
         assert main(argv) == 2
         assert "test_f: unknown (unsupported)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "check, printed, code",
+        [
+            ("f(98) == 99", "fail at", 1),
+            ("f(99) == 100", "pass (within bound only)", 0),
+            ("f(120) == 121", "pass (within bound only)", 0),
+        ],
+    )
+    def test_calls_inline_no_deeper_than_the_interpreter_replays(
+        self, tmp_path, capsys, check, printed, code
+    ):
+        """The interpreter counts the test as one call and follows at most
+        99 nested ones, so a bound past that still inlines 99 deep: f(98)
+        nests 99 calls, f(99) one more."""
+        write_tree(tmp_path, RECURSE, RECURSE, f"void test_x(){{ assert({check}); }}\n")
+        argv = ["verify", "--tests", str(tmp_path / "tests"), "--src", str(tmp_path / "old")]
+        assert main(argv + ["--bound", "130", "--width", "8"]) == code
+        assert f"test_x: {printed}" in capsys.readouterr().out
+
+    def test_equiv_inlines_no_deeper_than_the_interpreter_replays(self, tmp_path, capsys):
+        new = RECURSE.replace("{ if", "{ if (n == 120) { return 7; } if")
+        write_tree(tmp_path, RECURSE, new, TESTS)
+        a, b = str(tmp_path / "old" / "lib.c"), str(tmp_path / "new" / "lib.c")
+        assert main(["equiv", a, b, "f", "--bound", "130", "--width", "8"]) == 0
+        assert capsys.readouterr().out == "equivalent (formal) (within bound only)\n"
+
+    @pytest.mark.parametrize("command", ["verify", "equiv", "analyze"])
+    def test_a_result_that_does_not_replay_exits_four(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """A model or witness the interpreter does not reproduce is a bug in
+        cfv: one `error: internal:` line and exit 4, never a traceback."""
+        def replay_agrees(*args, **kwargs):
+            return Outcome("ok")
+
+        monkeypatch.setattr("cfv.verify.run_function", replay_agrees)
+        monkeypatch.setattr("cfv.equivalence.run_function", replay_agrees)
+        write_tree(tmp_path, LIB_OLD, LIB_NEW_BROKEN, TESTS)
+        old, new, tests = (str(tmp_path / name) for name in ("old", "new", "tests"))
+        argv = {
+            "verify": ["verify", "--tests", tests, "--src", new],
+            "equiv": ["equiv", f"{old}/lib.c", f"{new}/lib.c", "accumulate"],
+            "analyze": ["analyze", "--old", old, "--new", new, "--tests", tests,
+                        "--out", str(tmp_path / "r.json")],
+        }[command]
+        assert main(argv + ["--width", "8"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal: ") and err.count("\n") == 1
 
     def test_diff_rejects_a_c_keyword_outside_the_subset(self, tmp_path, capsys):
         broken = LIB_OLD.replace("return a + b;", "while (true) { break; } return a + b;")

@@ -15,7 +15,7 @@ from cfv.terms import TermBuilder, to_signed
 from cfv.verify import Fail, Pass, Unknown, concretize, verify_test
 
 from generators import RandomTestGen, fixture_snapshot
-from oracles import CORPUS, AssertFailResult, PassResult, interpret_concrete
+from oracles import CORPUS, AssertFailResult, PassResult, input_bits, interpret_concrete
 
 
 W4 = UnrollConfig(loop_bound=4, timeout_s=20, width=4)
@@ -89,7 +89,7 @@ void test_a(){
         solve, calls = second_call_past_deadline
         monkeypatch.setattr("cfv.verify.sat_solve", solve)
         result = verify_test(gt, view, W4)
-        assert len(calls) == 2 and calls[1].input_bits <= 16
+        assert len(calls) == 2 and input_bits(calls[1]) <= 16
         assert result == Pass(W4.loop_bound, False)
 
     def test_bounds_violation_is_found(self, tmp_path):
@@ -165,7 +165,7 @@ class TestChecksBeforeAssumesAndBounds:
 
         result = verify_test(gt, view, UnrollConfig(width=8))
         assert isinstance(result, Fail)
-        replayed = interpret_concrete(concretize(gt, result.counterexample, 8).body, view)
+        replayed = interpret_concrete(concretize(gt, result.counterexample, 8), view)
         assert isinstance(replayed, AssertFailResult)
         assert replayed.span == result.counterexample.failing_assert
 
@@ -254,7 +254,7 @@ class TestConcretize:
         result = verify_test(gt, view, W4)
         assert isinstance(result, Fail)
         conc = concretize(gt, result.counterexample, 4)
-        replay = interpret_concrete(conc.body, view)
+        replay = interpret_concrete(conc, view)
         assert isinstance(replay, AssertFailResult)
         assert replay.span == result.counterexample.failing_assert
 
@@ -268,7 +268,7 @@ class TestConcretize:
         conc = concretize(gt, result.counterexample, 4)
         assert not any(
             isinstance(e, (ast.NondetInt, ast.NondetBool))
-            for e in ast.preorder(conc.body.body)
+            for e in ast.preorder(conc.body)
         )
 
 
