@@ -12,13 +12,19 @@ tuples in slot order), which keeps witnesses reproducible:
   at once. The root is rebuilt once per joint value, with each split input
   replaced by that constant (TermBuilder.substitute), so the builder's
   constant folding, linear normalisation and eq-through-ite run again.
-  Cases are tried in lexicographic order: split inputs in slot order, each
-  by unsigned residue. A case root that folds to false has no model; one
-  that folds to true is satisfied by every valuation of the other inputs.
-  So if every case before the first true one folds to false, the least
-  model is that case's values with every other input 0 (false): any model
-  sets the split inputs to a true case, no smaller than this one, and no
-  other input below 0. All cases false is Unsat. At the first case that
+  Only the operands that decide a node are rebuilt: a conjunct that folds
+  to false settles its and, a constant condition its ite, so a case that
+  folds touches a fraction of the root. The builder keeps each case's
+  rebuilds, and solve_bounded's completeness call, over the same inputs
+  and values, reuses them. A case root that does not fold is thrown away,
+  so only whether a case folds, and to what, is read. Cases are tried in
+  lexicographic order: split inputs in slot order, each by unsigned
+  residue. A case root that folds to false has no model; one that folds
+  to true is satisfied by every valuation of the other inputs. So if
+  every case before the first true one folds to false, the least model is
+  that case's values with every other input 0 (false): any model sets the
+  split inputs to a true case, no smaller than this one, and no other
+  input below 0. All cases false is Unsat. At the first case that
   folds to neither, the split is abandoned and the routes below run on the
   original formula. This is how a symbolic executor resolves an index to
   its few feasible values (Cadar, Dunbar & Engler, "KLEE", OSDI 2008), and

@@ -50,6 +50,10 @@ _COMMUTATIVE = frozenset({"add", "mul", "band", "bor", "bxor", "and", "or", "xor
 # The TermBuilder method that builds each op, where it is not the op's name.
 _CONSTRUCTOR = {"not": "not_", "and": "and_", "or": "or_"}
 
+# The ops whose args[0], once constant, can settle the node without the
+# other operands (see TermBuilder.substitute).
+_SHORT_CIRCUIT = frozenset({"and", "or", "ite"})
+
 
 @contextmanager
 def collector_paused():
@@ -112,6 +116,11 @@ class TermBuilder:
     time.monotonic() value), eq and substitute raise errors.Timeout once it
     has passed: they are the calls that can expand into thousands of nodes.
     The encoder polls the same deadline through check_deadline.
+
+    The builder keeps substitute's rebuilds for its lifetime, one memo per
+    mapping, so a second root under the same mapping rebuilds only the
+    nodes the first did not reach: solver.solve_bounded's completeness call
+    shares most of its nodes with the query, and its cases are the query's.
     """
 
     def __init__(self, deadline: float | None = None) -> None:
@@ -122,6 +131,9 @@ class TermBuilder:
         self._eq_work = 0
         # Linear decomposition per term: ((term, coeff), ...) plus constant.
         self._lin_cache: dict[int, tuple[tuple[tuple[Term, int], ...], int]] = {}
+        # substitute's memo per mapping, keyed by its sorted (input uid,
+        # term uid) pairs: the uid of each node rebuilt so far -> its result.
+        self._substitutions: dict[tuple[tuple[int, int], ...], dict[int, Term]] = {}
         self._uid = 0
         self.true = self._mk("const", (), BOOL, 1, None)
         self.false = self._mk("const", (), BOOL, 0, None)
@@ -539,34 +551,65 @@ class TermBuilder:
     def substitute(self, root: Term, mapping: dict[Term, Term]) -> Term:
         """root with each input of mapping replaced by its term.
 
-        Every node above a replaced input is rebuilt through this builder's
-        own constructors, so constants fold, sums renormalise and eq is
-        pushed through ite again; a node whose operands are all unchanged is
-        kept as it is. The walk is iterative, with one memo per call. The
-        deadline is polled on entry and then as eq polls it, once per
-        _EQ_POLL_EVERY rebuilt nodes.
+        A node above a replaced input is rebuilt through this builder's own
+        constructors, so constants fold, sums renormalise and eq is pushed
+        through ite again; a node whose operands are all unchanged is kept
+        as it is. Only the operands that decide a node are rebuilt: and and
+        or rebuild args[0] first, and when it is their absorbing constant
+        (false for and, true for or) that constant is the node, unvisited
+        args[1] and all; ite rebuilds its condition first, and when it is
+        constant only the branch it picks. This is exact, because and_,
+        or_ and ite return exactly that when that operand is that constant.
+
+        The walk is top-down on an explicit stack, so a DAG of any depth
+        substitutes without recursion. Rebuilt nodes go into the memo of
+        this mapping, which the builder keeps (see TermBuilder), so later
+        calls with the same mapping reuse them. The deadline is polled on
+        entry and then once per _EQ_POLL_EVERY rebuilt nodes, counted with
+        eq's units.
         """
         self.check_deadline()
-        nodes = {root.uid: root}
+        key = tuple(sorted((x.uid, v.uid) for x, v in mapping.items()))
+        new = self._substitutions.get(key)
+        if new is None:
+            new = self._substitutions[key] = {x.uid: v for x, v in mapping.items()}
         stack = [root]
         while stack:
-            for a in stack.pop().args:
-                if a.uid not in nodes:
-                    nodes[a.uid] = a
-                    stack.append(a)
-        new: dict[int, Term] = {t.uid: v for t, v in mapping.items()}
-        # A term is newer than its operands, so ascending uids visit every
-        # operand before the terms that use it.
-        for uid in sorted(nodes):
+            term = stack[-1]
+            uid = term.uid
             if uid in new:
+                stack.pop()
                 continue
-            term = nodes[uid]
-            args = tuple([new[a.uid] for a in term.args])
-            if args == term.args:  # Terms compare by identity
+            args = term.args
+            op = term.op
+            if op in _SHORT_CIRCUIT:
+                first = new.get(args[0].uid)
+                if first is None:
+                    stack.append(args[0])
+                    continue
+                if first.is_const and (op == "ite" or first.value == (op == "or")):
+                    settled = first
+                    if op == "ite":
+                        picked = args[1] if first.value else args[2]
+                        settled = new.get(picked.uid)
+                        if settled is None:
+                            stack.append(picked)
+                            continue
+                    stack.pop()
+                    self._poll()
+                    new[uid] = settled
+                    continue
+            missing = [a for a in args if a.uid not in new]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            rebuilt = tuple([new[a.uid] for a in args])
+            if rebuilt == args:  # Terms compare by identity
                 new[uid] = term
                 continue
             self._poll()
-            new[uid] = getattr(self, _CONSTRUCTOR.get(term.op, term.op))(*args)
+            new[uid] = getattr(self, _CONSTRUCTOR.get(op, op))(*rebuilt)
         return new[root.uid]
 
 

@@ -1,6 +1,6 @@
 """Brute-force ground truth shared by the oracle-backed tests.
 
-Three independent oracles live here, and none touches the code it is used
+Four independent oracles live here, and none touches the code it is used
 to judge:
 
 * Program oracles run functions and test bodies through the reference
@@ -9,6 +9,10 @@ to judge:
   evaluates a term DAG on every input valuation. It reads only the Term
   data structure and shares nothing with bitblast or dpll, so it can judge
   sat_solve's verdicts and least models.
+* A reference substitution (rebuild_everywhere) rebuilds every node above
+  a replaced input bottom-up, with no short-circuit and no memo. It shares
+  the builder's constructors with TermBuilder.substitute but not its walk,
+  so it can judge whether, and to what, a substituted root folds.
 * A reference lexer (reference_tokens) matches one token at a time and
   tracks lines as it goes. It shares only the keyword and operator tables
   with `cfv.minic.lexer`, so it can judge the bulk lexer's columns.
@@ -30,7 +34,7 @@ from cfv.minic.ast import Comment, Span
 from cfv.minic.lexer import KEYWORDS, OPERATORS, UNSUPPORTED_KEYWORDS, UNSUPPORTED_OPERATORS
 from cfv.snapshot import Snapshot
 from cfv.solver import Model, Sat, SolveResult, Unsat, _default_model
-from cfv.terms import BOOL, Formula, Term, mask, postorder
+from cfv.terms import _CONSTRUCTOR, BOOL, Formula, Term, TermBuilder, mask, postorder
 
 EXHAUSTIVE_BIT_CAP = 20
 _CHUNK_BITS = 16
@@ -328,6 +332,23 @@ def exhaustive_solve(formula: Formula, cap_bits: int = EXHAUSTIVE_BIT_CAP) -> So
 def check_model(formula: Formula, model: Model) -> bool:
     """True when the model satisfies the formula under concrete evaluation."""
     return bool(evaluate(formula.root, model))
+
+
+def rebuild_everywhere(builder: TermBuilder, root: Term, mapping: dict[Term, Term]) -> Term:
+    """root with each input of mapping replaced by its term, every node
+    above a replaced input rebuilt bottom-up through builder's constructors:
+    the reference for TermBuilder.substitute, which rebuilds only the
+    operands that decide a node."""
+    new: dict[int, Term] = {t.uid: v for t, v in mapping.items()}
+    for term in postorder(root):
+        if term.uid in new:
+            continue
+        args = tuple([new[a.uid] for a in term.args])
+        if args == term.args:
+            new[term.uid] = term
+        else:
+            new[term.uid] = getattr(builder, _CONSTRUCTOR.get(term.op, term.op))(*args)
+    return new[root.uid]
 
 
 _REFERENCE_KINDS = (

@@ -107,6 +107,13 @@ class TestPipeline:
         assert report["totals"]["solver_calls"] == 0
         assert exit_code(report) == 0
 
+    @pytest.mark.parametrize("bound, depth", [(130, 99), (8, 8)])
+    def test_inline_depth_is_the_depth_calls_inline_to(self, tmp_path, bound, depth):
+        write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
+        unroll = UnrollConfig(loop_bound=bound, timeout_s=20, width=8)
+        report = run_pipeline(base_config(tmp_path, unroll=unroll))
+        assert report["config"]["inline_depth"] == depth
+
     def test_equivalent_rewrite_selects_no_tests(self, tmp_path):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_EQUIV, TESTS)
         report = run_pipeline(base_config(tmp_path))

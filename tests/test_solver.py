@@ -4,6 +4,7 @@ import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,8 @@ from cfv.bitblast import _blast_node, bitblast
 from cfv import dpll
 from cfv.dpll import search, solve_cnf
 from cfv.errors import Timeout
+from cfv.harness import GeneralizedTest, load_tests
+from cfv.snapshot import load_snapshot
 from cfv.solver import (
     SPLIT_MAX,
     Sat,
@@ -18,10 +21,21 @@ from cfv.solver import (
     Unsat,
     sat_solve,
 )
-from cfv.terms import BOOL, Formula, TermBuilder, to_signed
+from cfv.ssa import UnrollConfig
+from cfv.terms import BOOL, Formula, TermBuilder, mask, to_signed
+from cfv.verify import Pass, verify_test
 
 from generators import random_formula, random_ite_pair
-from oracles import DomainTooLargeError, check_model, evaluate, exhaustive_solve, input_bits
+from oracles import (
+    CORPUS,
+    DomainTooLargeError,
+    bulk_evaluate,
+    check_model,
+    evaluate,
+    exhaustive_solve,
+    input_bits,
+    rebuild_everywhere,
+)
 
 
 def single_input_formula(width, build):
@@ -562,6 +576,143 @@ class TestCaseSplit:
         root = b.all_([b.slt(p, b.const(3, 32)), f.root, b.eq(p, b.const(7, 32))])
         assert isinstance(sat_solve(Formula(b, root, f.inputs)), Unsat)
         assert not blasted
+
+
+def substitutions(seed):
+    """A seeded root on a fresh builder, its inputs, and the mappings to
+    substitute in turn: each input at 0, at all ones and at one seeded
+    value. Every fourth seed compares two random ite DAGs."""
+    rng = random.Random(seed)
+    if seed % 4 == 3:
+        b, left, right, inputs = random_ite_pair(rng)
+        root = b.eq(left, right)
+    else:
+        f = random_formula(rng, width=rng.randint(3, 6))
+        b, root, inputs = f.builder, f.root, f.inputs
+    mappings = [
+        {x: b.const(v, x.width)}
+        for x in inputs
+        for bits in [max(x.width, 1)]
+        for v in (0, mask(bits), rng.randrange(1 << bits))
+    ]
+    return b, root, inputs, mappings
+
+
+def valuations(inputs, x, c):
+    """Every valuation of the inputs other than x as bulk_evaluate arrays,
+    with x held at the constant c."""
+    free = [t for t in inputs if t is not x]
+    idx = np.arange(1 << sum(max(t.width, 1) for t in free), dtype=np.uint64)
+    env, shift = {}, 0
+    for t in free:
+        lane = (idx >> np.uint64(shift)) & np.uint64(mask(max(t.width, 1)))
+        env[t.name] = lane.astype(bool) if t.width == BOOL else lane
+        shift += max(t.width, 1)
+    env[x.name] = np.full(idx.shape, c.value, dtype=bool if x.width == BOOL else np.uint64)
+    return env, idx.shape
+
+
+class TestSubstitute:
+    def test_substituted_roots_agree_with_evaluation(self):
+        # The mappings of one root run in sequence on one builder, so a memo
+        # that confused two of them would show here.
+        for seed in range(240):
+            b, root, inputs, mappings = substitutions(seed)
+            for mapping in mappings:
+                ((x, c),) = mapping.items()
+                env, shape = valuations(inputs, x, c)
+                got = b.substitute(root, mapping)
+                expected = np.broadcast_to(bulk_evaluate(root, env), shape)
+                assert (np.broadcast_to(bulk_evaluate(got, env), shape) == expected).all(), seed
+
+    def test_fold_outcomes_match_the_full_rebuild(self):
+        folded = 0
+        for seed in range(1000):
+            b, root, _, mappings = substitutions(seed)
+            ref_b, ref_root, _, ref_mappings = substitutions(seed)
+            for mapping, ref_mapping in zip(mappings, ref_mappings):
+                got = b.substitute(root, mapping)
+                ref = rebuild_everywhere(ref_b, ref_root, ref_mapping)
+                assert got.is_const == ref.is_const, seed
+                if got.is_const:
+                    assert got.value == ref.value, seed
+                    folded += 1
+        assert folded > 1000, folded
+
+    @pytest.fixture
+    def polls(self, monkeypatch):
+        """The nodes each substitute call settles, counted by _poll, per
+        root in call order."""
+        counts: dict = {}
+        inside = []
+        real_substitute, real_poll = TermBuilder.substitute, TermBuilder._poll
+
+        def poll(builder):
+            if inside:
+                inside[-1] += 1
+            real_poll(builder)
+
+        def substitute(builder, root, mapping):
+            inside.append(0)
+            try:
+                return real_substitute(builder, root, mapping)
+            finally:
+                counts.setdefault(root, []).append(inside.pop())
+
+        monkeypatch.setattr(TermBuilder, "_poll", poll)
+        monkeypatch.setattr(TermBuilder, "substitute", substitute)
+        return counts
+
+    def test_a_false_first_conjunct_leaves_the_second_unvisited(self, polls):
+        b = TermBuilder()
+        x, y = b.input("x", 8), b.input("y", 8)
+        first = b.slt(x, b.const(3, 8))
+        big = b.true
+        for i in range(50):
+            big = b.and_(big, b.eq(b.add(x, b.const(i, 8)), y))
+        root = b.and_(first, big)
+        assert root.args[0] is first
+        assert b.substitute(root, {x: b.const(5, 8)}) is b.false
+        # Two nodes are settled, the first conjunct and the root; a visit
+        # to big would settle its nodes over x too.
+        assert polls[root] == [2]
+
+    @pytest.mark.parametrize("width", [8, 32])
+    def test_insert_proof_cases_rebuild_few_nodes(self, tmp_path, polls, width):
+        # test_insert_general confines pos to 0..2. Each query case settles
+        # fewer than 400 of the root's 1,684 nodes, and each case of the
+        # completeness call fewer than 20 of its 1,021, as it reuses what
+        # the query's case with the same pos rebuilt.
+        (tmp_path / "insert_tests.c").write_text(
+            (CORPUS / "minivec" / "tests" / "insert_tests.c").read_text()
+        )
+        tests, view = load_tests(tmp_path, load_snapshot(CORPUS / "minivec" / "old", width))
+        (t,) = [t for t in tests if t.name == "test_insert_general"]
+        gt = GeneralizedTest(t.name, t.body, [], manual=True)
+        assert verify_test(gt, view, UnrollConfig(timeout_s=60, width=width)) == Pass(8, True)
+        query, completeness = polls.values()
+        assert len(query) == len(completeness) == 3
+        assert max(query) < 400, query
+        assert max(completeness) < 20, completeness
+
+    @pytest.mark.parametrize("kind", ["ite", "and"])
+    def test_a_20000_deep_chain_substitutes_without_recursion(self, kind):
+        b = TermBuilder()
+        x, y, p = b.input("x", 16), b.input("y", 16), b.input("p", BOOL)
+        c = lambda v: b.const(v, 16)
+        chain = y if kind == "ite" else p
+        for i in range(20_000):
+            if kind == "ite":
+                chain = b.ite(b.eq(x, c(i)), c(i), chain)
+            else:
+                chain = b.and_(chain, b.slt(x, c(i)))
+        if kind == "ite":
+            assert b.substitute(chain, {x: c(5)}) is c(5)
+            assert b.substitute(chain, {x: c(30_000)}) is y
+            assert b.substitute(chain, {y: c(1)}).op == "ite"
+        else:
+            assert b.substitute(chain, {x: c(0)}) is b.false
+            assert b.substitute(chain, {x: c(-1)}) is p
 
 
 class TestAgreement:
