@@ -133,20 +133,15 @@ class _Blaster:
         return -g if flip else g
 
     def maj_gate(self, a: int, b: int, c: int) -> int:
-        lits = sorted((a, b, c))
-        consts = [l for l in lits if abs(l) == TRUE_LIT]
-        rest = [l for l in lits if abs(l) != TRUE_LIT]
-        if len(consts) >= 2:
-            pos = sum(1 for l in consts if l > 0)
-            if pos >= 2:
-                return TRUE_LIT
-            if len(consts) - pos >= 2:
-                return -TRUE_LIT
-            return rest[0]  # one true and one false: majority is the third
-        if len(consts) == 1:
-            if consts[0] == TRUE_LIT:
-                return self.or_gate(rest[0], rest[1])
-            return self.and_gate(rest[0], rest[1])
+        # A constant moved to c makes maj the or (c true) or the and (c false) of a and b.
+        if abs(a) == TRUE_LIT:
+            a, c = c, a
+        elif abs(b) == TRUE_LIT:
+            b, c = c, b
+        if c == TRUE_LIT:
+            return self.or_gate(a, b)
+        if c == -TRUE_LIT:
+            return self.and_gate(a, b)
         if a == b:
             return a
         if a == c:
@@ -159,7 +154,7 @@ class _Blaster:
             return b
         if b == -c:
             return a
-        return self.gate(("maj", *lits))
+        return self.gate(("maj", *sorted((a, b, c))))
 
     def ite_gate(self, c: int, a: int, b: int) -> int:
         if c == TRUE_LIT:

@@ -2,13 +2,15 @@
 
 Terms are immutable and hash-consed per TermBuilder: structurally identical
 terms built through one builder are the same object, so untouched state
-compared against itself folds away before any solver sees it. Builders also
-apply deterministic constant folding and a few algebraic identities; the
-same construction sequence always yields the same DAG.
+compared against itself folds away before any solver sees it; the table
+keys a node on its operands' identity (see Term). Builders also apply
+deterministic constant folding and a few algebraic identities; the same
+construction sequence always yields the same DAG.
 
 Width 0 denotes bool. Bitvector values are kept as unsigned residues modulo
-2**width; comparisons are signed two's complement, shift amounts are taken
-modulo the width, and right shift is arithmetic.
+2**width; comparisons are signed two's complement, shift amounts are masked
+with width - 1 (taken modulo the width at power-of-two widths), and right
+shift is arithmetic.
 
 Equality of bitvectors is pushed through if-then-else, so that guarded
 state updates over a shared initial value compare equal wherever both sides
@@ -70,7 +72,15 @@ def collector_paused():
 
 
 class Term:
-    __slots__ = ("op", "args", "width", "value", "name", "uid")
+    """One node of a builder's DAG; it hashes and compares by identity.
+
+    The builder's table keys a node on (op, args, width, value, name), args
+    being the operand Terms themselves, which the builder keeps alive. uid
+    numbers nodes in creation order and is the only order used, so nothing
+    depends on id(). is_const is a field: every constructor's folding reads it.
+    """
+
+    __slots__ = ("op", "args", "width", "value", "name", "uid", "is_const")
 
     def __init__(self, op, args, width, value, name, uid):
         self.op = op
@@ -79,10 +89,7 @@ class Term:
         self.value = value
         self.name = name
         self.uid = uid
-
-    @property
-    def is_const(self) -> bool:
-        return self.op == "const"
+        self.is_const = op == "const"
 
     def __repr__(self) -> str:
         # No operands: a DAG shares them, and printing them as a tree would
@@ -139,10 +146,10 @@ class TermBuilder:
         self.false = self._mk("const", (), BOOL, 0, None)
 
     def _mk(self, op, args, width, value=None, name=None) -> Term:
-        key = (op, tuple(a.uid for a in args), width, value, name)
+        key = (op, args, width, value, name)
         term = self._table.get(key)
         if term is None:
-            term = Term(op, tuple(args), width, value, name, self._uid)
+            term = Term(op, args, width, value, name, self._uid)
             self._uid += 1
             self._table[key] = term
         return term

@@ -45,43 +45,60 @@ CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 def random_formula(
     rng: random.Random, width: int = 4, max_inputs: int = 3, depth: int = 4
 ) -> Formula:
+    return random_formula_with_tree(rng, width, max_inputs, depth)[0]
+
+
+def random_formula_with_tree(
+    rng: random.Random, width: int = 4, max_inputs: int = 3, depth: int = 4
+) -> tuple[Formula, tuple]:
+    """random_formula and, built beside it, the same expression as a plain
+    tree for oracles.evaluate_tree: ("const", value), ("var", name) or
+    (op, *operands), op one of the C operators, "neg" (unary minus), "ite"
+    and the boolean "and", "or", "xor" and "not". random_formula draws
+    the same numbers, so one seed gives one formula either way."""
     b = TermBuilder()
     n_inputs = rng.randint(1, max_inputs)
     inputs = [b.input(f"x{i}", width) for i in range(n_inputs)]
+    build = {
+        "+": b.add, "*": b.mul, "&": b.band,
+        "|": b.bor, "^": b.bxor, "<<": b.shl, ">>": b.ashr,
+        "~": b.bnot, "neg": b.neg, "ite": b.ite,
+        "<": b.slt, "<=": b.sle, "==": b.eq, "!=": b.ne,
+        ">": lambda p, q: b.slt(q, p), ">=": lambda p, q: b.sle(q, p),
+        "and": b.and_, "or": b.or_, "xor": b.xor, "not": b.not_,
+    }
 
-    def bv(d: int) -> Term:
+    def node(op: str, *operands: tuple[Term, tuple]) -> tuple[Term, tuple]:
+        term = build[op](*[t for t, _ in operands])
+        return term, (op, *[tree for _, tree in operands])
+
+    def bv(d: int) -> tuple[Term, tuple]:
         if d == 0 or rng.random() < 0.3:
             if rng.random() < 0.4:
-                return b.const(rng.randrange(1 << width), width)
-            return rng.choice(inputs)
+                value = rng.randrange(1 << width)
+                return b.const(value, width), ("const", value)
+            x = rng.choice(inputs)
+            return x, ("var", x.name)
         op = rng.choice(INT_BIN_OPS + ("~", "-", "ite"))
         if op == "~":
-            return b.bnot(bv(d - 1))
-        if op == "-":
-            return b.neg(bv(d - 1))
+            return node("~", bv(d - 1))
+        if op == "-":  # drawn from either tuple, "-" is unary minus
+            return node("neg", bv(d - 1))
         if op == "ite":
-            return b.ite(bl(d - 1), bv(d - 1), bv(d - 1))
-        x, y = bv(d - 1), bv(d - 1)
-        return {
-            "+": b.add, "-": b.sub, "*": b.mul, "&": b.band,
-            "|": b.bor, "^": b.bxor, "<<": b.shl, ">>": b.ashr,
-        }[op](x, y)
+            return node("ite", bl(d - 1), bv(d - 1), bv(d - 1))
+        return node(op, bv(d - 1), bv(d - 1))
 
-    def bl(d: int) -> Term:
+    def bl(d: int) -> tuple[Term, tuple]:
         if d == 0 or rng.random() < 0.25:
             op = rng.choice(CMP_OPS)
-            x, y = bv(max(d - 1, 0)), bv(max(d - 1, 0))
-            return {
-                "<": b.slt, "<=": b.sle, "==": b.eq, "!=": b.ne,
-                ">": lambda p, q: b.slt(q, p), ">=": lambda p, q: b.sle(q, p),
-            }[op](x, y)
+            return node(op, bv(max(d - 1, 0)), bv(max(d - 1, 0)))
         op = rng.choice(("and", "or", "not", "xor"))
         if op == "not":
-            return b.not_(bl(d - 1))
-        x, y = bl(d - 1), bl(d - 1)
-        return {"and": b.and_, "or": b.or_, "xor": b.xor}[op](x, y)
+            return node("not", bl(d - 1))
+        return node(op, bl(d - 1), bl(d - 1))
 
-    return Formula(b, bl(depth), tuple(inputs))
+    root, tree = bl(depth)
+    return Formula(b, root, tuple(inputs)), tree
 
 
 def random_ite_pair(
@@ -94,19 +111,37 @@ def random_ite_pair(
     different guards, and some leaves are constants. Returns the builder,
     the two roots and the inputs: 2 * width + 3 bits.
     """
+    return random_ite_pair_with_trees(rng, width)[:4]
+
+
+def random_ite_pair_with_trees(
+    rng: random.Random, width: int = 4
+) -> tuple[TermBuilder, Term, Term, tuple[Term, ...], tuple, tuple]:
+    """random_ite_pair plus the two roots as plain trees in the form of
+    random_formula_with_tree; a subtree the pool shares is one tuple."""
     b = TermBuilder()
     xs = [b.input(f"x{i}", width) for i in range(2)]
     cs = [b.input(f"c{i}", BOOL) for i in range(3)]
-    k = b.const(rng.randrange(1 << width), width)
+    value = rng.randrange(1 << width)
+    k = b.const(value, width)
+    x_trees = [("var", x.name) for x in xs]
     guards = cs + [b.slt(xs[0], xs[1]), b.eq(xs[0], k)]
-    nodes = xs + [k, b.const(rng.randrange(1 << width), width), b.add(xs[0], xs[1])]
+    guard_trees = [("var", c.name) for c in cs] + [
+        ("<", *x_trees), ("==", x_trees[0], ("const", value))
+    ]
+    other = rng.randrange(1 << width)
+    nodes = xs + [k, b.const(other, width), b.add(xs[0], xs[1])]
+    trees = x_trees + [("const", value), ("const", other), ("+", *x_trees)]
     for _ in range(rng.randint(2, 14)):
-        guard = rng.choice(guards)
+        g = rng.randrange(len(guards))
+        guard, guard_tree = guards[g], guard_trees[g]
         if rng.random() < 0.3:
-            guard = b.not_(guard)
-        nodes.append(b.ite(guard, rng.choice(nodes), rng.choice(nodes)))
-    roots = nodes[-6:]
-    return b, rng.choice(roots), rng.choice(roots), tuple(xs + cs)
+            guard, guard_tree = b.not_(guard), ("not", guard_tree)
+        i, j = rng.randrange(len(nodes)), rng.randrange(len(nodes))
+        nodes.append(b.ite(guard, nodes[i], nodes[j]))
+        trees.append(("ite", guard_tree, trees[i], trees[j]))
+    r, s = rng.randrange(6), rng.randrange(6)
+    return b, nodes[-6:][r], nodes[-6:][s], tuple(xs + cs), trees[-6:][r], trees[-6:][s]
 
 
 # ---------------------------------------------------------------------------

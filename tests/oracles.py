@@ -1,6 +1,6 @@
 """Brute-force ground truth shared by the oracle-backed tests.
 
-Four independent oracles live here, and none touches the code it is used
+Five independent oracles live here, and none touches the code it is used
 to judge:
 
 * Program oracles run functions and test bodies through the reference
@@ -9,6 +9,11 @@ to judge:
   evaluates a term DAG on every input valuation. It reads only the Term
   data structure and shares nothing with bitblast or dpll, so it can judge
   sat_solve's verdicts and least models.
+* A tree evaluator (evaluate_tree) computes a plain expression tree, the
+  one the test generators build beside each term, from the C operators'
+  meaning at a width, over numpy arrays. It reads neither Terms nor
+  cfv.terms, so it can judge the builder's folding, normalisation and
+  hash-consing.
 * A reference substitution (rebuild_everywhere) rebuilds every node above
   a replaced input bottom-up, with no short-circuit and no memo. It shares
   the builder's constructors with TermBuilder.substitute but not its walk,
@@ -278,6 +283,70 @@ def _bulk_node(t: Term, values, env):
         amt = (b & np.uint64(w - 1)).astype(np.int64)
         return (_signed64(a, w) >> amt).astype(np.uint64) & m
     raise AssertionError(f"unknown op {op}")  # pragma: no cover
+
+
+def evaluate_tree(tree: tuple, env: dict[str, np.ndarray], width: int) -> np.ndarray:
+    """The value of a generator's expression tree under each valuation.
+
+    env maps input names to int64 arrays of unsigned values below
+    2**width, or bool arrays for bool inputs. Words come back as int64
+    residues modulo 2**width, conditions as bool arrays. Comparisons and
+    >> read words as signed two's complement, so >> is arithmetic, and a
+    shift amount is masked with width - 1. A subtree shared by identity is
+    evaluated once.
+    """
+    memo: dict[int, np.ndarray] = {}
+
+    def value(node):
+        done = memo.get(id(node))
+        if done is not None:
+            return done
+        op, *operands = node
+        if op == "const":
+            result = np.int64(operands[0])
+        elif op == "var":
+            result = env[operands[0]]
+        else:
+            result = _TREE_OPS[op](width, *[value(x) for x in operands])
+            if result.dtype != bool:
+                result = result % (1 << width)
+        memo[id(node)] = result
+        return result
+
+    return value(tree)
+
+
+def _signed(v, width):
+    return np.where(v >= 1 << (width - 1), v - (1 << width), v)
+
+
+def _amount(v, width):
+    return v & (width - 1)
+
+
+_TREE_OPS = {
+    "+": lambda w, a, b: a + b,
+    "-": lambda w, a, b: a - b,
+    "*": lambda w, a, b: a * b,
+    "&": lambda w, a, b: a & b,
+    "|": lambda w, a, b: a | b,
+    "^": lambda w, a, b: a ^ b,
+    "<<": lambda w, a, b: a << _amount(b, w),
+    ">>": lambda w, a, b: _signed(a, w) >> _amount(b, w),
+    "~": lambda w, a: ~a,
+    "neg": lambda w, a: -a,
+    "ite": lambda w, c, a, b: np.where(c, a, b),
+    "<": lambda w, a, b: _signed(a, w) < _signed(b, w),
+    "<=": lambda w, a, b: _signed(a, w) <= _signed(b, w),
+    ">": lambda w, a, b: _signed(a, w) > _signed(b, w),
+    ">=": lambda w, a, b: _signed(a, w) >= _signed(b, w),
+    "==": lambda w, a, b: a == b,
+    "!=": lambda w, a, b: a != b,
+    "and": lambda w, a, b: a & b,
+    "or": lambda w, a, b: a | b,
+    "xor": lambda w, a, b: a ^ b,
+    "not": lambda w, a: ~a,
+}
 
 
 def input_bits(formula: Formula) -> int:
