@@ -11,9 +11,10 @@ through TermBuilder.eq, which compares two guarded update chains by the
 leaves each side can select. Where both sides select the shared initial
 value, that leaf comparison is true before any solving.
 
-Every behavioral verdict is replayed through the reference interpreter
-before being reported: a NotEquivalent witness that does not reproduce a
-concrete difference is a bug, not a result, and raises errors.InternalError.
+A NotEquivalent witness is the model read at the inputs both encodings
+recorded, replayed through the reference interpreter before being reported:
+one that does not reproduce a concrete difference is a bug, not a result,
+and raises errors.InternalError.
 
 A time limit, the deadline of the check's one TermBuilder, covers encoding,
 building the miter, the case split, bit-blasting and solving. Each of those
@@ -35,15 +36,8 @@ from cfv.errors import InternalError, Timeout
 from cfv.interp import Outcome, run_function, zero_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
-from cfv.solver import SolverStats, Unknown, sat_solve, solve_bounded
-from cfv.ssa import (
-    GLOBAL_PREFIX,
-    NONDET_PREFIX,
-    PARAM_PREFIX,
-    SsaProgram,
-    UnrollConfig,
-    encode_ssa,
-)
+from cfv.solver import Model, SolverStats, Unknown, sat_solve, solve_bounded
+from cfv.ssa import SsaProgram, UnrollConfig, encode_ssa
 from cfv.terms import Formula, Term, TermBuilder, collector_paused
 
 
@@ -113,28 +107,12 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
     if old.ret is not None:
         diffs.append(b.ne(old.ret, new.ret))
 
-    baselines: list[Term] = []
-
-    def final_value(side: SsaProgram, name: str, shape):
-        value = side.globals_final.get(name)
-        if value is not None:
-            return value
-        # Untouched on this side: its final value is the shared initial one.
-        if isinstance(shape, tuple):
-            terms = tuple(
-                b.input(f"{GLOBAL_PREFIX}{name}!{i}", shape[0].width)
-                for i in range(len(shape))
-            )
-            baselines.extend(terms)
-            return terms
-        term = b.input(f"{GLOBAL_PREFIX}{name}", shape.width)
-        baselines.append(term)
-        return term
-
-    for name in sorted(old.globals_written | new.globals_written):
-        shape = old.globals_final.get(name) or new.globals_final.get(name)
-        vo = final_value(old, name, shape)
-        vn = final_value(new, name, shape)
+    # A side that leaves a global untouched ends with its shared input,
+    # which the writing side read before its guarded update.
+    initial = old.global_inputs | new.global_inputs
+    for name in sorted(old.globals_written.keys() | new.globals_written.keys()):
+        vo = old.globals_written.get(name, initial[name])
+        vn = new.globals_written.get(name, initial[name])
         if isinstance(vo, tuple):
             diffs.extend(b.ne(x, y) for x, y in zip(vo, vn))
         else:
@@ -152,42 +130,22 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
         ]
     )
     root = b.and_(constraint, b.or_(ok_diff, value_diff))
-
-    inputs: list[Term] = []
-    seen: set[int] = set()
-    for term in old.inputs + new.inputs + baselines:
-        if term.uid not in seen:
-            seen.add(term.uid)
-            inputs.append(term)
-    return Formula(b, root, tuple(inputs))
+    return Formula(b, root, tuple(dict.fromkeys(old.inputs + new.inputs)))
 
 
-def decode_witness(
-    model: dict[str, int | bool],
-    param_count: int,
-    snaps: tuple[Snapshot, Snapshot],
-) -> Witness:
-    params = [model.get(f"{PARAM_PREFIX}{i}", 0) for i in range(param_count)]
-    globals_vals: dict[str, int | bool | list[int]] = {}
-    nondets: dict[str, int | bool] = {}
-    arrays: dict[str, dict[int, int]] = {}
-    for name, value in model.items():
-        if name.startswith(GLOBAL_PREFIX):
-            rest = name[len(GLOBAL_PREFIX) :]
-            if "!" in rest:
-                gname, idx = rest.rsplit("!", 1)
-                arrays.setdefault(gname, {})[int(idx)] = int(value)
-            else:
-                globals_vals[rest] = value
-        elif name.startswith(NONDET_PREFIX) and name[len(NONDET_PREFIX) :].isdigit():
-            nondets[name] = value
-    old_snap, new_snap = snaps
-    for gname, elems in arrays.items():
-        # Array inputs exist only for globals declared on a side that
-        # reads or writes them.
-        decl = new_snap.globals.get(gname) or old_snap.globals.get(gname)
-        globals_vals[gname] = [elems.get(i, 0) for i in range(decl.ty.length)]
-    return Witness(params, globals_vals, nondets)
+def decode_witness(model: Model, old: SsaProgram, new: SsaProgram) -> Witness:
+    """The model read at the inputs the two encodings recorded."""
+
+    def value(term):
+        if isinstance(term, tuple):
+            return [model[t.name] for t in term]
+        return model[term.name]
+
+    return Witness(
+        [value(t) for t in old.params],
+        {name: value(t) for name, t in (old.global_inputs | new.global_inputs).items()},
+        {rec.name: model[rec.name] for rec in old.nondet_records + new.nondet_records},
+    )
 
 
 def replay(
@@ -260,7 +218,7 @@ def check_equivalence(
     if isinstance(result, bool):
         return Equivalent("formal", cfg.loop_bound, result)
 
-    witness = decode_witness(result.model, len(old_fn.params), snaps)
+    witness = decode_witness(result.model, old_ssa, new_ssa)
     obs_old = replay(old_snap, old_fn, old_ssa, witness)
     obs_new = replay(new_snap, new_fn, new_ssa, witness)
     if not observables_differ(obs_old, obs_new):

@@ -29,7 +29,7 @@ from cfv.changes import compute_changeset
 from cfv.equivalence import Equivalent, check_equivalence
 from cfv.errors import ConfigError
 from cfv.harness import build_call_graph, generalize, load_tests, select_tests
-from cfv.interp import MAX_CALL_DEPTH, run_function
+from cfv.interp import run_function
 from cfv.minic.printer import format_function
 from cfv.report import SCHEMA_VERSION, result_json, tool_block, verdict_json, write_report
 from cfv.snapshot import load_snapshot, load_snapshot_from_diff
@@ -198,7 +198,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "config": {
             "width": width,
             "loop_bound": cfg.unroll.loop_bound,
-            "inline_depth": min(cfg.unroll.loop_bound, MAX_CALL_DEPTH - 1),
+            "inline_depth": cfg.unroll.inline_depth,
             "pair_timeout_s": cfg.unroll.timeout_s,
             "budget_s": cfg.budget_s,
         },

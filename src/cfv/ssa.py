@@ -1,7 +1,7 @@
 """Bounded symbolic encoding of MiniC functions into term DAGs.
 
 One pass of guarded symbolic execution produces, per function, the return
-term, the final term of every touched global, and three boolean guards:
+term, the final term of every written global, and three boolean guards:
 
 * assertion_ok: every assert and every array bounds check holds,
 * unwinding_complete: no loop or call chain ran past its bound while every
@@ -32,6 +32,10 @@ Two entry-state modes: equivalence checking reads globals as fresh shared
 input symbols (a function can be called in any state), while whole-test
 verification starts from the snapshot's declared initial values.
 
+SsaProgram records what each input stands for: the parameters, each
+global's input terms and each nondet's site. Input names stay private here;
+a model is read back at the recorded terms.
+
 Each inlined call gets a frame that maps the slots the type checker gave
 the callee's parameters and locals to their current terms; a variable is
 read with one lookup of its node's slot, and names are never resolved here.
@@ -49,18 +53,17 @@ from math import inf
 from cfv.errors import CfvError
 from cfv.interp import MAX_CALL_DEPTH, initial_globals
 from cfv.minic import ast
-from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
 from cfv.terms import BOOL, Formula, Term, TermBuilder
 
-PARAM_PREFIX = "a"
-GLOBAL_PREFIX = "g!"
-NONDET_PREFIX = "n"
+_PARAM_PREFIX = "a"
+_GLOBAL_PREFIX = "g!"
+_NONDET_PREFIX = "n"
 
 
 @dataclass(frozen=True)
 class UnrollConfig:
-    loop_bound: int = 8  # bounds loop unrolling, and call inlining up to MAX_CALL_DEPTH - 1
+    loop_bound: int = 8  # bounds loop unrolling, and call inlining (inline_depth)
     timeout_s: float = 60.0
     width: int = 32
 
@@ -70,11 +73,16 @@ class UnrollConfig:
         if not 0 < self.timeout_s < inf:  # NaN included
             raise ValueError("timeout_s must be positive and finite")
 
+    @property
+    def inline_depth(self) -> int:
+        """loop_bound, capped at the call depth the interpreter replays."""
+        return min(self.loop_bound, MAX_CALL_DEPTH - 1)
+
 
 @dataclass
 class NondetRecord:
     name: str  # input symbol name
-    span: Span
+    site: int  # byte offset of the intrinsic
     site_occurrence: int  # how many occurrences of this site came before
 
 
@@ -84,9 +92,13 @@ class SsaProgram:
     # Parameters, then globals and nondets in order of first use; least
     # models compare inputs in this order.
     inputs: list[Term]
+    params: list[Term]
+    # Each global's input term, or one per array element; empty when the
+    # globals start from their declared values.
+    global_inputs: dict[str, Term | tuple[Term, ...]]
     ret: Term | None
-    globals_final: dict[str, Term | tuple[Term, ...]]
-    globals_written: set[str]
+    # Each written global's final value, in the order globals were first met.
+    globals_written: dict[str, Term | tuple[Term, ...]]
     assertion_ok: Term
     unwinding_complete: Term
     assume_ok: Term
@@ -96,9 +108,8 @@ class SsaProgram:
         """The model's nondet values keyed by (site offset, occurrence), as
         the interpreter reads them on replay."""
         return {
-            (rec.span.start, rec.site_occurrence): model[rec.name]
+            (rec.site, rec.site_occurrence): model[rec.name]
             for rec in self.nondet_records
-            if rec.name in model
         }
 
 
@@ -135,7 +146,8 @@ class Encoder:
     def encode_function(self, fn: ast.FunctionDef) -> SsaProgram:
         b = self.b
         self.global_env: dict[str, Term | tuple[Term, ...]] = {}
-        self.globals_written: set[str] = set()
+        self.global_inputs: dict[str, Term | tuple[Term, ...]] = {}
+        self.written: set[str] = set()
         self.inputs: list[Term] = []
         self.nondet_records: list[NondetRecord] = []
         self._site_counts: dict[int, int] = {}
@@ -160,7 +172,7 @@ class Encoder:
             if isinstance(p.ty, ast.ArrayType):
                 raise CfvError("array parameters are outside the subset")
             width = BOOL if isinstance(p.ty, ast.BoolType) else self.width
-            params.append(b.input(f"{PARAM_PREFIX}{i}", width))
+            params.append(b.input(f"{_PARAM_PREFIX}{i}", width))
         self.inputs.extend(params)
         frame = _Frame(params, b.false, self._default(fn.return_type))
 
@@ -170,9 +182,12 @@ class Encoder:
         return SsaProgram(
             builder=b,
             inputs=self.inputs,
+            params=params,
+            global_inputs=self.global_inputs,
             ret=ret,
-            globals_final=dict(self.global_env),
-            globals_written=set(self.globals_written),
+            globals_written={
+                n: v for n, v in self.global_env.items() if n in self.written
+            },
             assertion_ok=self.ok,
             unwinding_complete=self.uc,
             assume_ok=self.assume,
@@ -198,14 +213,15 @@ class Encoder:
         ty = self.snap.globals[name].ty
         if isinstance(ty, ast.ArrayType):
             value = tuple(
-                self.b.input(f"{GLOBAL_PREFIX}{name}!{i}", self.width)
+                self.b.input(f"{_GLOBAL_PREFIX}{name}!{i}", self.width)
                 for i in range(ty.length)
             )
             self.inputs.extend(value)
         else:
             width = BOOL if isinstance(ty, ast.BoolType) else self.width
-            value = self.b.input(f"{GLOBAL_PREFIX}{name}", width)
+            value = self.b.input(f"{_GLOBAL_PREFIX}{name}", width)
             self.inputs.append(value)
+        self.global_inputs[name] = value
         self.global_env[name] = value
         return value
 
@@ -218,7 +234,7 @@ class Encoder:
     def write_var(self, ref: ast.VarRef | ast.ArrayIndex, value, frame: _Frame) -> None:
         slot = ast.slot_of(ref)
         if slot == ast.GLOBAL:
-            self.globals_written.add(ref.name)
+            self.written.add(ref.name)
             self.global_env[ref.name] = value
         else:
             frame.locals[slot] = value
@@ -346,19 +362,18 @@ class Encoder:
         if isinstance(expr, ast.Call):
             return self.eval_call(expr, guard, frame)
         if isinstance(expr, ast.NondetInt):
-            return self.fresh_nondet(expr.span, self.width)
+            return self.fresh_nondet(expr.span.start, self.width)
         if isinstance(expr, ast.NondetBool):
-            return self.fresh_nondet(expr.span, BOOL)
+            return self.fresh_nondet(expr.span.start, BOOL)
         raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
 
-    def fresh_nondet(self, span: Span, width: int) -> Term:
-        name = f"{NONDET_PREFIX}{len(self.nondet_records)}"
-        site = span.start
+    def fresh_nondet(self, site: int, width: int) -> Term:
+        name = f"{_NONDET_PREFIX}{len(self.nondet_records)}"
         occurrence = self._site_counts.get(site, 0)
         self._site_counts[site] = occurrence + 1
         term = self.b.input(name, width)
         self.inputs.append(term)
-        self.nondet_records.append(NondetRecord(name, span, occurrence))
+        self.nondet_records.append(NondetRecord(name, site, occurrence))
         return term
 
     def eval_binary(self, expr: ast.Binary, guard: Term, frame: _Frame) -> Term:
@@ -408,7 +423,7 @@ class Encoder:
         b = self.b
         fn = self.snap.functions[expr.name]
         args = [self.eval(a, guard, frame) for a in expr.args]
-        if self.depth >= min(self.cfg.loop_bound, MAX_CALL_DEPTH - 1):
+        if self.depth >= self.cfg.inline_depth:
             # Call chain exceeds the inlining bound on this path.
             self.uc = b.and_(self.uc, b.not_(b.and_(guard, self.ok)))
             return self._default(fn.return_type)

@@ -34,10 +34,10 @@ from cfv.terms import TermBuilder, collector_paused, to_signed
 
 @dataclass
 class Counterexample:
-    # Dynamic nondet symbol -> value; sites maps each symbol to its source
-    # (byte offset of the intrinsic, per-site occurrence index).
+    # Dynamic nondet symbol -> value, and the same values keyed as the
+    # interpreter reads them: (intrinsic byte offset, per-site occurrence).
     valuation: dict[str, int | bool]
-    sites: dict[str, tuple[int, int]]
+    values: dict[tuple[int, int], int | bool]
     failing_assert: Span
     trace: list[tuple[Span, str, int | bool]]
 
@@ -78,20 +78,15 @@ def verify_test(
         return Pass(cfg.loop_bound, result)
 
     model = result.model
-    outcome = run_function(
-        snap, gt.body, [], None, prog.nondet_values(model), record_trace=True
-    )
+    values = prog.nondet_values(model)
+    outcome = run_function(snap, gt.body, [], None, values, record_trace=True)
     if outcome.status not in ("assert_fail", "trap"):
         raise InternalError(
             f"model for {gt.origin!r} does not replay to a failure"
             f" (got {outcome.status})"
         )
     valuation = {rec.name: model[rec.name] for rec in prog.nondet_records}
-    sites = {
-        rec.name: (rec.span.start, rec.site_occurrence)
-        for rec in prog.nondet_records
-    }
-    return Fail(Counterexample(valuation, sites, outcome.span, outcome.trace))
+    return Fail(Counterexample(valuation, values, outcome.span, outcome.trace))
 
 
 def _literal_for(value: int | bool, width: int, span: Span) -> ast.Expr:
@@ -110,15 +105,10 @@ def concretize(gt: GeneralizedTest, cx: Counterexample, width: int) -> ast.Funct
     A site reached again, as in a loop, may need another value for the
     failure, so the result can pass: replay it before reporting it.
     """
-    by_site: dict[int, int | bool] = {}
-    for symbol, (site, occurrence) in cx.sites.items():
-        if occurrence == 0:
-            by_site[site] = cx.valuation[symbol]
-
     def literal(e: ast.Expr) -> ast.Expr | None:
         if not isinstance(e, (ast.NondetInt, ast.NondetBool)):
             return None
-        value = by_site.get(e.span.start)
+        value = cx.values.get((e.span.start, 0))
         if value is None:
             # Site never reached within the bound; any constant keeps the
             # test well-typed without affecting the replayed path.

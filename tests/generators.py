@@ -60,7 +60,7 @@ def random_formula_with_tree(
     n_inputs = rng.randint(1, max_inputs)
     inputs = [b.input(f"x{i}", width) for i in range(n_inputs)]
     build = {
-        "+": b.add, "*": b.mul, "&": b.band,
+        "+": b.add, "-": b.sub, "*": b.mul, "&": b.band,
         "|": b.bor, "^": b.bxor, "<<": b.shl, ">>": b.ashr,
         "~": b.bnot, "neg": b.neg, "ite": b.ite,
         "<": b.slt, "<=": b.sle, "==": b.eq, "!=": b.ne,
@@ -79,11 +79,9 @@ def random_formula_with_tree(
                 return b.const(value, width), ("const", value)
             x = rng.choice(inputs)
             return x, ("var", x.name)
-        op = rng.choice(INT_BIN_OPS + ("~", "-", "ite"))
-        if op == "~":
-            return node("~", bv(d - 1))
-        if op == "-":  # drawn from either tuple, "-" is unary minus
-            return node("neg", bv(d - 1))
+        op = rng.choice(INT_BIN_OPS + ("~", "neg", "ite"))
+        if op in ("~", "neg"):
+            return node(op, bv(d - 1))
         if op == "ite":
             return node("ite", bl(d - 1), bv(d - 1), bv(d - 1))
         return node(op, bv(d - 1), bv(d - 1))

@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfv.changes import compute_changeset, same_signature
 from cfv.equivalence import (
     Equivalent,
     NotEquivalent,
@@ -14,6 +15,7 @@ from cfv.equivalence import (
     transitive_globals,
 )
 from cfv.errors import Timeout
+from cfv.minic import ast
 from cfv.snapshot import load_snapshot, snapshot_from_sources
 from cfv.solver import SolverStats, Unsat, sat_solve
 from cfv.ssa import UnrollConfig, encode_ssa
@@ -21,6 +23,7 @@ from cfv.terms import TermBuilder, postorder
 
 from generators import minivec_sources, random_pair
 from oracles import CORPUS, functions_equivalent_bruteforce, input_bits
+from test_harness import write_scale_corpus
 
 W4 = UnrollConfig(loop_bound=4, timeout_s=20, width=4)
 
@@ -306,3 +309,86 @@ class TestProperties:
 def test_transitive_reads_follow_calls():
     s = snap("int g; int h; int inner(){h = 1; return g;} int f(){return inner();}")
     assert transitive_globals(s.functions["f"], s) == ({"g"}, {"h"})
+
+
+# Pairs whose sides touch different globals.
+ONE_SIDED = [
+    # h is declared on the new side only.
+    ("int f(int x){return x;}", "int h; int f(int x){return x + h;}"),
+    # g is written, and never read, by the old side only.
+    ("int g; void f(int x){g = x;}", "int g; void f(int x){}"),
+    # buf is written by the new side only.
+    (
+        "int buf[3]; int g; int f(int i){return i + g;}",
+        "int buf[3]; int g; int f(int i){if (i >= 0 && i < 3) { buf[i] = 1; } return i + g;}",
+    ),
+    (
+        "int buf[2]; bool on; int f(int i){if (on) { return buf[i]; } return 0;}",
+        "int buf[2]; bool on; int f(int i){return buf[i];}",
+    ),
+]
+
+
+def encoded_pairs(scale_root):
+    """Both sides of each modified pair of scale seed 7 at width 8, of 40
+    pairs drawn as criterion 3 draws them, and of ONE_SIDED, each pair
+    encoded on one builder."""
+    old = load_snapshot(scale_root / "old", 8)
+    new = load_snapshot(scale_root / "new", 8)
+    cases = [
+        (fo, fn, (old, new), UnrollConfig(width=8))
+        for fo, fn in compute_changeset(old, new).modified
+    ]
+    for seed in range(40):
+        pair = random_pair(random.Random(seed), width=4, with_global=seed % 4 == 0)
+        cases.append((pair[0].functions["f"], pair[1].functions["f"], pair, W4))
+    for texts in ONE_SIDED:
+        pair = snap(texts[0], "old"), snap(texts[1], "new")
+        cases.append((pair[0].functions["f"], pair[1].functions["f"], pair, W4))
+    for fo, fn, (so, sn), cfg in cases:
+        if same_signature(fo, fn):
+            builder = TermBuilder()
+            yield encode_ssa(fo, so, cfg, builder), encode_ssa(fn, sn, cfg, builder)
+
+
+class TestRecordedInputs:
+    """SsaProgram records what each input stands for, so the miter and the
+    witness read those records instead of rebuilding input names."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, tmp_path_factory):
+        return list(encoded_pairs(write_scale_corpus(tmp_path_factory.mktemp("scale"), 7)))
+
+    def test_written_globals_have_recorded_inputs(self, pairs):
+        # A guarded update reads the old value first, so the side that
+        # leaves a global untouched finds its initial value recorded.
+        assert len(pairs) > 40
+        for old, new in pairs:
+            recorded = old.global_inputs.keys() | new.global_inputs.keys()
+            assert old.globals_written.keys() | new.globals_written.keys() <= recorded
+
+    def test_miter_creates_no_inputs(self, pairs):
+        for old, new in pairs:
+            miter = build_miter(old, new)
+            names = [t.name for t in miter.inputs]
+            assert names == list(dict.fromkeys(t.name for t in old.inputs + new.inputs))
+            used = {t.name for t in postorder(miter.root) if t.op == "input"}
+            assert used <= set(names)
+
+    @pytest.mark.parametrize("old, new", ONE_SIDED)
+    def test_witness_globals_are_those_either_side_touches(self, old, new):
+        so, sn = snap(old, "old"), snap(new, "new")
+        verdict = check_equivalence(so.functions["f"], sn.functions["f"], (so, sn), W4)
+        assert isinstance(verdict, NotEquivalent) and verdict.reason == "behavior"
+        # A write reads the old value first, so written globals are inputs too.
+        touched = set().union(
+            *transitive_globals(so.functions["f"], so),
+            *transitive_globals(sn.functions["f"], sn),
+        )
+        assert set(verdict.witness.globals) == touched
+        for name, value in verdict.witness.globals.items():
+            ty = (sn.globals.get(name) or so.globals[name]).ty
+            if isinstance(ty, ast.ArrayType):
+                assert len(value) == ty.length
+            else:
+                assert not isinstance(value, list)

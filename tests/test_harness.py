@@ -207,7 +207,7 @@ void test_a(){
         gt = generalize(t, {"twice", "add"})
         assert len(gt.substitutions) == 3
         # Build the counterexample whose values are the original literals.
-        valuation, sites = {}, {}
+        valuation, values = {}, {}
         for i, sub in enumerate(gt.substitutions):
             sym = f"n{i}"
             valuation[sym] = sub.original % 256
@@ -220,8 +220,8 @@ void test_a(){
                         nondet_span = e.span
                         break
                     count += 1
-            sites[sym] = (nondet_span.start, 0)
-        cx = Counterexample(valuation, sites, DUMMY_SPAN, [])
+            values[(nondet_span.start, 0)] = valuation[sym]
+        cx = Counterexample(valuation, values, DUMMY_SPAN, [])
         restored = concretize(gt, cx, 8)
         assert alpha_key(restored) == alpha_key(t.body)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfv.bitblast import _blast_node, bitblast
+from cfv.bitblast import SIM_MAX_INPUT_BITS, _blast_node, bitblast
 from cfv import dpll
 from cfv.dpll import search, solve_cnf
 from cfv.errors import Timeout
@@ -576,6 +576,32 @@ class TestCaseSplit:
         root = b.all_([b.slt(p, b.const(3, 32)), f.root, b.eq(p, b.const(7, 32))])
         assert isinstance(sat_solve(Formula(b, root, f.inputs)), Unsat)
         assert not blasted
+
+
+class TestModelKeys:
+    """Each route of sat_solve returns a model keyed by exactly the
+    formula's input names, inputs the root never reads included, so the
+    witness and replay readers index it without defaults."""
+
+    @pytest.mark.parametrize("route", ["folded", "cases", "simulation", "core"])
+    def test_model_keys_are_the_input_names(self, route, monkeypatch):
+        blasted = []
+        monkeypatch.setattr("cfv.solver.bitblast", lambda f: blasted.append(f) or bitblast(f))
+        width = 8 if route == "core" else 4
+        b = TermBuilder()
+        c = lambda v: b.const(v, width)
+        x, y, unused = b.input("x", width), b.input("y", width), b.input("u", BOOL)
+        root = {
+            "folded": b.true,
+            "cases": b.all_([b.slt(c(-1), x), b.slt(x, c(4)), b.eq(b.mul(x, x), c(9))]),
+            "simulation": b.eq(b.mul(x, y), c(6)),
+            "core": b.eq(b.mul(x, y), c(6)),
+        }[route]
+        f = Formula(b, root, (x, y, unused))
+        model = sat_solve(f).model
+        assert sorted(model) == ["u", "x", "y"]
+        assert bool(blasted) == (route in ("simulation", "core"))
+        assert (input_bits(f) <= SIM_MAX_INPUT_BITS) == (route != "core")
 
 
 def substitutions(seed):
