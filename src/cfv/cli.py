@@ -26,11 +26,11 @@ from cfv.equivalence import Equivalent, NotEquivalent, check_equivalence
 from cfv.errors import ConfigError, InputError, InternalError
 from cfv.harness import GeneralizedTest, load_tests
 from cfv.interp import MAX_CALL_DEPTH
-from cfv.minic import ast
 from cfv.minic.metrics import cyclomatic_complexity
 from cfv.pipeline import RunConfig, run_pipeline
 from cfv.report import exit_code, witness_json
 from cfv.snapshot import (
+    VALID_WIDTHS,
     load_snapshot,
     load_snapshot_from_diff,
     read_source,
@@ -43,7 +43,7 @@ from cfv.verify import Fail, Pass, verify_test
 
 def _unroll_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bound", type=int, default=8, metavar="K", help=f"unwinding bound: loops unroll at most K times, and calls inline at most min(K, {MAX_CALL_DEPTH - 1}) deep (default 8)")
-    parser.add_argument("--width", type=int, default=32, metavar="W", choices=ast.VALID_WIDTHS, help="integer width in bits (default 32)")
+    parser.add_argument("--width", type=int, default=32, metavar="W", choices=VALID_WIDTHS, help="integer width in bits (default 32)")
     parser.add_argument("--timeout", type=float, default=60.0, metavar="S", help="time limit in seconds for each equivalence pair and each test (default 60)")
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from cfv.changes import changed_globals, same_signature, structural_equiv
 from cfv.errors import InternalError, Timeout
+from cfv.harness import CallGraph
 from cfv.interp import Outcome, run_function, zero_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
@@ -71,18 +72,9 @@ EquivalenceVerdict = Equivalent | NotEquivalent | Unknown
 
 
 def closure_functions(fn: ast.FunctionDef, snap: Snapshot) -> list[ast.FunctionDef]:
-    """fn plus everything it can reach through direct calls."""
-    seen: dict[str, ast.FunctionDef] = {}
-    stack = [fn]
-    while stack:
-        f = stack.pop()
-        if f.name in seen:
-            continue
-        seen[f.name] = f
-        for name in f.callees:
-            if name not in seen and name in snap.functions:
-                stack.append(snap.functions[name])
-    return list(seen.values())
+    """fn, one of snap's functions, plus everything it can reach through
+    direct calls."""
+    return [snap.functions[name] for name in sorted(CallGraph(snap).reachable(fn.name))]
 
 
 def transitive_globals(fn: ast.FunctionDef, snap: Snapshot) -> tuple[set[str], set[str]]:

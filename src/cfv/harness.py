@@ -43,17 +43,21 @@ class TestCase:
 
 @dataclass
 class CallGraph:
-    edges: dict[str, tuple[str, ...]]
+    """Direct calls between a snapshot's functions, read from the `callees`
+    the type checker recorded on each; a test view's graph holds its tests."""
+
+    snap: Snapshot
 
     def reachable(self, root: str) -> set[str]:
+        """root and every function it reaches through direct calls."""
+        functions = self.snap.functions
         seen: set[str] = set()
         stack = [root]
         while stack:
             name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            stack.extend(self.edges.get(name, ()))
+            if name not in seen:
+                seen.add(name)
+                stack.extend(functions[name].callees)
         return seen
 
 
@@ -82,7 +86,7 @@ def _check_tests(
     test_units = []
     for rel, source in sources.items():
         try:
-            test_units.append(parse_unit(source, rel, snap.width))
+            test_units.append(parse_unit(source, rel))
         except InputError as err:
             diagnostics.extend(err.diagnostics)
     if diagnostics:
@@ -96,8 +100,9 @@ def _check_tests(
         raise InputError(diagnostics)
 
     units = snap.units + test_units
-    env = type_check(units, snap.width, checked=test_units)
-    view = Snapshot(f"{snap.label}+tests", units, env, snap.width)
+    view = Snapshot(
+        f"{snap.label}+tests", units, *type_check(units, checked=test_units), snap.width
+    )
 
     tests: list[TestCase] = []
     for unit in test_units:
@@ -126,17 +131,10 @@ def _section_label(unit: ast.SourceUnit, fn: ast.FunctionDef) -> str:
     return fn.name
 
 
-def build_call_graph(snap: Snapshot, tests: list[TestCase]) -> CallGraph:
-    """Direct-call edges over snapshot functions plus test bodies, read
-    from the `callees` the type checker recorded."""
-    functions: dict[str, ast.FunctionDef] = dict(snap.functions)
-    for t in tests:
-        functions.setdefault(t.name, t.body)
-    edges = {
-        name: tuple(sorted(c for c in functions[name].callees if c in functions))
-        for name in sorted(functions)
-    }
-    return CallGraph(edges)
+def build_call_graph(snap: Snapshot) -> CallGraph:
+    """snap's call graph; selection passes the test view, which holds every
+    test."""
+    return CallGraph(snap)
 
 
 def select_tests(
@@ -187,7 +185,7 @@ class _Generalizer:
             self.substitutions.append(Substitution(pos, value))
             nondet = ast.NondetBool if isinstance(value, bool) else ast.NondetInt
             args.append(nondet(arg.span))
-        return ast.Call(e.span, e.name, args, e.ty)
+        return ast.Call(e.span, e.name, args)
 
     @staticmethod
     def stmt(s: ast.Stmt) -> ast.Stmt | None:

@@ -4,10 +4,9 @@ from cfv.minic.metrics import cyclomatic_complexity
 from cfv.minic.normalize import alpha_key
 from cfv.minic.parser import parse_unit
 from cfv.minic.printer import format_expr, format_function, format_unit
-from cfv.minic.typecheck import Environment, type_check
+from cfv.minic.typecheck import type_check
 
 __all__ = [
-    "Environment",
     "alpha_key",
     "cyclomatic_complexity",
     "format_expr",

@@ -1,11 +1,10 @@
 """Typed AST for the MiniC subset.
 
 Every node carries a source span. Equality between nodes is structural and
-span-insensitive (spans, inferred types and slots are excluded from
-comparison), so two parses of the same text, or of texts differing only in
-layout and comments, compare equal. The round-trip tests use it; the
-structural equivalence stage compares the flat keys of `normalize.alpha_key`
-instead.
+span-insensitive (spans and slots are excluded from comparison), so two
+parses of the same text, or of texts differing only in layout and comments,
+compare equal. The round-trip tests use it; the structural equivalence
+stage compares the flat keys of `normalize.alpha_key` instead.
 
 Names are resolved once, by the type checker: it writes a `slot` onto every
 `VarDecl`, `VarRef` and `ArrayIndex`. Parameters hold slots 0..n-1 and each
@@ -13,10 +12,10 @@ local declaration the next slot in source order; a reference to a global
 holds `GLOBAL`. A parsed tree has no slots yet, and `slot_of` raises on it,
 so no pass reads an unchecked name as a global.
 
-Value semantics: all integers are two's complement at one configurable width
-per snapshot; arrays are fixed-length with int elements; booleans are a
-distinct type. There is no division, no pointer or address operator, and no
-preprocessor.
+Value semantics: all integers are two's complement at one width per
+snapshot, which `Snapshot.width` holds and no node does; arrays are
+fixed-length with int elements; booleans are a distinct type. There is no
+division, no pointer or address operator, and no preprocessor.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ DUMMY_SPAN = Span(0, 0, 0, 0)
 
 @dataclass(frozen=True)
 class IntType:
-    width: int
-
     def __str__(self) -> str:
         return "int"
 
@@ -70,7 +67,6 @@ class VoidType:
 
 @dataclass(frozen=True)
 class ArrayType:
-    elem: IntType
     length: int
 
     def __str__(self) -> str:
@@ -79,13 +75,11 @@ class ArrayType:
 
 Type = IntType | BoolType | VoidType | ArrayType
 
-VALID_WIDTHS = (4, 8, 16, 32)
-
 
 # ---------------------------------------------------------------------------
 # Expressions
 #
-# `ty` and `slot` are filled in by the type checker and never participate in
+# `slot` is filled in by the type checker and never participates in
 # equality.
 
 
@@ -97,19 +91,16 @@ class Expr:
 @dataclass
 class IntLit(Expr):
     value: int
-    ty: Type | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class BoolLit(Expr):
     value: bool
-    ty: Type | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class VarRef(Expr):
     name: str
-    ty: Type | None = field(default=None, compare=False, repr=False)
     slot: int | None = field(default=None, compare=False, repr=False)
 
 
@@ -117,7 +108,6 @@ class VarRef(Expr):
 class ArrayIndex(Expr):
     name: str
     index: Expr
-    ty: Type | None = field(default=None, compare=False, repr=False)
     slot: int | None = field(default=None, compare=False, repr=False)
 
 
@@ -125,7 +115,6 @@ class ArrayIndex(Expr):
 class Unary(Expr):
     op: str  # "-", "!", "~"
     operand: Expr
-    ty: Type | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -133,24 +122,22 @@ class Binary(Expr):
     op: str
     left: Expr
     right: Expr
-    ty: Type | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Call(Expr):
     name: str
     args: list[Expr]
-    ty: Type | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class NondetInt(Expr):
-    ty: Type | None = field(default=None, compare=False, repr=False)
+    pass
 
 
 @dataclass
 class NondetBool(Expr):
-    ty: Type | None = field(default=None, compare=False, repr=False)
+    pass
 
 
 # Binary operators grouped by precedence, weakest first. `&&` and `||`
@@ -321,21 +308,21 @@ def map_expr(e: Expr, hook: ExprHook) -> Expr:
     """Rebuild an expression through hook, which sees each node before its
     children. The hook returns a replacement node, used as it is, or None,
     which means "rebuild this node around its mapped children". Rebuilt
-    nodes keep their span, type and slot; leaves are kept as they are.
+    nodes keep their span and slot; leaves are kept as they are.
     """
     new = hook(e)
     if new is not None:
         return new
     if isinstance(e, Binary):
-        return Binary(e.span, e.op, map_expr(e.left, hook), map_expr(e.right, hook), e.ty)
+        return Binary(e.span, e.op, map_expr(e.left, hook), map_expr(e.right, hook))
     if isinstance(e, _LEAVES):
         return e
     if isinstance(e, Unary):
-        return Unary(e.span, e.op, map_expr(e.operand, hook), e.ty)
+        return Unary(e.span, e.op, map_expr(e.operand, hook))
     if isinstance(e, ArrayIndex):
-        return ArrayIndex(e.span, e.name, map_expr(e.index, hook), e.ty, e.slot)
+        return ArrayIndex(e.span, e.name, map_expr(e.index, hook), e.slot)
     if isinstance(e, Call):
-        return Call(e.span, e.name, [map_expr(a, hook) for a in e.args], e.ty)
+        return Call(e.span, e.name, [map_expr(a, hook) for a in e.args])
     raise AssertionError(f"unknown expression {e!r}")  # pragma: no cover
 
 

@@ -10,10 +10,6 @@ A token is its index into the lexer's columns (`lexer.Lexed`): the parser
 moves one int along them and compares texts, and it asks for a Span only
 when it builds a node or a diagnostic.
 
-The integer width of `int` is supplied by the caller because the same source
-is checked at width 4 or 8 by the exhaustive test oracles and at width 32 in
-normal runs.
-
 Binary operators are parsed by precedence climbing over the levels of
 `ast.BINARY_PRECEDENCE`: one call parses an operand and then every operator
 of at least its minimum level, recursing one level up for each right
@@ -40,9 +36,11 @@ from cfv.minic.lexer import Lexed, lex
 # `cfv analyze` spends on a node of the kind, measured with CPython 3.11 by
 # bisecting the recursion limit each pass needs per nesting level. Blocks are
 # costed by the parser, the encoder, the interpreter and the AST rewriter,
-# `while` by the encoder, binary and unary nodes by the type checker, and
-# calls, indices and parentheses (which build no node) by the parser. The
-# structural stage spends none.
+# `while` by the encoder, and calls, indices and parentheses (which build no
+# node) by the parser. The structural stage spends none. Binary and unary
+# nodes are over-counted: no pass spends more than 2 and 1 frames on them,
+# and the higher costs keep the nesting a run accepts, and so every
+# diagnostic, fixed.
 FRAMES = {
     ast.Block: 2, ast.If: 1, ast.While: 2,
     ast.Binary: 3, ast.Unary: 2, ast.Call: 4, ast.ArrayIndex: 4, "(": 4,
@@ -64,7 +62,7 @@ UNSUPPORTED_HINTS = {
 
 
 class _Parser:
-    def __init__(self, lexed: Lexed, path: str, width: int):
+    def __init__(self, lexed: Lexed, path: str):
         self.texts = lexed.texts
         self.kinds = lexed.kinds
         self.ends = lexed.ends
@@ -73,7 +71,6 @@ class _Parser:
         self.path = path
         self.pos = 0
         self.depth = 0  # FRAMES of the nodes above the one being parsed
-        self.int_type = ast.IntType(width)
 
     # -- token plumbing ----------------------------------------------------
     # A token is its index into the lexer's columns. A text equal to an
@@ -138,7 +135,7 @@ class _Parser:
     def parse_base_type(self) -> ast.Type:
         tok = self.pos
         if self.accept("int"):
-            ty: ast.Type = self.int_type
+            ty: ast.Type = ast.IntType()
         elif self.accept("bool"):
             ty = ast.BoolType()
         elif self.accept("void"):
@@ -167,7 +164,7 @@ class _Parser:
                 self.error("only int arrays are supported", name_tok)
             if length_tok[0] < 1:
                 self.error("array length must be at least 1", length_tok[1])
-            ty = ast.ArrayType(self.int_type, length_tok[0])
+            ty = ast.ArrayType(length_tok[0])
         init = None
         if self.accept("="):
             if isinstance(ty, ast.ArrayType):
@@ -314,7 +311,7 @@ class _Parser:
                 self.error("only int arrays are supported", ltok)
             if length < 1:
                 self.error("array length must be at least 1", ltok)
-            ty = ast.ArrayType(self.int_type, length)
+            ty = ast.ArrayType(length)
         init = None
         if self.accept("="):
             if isinstance(ty, ast.ArrayType):
@@ -472,16 +469,14 @@ class _Parser:
         self.error(f"expected an expression, found {self.texts[tok]!r}", tok)
 
 
-def parse_unit(source: str, path: str, width: int = 32) -> ast.SourceUnit:
+def parse_unit(source: str, path: str) -> ast.SourceUnit:
     """Parse one translation unit.
 
     Raises MiniCSyntaxError or UnsupportedConstructError with positioned
     diagnostics on failure. The result still needs type checking.
     """
-    if width not in ast.VALID_WIDTHS:
-        raise ValueError(f"width must be one of {ast.VALID_WIDTHS}, got {width}")
     lexed = lex(source, path)
-    decls = _Parser(lexed, path, width).parse_unit()
+    decls = _Parser(lexed, path).parse_unit()
     for d in decls:
         if isinstance(d, ast.FunctionDef):
             d.body_text = source[d.body.span.start : d.body.span.end]

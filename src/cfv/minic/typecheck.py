@@ -1,10 +1,12 @@
 """Type checker for MiniC units.
 
-Annotates every expression with its type, checks call signatures against the
-definitions visible in the environment (functions may be defined in any
-order and in other units of the same snapshot), verifies that every path
-through a non-void function ends in a return, and computes each function's
+Infers the type of every expression, checks call signatures against the
+definitions visible in the snapshot (functions may be defined in any order
+and in other units of the same snapshot), verifies that every path through
+a non-void function ends in a return, and computes each function's
 syntactic read/write sets over global variables and the functions it calls.
+It returns the snapshot's globals and functions by name; inferred types are
+not stored anywhere.
 
 It is the one pass that resolves names under C block scoping. Each
 parameter and local gets a slot: parameters take 0..n-1 in order, and each
@@ -18,8 +20,6 @@ bool; there is no implicit int-to-bool conversion anywhere.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from cfv.errors import Diagnostic, TypeCheckError
 from cfv.minic import ast
@@ -54,21 +54,14 @@ from cfv.minic.ast import (
 )
 
 
-@dataclass
-class Environment:
-    """Names visible to a function body: globals and function signatures."""
-
-    globals: dict[str, GlobalDecl]
-    functions: dict[str, FunctionDef]
-    width: int
-
-
 class _Checker:
-    def __init__(self, env: Environment, path: str):
-        self.env = env
+    def __init__(
+        self, globals_: dict[str, GlobalDecl], functions: dict[str, FunctionDef], path: str
+    ):
+        self.globals = globals_
+        self.functions = functions
         self.path = path
         self.diagnostics: list[Diagnostic] = []
-        self.int_type = IntType(env.width)
         # Innermost last; each maps a local's name to its type and slot.
         self.scopes: list[dict[str, tuple[ast.Type, int]]] = []
         self.next_slot = 0
@@ -80,12 +73,6 @@ class _Checker:
         self.diagnostics.append(Diagnostic(self.path, span, message))
 
     # -- scope handling ------------------------------------------------------
-
-    def push_scope(self) -> None:
-        self.scopes.append({})
-
-    def pop_scope(self) -> None:
-        self.scopes.pop()
 
     def declare(self, name: str, ty: ast.Type, span: ast.Span) -> int:
         """Bind name in the innermost scope to the next slot and return it."""
@@ -102,7 +89,7 @@ class _Checker:
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
-        g = self.env.globals.get(name)
+        g = self.globals.get(name)
         if g is not None:
             return g.ty, ast.GLOBAL
         return None, None
@@ -144,17 +131,17 @@ class _Checker:
         return False
 
     def check_block(self, block: Block, fn: FunctionDef) -> None:
-        self.push_scope()
+        self.scopes.append({})
         for stmt in block.stmts:
             self.check_stmt(stmt, fn)
-        self.pop_scope()
+        self.scopes.pop()
 
     def check_stmt(self, stmt: Stmt, fn: FunctionDef) -> None:
         if isinstance(stmt, Block):
             self.check_block(stmt, fn)
         elif isinstance(stmt, VarDecl):
             if stmt.init is not None:
-                ty = self.check_expr(stmt.init)
+                ty = self.infer(stmt.init)
                 if ty is not None and ty != stmt.declared_type:
                     self.error(
                         stmt.span,
@@ -178,7 +165,7 @@ class _Checker:
             kw = "assert" if isinstance(stmt, Assert) else "assume"
             self.require_bool(stmt.cond, f"{kw} condition")
         elif isinstance(stmt, ExprStmt):
-            self.check_expr(stmt.expr, allow_void=True)
+            self.infer(stmt.expr, allow_void=True)
         else:  # pragma: no cover - parser produces no other statements
             raise AssertionError(f"unknown statement {stmt!r}")
 
@@ -188,21 +175,20 @@ class _Checker:
             ty, slot = self.lookup(target.name)
             if ty is None:
                 self.error(target.span, f"undefined variable {target.name!r}")
-                self.check_expr(stmt.value)
+                self.infer(stmt.value)
                 return
             if isinstance(ty, ArrayType):
                 self.error(target.span, "arrays cannot be assigned as a whole")
                 return
-            target.ty = ty
             target.slot = slot
             if slot == ast.GLOBAL:
                 self.writes.add(target.name)
-            vty = self.check_expr(stmt.value)
+            vty = self.infer(stmt.value)
             if vty is not None and vty != ty:
                 self.error(stmt.span, f"cannot assign {vty} to {ty}")
         elif isinstance(target, ArrayIndex):
             elem = self.check_array_index(target, writing=True)
-            vty = self.check_expr(stmt.value)
+            vty = self.infer(stmt.value)
             if elem is not None and vty is not None and vty != elem:
                 self.error(stmt.span, f"cannot assign {vty} to array element {elem}")
         else:  # pragma: no cover - parser enforces assignable targets
@@ -212,12 +198,12 @@ class _Checker:
         if isinstance(fn.return_type, VoidType):
             if stmt.value is not None:
                 self.error(stmt.span, f"void function {fn.name!r} returns a value")
-                self.check_expr(stmt.value)
+                self.infer(stmt.value)
         else:
             if stmt.value is None:
                 self.error(stmt.span, f"function {fn.name!r} must return {fn.return_type}")
             else:
-                ty = self.check_expr(stmt.value)
+                ty = self.infer(stmt.value)
                 if ty is not None and ty != fn.return_type:
                     self.error(
                         stmt.span,
@@ -225,7 +211,7 @@ class _Checker:
                     )
 
     def require_bool(self, expr: Expr, what: str) -> None:
-        ty = self.check_expr(expr)
+        ty = self.infer(expr)
         if ty is not None and not isinstance(ty, BoolType):
             self.error(expr.span, f"{what} must be bool, found {ty}")
 
@@ -235,41 +221,31 @@ class _Checker:
         ty, slot = self.lookup(expr.name)
         if ty is None:
             self.error(expr.span, f"undefined variable {expr.name!r}")
-            self.check_expr(expr.index)
+            self.infer(expr.index)
             return None
         if not isinstance(ty, ArrayType):
             self.error(expr.span, f"{expr.name!r} is not an array")
-            self.check_expr(expr.index)
+            self.infer(expr.index)
             return None
         expr.slot = slot
         if slot == ast.GLOBAL:
             self.reads.add(expr.name)
             if writing:
                 self.writes.add(expr.name)
-        ity = self.check_expr(expr.index)
+        ity = self.infer(expr.index)
         if ity is not None and not isinstance(ity, IntType):
             self.error(expr.index.span, "array index must be int")
-        expr.ty = ty.elem
-        return ty.elem
+        return IntType()
 
-    def check_expr(self, expr: Expr, allow_void: bool = False) -> ast.Type | None:
-        ty = self._infer(expr, allow_void)
-        expr.ty = ty
-        return ty
-
-    def _infer(self, expr: Expr, allow_void: bool = False) -> ast.Type | None:
-        if isinstance(expr, IntLit):
-            return self.int_type
-        if isinstance(expr, BoolLit):
-            return BoolType()
-        if isinstance(expr, NondetInt):
-            return self.int_type
-        if isinstance(expr, NondetBool):
+    def infer(self, expr: Expr, allow_void: bool = False) -> ast.Type | None:
+        if isinstance(expr, (IntLit, NondetInt)):
+            return IntType()
+        if isinstance(expr, (BoolLit, NondetBool)):
             return BoolType()
         if isinstance(expr, VarRef):
             ty, slot = self.lookup(expr.name)
             if ty is None:
-                if expr.name in self.env.functions:
+                if expr.name in self.functions:
                     self.error(expr.span, f"{expr.name!r} is a function, not a variable")
                 else:
                     self.error(expr.span, f"undefined variable {expr.name!r}")
@@ -284,14 +260,14 @@ class _Checker:
         if isinstance(expr, ArrayIndex):
             return self.check_array_index(expr, writing=False)
         if isinstance(expr, Unary):
-            ty = self.check_expr(expr.operand)
+            ty = self.infer(expr.operand)
             if ty is None:
                 return None
             if expr.op in ("-", "~"):
                 if not isinstance(ty, IntType):
                     self.error(expr.span, f"operator {expr.op!r} needs an int operand")
                     return None
-                return self.int_type
+                return IntType()
             if not isinstance(ty, BoolType):
                 self.error(expr.span, "operator '!' needs a bool operand")
                 return None
@@ -303,8 +279,8 @@ class _Checker:
         raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
 
     def _infer_binary(self, expr: Binary) -> ast.Type | None:
-        lty = self.check_expr(expr.left)
-        rty = self.check_expr(expr.right)
+        lty = self.infer(expr.left)
+        rty = self.infer(expr.right)
         if lty is None or rty is None:
             return None
         op = expr.op
@@ -327,14 +303,14 @@ class _Checker:
         if not isinstance(lty, IntType) or not isinstance(rty, IntType):
             self.error(expr.span, f"operator {op!r} needs int operands")
             return None
-        return self.int_type
+        return IntType()
 
     def _infer_call(self, expr: Call, allow_void: bool) -> ast.Type | None:
-        fn = self.env.functions.get(expr.name)
+        fn = self.functions.get(expr.name)
         if fn is None:
             self.error(expr.span, f"call to undefined function {expr.name!r}")
             for a in expr.args:
-                self.check_expr(a)
+                self.infer(a)
             return None
         self.callees.add(expr.name)
         if len(expr.args) != len(fn.params):
@@ -344,7 +320,7 @@ class _Checker:
                 f" {len(expr.args)} given",
             )
         for arg, param in zip(expr.args, fn.params):
-            aty = self.check_expr(arg)
+            aty = self.infer(arg)
             if aty is not None and aty != param.ty:
                 self.error(
                     arg.span,
@@ -352,17 +328,32 @@ class _Checker:
                     f" found {aty}",
                 )
         for arg in expr.args[len(fn.params) :]:
-            self.check_expr(arg)
+            self.infer(arg)
         if isinstance(fn.return_type, VoidType) and not allow_void:
             self.error(expr.span, f"void function {expr.name!r} used as a value")
             return None
         return fn.return_type
 
 
-def build_environment(units: list[SourceUnit], width: int) -> tuple[Environment, list[Diagnostic]]:
-    """Collect globals and functions across units, checking name uniqueness."""
+def type_check(
+    units: list[SourceUnit], checked: list[SourceUnit] | None = None
+) -> tuple[dict[str, GlobalDecl], dict[str, FunctionDef]]:
+    """Type-check a set of units that together form one program.
+
+    Returns its globals and its functions by name on success; raises
+    TypeCheckError carrying every diagnostic found otherwise. The `slot` of
+    every declaration and variable reference, and each function's
+    `reads_globals`, `writes_globals` and `callees`, are filled in as a side
+    effect.
+
+    The names, and with them every duplicate-name diagnostic, span all of
+    `units`; declarations are checked only in the `checked` units (all of
+    them by default). A test view passes its test units: the snapshot units
+    already passed their own check, and test files declare no globals, so
+    the added functions cannot give a snapshot body a new error or type.
+    """
     diagnostics: list[Diagnostic] = []
-    globals_map: dict[str, GlobalDecl] = {}
+    globals_: dict[str, GlobalDecl] = {}
     functions: dict[str, FunctionDef] = {}
     owner: dict[str, str] = {}
     for unit in units:
@@ -374,30 +365,9 @@ def build_environment(units: list[SourceUnit], width: int) -> tuple[Environment,
                 continue
             owner[name] = unit.path
             if isinstance(decl, GlobalDecl):
-                globals_map[name] = decl
+                globals_[name] = decl
             else:
                 functions[name] = decl
-    return Environment(globals_map, functions, width), diagnostics
-
-
-def type_check(
-    units: list[SourceUnit], width: int = 32, checked: list[SourceUnit] | None = None
-) -> Environment:
-    """Type-check a set of units that together form one program.
-
-    Returns the shared environment on success; raises TypeCheckError carrying
-    every diagnostic found otherwise. Expression `ty` annotations, the
-    `slot` of every declaration and variable reference, and each function's
-    `reads_globals`, `writes_globals` and `callees` are filled in as a side
-    effect.
-
-    The environment, and with it every duplicate-name diagnostic, spans all
-    of `units`; declarations are checked only in the `checked` units (all of
-    them by default). A test view passes its test units: the snapshot units
-    already passed their own check, and test files declare no globals, so
-    the added functions cannot give a snapshot body a new error or type.
-    """
-    env, diagnostics = build_environment(units, width)
     if checked is None:
         checked = units
     for unit in checked:
@@ -409,10 +379,10 @@ def type_check(
                 message = f"initializer type does not match global {g.name!r} ({g.ty})"
                 diagnostics.append(Diagnostic(unit.path, g.span, message))
     for unit in checked:
-        checker = _Checker(env, unit.path)
+        checker = _Checker(globals_, functions, unit.path)
         for fn in unit.functions:
             checker.check_function(fn)
         diagnostics.extend(checker.diagnostics)
     if diagnostics:
         raise TypeCheckError(diagnostics)
-    return env
+    return globals_, functions

@@ -135,7 +135,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     triggers = {
         name for name, v in verdicts.items() if not isinstance(v, Equivalent)
     } | set(changeset.added)
-    cg = build_call_graph(view, tests)
+    cg = build_call_graph(view)
     selected = select_tests(tests, triggers, cg) if triggers else []
     selection_entries = [
         {

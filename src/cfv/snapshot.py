@@ -3,9 +3,12 @@
 A snapshot is loaded from a directory of `.c` files, from in-memory sources,
 or from a base directory plus a unified diff (hunks are applied to the text
 before parsing). All units of a snapshot share one global namespace and are
-type-checked together at one integer width. Each function carries its own
-body text (`FunctionDef.body_text`), which is what change classification
-compares, so no snapshot keeps the text of its files.
+type-checked together. The snapshot holds the type checker's result, its
+globals and functions by name, and the integer width its values have: the
+syntax has no width, so `snapshot_from_sources`, which every snapshot built
+from text goes through, is where a width is validated. Each function carries
+its own body text (`FunctionDef.body_text`), which is what change
+classification compares, so no snapshot keeps the text of its files.
 """
 
 from __future__ import annotations
@@ -16,23 +19,18 @@ from pathlib import Path
 from cfv.errors import Diagnostic, InputError
 from cfv.minic.ast import DUMMY_SPAN, FunctionDef, GlobalDecl, SourceUnit, Span
 from cfv.minic.parser import parse_unit
-from cfv.minic.typecheck import Environment, type_check
+from cfv.minic.typecheck import type_check
+
+VALID_WIDTHS = (4, 8, 16, 32)
 
 
 @dataclass
 class Snapshot:
     label: str
     units: list[SourceUnit]
-    env: Environment
+    globals: dict[str, GlobalDecl]
+    functions: dict[str, FunctionDef]
     width: int
-
-    @property
-    def functions(self) -> dict[str, FunctionDef]:
-        return self.env.functions
-
-    @property
-    def globals(self) -> dict[str, GlobalDecl]:
-        return self.env.globals
 
 
 def read_source(path: Path) -> str:
@@ -71,18 +69,21 @@ def snapshot_from_sources(
 ) -> Snapshot:
     """Build a snapshot from {path: source} mappings.
 
-    Raises InputError carrying all parse/type diagnostics.
+    Raises ValueError for a width outside VALID_WIDTHS, and InputError
+    carrying all parse/type diagnostics.
     """
+    if width not in VALID_WIDTHS:
+        raise ValueError(f"width must be one of {VALID_WIDTHS}, got {width}")
     units: list[SourceUnit] = []
     diagnostics: list[Diagnostic] = []
     for path in sorted(sources):
         try:
-            units.append(parse_unit(sources[path], path, width))
+            units.append(parse_unit(sources[path], path))
         except InputError as err:
             diagnostics.extend(err.diagnostics)
     if diagnostics:
         raise InputError(diagnostics)
-    return Snapshot(label, units, type_check(units, width), width)
+    return Snapshot(label, units, *type_check(units), width)
 
 
 def load_snapshot(directory: str | Path, width: int = 32) -> Snapshot:

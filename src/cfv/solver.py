@@ -138,15 +138,16 @@ def solve_bounded(
     """solve(formula), with Unsat turned into whether the bound is complete:
     True unless an input allowed by assume_ok escapes the unwinding bound
     (CBMC's unwinding check, one more call unless unwound is constant true)
-    or that call times out. A timeout of the first call propagates."""
+    or that call, its formula's building included, times out. A timeout of
+    the first call propagates."""
     result = solve(formula, stats=stats)
     if not isinstance(result, Unsat):
         return result
     if unwound.is_const and unwound.value:
         return True
     b = formula.builder
-    escape = Formula(b, b.and_(assume_ok, b.not_(unwound)), formula.inputs)
     try:
+        escape = Formula(b, b.and_(assume_ok, b.not_(unwound)), formula.inputs)
         return isinstance(solve(escape, stats=stats), Unsat)
     except Timeout:
         return False

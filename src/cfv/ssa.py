@@ -42,7 +42,9 @@ read with one lookup of its node's slot, and names are never resolved here.
 
 The builder's deadline, if it has one, bounds the encoding: each loop
 iteration and each inlined call polls it through TermBuilder.check_deadline,
-which raises errors.Timeout once it has passed.
+which raises errors.Timeout once it has passed, and the builder polls it
+once per 4,096 terms it creates, so an access to a large array, which
+builds one ite per element with no loop around it, is bounded too.
 """
 
 from __future__ import annotations

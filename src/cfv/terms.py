@@ -24,7 +24,9 @@ are compared as tuples of unsigned input values in slot order.
 
 A check's builder holds its deadline, the only copy of it: encoding, the
 miter and every stage of solver.sat_solve read it from a Formula's builder,
-and each poll goes through errors.check_deadline.
+and each poll goes through errors.check_deadline. The builder polls it
+itself once per _MK_POLL_EVERY new nodes, so no construction that creates
+many nodes outlives it by much.
 
 Query data is acyclic and is freed by reference counting: a term points
 only at older terms, the CNF is tuples of ints, and the solver's state holds
@@ -41,6 +43,10 @@ from dataclasses import dataclass
 from cfv import errors
 
 BOOL = 0
+
+# TermBuilder._mk reads the clock once per this many new nodes; lookups of
+# existing nodes never read it.
+_MK_POLL_EVERY = 4096
 
 # TermBuilder.eq reads the clock once per this many new cached pairs,
 # compared leaf pairs and ite nodes given a selection condition: about 1 ms
@@ -120,9 +126,11 @@ class TermBuilder:
 
     One builder per solving task; terms from different builders must not be
     mixed. All ops validate operand widths. With a deadline (a
-    time.monotonic() value), eq and substitute raise errors.Timeout once it
-    has passed: they are the calls that can expand into thousands of nodes.
-    The encoder polls the same deadline through check_deadline.
+    time.monotonic() value), every op raises errors.Timeout once it has
+    passed and _MK_POLL_EVERY more nodes have been created; eq and
+    substitute also poll as they work, since they can expand into thousands
+    of nodes or cache hits. The encoder polls the same deadline through
+    check_deadline.
 
     The builder keeps substitute's rebuilds for its lifetime, one memo per
     mapping, so a second root under the same mapping rebuilds only the
@@ -152,6 +160,8 @@ class TermBuilder:
             term = Term(op, args, width, value, name, self._uid)
             self._uid += 1
             self._table[key] = term
+            if not self._uid % _MK_POLL_EVERY:
+                self.check_deadline()
         return term
 
     # -- leaves ---------------------------------------------------------------

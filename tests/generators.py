@@ -200,7 +200,7 @@ class FunctionGen:
                 name = self.fresh()
                 out.append(
                     ast.VarDecl(
-                        S, name, ast.IntType(self.width), self.int_expr(local_vars, 2)
+                        S, name, ast.IntType(), self.int_expr(local_vars, 2)
                     )
                 )
                 local_vars.append(name)
@@ -231,7 +231,7 @@ class FunctionGen:
                         ast.Binary(S, "+", ast.VarRef(S, counter), ast.IntLit(S, 1)),
                     )
                 )
-                out.append(ast.VarDecl(S, counter, ast.IntType(self.width), ast.IntLit(S, 0)))
+                out.append(ast.VarDecl(S, counter, ast.IntType(), ast.IntLit(S, 0)))
                 out.append(
                     ast.While(
                         S,
@@ -244,18 +244,18 @@ class FunctionGen:
     def function(self) -> ast.SourceUnit:
         rng = self.rng
         n_params = rng.randint(1, 2)
-        params = [ast.Param(f"p{i}", ast.IntType(self.width), S) for i in range(n_params)]
+        params = [ast.Param(f"p{i}", ast.IntType(), S) for i in range(n_params)]
         vars_ = [p.name for p in params]
         writable = list(vars_)
         decls: list[ast.GlobalDecl | ast.FunctionDef] = []
         if self.with_global:
-            decls.append(ast.GlobalDecl("g", ast.IntType(self.width), None, S))
+            decls.append(ast.GlobalDecl("g", ast.IntType(), None, S))
             vars_.append("g")
             writable.append("g")
         stmts = self.statements(vars_, writable, self.rng.randint(1, 3))
         stmts.append(ast.Return(S, self.int_expr(vars_, 2)))
         fn = ast.FunctionDef(
-            "f", params, ast.IntType(self.width), ast.Block(S, stmts), span=S
+            "f", params, ast.IntType(), ast.Block(S, stmts), span=S
         )
         decls.append(fn)
         return ast.SourceUnit("gen.c", decls)
@@ -289,13 +289,13 @@ class _Renamer:
 
     def expr(self, e: ast.Expr) -> ast.Expr | None:
         if isinstance(e, ast.VarRef):
-            return ast.VarRef(e.span, self.resolve(e.name), e.ty, e.slot)
+            return ast.VarRef(e.span, self.resolve(e.name), e.slot)
         if isinstance(e, ast.ArrayIndex):
             index = ast.map_expr(e.index, self.expr)
-            return ast.ArrayIndex(e.span, self.resolve(e.name), index, e.ty, e.slot)
+            return ast.ArrayIndex(e.span, self.resolve(e.name), index, e.slot)
         if isinstance(e, ast.Call) and e.name == self.fn_name:
             args = [ast.map_expr(a, self.expr) for a in e.args]
-            return ast.Call(e.span, SELF_PLACEHOLDER, args, e.ty)
+            return ast.Call(e.span, SELF_PLACEHOLDER, args)
         return None
 
     def stmt(self, s: ast.Stmt) -> ast.Stmt | None:
@@ -357,7 +357,7 @@ def mutate_function(rng: random.Random, unit: ast.SourceUnit, width: int) -> ast
     text = format_unit(unit)
     from cfv.minic.parser import parse_unit
 
-    copy = parse_unit(text, unit.path, width)
+    copy = parse_unit(text, unit.path)
     fn = copy.functions[0]
     choice = rng.random()
     if choice < 0.2:
@@ -482,7 +482,7 @@ class RandomTestGen:
                     if rng.random() < 0.5
                     else self.gen.int_expr(vars_, 2)
                 )
-                stmts.append(ast.VarDecl(S, name, ast.IntType(self.width), init))
+                stmts.append(ast.VarDecl(S, name, ast.IntType(), init))
                 vars_.append(name)
             elif roll < 0.6:
                 stmts.append(
@@ -517,10 +517,10 @@ class RandomTestGen:
         text = format_unit(unit)
         from cfv.minic.parser import parse_unit
 
-        parsed = parse_unit(text, "gen_test.c", self.width)
+        parsed = parse_unit(text, "gen_test.c")
         # Checked against the fixture view, as load_tests checks test units.
         view = fixture_snapshot(self.width)
-        type_check(view.units + [parsed], self.width, checked=[parsed])
+        type_check(view.units + [parsed], checked=[parsed])
         return TestCase("test_generated", "generated", parsed.functions[0]), text
 
 

@@ -135,17 +135,6 @@ def called_names(fn: ast.FunctionDef) -> set[str]:
     return {e.name for e in ast.preorder(fn.body) if isinstance(e, ast.Call)}
 
 
-def call_graph_edges(snap: Snapshot, bodies: list[ast.FunctionDef]) -> dict[str, tuple[str, ...]]:
-    """Direct-call edges over snap's functions plus bodies, by walking."""
-    functions = dict(snap.functions)
-    for fn in bodies:
-        functions.setdefault(fn.name, fn)
-    return {
-        name: tuple(sorted(called_names(functions[name]) & functions.keys()))
-        for name in sorted(functions)
-    }
-
-
 def closure_names(fn: ast.FunctionDef, snap: Snapshot) -> set[str]:
     """Names of fn and of every snap function it reaches by direct calls."""
     seen: set[str] = set()

@@ -179,6 +179,19 @@ class TestStageTwo:
         assert time.monotonic() - t0 <= cfg.timeout_s + 0.15
         assert verdict == Unknown("timeout")
 
+    def test_large_array_read_obeys_the_time_limit(self):
+        # Reading g[i] builds one ite per element of g with no loop or call
+        # around it, so only the polls of term creation bound the encoding.
+        cfg = UnrollConfig(timeout_s=0.05, width=8)
+        t0 = time.monotonic()
+        verdict = check(
+            "int g[300000]; int f(int i){ return g[i]; }",
+            "int g[300000]; int f(int i){ return g[i] + 0 * i; }",
+            cfg,
+        )
+        assert time.monotonic() - t0 <= cfg.timeout_s + 0.3
+        assert verdict == Unknown("timeout")
+
     def test_miter_build_polls_the_deadline_on_entry(self):
         s = snap("int g; int f(int x){g = x; return x + 1;}")
         builder = TermBuilder()

@@ -16,14 +16,14 @@ from oracles import CORPUS, reference_tokens
 from test_harness import write_scale_corpus
 
 
-def parse_ok(src: str, width: int = 32):
-    unit = parse_unit(src, "t.c", width)
-    type_check([unit], width)
+def parse_ok(src: str):
+    unit = parse_unit(src, "t.c")
+    type_check([unit])
     return unit
 
 
-def fn(src: str, name: str = "f", width: int = 32):
-    unit = parse_ok(src, width)
+def fn(src: str, name: str = "f"):
+    unit = parse_ok(src)
     return next(f for f in unit.functions if f.name == name)
 
 
@@ -491,7 +491,9 @@ class TestTypeCheck:
     def test_well_typed_unit_passes(self):
         unit = parse_unit("bool f(int x){return x == 0;}", "t.c")
         type_check([unit])
-        assert isinstance(unit.functions[0].body.stmts[0].value.ty, ast.BoolType)
+        with pytest.raises(TypeCheckError) as exc:
+            parse_ok("int f(int x){return x == 0;}")
+        assert exc.value.diagnostics[0].message == "return type mismatch: bool, expected int"
 
     def test_undefined_symbol(self):
         with pytest.raises(TypeCheckError) as exc:
@@ -617,10 +619,10 @@ class TestNormalize:
         reference carries the parameter's slot 0, as the type checker would
         resolve it."""
         def nested(name: str) -> ast.FunctionDef:
-            int_type = ast.IntType(8)
-            body = ast.Block(S, [ast.Return(S, ast.VarRef(S, name, int_type, 0))])
+            int_type = ast.IntType()
+            body = ast.Block(S, [ast.Return(S, ast.VarRef(S, name, 0))])
             for _ in range(5_000):
-                cond = ast.Binary(S, ">", ast.VarRef(S, name, int_type, 0), ast.IntLit(S, 0))
+                cond = ast.Binary(S, ">", ast.VarRef(S, name, 0), ast.IntLit(S, 0))
                 body = ast.Block(S, [ast.If(S, cond, body, None)])
             return ast.FunctionDef("f", [ast.Param(name, int_type)], int_type, body)
 
@@ -640,7 +642,7 @@ class TestNormalize:
             variants = []
             for _ in range(3):
                 mutant = mutate_function(rng, unit, 8)
-                type_check([mutant], 8)
+                type_check([mutant])
                 variants.append(mutant.functions[0])
             for a in variants:
                 for b in variants:
@@ -732,10 +734,10 @@ def test_roundtrip_print_parse(seed):
     rng = random.Random(seed)
     unit = FunctionGen(rng, width=8, with_global=rng.random() < 0.5).function()
     text = format_unit(unit)
-    reparsed = parse_unit(text, "gen.c", 8)
+    reparsed = parse_unit(text, "gen.c")
     assert reparsed.declarations == unit.declarations
-    type_check([reparsed], 8)
-    again = parse_unit(format_unit(reparsed), "gen.c", 8)
+    type_check([reparsed])
+    again = parse_unit(format_unit(reparsed), "gen.c")
     assert again.declarations == reparsed.declarations
-    type_check([again], 8)
+    type_check([again])
     assert alpha_key(again.functions[0]) == alpha_key(reparsed.functions[0])

@@ -15,9 +15,9 @@ from cfv.minic import ast, typecheck
 from cfv.minic.normalize import alpha_key
 from cfv.minic.parser import parse_unit
 from cfv.pipeline import RunConfig, run_pipeline
-from cfv.snapshot import load_snapshot, snapshot_from_sources
+from cfv.snapshot import VALID_WIDTHS, load_snapshot, snapshot_from_sources
 
-from oracles import CORPUS, REPO_ROOT, call_graph_edges, called_names, closure_names
+from oracles import CORPUS, REPO_ROOT, called_names, closure_names
 
 LIB = """
 int counter = 0;
@@ -91,22 +91,41 @@ class TestLoading:
         assert "must not declare globals" in str(exc.value)
 
 
+class TestWidth:
+    """The syntax has no width: building a snapshot from text validates
+    one, and a test view keeps its snapshot's."""
+
+    @pytest.mark.parametrize("width", [5, 64])
+    def test_a_width_outside_the_valid_ones_is_rejected(self, tmp_path, width):
+        with pytest.raises(ValueError, match="width must be one of"):
+            snapshot_from_sources({"lib.c": LIB}, "lib", width)
+        (tmp_path / "lib.c").write_text(LIB)
+        with pytest.raises(ValueError, match="width must be one of"):
+            load_snapshot(tmp_path, width)
+
+    @pytest.mark.parametrize("width", VALID_WIDTHS)
+    def test_a_test_view_keeps_its_snapshots_width(self, tmp_path, width):
+        snap = snapshot_from_sources({"lib.c": LIB}, "lib", width)
+        (tmp_path / "t.c").write_text("void test_a() { assert(twice(1) == 2); }")
+        _, view = load_tests(tmp_path, snap)
+        assert view.width == width
+
+
 class TestCallGraphAndSelection:
     def test_direct_and_transitive_reachability(self, tests_and_view):
         tests, view = tests_and_view
-        cg = build_call_graph(view, tests)
-        assert cg.edges["test_twice"] == ("twice",)
+        cg = build_call_graph(view)
         assert cg.reachable("test_twice") == {"test_twice", "twice", "add"}
 
     def test_empty_test_suite_graph(self):
         snap = snapshot_from_sources({"lib.c": LIB}, "lib", 8)
-        cg = build_call_graph(snap, [])
-        assert set(cg.edges) == set(snap.functions)
-        assert cg.edges["twice"] == ("add",)
+        cg = build_call_graph(snap)
+        assert cg.reachable("twice") == {"twice", "add"}
+        assert cg.reachable("add") == {"add"}
 
     def test_selection_is_reachability_intersection(self, tests_and_view):
         tests, view = tests_and_view
-        cg = build_call_graph(view, tests)
+        cg = build_call_graph(view)
         assert [t.name for t in select_tests(tests, {"add"}, cg)] == [
             "test_twice",
             "test_helper",
@@ -116,7 +135,7 @@ class TestCallGraphAndSelection:
 
     def test_no_triggers_selects_nothing(self, tests_and_view):
         tests, view = tests_and_view
-        cg = build_call_graph(view, tests)
+        cg = build_call_graph(view)
         assert select_tests(tests, {"idle"}, cg) == []
 
 
@@ -286,15 +305,14 @@ class TestCalleesFromTheChecker:
         old = load_snapshot(root / "old", width)
         new = load_snapshot(root / "new", width)
         tests, view = load_tests(root / "tests", new)
-        bodies = [t.body for t in tests]
+        assert {t.name for t in tests} <= view.functions.keys()
         for snap in (old, new, view):
+            cg = build_call_graph(snap)
             for fn in snap.functions.values():
                 assert fn.callees == called_names(fn), fn.name
-                assert {f.name for f in closure_functions(fn, snap)} == closure_names(fn, snap)
-        for snap in (old, new):
-            assert build_call_graph(snap, []).edges == call_graph_edges(snap, [])
-        assert build_call_graph(view, tests).edges == call_graph_edges(view, bodies)
-        assert build_call_graph(new, tests).edges == call_graph_edges(new, bodies)
+                closure = closure_names(fn, snap)
+                assert cg.reachable(fn.name) == closure, fn.name
+                assert {f.name for f in closure_functions(fn, snap)} == closure
 
         # generalize rebuilds a body with dataclasses.replace, which must
         # carry `callees` over.

@@ -5,7 +5,7 @@ through the module's `__all__`. `from __future__ import ...` is exempt.
 
 The reference interpreter judges the encoder, the blaster and the solver,
 so nothing it imports, directly or through other `cfv` modules, reaches
-them. No `cfv` module imports `subprocess`: every query is decided by the
+them. The frontend (`cfv.minic`) reaches no `cfv` module but `cfv.errors`. No `cfv` module imports `subprocess`: every query is decided by the
 in-process solver. `errors.Timeout` is raised in one place only,
 `errors.check_deadline`, which every deadline poll calls. And no module
 raises `RuntimeError`: a bug cfv detects in itself is an
@@ -105,6 +105,16 @@ def test_the_walk_follows_imports():
 
 def test_the_interpreter_reaches_nothing_it_judges():
     assert reached_from("cfv.interp") & JUDGED == set()
+
+
+def test_the_frontend_reaches_no_layer_above_it():
+    """Lexing, parsing and type checking need nothing but the error types:
+    no snapshot, encoder, solver or interpreter."""
+    reached = reached_from("cfv.minic")
+    assert "cfv.minic.typecheck" in reached
+    assert {m for m in reached if not m.startswith("cfv.minic.")} <= {
+        "cfv", "cfv.errors", "cfv.minic"
+    }
 
 
 def test_cfv_starts_no_process():

@@ -115,7 +115,7 @@ def test_an_unchecked_tree_is_never_read(kind):
     resolved name raises on it instead of reading its names as globals."""
     src = UNCHECKED[kind]
     snap = _snap(src)
-    fn = parse_unit(src, "m.c", WIDTH).functions[0]
+    fn = parse_unit(src, "m.c").functions[0]
     with pytest.raises(ValueError, match="unresolved"):
         encode_ssa(fn, snap, CFG, TermBuilder())
     with pytest.raises(ValueError, match="unresolved"):
