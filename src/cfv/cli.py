@@ -12,12 +12,18 @@ codes: 0 clean, 1 failing test (or non-equivalent for `equiv`), 2 unknown
 results, 3 bad configuration (usage errors included) or unparseable input,
 4 an internal error in cfv (a result that does not replay), printed as one
 `error: internal: ...` line.
+
+`main` owns the stack: the parser, the type checker, the encoder and the
+interpreter recurse once per nesting level, and inlining a call stacks one
+body on another, so each command runs on a worker thread with a deep stack
+and a raised recursion limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 
 import cfv
@@ -39,6 +45,14 @@ from cfv.snapshot import (
 )
 from cfv.ssa import UnrollConfig
 from cfv.verify import Fail, Pass, verify_test
+
+# The worker's stack and recursion limit. A tree at the parser's bound needs
+# about 4,000 frames; the rest is for inlining, and a check whose calls
+# still run past the limit is decided unknown (unsupported). Recursing to
+# the limit through C calls, as `==` on the syntax tree does, takes about
+# 110 MB of the 1 GiB stack, and a stack costs only the memory it touches.
+STACK_SIZE = 1 << 30
+RECURSION_LIMIT = 200_000
 
 
 def _unroll_args(parser: argparse.ArgumentParser) -> None:
@@ -238,9 +252,7 @@ def cmd_verify(args) -> int:
     return 1 if any_fail else (2 if any_unknown else 0)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     handlers = {
         "analyze": cmd_analyze,
         "diff": cmd_diff,
@@ -263,6 +275,40 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as err:
         print(f"error: internal: {err}", file=sys.stderr)
         return 4
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one cfv command line and return its exit code.
+
+    The arguments are parsed on the calling thread, so a usage error exits
+    from there. The command runs on one worker thread with a STACK_SIZE
+    stack under a recursion limit of RECURSION_LIMIT; both settings are
+    restored before `main` returns, and an exception the command raises is
+    raised again here.
+    """
+    args = build_parser().parse_args(argv)
+    outcome: list = []
+
+    def run() -> None:
+        try:
+            outcome.append(_run(args))
+        except BaseException as err:  # raised again on the calling thread
+            outcome.append(err)
+
+    # A daemon, so that an interrupt on the calling thread ends the process.
+    worker = threading.Thread(target=run, daemon=True)
+    limit = sys.getrecursionlimit()
+    size = threading.stack_size(STACK_SIZE)
+    sys.setrecursionlimit(RECURSION_LIMIT)
+    try:
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
 
 
 if __name__ == "__main__":

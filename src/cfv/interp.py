@@ -29,10 +29,10 @@ from cfv.snapshot import Snapshot
 from cfv.terms import mask, to_signed, to_unsigned
 
 DEFAULT_FUEL = 1_000_000
-# Each interpreted call costs several Python frames; keep the guard well
-# under the Python recursion limit. The entry function counts as one call,
-# and ssa inlines at most MAX_CALL_DEPTH - 1 nested calls, so every model
-# the solver finds can be replayed here.
+# A run that nests calls deeper halts as out_of_fuel, an observable outcome
+# that ssa matches through UnrollConfig.inline_depth, not a stack guard. The
+# entry function counts as one call, and ssa inlines at most MAX_CALL_DEPTH - 1
+# nested calls, so every model the solver finds can be replayed here.
 MAX_CALL_DEPTH = 100
 
 Value = int | bool | list

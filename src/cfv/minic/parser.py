@@ -16,13 +16,16 @@ of at least its minimum level, recursing one level up for each right
 operand, so chains of one level come out left-associative.
 
 The parser, the type checker, the encoder, the interpreter and the tree
-rewriters recurse, so the parser bounds the depth of the tree. Each node on
-the path from the function body to a leaf costs the stack frames that the
-hungriest pass spends on a node of its kind (FRAMES), and a path that costs
-more than MAX_DEPTH is reported as unsupported at the token that crosses the
-bound. A `for` with an init clause thus costs what its desugared block,
-`while` and body cost, an `else if` what its wrapping block and `if` cost,
-and each operator of the flat chain `x + x + x` one binary node.
+rewriters recurse, so the parser bounds the nesting of the tree. Every node
+on the path from the function body to a leaf is one level: a block, an
+`if`, a `while`, an operator, a call, an index or a parenthesis. A path of
+more than MAX_NESTING levels is reported as unsupported at the token that
+crosses the bound. A `for` with an init clause thus takes the levels of its
+desugared block, `while` and body, an `else if` those of its wrapping block
+and `if`, and each operator of the flat chain `x + x + x` one level, since
+the chain is a tree as deep as it is long. The recursion this takes needs
+more stack than Python's default of 1,000 frames; `cfv.cli.main` runs every
+command on a stack deep enough for it.
 """
 
 from __future__ import annotations
@@ -32,22 +35,12 @@ from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.minic.lexer import Lexed, lex
 
-# Stack frames per node: the most that any pass of `cfv diff`, `cfv equiv` or
-# `cfv analyze` spends on a node of the kind, measured with CPython 3.11 by
-# bisecting the recursion limit each pass needs per nesting level. Blocks are
-# costed by the parser, the encoder, the interpreter and the AST rewriter,
-# `while` by the encoder, and calls, indices and parentheses (which build no
-# node) by the parser. The structural stage spends none. Binary and unary
-# nodes are over-counted: no pass spends more than 2 and 1 frames on them,
-# and the higher costs keep the nesting a run accepts, and so every
-# diagnostic, fixed.
-FRAMES = {
-    ast.Block: 2, ast.If: 1, ast.While: 2,
-    ast.Binary: 3, ast.Unary: 2, ast.Call: 4, ast.ArrayIndex: 4, "(": 4,
-}
-# Python's default recursion limit is 1000 frames, and the CLI under pytest
-# sits about 60 deep when it starts on a function body.
-MAX_DEPTH = 900
+# The deepest nesting accepted, in levels. With CPython 3.11 `cfv diff` and
+# `cfv equiv` need at most about 4,000 stack frames for a tree at the bound,
+# since the parser spends four frames a level on parentheses and calls.
+# cli.RECURSION_LIMIT leaves the rest to inlining, which stacks one body on
+# another: a recursive function 1,000 levels deep still inlines 99 calls.
+MAX_NESTING = 1_000
 
 UNSUPPORTED_HINTS = {
     "/": "division is not supported",
@@ -70,7 +63,7 @@ class _Parser:
         self.eof = len(lexed.texts) - 1
         self.path = path
         self.pos = 0
-        self.depth = 0  # FRAMES of the nodes above the one being parsed
+        self.depth = 0  # levels above the node being parsed
 
     # -- token plumbing ----------------------------------------------------
     # A token is its index into the lexer's columns. A text equal to an
@@ -114,10 +107,10 @@ class _Parser:
         if self.kinds[self.pos] == "unsupported":
             self.error("", self.pos)
 
-    def descend(self, tok: int, frames: int, below: int = 0) -> None:
-        """Enter a node that costs `frames`, with `below` already built under it."""
-        self.depth += frames
-        if self.depth + below > MAX_DEPTH:
+    def descend(self, tok: int, below: int = 0) -> None:
+        """Enter a node with `below` levels already built under it."""
+        self.depth += 1
+        if self.depth + below > MAX_NESTING:
             self.unsupported("nesting is too deep to analyze", tok)
 
     def span_from(self, start: int) -> Span:
@@ -231,22 +224,22 @@ class _Parser:
 
     def parse_block(self) -> ast.Block:
         start = self.expect("{")
-        self.descend(start, FRAMES[ast.Block])
+        self.descend(start)
         stmts: list[ast.Stmt] = []
         while not self.at("}"):
             if self.pos == self.eof:
                 self.error("unexpected end of file inside a block")
             stmts.append(self.parse_stmt())
         self.expect("}")
-        self.depth -= FRAMES[ast.Block]
+        self.depth -= 1
         return ast.Block(self.span_from(start), stmts)
 
     def parse_body(self) -> ast.Block:
         if self.at("{"):
             return self.parse_block()
-        self.descend(self.pos, FRAMES[ast.Block])
+        self.descend(self.pos)
         stmt = self.parse_stmt()
-        self.depth -= FRAMES[ast.Block]
+        self.depth -= 1
         return ast.Block(stmt.span, [stmt])
 
     def parse_stmt(self) -> ast.Stmt:
@@ -257,7 +250,7 @@ class _Parser:
         if self.at("int") or self.at("bool"):
             return self.parse_var_decl()
         if self.accept("if"):
-            self.descend(start, FRAMES[ast.If])
+            self.descend(start)
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
@@ -265,15 +258,15 @@ class _Parser:
             else_body = None
             if self.accept("else"):
                 else_body = self.parse_body()
-            self.depth -= FRAMES[ast.If]
+            self.depth -= 1
             return ast.If(self.span_from(start), cond, then_body, else_body)
         if self.accept("while"):
-            self.descend(start, FRAMES[ast.While])
+            self.descend(start)
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_body()
-            self.depth -= FRAMES[ast.While]
+            self.depth -= 1
             return ast.While(self.span_from(start), cond, body)
         if self.accept("for"):
             return self.parse_for(start)
@@ -324,18 +317,18 @@ class _Parser:
         self.expect("(")
         # An init clause goes into a block with the loop; the step goes at
         # the end of the loop body.
-        outer = 0 if self.at(";") else FRAMES[ast.Block]
-        self.descend(start, outer)
         init: ast.Stmt | None = None
-        if not self.at(";"):
+        if self.accept(";"):
+            levels = 1
+        else:
+            levels = 2
+            self.descend(start)
             if self.at("int") or self.at("bool"):
                 init = self.parse_var_decl()  # consumes the ';'
             else:
                 init = self.parse_assign_or_expr()
                 self.expect(";")
-        else:
-            self.expect(";")
-        self.descend(start, FRAMES[ast.While])
+        self.descend(start)
         if self.at(";"):
             cond: ast.Expr = ast.BoolLit(self.span(self.pos), True)
         else:
@@ -343,12 +336,12 @@ class _Parser:
         self.expect(";")
         step: ast.Stmt | None = None
         if not self.at(")"):
-            self.descend(start, FRAMES[ast.Block])
+            self.descend(start)
             step = self.parse_assign_or_expr()
-            self.depth -= FRAMES[ast.Block]
+            self.depth -= 1
         self.expect(")")
         body = self.parse_body()
-        self.depth -= outer + FRAMES[ast.While]
+        self.depth -= levels
         full = self.span_from(start)
         stmts = list(body.stmts)
         if step is not None:
@@ -371,23 +364,23 @@ class _Parser:
         return ast.ExprStmt(self.span_from(start), expr)
 
     # -- expressions ---------------------------------------------------------
-    # Each routine returns the tree with its height: the FRAMES of the nodes
+    # Each routine returns the tree with its height: the levels of the nodes
     # below its root on its deepest path.
 
     def parse_expr(self) -> ast.Expr:
         return self.parse_binary(0)[0]
 
-    def nested_expr(self, tok: int, frames: int) -> tuple[ast.Expr, int]:
-        """A full expression under a node that costs `frames`, such as `(`."""
-        self.descend(tok, frames)
-        result = self.parse_binary(0)
-        self.depth -= frames
-        return result
+    def nested_expr(self, tok: int) -> tuple[ast.Expr, int]:
+        """A full expression one level down, as under `(`, and its height
+        counting that level."""
+        self.descend(tok)
+        expr, height = self.parse_binary(0)
+        self.depth -= 1
+        return expr, height + 1
 
     def parse_binary(self, min_level: int) -> tuple[ast.Expr, int]:
         """An operand followed by every operator of level >= min_level."""
         left, height = self.parse_unary()
-        cost = FRAMES[ast.Binary]
         while True:
             tok = self.pos
             if self.kinds[tok] == "unsupported":
@@ -396,10 +389,10 @@ class _Parser:
             if level is None or level < min_level:
                 return left, height
             self.pos += 1
-            self.descend(tok, cost, height)
+            self.descend(tok, height)
             right, right_height = self.parse_binary(level + 1)
-            self.depth -= cost
-            height = max(height, right_height) + cost
+            self.depth -= 1
+            height = max(height, right_height) + 1
             ls = left.span
             sp = Span(ls.line, ls.col, ls.start, right.span.end)
             left = ast.Binary(sp, self.texts[tok], left, right)
@@ -411,11 +404,11 @@ class _Parser:
         text = self.texts[tok]
         if text in ("-", "!", "~"):
             self.pos += 1
-            self.descend(tok, FRAMES[ast.Unary])
+            self.descend(tok)
             operand, height = self.parse_unary()
-            self.depth -= FRAMES[ast.Unary]
+            self.depth -= 1
             sp = self.span(tok, operand.span.end)
-            return ast.Unary(sp, text, operand), height + FRAMES[ast.Unary]
+            return ast.Unary(sp, text, operand), height + 1
         if text == "&":
             self.unsupported("the address-of operator is not supported", tok)
         if text == "*":
@@ -436,18 +429,17 @@ class _Parser:
                 height = 0
                 if not self.at(")"):
                     while True:
-                        arg, arg_height = self.nested_expr(tok, FRAMES[ast.Call])
+                        arg, arg_height = self.nested_expr(tok)
                         args.append(arg)
-                        height = max(height, arg_height + FRAMES[ast.Call])
+                        height = max(height, arg_height)
                         if not self.accept(","):
                             break
                 self.expect(")")
                 return ast.Call(self.span_from(tok), name, args), height
             if self.accept("["):
-                index, height = self.nested_expr(tok, FRAMES[ast.ArrayIndex])
+                index, height = self.nested_expr(tok)
                 self.expect("]")
-                node = ast.ArrayIndex(self.span_from(tok), name, index)
-                return node, height + FRAMES[ast.ArrayIndex]
+                return ast.ArrayIndex(self.span_from(tok), name, index), height
             return ast.VarRef(self.span(tok), name), 0
         if self.accept("true"):
             return ast.BoolLit(self.span(tok), True), 0
@@ -462,8 +454,8 @@ class _Parser:
             self.expect(")")
             return ast.NondetBool(self.span_from(tok)), 0
         if self.accept("("):
-            # A parenthesis builds no node but costs the parser its frames.
-            expr = self.nested_expr(tok, FRAMES["("])
+            # A parenthesis builds no node but is a level of the parser's.
+            expr = self.nested_expr(tok)
             self.expect(")")
             return expr
         self.error(f"expected an expression, found {self.texts[tok]!r}", tok)

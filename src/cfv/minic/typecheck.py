@@ -62,8 +62,10 @@ class _Checker:
         self.functions = functions
         self.path = path
         self.diagnostics: list[Diagnostic] = []
-        # Innermost last; each maps a local's name to its type and slot.
-        self.scopes: list[dict[str, tuple[ast.Type, int]]] = []
+        # Each local's bindings, innermost last, as its type and slot; and
+        # for each open block the names it declared, unbound when it closes.
+        self.bindings: dict[str, list[tuple[ast.Type, int]]] = {}
+        self.declared: list[set[str]] = []
         self.next_slot = 0
         self.reads: set[str] = set()
         self.writes: set[str] = set()
@@ -75,20 +77,22 @@ class _Checker:
     # -- scope handling ------------------------------------------------------
 
     def declare(self, name: str, ty: ast.Type, span: ast.Span) -> int:
-        """Bind name in the innermost scope to the next slot and return it."""
-        if name in self.scopes[-1]:
-            self.error(span, f"redefinition of {name!r}")
+        """Bind name in the innermost block to the next slot and return it."""
         slot = self.next_slot
         self.next_slot += 1
-        self.scopes[-1][name] = (ty, slot)
+        if name in self.declared[-1]:
+            self.error(span, f"redefinition of {name!r}")
+            self.bindings[name].pop()
+        self.declared[-1].add(name)
+        self.bindings.setdefault(name, []).append((ty, slot))
         return slot
 
     def lookup(self, name: str) -> tuple[ast.Type | None, int | None]:
         """Resolve a name to its type and slot, ast.GLOBAL for a global;
         (None, None) when it is undefined."""
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
+        local = self.bindings.get(name)
+        if local:
+            return local[-1]
         g = self.globals.get(name)
         if g is not None:
             return g.ty, ast.GLOBAL
@@ -97,7 +101,8 @@ class _Checker:
     # -- functions -----------------------------------------------------------
 
     def check_function(self, fn: FunctionDef) -> None:
-        self.scopes = [{}]
+        self.bindings = {}
+        self.declared = [set()]
         self.next_slot = 0
         self.reads = set()
         self.writes = set()
@@ -117,11 +122,7 @@ class _Checker:
         if isinstance(stmt, Return):
             return True
         if isinstance(stmt, Block):
-            # A loop, not any() over a generator: one stack frame a block.
-            for s in stmt.stmts:
-                if self._definitely_returns(s):
-                    return True
-            return False
+            return any(self._definitely_returns(s) for s in stmt.stmts)
         if isinstance(stmt, If):
             return (
                 stmt.else_body is not None
@@ -131,10 +132,11 @@ class _Checker:
         return False
 
     def check_block(self, block: Block, fn: FunctionDef) -> None:
-        self.scopes.append({})
+        self.declared.append(set())
         for stmt in block.stmts:
             self.check_stmt(stmt, fn)
-        self.scopes.pop()
+        for name in self.declared.pop():
+            self.bindings[name].pop()
 
     def check_stmt(self, stmt: Stmt, fn: FunctionDef) -> None:
         if isinstance(stmt, Block):

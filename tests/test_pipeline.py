@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfv
-from cfv import pipeline
+from cfv import cli, pipeline
 from cfv.cli import build_parser, main
 from cfv.errors import ConfigError
 from cfv.interp import Outcome
@@ -83,6 +84,15 @@ def write_tree(tmp_path: Path, old_src: str, new_src: str, tests_src: str):
     tests.mkdir(exist_ok=True)
     (tests / "t.c").write_text(tests_src)
     return tmp_path
+
+
+def python_dash_m(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m cfv *argv` in a fresh interpreter that imports this cfv."""
+    src = str(Path(cfv.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cfv", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 def base_config(tmp_path: Path, **kw) -> RunConfig:
@@ -398,9 +408,13 @@ class TestCli:
         assert "removed: g" in out and "added: h" in out
         assert not any(line.startswith("renamed") for line in out)
 
-    def test_inlining_past_the_stack_is_unsupported(self, tmp_path, capsys):
+    def test_inlining_past_the_stack_is_unsupported(self, tmp_path, capsys, monkeypatch):
         """Each body is within the parser's bound, but inlining a recursive
-        call stacks several of them: the encoder runs out of stack."""
+        call stacks several of them, and past the recursion limit the check
+        is unsupported. The CLI's limit decides this pair, so it is lowered
+        to Python's default, which the parser and the type checker stay under
+        at this nesting."""
+        monkeypatch.setattr(cli, "RECURSION_LIMIT", 1_000)
         nest = 100
         body = f"{'if (n > 0) { ' * nest}r = f(n - 1) + 1;{' }' * nest}"
         old = f"int f(int n) {{ int r = 0; {body} return r; }}\n"
@@ -412,6 +426,29 @@ class TestCli:
         argv = ["verify", "--tests", str(tmp_path / "tests"), "--src", str(tmp_path / "old")]
         assert main(argv) == 2
         assert "test_f: unknown (unsupported)" in capsys.readouterr().out
+
+    def test_equiv_decides_recursion_at_bound_99(self, tmp_path, capsys):
+        """99 inlined calls of a recursive body need far more than Python's
+        default of 1,000 frames; the CLI's stack takes them."""
+        old = "int f(int x){ if (x > 0) { if (x > 0) { return f(x - 1) + 1; } } return 0; }\n"
+        write_tree(tmp_path, old, old.replace("return 0;", "return 1;"), TESTS)
+        a, b = str(tmp_path / "old" / "lib.c"), str(tmp_path / "new" / "lib.c")
+        assert main(["equiv", a, b, "f", "--bound", "99", "--width", "8"]) == 1
+        assert capsys.readouterr().out.startswith("not equivalent (behavior)\n")
+
+    def test_verify_decides_recursion_at_bound_99(self, tmp_path, capsys):
+        lib = (
+            "int f(int x){ if (x > 0) { return ((((f(x - 1) + 1) + 1) + 1) - 3) + 1; }"
+            " return 0; }\n"
+        )
+        test = (
+            "void test_a(){ int v = nondet_int(); assume(v > 90); assume(v < 100);"
+            " assert(f(v) < 95); }\n"
+        )
+        write_tree(tmp_path, lib, lib, test)
+        argv = ["verify", "--tests", str(tmp_path / "tests"), "--src", str(tmp_path / "old")]
+        assert main(argv + ["--bound", "99", "--width", "16"]) == 1
+        assert "test_a: fail at" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "check, printed, code",
@@ -679,59 +716,52 @@ class TestCli:
 
     def test_python_dash_m_runs_the_cli(self):
         minivec = CORPUS / "minivec"
-        src = str(Path(cfv.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "cfv", "diff", "--old", str(minivec / "old"), "--new", str(minivec / "new")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = python_dash_m("diff", "--old", str(minivec / "old"), "--new", str(minivec / "new"))
         assert done.returncode == 0, done.stderr
         assert "modified: vec_insert" in done.stdout
 
 
 # Functions that nest one construct n times, with the deepest n the parser
-# accepts for each: (MAX_DEPTH - the function body's block) over the FRAMES
-# of one level, as `cfv.minic.parser` counts them. The innermost operand is
-# `leaf`. With `y`, a copy of `x`, as the leaf the two versions are
-# equivalent but not structurally equal, so `equiv` compares both trees to
-# the leaf and then encodes both. Loops run once, so the encoding stays small.
+# accepts for each: MAX_NESTING less the function body's block, over the
+# levels of one repetition, as `cfv.minic.parser` counts them. The innermost
+# operand is `leaf`. With `y`, a copy of `x`, as the leaf the two versions
+# are equivalent but not structurally equal, so `equiv` compares both trees
+# to the leaf and then encodes both. Loops run once, so the encoding stays
+# small.
 DEEP_FORMS = {
-    "parentheses": (224, lambda n, leaf: f"return {'(' * n}{leaf}{')' * n};"),
-    "unary": (449, lambda n, leaf: f"return {'- ' * n}{leaf};"),
-    "flat-chain": (299, lambda n, leaf: f"return {' + '.join([leaf] + ['x'] * n)};"),
+    "parentheses": (999, lambda n, leaf: f"return {'(' * n}{leaf}{')' * n};"),
+    "unary": (999, lambda n, leaf: f"return {'- ' * n}{leaf};"),
+    "flat-chain": (999, lambda n, leaf: f"return {' + '.join([leaf] + ['x'] * n)};"),
     "right-chain": (
-        257,
+        999,
         lambda n, leaf: f"return {'x - (' * (n // 2)}{'- ' * (n % 2)}{leaf}{')' * (n // 2)};",
     ),
-    "calls": (224, lambda n, leaf: f"return {'g(' * n}{leaf}{')' * n};"),
-    "indices": (127, lambda n, leaf: f"return {'a[' * n}{leaf} & 3{' & 3]' * n};"),
-    "blocks": (449, lambda n, leaf: f"{'{ ' * n}x = {leaf};{' }' * n} return x;"),
-    "if-blocks": (299, lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;"),
-    "bare-ifs": (299, lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;"),
+    "calls": (999, lambda n, leaf: f"return {'g(' * n}{leaf}{')' * n};"),
+    "indices": (499, lambda n, leaf: f"return {'a[' * n}{leaf} & 3{' & 3]' * n};"),
+    "blocks": (999, lambda n, leaf: f"{'{ ' * n}x = {leaf};{' }' * n} return x;"),
+    "if-blocks": (499, lambda n, leaf: f"{'if (x > 0) { ' * n}x = {leaf};{' }' * n} return x;"),
+    "bare-ifs": (499, lambda n, leaf: f"{'if (x > 0) ' * n}x = {leaf}; return x;"),
     # Every arm returns, so the type checker's return analysis walks the
     # whole chain.
     "if-else-returns": (
-        299,
+        499,
         lambda n, leaf: f"{'if (x > 0) { return 1; } else { ' * n}x = {leaf}; return x;{' }' * n}",
     ),
     "else-ifs": (
-        299,
+        499,
         lambda n, leaf: " else ".join(f"if (x == {i}) {{ x = x; }}" for i in range(n - 1))
         + f" else if (x == {n}) {{ x = {leaf}; }} return x;",
     ),
     "while-loops": (
-        224,
+        499,
         lambda n, leaf: f"{'while (true) { ' * n}x = {leaf}; return x;{' }' * n} return x;",
     ),
     "for-loops": (
-        149,
+        332,
         lambda n, leaf: f"{'for (int i = 0; i < 1; i = i + 1) { ' * n}x = {leaf};{' }' * n} return x;",
     ),
     "for-loops-without-init": (
-        224,
+        499,
         lambda n, leaf: f"{'for (; true; x = x) { ' * n}x = {leaf}; return x;{' }' * n} return x;",
     ),
 }
@@ -766,17 +796,53 @@ class TestNestingBound:
         diagnostic = capsys.readouterr().err
         assert diagnostic.startswith(f"{old / 'm.c'}:3:")
         assert "error: nesting is too deep to analyze" in diagnostic
-        assert main(["equiv", str(old / "m.c"), str(new / "m.c"), "f", "--width", "8"]) == 3
-        assert capsys.readouterr().err == diagnostic
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        for argv in (
+            ["equiv", str(old / "m.c"), str(new / "m.c"), "f"],
+            ["analyze", "--old", str(old), "--new", str(new), "--tests", str(tests),
+             "--out", str(tmp_path / "r.json")],
+            ["verify", "--tests", str(tests), "--src", str(old)],
+        ):
+            assert main(argv + ["--width", "8"]) == 3
+            assert capsys.readouterr().err == diagnostic
+
+    @pytest.mark.parametrize("past, code", [(0, 0), (1, 3)])
+    def test_python_dash_m_at_and_past_the_bound(self, tmp_path, past, code):
+        """A fresh process gets the deep stack from the same entry point."""
+        old, new = write_deep(tmp_path, "parentheses", DEEP_FORMS["parentheses"][0] + past)
+        done = python_dash_m("diff", "--old", str(old), "--new", str(new))
+        assert done.returncode == code, done.stderr
+        if code:
+            assert done.stderr.startswith(f"{old / 'm.c'}:3:")
+            assert "error: nesting is too deep to analyze" in done.stderr
+        else:
+            assert "modified: f" in done.stdout.splitlines()
+
+    def test_main_restores_the_stack_settings(self, tmp_path, monkeypatch):
+        """The worker's stack size and recursion limit do not outlive `main`,
+        whether the command returns or raises."""
+        limit, size = sys.getrecursionlimit(), threading.stack_size()
+        old, new = write_deep(tmp_path, "blocks", 3)
+        assert main(["diff", "--old", str(old), "--new", str(new)]) == 0
+        assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
+
+        def broken(args):
+            raise RuntimeError("broken command")
+
+        monkeypatch.setattr(cli, "cmd_diff", broken)
+        with pytest.raises(RuntimeError, match="broken command"):
+            main(["diff", "--old", str(old), "--new", str(new)])
+        assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
 
     @pytest.mark.parametrize(
         "body",
         [
-            "return " + "(" * 3000 + "x" + ")" * 3000 + ";",
-            "return " + " + ".join(["x"] * 400) + ";",
-            "bool b = " + "!" * 3000 + "(x == 0); return 0;",
-            "if (x > 0) { " * 3000 + "x = 1;" + " }" * 3000 + " return x;",
-            " else ".join(f"if (x == {i}) {{ x = 1; }}" for i in range(3000)) + " return x;",
+            "return " + "(" * 30_000 + "x" + ")" * 30_000 + ";",
+            "return " + " + ".join(["x"] * 30_000) + ";",
+            "bool b = " + "!" * 30_000 + "(x == 0); return 0;",
+            "if (x > 0) { " * 30_000 + "x = 1;" + " }" * 30_000 + " return x;",
+            " else ".join(f"if (x == {i}) {{ x = 1; }}" for i in range(30_000)) + " return x;",
         ],
         ids=["parentheses", "flat-chain", "negations", "if-blocks", "else-ifs"],
     )
@@ -788,10 +854,10 @@ class TestNestingBound:
 
 def test_tests_at_the_bound_are_generalized_verified_and_concretized(tmp_path):
     """Test bodies as deep as the parser takes them go through generalize,
-    verify and concretize: a call under 200 parentheses, and one under 298
+    verify and concretize: a call under 998 parentheses, and one under 499
     nested `if` blocks."""
-    parens = 200
-    ifs = 298
+    parens = 998
+    ifs = 499
     tests = (
         f"void test_parens() {{ int x = {'(' * parens}add(1, 2){')' * parens}; assert(x == 3); }}\n"
         f"void test_ifs() {{ int y = 0; {'if (y == 0) { ' * ifs}y = add(2, 2);{' }' * ifs}"
@@ -853,7 +919,7 @@ def test_diagnostics_in_patched_text_name_the_diff(tmp_path, capsys):
 # cross the nesting bound, the unsupported operators, and punctuation.
 MUTATION_TEXTS = [
     ["#", "\u00b2", "\u0663", "\u00e9", "\r", "\t", "09", "0x"],
-    ["(" * 3, "(" * 120, "(" * 240],
+    ["(" * 3, "(" * 500, "(" * 1000],
     list(UNSUPPORTED_OPERATORS),
     ["\n", ")", ";", "{", "}", "/*", "*/", "//", " + x", "!", "-"],
 ]
