@@ -234,6 +234,9 @@ def cmd_verify(args) -> int:
     snap = load_snapshot(args.src, args.width)
     tests, view = load_tests(args.tests, snap)
     cfg = _unroll_from(args)
+    # Where each function of the view was read from; names are unique.
+    files = {fn.name: Path(args.tests) / u.path for u in view.units for fn in u.functions}
+    files.update({fn.name: Path(args.src) / u.path for u in snap.units for fn in u.functions})
     any_fail = False
     any_unknown = False
     for t in tests:
@@ -244,8 +247,9 @@ def cmd_verify(args) -> int:
             print(f"{t.name}: pass{extra}")
         elif isinstance(result, Fail):
             any_fail = True
-            span = result.counterexample.failing_assert
-            print(f"{t.name}: fail at {Path(args.tests) / t.path}:{span.line}:{span.col}")
+            cx = result.counterexample
+            span = cx.failing_assert
+            print(f"{t.name}: fail at {files[cx.function]}:{span.line}:{span.col}")
         else:
             any_unknown = True
             print(f"{t.name}: unknown ({result.reason})")

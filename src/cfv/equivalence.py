@@ -88,8 +88,11 @@ def transitive_globals(fn: ast.FunctionDef, snap: Snapshot) -> tuple[set[str], s
 
 
 def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
-    """Satisfiable iff some shared input separates the two encodings, whose
-    signatures and shared globals' types check_equivalence has compared."""
+    """The separation of the two encodings, whose signatures and shared
+    globals' types check_equivalence has compared: true on a shared input
+    where exactly one side fails a check, or where both pass and an
+    observable differs. solve_bounded restricts it to the inputs both sides
+    assume and unwind within the bound."""
     if old.builder is not new.builder:
         raise ValueError("miter sides must share one term builder")
     b = old.builder
@@ -113,15 +116,7 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
     ok_diff = b.xor(old.assertion_ok, new.assertion_ok)
     both_ok = b.and_(old.assertion_ok, new.assertion_ok)
     value_diff = b.and_(both_ok, b.any_(diffs))
-    constraint = b.all_(
-        [
-            old.assume_ok,
-            new.assume_ok,
-            old.unwinding_complete,
-            new.unwinding_complete,
-        ]
-    )
-    root = b.and_(constraint, b.or_(ok_diff, value_diff))
+    root = b.or_(ok_diff, value_diff)
     return Formula(b, root, tuple(dict.fromkeys(old.inputs + new.inputs)))
 
 

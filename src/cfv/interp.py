@@ -47,6 +47,8 @@ class Outcome:
     ret: int | bool | None = None
     globals: dict[str, Value] = field(default_factory=dict)
     trace: list[tuple[Span, str, int | bool]] = field(default_factory=list)
+    # The innermost function running when the run halted; span lies in it.
+    function: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -63,6 +65,7 @@ class _Halt(Exception):
     def __init__(self, status: str, span: Span):
         self.status = status
         self.span = span
+        self.function: str | None = None  # set by the innermost call
 
 
 class _ReturnSignal(Exception):
@@ -146,7 +149,9 @@ class Interpreter:
             ret = self.call(fn, args, fn.span)
             return Outcome("ok", None, ret, self.globals, self.trace)
         except _Halt as halt:
-            return Outcome(halt.status, halt.span, None, self.globals, self.trace)
+            return Outcome(
+                halt.status, halt.span, None, self.globals, self.trace, halt.function
+            )
 
     def call(self, fn: ast.FunctionDef, args: list[int | bool], span: Span):
         if len(args) != len(fn.params):
@@ -159,6 +164,9 @@ class Interpreter:
             self.exec_block(fn.body, frame)
         except _ReturnSignal as sig:
             return sig.value
+        except _Halt as halt:
+            halt.function = halt.function or fn.name
+            raise
         finally:
             self.call_depth -= 1
         return None

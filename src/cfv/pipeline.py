@@ -1,18 +1,21 @@
 """End-to-end orchestration under a wall-clock budget.
 
-The run proceeds change classification -> equivalence checks on modified
-pairs -> test selection over the call graph -> generalization ->
-verification, and assembles the report. Renamed and unchanged functions
-never reach a solver; every other check decides its queries in-process with
-solver.sat_solve.
+The run proceeds change classification -> equivalence checks on renamed
+and modified pairs -> test selection over the call graph -> generalization
+-> verification, and assembles the report. Every verdict comes from
+check_equivalence or verify_test, which decide their queries in-process
+with solver.sat_solve. Unchanged functions issue no check, and a renamed
+pair, paired by equal alpha keys, never reaches a solver: a gate of
+check_equivalence or its structural stage decides it.
 
-Each phase is one loop over its items, and one rule dispatches every item:
-the time its phase has left is read when the item starts. With less than
-MIN_ITEM_S left the item is recorded as Unknown(timeout) without being run
-and the report is flagged budget_exceeded; otherwise it runs with the
-smaller of the per-check timeout and the time left. The equivalence phase
-ends at half the budget; verification ends with the budget, so it also gets
-what equivalence left unused.
+Each phase is one loop over its items, and one rule dispatches every item,
+renamed pairs included: the time its phase has left is read when the item
+starts. With less than MIN_ITEM_S left the item is recorded as
+Unknown(timeout) without being run and the report is flagged
+budget_exceeded; otherwise it runs with the smaller of the per-check
+timeout and the time left. The equivalence phase ends at half the budget;
+verification ends with the budget, so it also gets what equivalence left
+unused.
 
 Exit codes: 0 all green, 1 at least one failing test, 2 no failure but at
 least one Unknown anywhere, 3 configuration or input errors, 4 an internal
@@ -100,29 +103,26 @@ def run_pipeline(cfg: RunConfig) -> dict:
     eq_entries: list[dict] = []
     verdicts: dict[str, object] = {}
     t_eq0 = time.monotonic()
-    # Renamed pairs were classified by the structural stage inside the
-    # changeset and issue no check.
-    pairs = [(old_name, new_name, None) for old_name, new_name in changeset.renamed]
-    pairs += [
-        (fn_new.name, fn_new.name, (fn_old, fn_new))
-        for fn_old, fn_new in sorted(changeset.modified, key=lambda p: p[1].name)
+    # Renamed pairs first, then the modified pairs by name; a rename pairs
+    # equal alpha keys, so a gate or the structural stage decides it.
+    pairs = [
+        (old_snap.functions[old_name], new_snap.functions[new_name])
+        for old_name, new_name in changeset.renamed
     ]
-    for old_name, new_name, modified in pairs:
-        if modified is None:
-            verdict, calls, wall = Equivalent("structural", 0, True), 0, 0.0
-        else:
-            verdict, calls, wall = run_item(
-                eq_deadline,
-                lambda unroll, item_stats: check_equivalence(
-                    *modified, (old_snap, new_snap), unroll, item_stats
-                ),
-            )
-        verdicts[new_name] = verdict
+    pairs += sorted(changeset.modified, key=lambda p: p[1].name)
+    for fn_old, fn_new in pairs:
+        verdict, calls, wall = run_item(
+            eq_deadline,
+            lambda unroll, item_stats: check_equivalence(
+                fn_old, fn_new, (old_snap, new_snap), unroll, item_stats
+            ),
+        )
+        verdicts[fn_new.name] = verdict
         eq_entries.append(
             {
-                "function": new_name,
-                "old_name": old_name,
-                "new_name": new_name,
+                "function": fn_new.name,
+                "old_name": fn_old.name,
+                "new_name": fn_new.name,
                 "verdict": verdict_json(verdict, width),
                 "solver_calls": calls,
                 "timings": {"wall_s": round(wall, 6)},

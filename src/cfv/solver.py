@@ -133,21 +133,26 @@ def sat_solve(formula: Formula, stats: SolverStats | None = None) -> SolveResult
 
 
 def solve_bounded(
-    solve, formula: Formula, assume_ok: Term, unwound: Term, stats
+    solve, bad: Formula, assume_ok: Term, unwound: Term, stats
 ) -> Sat | bool:
-    """solve(formula), with Unsat turned into whether the bound is complete:
-    True unless an input allowed by assume_ok escapes the unwinding bound
-    (CBMC's unwinding check, one more call unless unwound is constant true)
-    or that call, its formula's building included, times out. A timeout of
-    the first call propagates."""
-    result = solve(formula, stats=stats)
+    """The bounded query for bad, shaped here and nowhere else: solve
+    decides (assume_ok and unwound) and bad.root over bad.inputs, where
+    assume_ok holds on every input whose run respects its assumptions and
+    unwound on every run within the unwinding bound. A Sat is returned as
+    it is. An Unsat becomes whether the bound is complete: True unless
+    assume_ok and not unwound, over the same inputs, is satisfiable (CBMC's
+    unwinding check, one more call unless unwound is constant true) or
+    that call, its formula's building included, times out. A timeout of the
+    first call, or of building its formula, propagates."""
+    b = bad.builder
+    query = Formula(b, b.and_(b.and_(assume_ok, unwound), bad.root), bad.inputs)
+    result = solve(query, stats=stats)
     if not isinstance(result, Unsat):
         return result
     if unwound.is_const and unwound.value:
         return True
-    b = formula.builder
     try:
-        escape = Formula(b, b.and_(assume_ok, b.not_(unwound)), formula.inputs)
+        escape = Formula(b, b.and_(assume_ok, b.not_(unwound)), bad.inputs)
         return isinstance(solve(escape, stats=stats), Unsat)
     except Timeout:
         return False

@@ -56,7 +56,7 @@ from cfv.errors import CfvError
 from cfv.interp import MAX_CALL_DEPTH, initial_globals
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
-from cfv.terms import BOOL, Formula, Term, TermBuilder
+from cfv.terms import BOOL, Term, TermBuilder
 
 _PARAM_PREFIX = "a"
 _GLOBAL_PREFIX = "g!"
@@ -244,12 +244,17 @@ class Encoder:
     def ok_require(self, guard: Term, cond: Term) -> None:
         self.ok = self.b.and_(self.ok, self.b.implies(guard, cond))
 
+    def indexable(self, length: int) -> int:
+        """How many elements of an array of length an index can select: the
+        index is signed, so none past 2**(width-1) - 1."""
+        return min(length, 1 << (self.width - 1))
+
     def bounds_guard(self, idx: Term, length: int) -> Term:
         b = self.b
-        return b.and_(
-            b.sle(b.const(0, self.width), idx),
-            b.slt(idx, b.const(length, self.width)),
-        )
+        nonneg = b.sle(b.const(0, self.width), idx)
+        if length >= 1 << (self.width - 1):
+            return nonneg  # no index reaches length, which would wrap here
+        return b.and_(nonneg, b.slt(idx, b.const(length, self.width)))
 
     # -- statements ----------------------------------------------------------
 
@@ -304,17 +309,20 @@ class Encoder:
             self.write_var(target, b.ite(eff, value, old), frame)
         else:
             assert isinstance(target, ast.ArrayIndex)
+            # The interpreter's order: index, bounds, value, then the array,
+            # which a call in the value may have written.
             idx = self.eval(target.index, eff, frame)
-            arr = self.read_var(target, frame)
-            assert isinstance(arr, tuple)
-            self.ok_require(eff, self.bounds_guard(idx, len(arr)))
+            length = len(self.read_var(target, frame))
+            self.ok_require(eff, self.bounds_guard(idx, length))
             value = self.eval(stmt.value, eff, frame)
+            arr = self.read_var(target, frame)
+            reach = self.indexable(length)
             updated = tuple(
                 b.ite(
                     b.and_(eff, b.eq(idx, b.const(j, self.width))), value, arr[j]
                 )
-                for j in range(len(arr))
-            )
+                for j in range(reach)
+            ) + arr[reach:]
             self.write_var(target, updated, frame)
 
     def exec_while(self, stmt: ast.While, eff: Term, frame: _Frame) -> None:
@@ -346,10 +354,9 @@ class Encoder:
         if isinstance(expr, ast.ArrayIndex):
             idx = self.eval(expr.index, guard, frame)
             arr = self.read_var(expr, frame)
-            assert isinstance(arr, tuple)
             self.ok_require(guard, self.bounds_guard(idx, len(arr)))
             value = b.const(0, self.width)
-            for j in range(len(arr) - 1, -1, -1):
+            for j in range(self.indexable(len(arr)) - 1, -1, -1):
                 value = b.ite(b.eq(idx, b.const(j, self.width)), arr[j], value)
             return value
         if isinstance(expr, ast.Unary):
@@ -447,13 +454,3 @@ def encode_ssa(
     """Encode one type-checked function under the given unrolling bounds."""
     encoder = Encoder(snap, cfg, builder, symbolic_globals)
     return encoder.encode_function(fn)
-
-
-def verification_formula(prog: SsaProgram) -> Formula:
-    """Satisfiable iff some in-bound, assumption-respecting run violates
-    an assertion or bounds check."""
-    b = prog.builder
-    root = b.all_(
-        [prog.assume_ok, prog.unwinding_complete, b.not_(prog.assertion_ok)]
-    )
-    return Formula(b, root, tuple(prog.inputs))

@@ -28,8 +28,8 @@ from cfv.minic import ast
 from cfv.minic.ast import Span
 from cfv.snapshot import Snapshot
 from cfv.solver import SolverStats, Unknown, sat_solve, solve_bounded
-from cfv.ssa import UnrollConfig, encode_ssa, verification_formula
-from cfv.terms import TermBuilder, collector_paused, to_signed
+from cfv.ssa import UnrollConfig, encode_ssa
+from cfv.terms import Formula, TermBuilder, collector_paused, to_signed
 
 
 @dataclass
@@ -40,6 +40,8 @@ class Counterexample:
     values: dict[tuple[int, int], int | bool]
     failing_assert: Span
     trace: list[tuple[Span, str, int | bool]]
+    # The function failing_assert lies in: the test or one it calls.
+    function: str | None = None
 
 
 @dataclass
@@ -63,12 +65,17 @@ def verify_test(
     cfg: UnrollConfig,
     stats: SolverStats | None = None,
 ) -> VerificationResult:
+    """Pass, Fail or Unknown for gt's body from the snapshot's initial
+    globals. The query is the negation of assertion_ok, a failed assert or
+    bounds check, which solve_bounded restricts to the runs that respect
+    every assume and stay within the bound; a Pass is complete when no
+    such run leaves the bound."""
     builder = TermBuilder(time.monotonic() + cfg.timeout_s)
     try:
         prog = encode_ssa(gt.body, snap, cfg, builder, symbolic_globals=False)
+        failed = Formula(builder, builder.not_(prog.assertion_ok), tuple(prog.inputs))
         result = solve_bounded(
-            sat_solve, verification_formula(prog), prog.assume_ok,
-            prog.unwinding_complete, stats,
+            sat_solve, failed, prog.assume_ok, prog.unwinding_complete, stats
         )
     except Timeout:
         return Unknown("timeout")
@@ -86,7 +93,9 @@ def verify_test(
             f" (got {outcome.status})"
         )
     valuation = {rec.name: model[rec.name] for rec in prog.nondet_records}
-    return Fail(Counterexample(valuation, values, outcome.span, outcome.trace))
+    return Fail(
+        Counterexample(valuation, values, outcome.span, outcome.trace, outcome.function)
+    )
 
 
 def _literal_for(value: int | bool, width: int, span: Span) -> ast.Expr:

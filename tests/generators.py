@@ -432,6 +432,26 @@ void stash(int idx, int val) {
 int fetch(int idx) {
     return buf[idx];
 }
+
+int bump(int v) {
+    buf[0] = v;
+    return v + 1;
+}
+
+void restash(int idx, int val) {
+    buf[1 + (idx & 1)] = bump(val);
+    assert(buf[0] == val);
+}
+
+int wide[12];
+
+void wide_put(int idx, int val) {
+    wide[idx] = val;
+}
+
+int wide_get(int idx) {
+    return wide[idx];
+}
 """
 
 
@@ -443,7 +463,8 @@ class RandomTestGen:
     """Random nondet-free test bodies over the fixture snapshot.
 
     Some asserts hold and some do not; some array accesses go out of
-    bounds. Assumes, at top level and under `if`, come before and after
+    bounds. `wide` has more elements than an index of width 4 can select, and
+    `restash` stores a value whose call writes the same array. Assumes, at top level and under `if`, come before and after
     asserts, so a failed check can precede a failed assume: the run stops
     at whichever fails first. The point is agreement between the encoder
     and the interpreter, not test health.
@@ -456,9 +477,9 @@ class RandomTestGen:
 
     def call_expr(self, vars_: list[str]) -> ast.Expr:
         rng = self.rng
-        name = rng.choice(("add_clip", "scale", "fetch"))
-        if name == "fetch":
-            return ast.Call(S, "fetch", [self.gen.int_expr(vars_, 1)])
+        name = rng.choice(("add_clip", "scale", "fetch", "wide_get"))
+        if name in ("fetch", "wide_get"):
+            return ast.Call(S, name, [self.gen.int_expr(vars_, 1)])
         return ast.Call(
             S, name, [self.gen.int_expr(vars_, 1), self.gen.int_expr(vars_, 1)]
         )
@@ -490,7 +511,7 @@ class RandomTestGen:
                         S,
                         ast.Call(
                             S,
-                            "stash",
+                            rng.choice(("stash", "restash", "wide_put")),
                             [self.gen.int_expr(vars_, 1), self.gen.int_expr(vars_, 1)],
                         ),
                     )

@@ -552,6 +552,49 @@ class TestTypeCheck:
         f = fn("int f(int x){int y = x; { int y = 2; x = y; } return y;}")
         assert f is not None
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("int f(){int x = 1; int x = 2; return x;}", "1:20: error: redefinition of 'x'"),
+            ("int f(int x, int x){return x;}", "1:14: error: redefinition of 'x'"),
+            ("int f(){int x = true; return x;}", "1:9: error: initializer of 'x' has type bool, expected int"),
+            ("void f(){y = 1;}", "1:10: error: undefined variable 'y'"),
+            ("int a[2]; void f(){a = 1;}", "1:20: error: arrays cannot be assigned as a whole"),
+            ("void f(){int x = 0; x = true;}", "1:21: error: cannot assign bool to int"),
+            ("int a[2]; void f(){a[0] = true;}", "1:20: error: cannot assign bool to array element int"),
+            ("void f(){return 1;}", "1:10: error: void function 'f' returns a value"),
+            ("int f(){return;}", "1:9: error: function 'f' must return int"),
+            (
+                "int f(){return b[y];}",
+                "1:16: error: undefined variable 'b'",
+                "1:18: error: undefined variable 'y'",
+            ),
+            ("int f(int x){return x[0];}", "1:21: error: 'x' is not an array"),
+            ("int a[2]; int f(){return a[true];}", "1:28: error: array index must be int"),
+            ("int g(){return 0;} int f(){return g;}", "1:35: error: 'g' is a function, not a variable"),
+            (
+                "int a[2]; bool f(){return a == a;}",
+                "1:27: error: array 'a' used without an index",
+                "1:32: error: array 'a' used without an index",
+            ),
+            ("int f(){return -true;}", "1:16: error: operator '-' needs an int operand"),
+            ("int f(){return -y;}", "1:17: error: undefined variable 'y'"),
+            ("bool f(){return !1;}", "1:17: error: operator '!' needs a bool operand"),
+            ("bool f(){return 1 && true;}", "1:17: error: operator '&&' needs bool operands"),
+            ("bool f(){return 1 == true;}", "1:17: error: cannot compare int with bool"),
+            ("bool f(){return true < 1;}", "1:17: error: operator '<' needs int operands"),
+            ("int f(){return true + 1;}", "1:16: error: operator '+' needs int operands"),
+            ("int g(int x){return x;} int f(){return g(1, 2);}", "1:40: error: 'g' takes 1 argument(s), 2 given"),
+            ("int g = true;", "1:1: error: initializer type does not match global 'g' (int)"),
+            ("bool g = 1;", "1:1: error: initializer type does not match global 'g' (bool)"),
+        ],
+    )
+    def test_every_diagnostic(self, case):
+        src, *lines = case
+        with pytest.raises(TypeCheckError) as exc:
+            parse_ok(src)
+        assert [str(d) for d in exc.value.diagnostics] == [f"t.c:{line}" for line in lines]
+
 
 class TestNormalize:
     def test_canonical_renaming(self):

@@ -7,9 +7,11 @@ The reference interpreter judges the encoder, the blaster and the solver,
 so nothing it imports, directly or through other `cfv` modules, reaches
 them. The frontend (`cfv.minic`) reaches no `cfv` module but `cfv.errors`. No `cfv` module imports `subprocess`: every query is decided by the
 in-process solver. `errors.Timeout` is raised in one place only,
-`errors.check_deadline`, which every deadline poll calls. And no module
+`errors.check_deadline`, which every deadline poll calls. No module
 raises `RuntimeError`: a bug cfv detects in itself is an
-`errors.InternalError`, which the CLI reports in one line.
+`errors.InternalError`, which the CLI reports in one line. And only
+`equivalence.py` and `verify.py` construct a decided verdict; the pipeline
+constructs only the Unknown of an item its budget does not run.
 """
 
 import ast
@@ -129,9 +131,10 @@ def test_cfv_starts_no_process():
     assert found == []
 
 
-def raisers(source: str, exception: str) -> list[str]:
-    """The function around each `raise <exception>` in source ("<module>"
-    at the top level), in source order."""
+def enclosing(source: str, pick) -> list[tuple[str, str]]:
+    """(function, pick(node)) for each node of source that pick gives a str
+    for, in source order: the function is the innermost one around the
+    node, "<module>" at the top level."""
     found = []
 
     def visit(node, where):
@@ -139,15 +142,41 @@ def raisers(source: str, exception: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-                if name == exception:
-                    found.append(where)
+            picked = pick(child)
+            if picked is not None:
+                found.append((where, picked))
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def name_of(node) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def raisers(source: str, exception: str) -> list[str]:
+    """The function around each `raise <exception>` in source ("<module>"
+    at the top level), in source order."""
+
+    def raised(node):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            return name_of(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        return None
+
+    return [where for where, name in enclosing(source, raised) if name == exception]
+
+
+def constructions(source: str, classes) -> list[str]:
+    """`function: call` for each call of one of classes in source, the call
+    as written."""
+
+    def call(node):
+        if isinstance(node, ast.Call) and name_of(node.func) in classes:
+            return ast.unparse(node)
+        return None
+
+    return [f"{where}: {text}" for where, text in enclosing(source, call)]
 
 
 def test_the_check_finds_every_timeout_raise():
@@ -179,3 +208,29 @@ def test_no_module_raises_runtime_error():
     """One path for internal errors: a result that does not replay raises
     errors.InternalError, which `cli.main` turns into exit 4."""
     assert raise_sites("RuntimeError") == []
+
+
+VERDICTS = ("Equivalent", "NotEquivalent", "Pass", "Fail", "Unknown")
+
+
+def test_the_check_finds_every_construction():
+    source = (
+        "def f():\n    return Pass(1, True)\n"
+        "ok = isinstance(v, Fail)\n"
+        "def g():\n    def h():\n        return m.Unknown('t')\n"
+    )
+    assert constructions(source, VERDICTS) == ["f: Pass(1, True)", "h: m.Unknown('t')"]
+
+
+def test_only_the_checks_decide_a_verdict():
+    """One path to every verdict: check_equivalence and verify_test build
+    every decided one, and the pipeline builds only the Unknown of an item
+    its budget leaves no time to run."""
+    decided = {
+        str(path.relative_to(REPO_ROOT))
+        for path in sorted((REPO_ROOT / "src" / "cfv").rglob("*.py"))
+        if constructions(path.read_text(), VERDICTS[:4])
+    }
+    assert decided == {"src/cfv/equivalence.py", "src/cfv/verify.py"}
+    pipeline = (REPO_ROOT / "src" / "cfv" / "pipeline.py").read_text()
+    assert constructions(pipeline, VERDICTS) == ["run_item: Unknown('timeout')"]

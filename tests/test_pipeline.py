@@ -183,6 +183,23 @@ class TestPipeline:
         assert ver["result"] == {"kind": "unknown", "reason": "timeout"}
         assert exit_code(report) == 2
 
+    def test_a_renamed_pair_is_an_item_like_a_modified_one(self, tmp_path):
+        """The structural stage decides it without a solver call, and with
+        less than MIN_ITEM_S left it is not run."""
+        new = LIB_OLD.replace("triple", "thrice")
+        write_tree(tmp_path, LIB_OLD, new, "void test_add(){ assert(add(2, 3) == 5); }\n")
+        report = run_pipeline(base_config(tmp_path))
+        (entry,) = report["equivalence"]
+        assert (entry["old_name"], entry["new_name"]) == ("triple", "thrice")
+        assert entry["verdict"] == {
+            "kind": "equivalent", "mode": "structural", "bound": 0, "complete": True
+        }
+        assert entry["solver_calls"] == 0
+        report = run_pipeline(base_config(tmp_path, budget_s=0.8 * MIN_ITEM_S))
+        (entry,) = report["equivalence"]
+        assert entry["verdict"] == {"kind": "unknown", "reason": "timeout"}
+        assert report["budget"]["exceeded"] is True
+
     def test_no_item_starts_with_less_than_the_floor_left(self, tmp_path):
         # This budget never leaves MIN_ITEM_S to either phase, however fast
         # the files load, so no item may start with its limit raised to it.
@@ -544,6 +561,79 @@ class TestCli:
         )
         assert code == 1
         assert "fail at" in capsys.readouterr().out
+
+    def test_a_rename_does_not_hide_a_changed_initializer(self, tmp_path, capsys):
+        """A renamed pair goes through check_equivalence, whose gate hands a
+        pair reading a global with a new initial value to the tests."""
+        write_tree(
+            tmp_path,
+            "int lim = 3;\nint f(int x){ return x + lim; }\n",
+            "int lim = 4;\nint f2(int x){ return x + lim; }\n",
+            "void test_f2(){ assert(f2(1) == 4); }\n",
+        )
+        code = main([
+            "analyze", "--old", str(tmp_path / "old"), "--new", str(tmp_path / "new"),
+            "--tests", str(tmp_path / "tests"), "--width", "8",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        out = capsys.readouterr().out.splitlines()
+        assert "equivalence: f2: unknown unsupported" in out
+        assert "selected: test_f2 (triggers: f2)" in out
+        assert "verify: test_f2: fail" in out
+        assert code == 1
+
+    @pytest.mark.parametrize("length", [128, 200])
+    def test_equiv_indexes_an_array_past_the_signed_range(self, tmp_path, capsys, length):
+        """At width 8 no index reaches element 128, and the length itself
+        wraps as a constant; every index from 0 to 127 is in bounds."""
+        old = f"int a[{length}];\nint get(int i){{ return a[i]; }}\n"
+        (tmp_path / "a.c").write_text(old)
+        (tmp_path / "b.c").write_text(old.replace("a[i];", "a[i] + 1;"))
+        argv = ["equiv", str(tmp_path / "a.c"), str(tmp_path / "b.c"), "get", "--width", "8"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith("not equivalent (behavior)\n")
+
+    @pytest.mark.parametrize("length", [128, 200, 300])
+    def test_verify_indexes_an_array_past_the_signed_range(self, tmp_path, capsys, length):
+        lib = f"int a[{length}];\nint get(int i){{ return a[i]; }}\n"
+        write_tree(tmp_path, lib, lib, "void test_a(){ assert(get(100) == 0); }\n")
+        argv = ["verify", "--tests", str(tmp_path / "tests"), "--src", str(tmp_path / "old")]
+        assert main([*argv, "--width", "8"]) == 0
+        assert capsys.readouterr().out == "test_a: pass\n"
+
+    STORE_CALL = "int a[4];\nint f(){ a[1] = 5; return 7; }\nvoid g(){ a[0] = f(); }\n"
+
+    def test_verify_keeps_what_the_stored_value_wrote(self, tmp_path, capsys):
+        """In a[0] = f(), f writes a[1] before the store; the store keeps it."""
+        write_tree(
+            tmp_path, self.STORE_CALL, self.STORE_CALL,
+            "void test_g(){ g(); assert(a[1] == 0); }\n",
+        )
+        argv = ["verify", "--tests", str(tmp_path / "tests"), "--src", str(tmp_path / "old")]
+        assert main([*argv, "--width", "8"]) == 1
+        assert capsys.readouterr().out == f"test_g: fail at {tmp_path / 'tests' / 't.c'}:1:21\n"
+
+    def test_equiv_keeps_what_the_stored_value_wrote(self, tmp_path, capsys):
+        (tmp_path / "a.c").write_text(self.STORE_CALL)
+        (tmp_path / "b.c").write_text(self.STORE_CALL.replace("a[0] = f();", "int t = f(); a[0] = t;"))
+        argv = ["equiv", str(tmp_path / "a.c"), str(tmp_path / "b.c"), "g", "--width", "8"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "equivalent (formal)\n"
+
+    def test_verify_names_the_file_of_the_failing_function(self, tmp_path, capsys):
+        """A failure inside a snapshot function is reported in its file under
+        --src, one inside the test in the test's file under --tests."""
+        lib = "int data[4];\nint get(int i){ return data[i]; }\n"
+        write_tree(
+            tmp_path, lib, lib,
+            "void test_get(){ assert(get(7) == 0); }\nvoid test_own(){ assert(get(1) == 1); }\n",
+        )
+        argv = ["verify", "--tests", str(tmp_path / "tests"), "--src", str(tmp_path / "old")]
+        assert main([*argv, "--width", "8"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"test_get: fail at {tmp_path / 'old' / 'lib.c'}:2:24",
+            f"test_own: fail at {tmp_path / 'tests' / 't.c'}:2:18",
+        ]
 
     def test_input_errors_exit_three(self, tmp_path, capsys):
         bad = tmp_path / "bad"
