@@ -38,12 +38,6 @@ class ChangeSet:
         return [new.name for _, new in self.modified]
 
 
-def same_signature(a: FunctionDef, b: FunctionDef) -> bool:
-    """Same positional parameter types and the same return type."""
-    same_params = [p.ty for p in a.params] == [p.ty for p in b.params]
-    return same_params and a.return_type == b.return_type
-
-
 def structural_equiv(a: FunctionDef, b: FunctionDef) -> bool:
     """Stage-1 equivalence: equal alpha keys.
 

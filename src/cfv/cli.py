@@ -160,9 +160,9 @@ def cmd_analyze(args) -> int:
 def cmd_diff(args) -> int:
     old_snap = load_snapshot(args.old)
     if args.diff is not None:
-        new_snap = load_snapshot_from_diff(args.old, args.diff)
+        new_snap = load_snapshot_from_diff(old_snap, args.diff)
     else:
-        new_snap = load_snapshot(args.new)
+        new_snap = load_snapshot(args.new, base=old_snap)
     cs = compute_changeset(old_snap, new_snap)
     for name in cs.unchanged:
         print(f"unchanged: {name}")
@@ -178,11 +178,12 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def _file_snapshot(path: Path, width: int):
-    """One file as a snapshot; diagnostics carry the path as given."""
+def _file_snapshot(path: Path, width: int, base=None):
+    """One file as a snapshot, loaded against base when given; diagnostics
+    carry the path as given."""
     source = read_source(path)
     try:
-        return snapshot_from_sources({path.name: source}, path.name, width)
+        return snapshot_from_sources({path.name: source}, path.name, width, base)
     except InputError as err:
         raise under(path.parent, err) from None
 
@@ -190,7 +191,8 @@ def _file_snapshot(path: Path, width: int):
 def cmd_equiv(args) -> int:
     width = args.width
     old_path, new_path = Path(args.old_file), Path(args.new_file)
-    old_snap, new_snap = (_file_snapshot(path, width) for path in (old_path, new_path))
+    old_snap = _file_snapshot(old_path, width)
+    new_snap = _file_snapshot(new_path, width, old_snap)
     name = args.function
     for snap, path in ((old_snap, old_path), (new_snap, new_path)):
         if name not in snap.functions:

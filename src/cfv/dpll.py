@@ -26,7 +26,7 @@ list, which bitblast does for formulas of at most bitblast.SIM_MAX_INPUT_BITS
   polled every 512 steps, a step being a decision or a propagated literal.
   The width-32 miter of minivec's vec_insert, 352 input bits and 14,262
   variables once blasted, is satisfiable; finding its least model takes
-  about 0.09 s on a 2-core x86-64 host.
+  about 0.05 s on a 2-core x86-64 host.
 
 solve_cnf also polls the deadline on entry. Every poll goes through
 errors.check_deadline, which raises errors.Timeout once the deadline has

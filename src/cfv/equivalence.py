@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from cfv.changes import changed_globals, same_signature, structural_equiv
+from cfv.changes import changed_globals, structural_equiv
 from cfv.errors import InternalError, Timeout
 from cfv.harness import CallGraph
 from cfv.interp import Outcome, run_function, zero_globals
@@ -170,7 +170,7 @@ def check_equivalence(
 ) -> EquivalenceVerdict:
     old_snap, new_snap = snaps
 
-    if not same_signature(old_fn, new_fn):
+    if not ast.same_signature(old_fn, new_fn):
         return NotEquivalent("signature_mismatch")
 
     reads_old, writes_old = transitive_globals(old_fn, old_snap)

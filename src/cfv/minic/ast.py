@@ -269,6 +269,9 @@ class SourceUnit:
     path: str
     declarations: list[GlobalDecl | FunctionDef]
     comments: list[Comment] = field(default_factory=list, compare=False)
+    # The text the unit was parsed from, which a later parse of the same
+    # file compares its own text with to reuse declarations.
+    text: str = field(default="", compare=False, repr=False)
 
     @property
     def functions(self) -> list[FunctionDef]:
@@ -277,6 +280,12 @@ class SourceUnit:
     @property
     def globals(self) -> list[GlobalDecl]:
         return [d for d in self.declarations if isinstance(d, GlobalDecl)]
+
+
+def same_signature(a: FunctionDef, b: FunctionDef) -> bool:
+    """Same positional parameter types and the same return type."""
+    same_params = [p.ty for p in a.params] == [p.ty for p in b.params]
+    return same_params and a.return_type == b.return_type
 
 
 # The slot of a reference to a global.

@@ -10,6 +10,16 @@ A token is its index into the lexer's columns (`lexer.Lexed`): the parser
 moves one int along them and compares texts, and it asks for a Span only
 when it builds a node or a diagnostic.
 
+A unit can be parsed against a base, the checked unit of an earlier text
+of the same file. The file is lexed once, and at each top-level declaration
+the parser takes the base's declaration object instead of parsing when it
+starts at the same offset, on the same line and column, and has the same
+text up to its end; it then resumes at the first token past that end. From
+a token boundary identical text lexes to identical tokens, and a
+declaration ends at a `;` or `}`, which no longer token can extend, so the
+object is what parsing there would build, plus the annotations of the
+base's check. A text equal to the base's returns the base unit unlexed.
+
 Binary operators are parsed by precedence climbing over the levels of
 `ast.BINARY_PRECEDENCE`: one call parses an operand and then every operator
 of at least its minimum level, recursing one level up for each right
@@ -29,6 +39,8 @@ command on a stack deep enough for it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from cfv.errors import Diagnostic, MiniCSyntaxError, UnsupportedConstructError
 from cfv.minic import ast
@@ -55,15 +67,20 @@ UNSUPPORTED_HINTS = {
 
 
 class _Parser:
-    def __init__(self, lexed: Lexed, path: str):
+    def __init__(self, lexed: Lexed, source: str, path: str, base: ast.SourceUnit | None):
         self.texts = lexed.texts
         self.kinds = lexed.kinds
+        self.starts = lexed.starts
         self.ends = lexed.ends
         self.span = lexed.span
         self.eof = len(lexed.texts) - 1
+        self.source = source
         self.path = path
         self.pos = 0
         self.depth = 0  # levels above the node being parsed
+        # The base unit's text and its declarations by start offset.
+        self.base_text = "" if base is None else base.text
+        self.base_decls = {} if base is None else {d.span.start: d for d in base.declarations}
 
     # -- token plumbing ----------------------------------------------------
     # A token is its index into the lexer's columns. A text equal to an
@@ -121,9 +138,28 @@ class _Parser:
     def parse_unit(self) -> list[ast.GlobalDecl | ast.FunctionDef]:
         decls: list[ast.GlobalDecl | ast.FunctionDef] = []
         while self.pos != self.eof:
-            self.reject_unsupported()
-            decls.append(self.parse_top_decl())
+            decl = self.reuse()
+            if decl is None:
+                self.reject_unsupported()
+                decl = self.parse_top_decl()
+            decls.append(decl)
         return decls
+
+    def reuse(self) -> ast.GlobalDecl | ast.FunctionDef | None:
+        """The base declaration that starts at the current token, on the
+        same line and column, with the same text up to its end; the parser
+        then moves to the first token past it. None when there is none."""
+        start = self.starts[self.pos]
+        decl = self.base_decls.get(start)
+        if decl is None:
+            return None
+        end = decl.span.end
+        if self.span(self.pos)[:2] != decl.span[:2] or (
+            self.source[start:end] != self.base_text[start:end]
+        ):
+            return None
+        self.pos = bisect_left(self.starts, end, self.pos)
+        return decl
 
     def parse_base_type(self) -> ast.Type:
         tok = self.pos
@@ -217,7 +253,12 @@ class _Parser:
         self.expect(")")
         body = self.parse_block()
         return ast.FunctionDef(
-            self.texts[name_tok], params, return_type, body, span=self.span_from(start)
+            self.texts[name_tok],
+            params,
+            return_type,
+            body,
+            span=self.span_from(start),
+            body_text=self.source[body.span.start : body.span.end],
         )
 
     # -- statements ----------------------------------------------------------
@@ -461,15 +502,19 @@ class _Parser:
         self.error(f"expected an expression, found {self.texts[tok]!r}", tok)
 
 
-def parse_unit(source: str, path: str) -> ast.SourceUnit:
-    """Parse one translation unit.
+def parse_unit(
+    source: str, path: str, base: ast.SourceUnit | None = None
+) -> ast.SourceUnit:
+    """Parse one translation unit, against base, the unit of an earlier
+    text of the file, when one is given.
 
     Raises MiniCSyntaxError or UnsupportedConstructError with positioned
-    diagnostics on failure. The result still needs type checking.
+    diagnostics on failure. The result still needs type checking, except
+    for what it shares with a checked base: base itself when path and text
+    are base's, else each declaration of base that `_Parser.reuse` finds.
     """
+    if base is not None and base.path == path and base.text == source:
+        return base
     lexed = lex(source, path)
-    decls = _Parser(lexed, path).parse_unit()
-    for d in decls:
-        if isinstance(d, ast.FunctionDef):
-            d.body_text = source[d.body.span.start : d.body.span.end]
-    return ast.SourceUnit(path, decls, lexed.comments)
+    decls = _Parser(lexed, source, path, base).parse_unit()
+    return ast.SourceUnit(path, decls, lexed.comments, source)

@@ -17,6 +17,15 @@ the encoder, the interpreter and the alpha key read it from there.
 
 Conditions of `if`/`while` and the arguments of `assert`/`assume` must be
 bool; there is no implicit int-to-bool conversion anywhere.
+
+Which functions are checked: every function of the checked units except
+those shared, as the same object, with the snapshot a new version was
+loaded against. A function's check reads of other declarations only the
+types of the globals it reads or writes and the signatures of the
+functions it calls, so a shared function whose globals and callees are
+declared alike checks as it did there. `stale_units` names the units
+where that fails; the loader parses those afresh, so no object of the old
+snapshot is written to.
 """
 
 from __future__ import annotations
@@ -337,23 +346,11 @@ class _Checker:
         return fn.return_type
 
 
-def type_check(
-    units: list[SourceUnit], checked: list[SourceUnit] | None = None
-) -> tuple[dict[str, GlobalDecl], dict[str, FunctionDef]]:
-    """Type-check a set of units that together form one program.
-
-    Returns its globals and its functions by name on success; raises
-    TypeCheckError carrying every diagnostic found otherwise. The `slot` of
-    every declaration and variable reference, and each function's
-    `reads_globals`, `writes_globals` and `callees`, are filled in as a side
-    effect.
-
-    The names, and with them every duplicate-name diagnostic, span all of
-    `units`; declarations are checked only in the `checked` units (all of
-    them by default). A test view passes its test units: the snapshot units
-    already passed their own check, and test files declare no globals, so
-    the added functions cannot give a snapshot body a new error or type.
-    """
+def declarations(
+    units: list[SourceUnit],
+) -> tuple[dict[str, GlobalDecl], dict[str, FunctionDef], list[Diagnostic]]:
+    """The first declaration of each name across units, globals and
+    functions apart, and a diagnostic for each later one."""
     diagnostics: list[Diagnostic] = []
     globals_: dict[str, GlobalDecl] = {}
     functions: dict[str, FunctionDef] = {}
@@ -370,8 +367,63 @@ def type_check(
                 globals_[name] = decl
             else:
                 functions[name] = decl
+    return globals_, functions, diagnostics
+
+
+def stale_units(
+    units: list[SourceUnit],
+    base_globals: dict[str, GlobalDecl],
+    base_functions: dict[str, FunctionDef],
+) -> set[str]:
+    """Paths of the units holding a function of a checked base (the same
+    object) that would not check here as it did there: a global it reads
+    or writes is not declared here with the same type, or a function it
+    calls not with the same signature."""
+    globals_, functions, _ = declarations(units)
+
+    def alike(fn: FunctionDef) -> bool:
+        return all(
+            name in globals_ and globals_[name].ty == base_globals[name].ty
+            for name in fn.reads_globals | fn.writes_globals
+        ) and all(
+            name in functions and ast.same_signature(functions[name], base_functions[name])
+            for name in fn.callees
+        )
+
+    return {
+        unit.path
+        for unit in units
+        for fn in unit.functions
+        if base_functions.get(fn.name) is fn and not alike(fn)
+    }
+
+
+def type_check(
+    units: list[SourceUnit],
+    checked: list[SourceUnit] | None = None,
+    base_functions: dict[str, FunctionDef] | None = None,
+) -> tuple[dict[str, GlobalDecl], dict[str, FunctionDef]]:
+    """Type-check a set of units that together form one program.
+
+    Returns its globals and its functions by name on success; raises
+    TypeCheckError carrying every diagnostic found otherwise. The `slot` of
+    every declaration and variable reference, and each function's
+    `reads_globals`, `writes_globals` and `callees`, are filled in as a side
+    effect.
+
+    The names, and with them every duplicate-name diagnostic, span all of
+    `units`; declarations are checked only in the `checked` units (all of
+    them by default). A test view passes its test units: the snapshot units
+    already passed their own check, and test files declare no globals, so
+    the added functions cannot give a snapshot body a new error or type.
+
+    A function of `base_functions`, the functions of a checked snapshot,
+    is not checked again; no unit that `stale_units` names may hold one.
+    """
+    globals_, functions, diagnostics = declarations(units)
     if checked is None:
         checked = units
+    base_functions = base_functions or {}
     for unit in checked:
         for g in unit.globals:
             if g.init is None:
@@ -383,7 +435,8 @@ def type_check(
     for unit in checked:
         checker = _Checker(globals_, functions, unit.path)
         for fn in unit.functions:
-            checker.check_function(fn)
+            if base_functions.get(fn.name) is not fn:
+                checker.check_function(fn)
         diagnostics.extend(checker.diagnostics)
     if diagnostics:
         raise TypeCheckError(diagnostics)

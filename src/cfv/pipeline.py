@@ -71,9 +71,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     old_snap = load_snapshot(cfg.old_dir, width)
     if cfg.diff_path is not None:
-        new_snap = load_snapshot_from_diff(cfg.old_dir, cfg.diff_path, width)
+        new_snap = load_snapshot_from_diff(old_snap, cfg.diff_path)
     else:
-        new_snap = load_snapshot(cfg.new_dir, width)
+        new_snap = load_snapshot(cfg.new_dir, width, old_snap)
     tests, view = load_tests(cfg.tests_dir, new_snap)
 
     changeset = compute_changeset(old_snap, new_snap)

@@ -1,14 +1,27 @@
 """Snapshots: one type-checked version of a codebase.
 
 A snapshot is loaded from a directory of `.c` files, from in-memory sources,
-or from a base directory plus a unified diff (hunks are applied to the text
-before parsing). All units of a snapshot share one global namespace and are
-type-checked together. The snapshot holds the type checker's result, its
-globals and functions by name, and the integer width its values have: the
-syntax has no width, so `snapshot_from_sources`, which every snapshot built
-from text goes through, is where a width is validated. Each function carries
-its own body text (`FunctionDef.body_text`), which is what change
-classification compares, so no snapshot keeps the text of its files.
+or from a base snapshot plus a unified diff (hunks are applied to the text
+of the base's units before parsing). All units of a snapshot share one
+global namespace and are type-checked together. The snapshot holds its
+units, the type checker's result, its globals and functions by name, and
+the integer width its values have: the syntax has no width, so
+`snapshot_from_sources`, which every snapshot built from text goes through,
+is where a width is validated. Each unit keeps the text it was parsed from,
+and each function its own body text (`FunctionDef.body_text`), which is
+what change classification compares.
+
+A new version is loaded against the old snapshot, its base, and shares
+with it what did not change. A file whose text and relative path equal a
+base unit's is that unit and is not lexed. In any other file the parser
+takes each base declaration that starts at the same offset, line and
+column with the same text (`parser.parse_unit`). A shared function is not
+checked again, so nothing reachable from the base is written to; when a
+global it reads or writes, or a function it calls, is declared differently
+here, its unit is parsed afresh and checked (`typecheck.stale_units`). So
+the result, its diagnostics included, is what a load without a base gives,
+and a declaration that kept its text and position is the same object on
+both sides.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from pathlib import Path
 from cfv.errors import Diagnostic, InputError
 from cfv.minic.ast import DUMMY_SPAN, FunctionDef, GlobalDecl, SourceUnit, Span
 from cfv.minic.parser import parse_unit
-from cfv.minic.typecheck import type_check
+from cfv.minic.typecheck import stale_units, type_check
 
 VALID_WIDTHS = (4, 8, 16, 32)
 
@@ -65,28 +78,38 @@ def under(origin: Path, err: InputError) -> InputError:
 
 
 def snapshot_from_sources(
-    sources: dict[str, str], label: str, width: int = 32
+    sources: dict[str, str], label: str, width: int = 32, base: Snapshot | None = None
 ) -> Snapshot:
-    """Build a snapshot from {path: source} mappings.
+    """Build a snapshot from {path: source} mappings, against base, an
+    earlier snapshot of the same code, when one is given.
 
     Raises ValueError for a width outside VALID_WIDTHS, and InputError
     carrying all parse/type diagnostics.
     """
     if width not in VALID_WIDTHS:
         raise ValueError(f"width must be one of {VALID_WIDTHS}, got {width}")
+    base_units = {} if base is None else {u.path: u for u in base.units}
     units: list[SourceUnit] = []
     diagnostics: list[Diagnostic] = []
     for path in sorted(sources):
         try:
-            units.append(parse_unit(sources[path], path))
+            units.append(parse_unit(sources[path], path, base_units.get(path)))
         except InputError as err:
             diagnostics.extend(err.diagnostics)
     if diagnostics:
         raise InputError(diagnostics)
-    return Snapshot(label, units, *type_check(units), width)
+    if base is None:
+        return Snapshot(label, units, *type_check(units), width)
+    # A shared function that would check differently here is parsed again
+    # with the rest of its unit and checked afresh.
+    stale = stale_units(units, base.globals, base.functions)
+    units = [parse_unit(u.text, u.path) if u.path in stale else u for u in units]
+    return Snapshot(label, units, *type_check(units, base_functions=base.functions), width)
 
 
-def load_snapshot(directory: str | Path, width: int = 32) -> Snapshot:
+def load_snapshot(
+    directory: str | Path, width: int = 32, base: Snapshot | None = None
+) -> Snapshot:
     directory = Path(directory)
     if not directory.is_dir():
         raise InputError([Diagnostic(str(directory), DUMMY_SPAN, "not a directory")])
@@ -94,7 +117,7 @@ def load_snapshot(directory: str | Path, width: int = 32) -> Snapshot:
     if not sources:
         raise InputError([Diagnostic(str(directory), DUMMY_SPAN, "no .c files found")])
     try:
-        return snapshot_from_sources(sources, directory.name, width)
+        return snapshot_from_sources(sources, directory.name, width, base)
     except InputError as err:
         raise under(directory, err) from None
 
@@ -223,22 +246,17 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
     return result
 
 
-def load_snapshot_from_diff(
-    base_dir: str | Path,
-    diff_path: str | Path,
-    width: int = 32,
-) -> Snapshot:
-    """Snapshot of base_dir with a unified diff applied on top."""
-    base_dir = Path(base_dir)
-    sources = read_sources(base_dir)
+def load_snapshot_from_diff(base: Snapshot, diff_path: str | Path) -> Snapshot:
+    """base with a unified diff applied to the text of its units, loaded
+    against base."""
     diff_text = read_source(Path(diff_path))
     try:
-        patched = apply_unified_diff(sources, diff_text)
+        patched = apply_unified_diff({u.path: u.text for u in base.units}, diff_text)
     except DiffError as err:
         raise InputError([Diagnostic(str(diff_path), DUMMY_SPAN, str(err))]) from None
     try:
         return snapshot_from_sources(
-            patched, f"{base_dir.name}+{Path(diff_path).name}", width
+            patched, f"{base.label}+{Path(diff_path).name}", base.width, base
         )
     except InputError as err:
         raise under(Path(diff_path), err) from None

@@ -160,10 +160,9 @@ class Encoder:
 
         if not self.symbolic_globals:
             for name, value in initial_globals(self.snap).items():
-                if isinstance(value, list):
-                    self.global_env[name] = tuple(
-                        b.const(v, self.width) for v in value
-                    )
+                b.check_deadline()
+                if isinstance(value, list):  # no initializer: all zero
+                    self.global_env[name] = (b.const(0, self.width),) * len(value)
                 elif isinstance(value, bool):
                     self.global_env[name] = b.bool_const(value)
                 else:
@@ -204,7 +203,7 @@ class Encoder:
         if isinstance(ty, ast.BoolType):
             return self.b.false
         if isinstance(ty, ast.ArrayType):
-            return tuple(self.b.const(0, self.width) for _ in range(ty.length))
+            return (self.b.const(0, self.width),) * ty.length
         return self.b.const(0, self.width)
 
     def global_value(self, name: str) -> Term | tuple[Term, ...]:

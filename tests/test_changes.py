@@ -10,6 +10,7 @@ from cfv.minic.printer import format_unit
 from cfv.snapshot import (
     DiffError,
     apply_unified_diff,
+    load_snapshot,
     load_snapshot_from_diff,
     snapshot_from_sources,
 )
@@ -296,8 +297,8 @@ class TestUnifiedDiff:
             "+    return 2;\n"
             " }\n"
         )
-        new = load_snapshot_from_diff(base, diff_file, width=8)
-        old = snapshot_from_sources(self.BASE, "old", 8)
+        old = load_snapshot(base, width=8)
+        new = load_snapshot_from_diff(old, diff_file)
         cs = compute_changeset(old, new)
         assert cs.modified_names == ["f"]
 
@@ -308,4 +309,4 @@ class TestUnifiedDiff:
         diff_file = tmp_path / "change.diff"
         diff_file.write_text("--- a/missing.c\n+++ b/missing.c\n@@ -1,1 +1,1 @@\n-x\n+y\n")
         with pytest.raises(InputError):
-            load_snapshot_from_diff(base, diff_file, width=8)
+            load_snapshot_from_diff(load_snapshot(base, width=8), diff_file)

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfv.changes import compute_changeset, same_signature
+from cfv.changes import compute_changeset
 from cfv.equivalence import (
     Equivalent,
     NotEquivalent,
@@ -359,7 +359,7 @@ def encoded_pairs(scale_root):
         pair = snap(texts[0], "old"), snap(texts[1], "new")
         cases.append((pair[0].functions["f"], pair[1].functions["f"], pair, W4))
     for fo, fn, (so, sn), cfg in cases:
-        if same_signature(fo, fn):
+        if ast.same_signature(fo, fn):
             builder = TermBuilder()
             yield encode_ssa(fo, so, cfg, builder), encode_ssa(fn, sn, cfg, builder)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -117,6 +118,22 @@ void test_a(){
         )
         result = verify_test(gt, view, UnrollConfig(timeout_s=1.0, width=32))
         assert isinstance(result, Unknown) and result.reason == "timeout"
+
+    def test_a_large_global_array_starts_within_the_limit(self, tmp_path):
+        # The initial state of a concrete test holds every element of the
+        # array; it is one zero repeated, so building it takes no per-element
+        # work that could outlast the deadline.
+        gt, view = as_generalized(
+            "void test_a(){ assert(get(3) == 0); }",
+            "int a[2000000]; int get(int i){ return a[i]; }",
+            width=8,
+            tmp_path=tmp_path,
+        )
+        cfg = UnrollConfig(timeout_s=0.05, width=8)
+        t0 = time.monotonic()
+        result = verify_test(gt, view, cfg)
+        assert time.monotonic() - t0 <= cfg.timeout_s + 0.15
+        assert result in (Pass(8, True), Unknown("timeout"))
 
     def test_counterexample_trace_ends_at_failure(self, tmp_path):
         gt, view = as_generalized(
