@@ -109,6 +109,8 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
         vo = old.globals_written.get(name, initial[name])
         vn = new.globals_written.get(name, initial[name])
         if isinstance(vo, tuple):
+            # A written array holds the elements an index can reach, its
+            # recorded inputs all: zip stops at the shorter, which no side passes.
             diffs.extend(b.ne(x, y) for x, y in zip(vo, vn))
         else:
             diffs.append(b.ne(vo, vn))

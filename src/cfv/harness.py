@@ -4,7 +4,8 @@ Tests are MiniC functions named `test_*` (void, no parameters, at least one
 assert) in a designated directory. Test files may define helper functions
 but no globals. They are type-checked against the snapshot under test plus
 themselves, giving a combined view that the verifier and call graph operate
-on; the snapshot's own bodies were checked when it was loaded.
+on; the check takes the snapshot's globals and functions as its base, so
+the declarations checked when the snapshot was loaded are not checked again.
 The section label of a test is the comment sitting directly above it, or
 the function name when there is none.
 
@@ -100,9 +101,8 @@ def _check_tests(
         raise InputError(diagnostics)
 
     units = snap.units + test_units
-    view = Snapshot(
-        f"{snap.label}+tests", units, *type_check(units, checked=test_units), snap.width
-    )
+    checked = type_check(units, (snap.globals, snap.functions))
+    view = Snapshot(f"{snap.label}+tests", units, *checked, snap.width)
 
     tests: list[TestCase] = []
     for unit in test_units:

@@ -18,14 +18,14 @@ the encoder, the interpreter and the alpha key read it from there.
 Conditions of `if`/`while` and the arguments of `assert`/`assume` must be
 bool; there is no implicit int-to-bool conversion anywhere.
 
-Which functions are checked: every function of the checked units except
-those shared, as the same object, with the snapshot a new version was
-loaded against. A function's check reads of other declarations only the
-types of the globals it reads or writes and the signatures of the
-functions it calls, so a shared function whose globals and callees are
-declared alike checks as it did there. `stale_units` names the units
-where that fails; the loader parses those afresh, so no object of the old
-snapshot is written to.
+Which declarations are checked: every one of the units except those
+that the base, the result of an earlier check, holds as the same object.
+A test view's base is its snapshot, a new version's the old one. A
+function's check reads of other declarations only the types of the
+globals it reads or writes and the signatures of the functions it calls,
+so a shared function whose globals and callees are declared alike checks
+as it did there. `stale_units` names the units where that fails; the
+loader parses those afresh, so no object of the base is written to.
 """
 
 from __future__ import annotations
@@ -371,14 +371,13 @@ def declarations(
 
 
 def stale_units(
-    units: list[SourceUnit],
-    base_globals: dict[str, GlobalDecl],
-    base_functions: dict[str, FunctionDef],
+    units: list[SourceUnit], base: tuple[dict[str, GlobalDecl], dict[str, FunctionDef]]
 ) -> set[str]:
-    """Paths of the units holding a function of a checked base (the same
-    object) that would not check here as it did there: a global it reads
-    or writes is not declared here with the same type, or a function it
-    calls not with the same signature."""
+    """Paths of the units holding a function that base, a type_check
+    result, holds as the same object and that would not check here as it
+    did there: a global it reads or writes is not declared here with the
+    same type, or a function it calls not with the same signature."""
+    base_globals, base_functions = base
     globals_, functions, _ = declarations(units)
 
     def alike(fn: FunctionDef) -> bool:
@@ -400,8 +399,7 @@ def stale_units(
 
 def type_check(
     units: list[SourceUnit],
-    checked: list[SourceUnit] | None = None,
-    base_functions: dict[str, FunctionDef] | None = None,
+    base: tuple[dict[str, GlobalDecl], dict[str, FunctionDef]] | None = None,
 ) -> tuple[dict[str, GlobalDecl], dict[str, FunctionDef]]:
     """Type-check a set of units that together form one program.
 
@@ -412,27 +410,23 @@ def type_check(
     effect.
 
     The names, and with them every duplicate-name diagnostic, span all of
-    `units`; declarations are checked only in the `checked` units (all of
-    them by default). A test view passes its test units: the snapshot units
-    already passed their own check, and test files declare no globals, so
-    the added functions cannot give a snapshot body a new error or type.
-
-    A function of `base_functions`, the functions of a checked snapshot,
-    is not checked again; no unit that `stale_units` names may hold one.
+    `units`. A declaration that base, what an earlier type_check returned,
+    holds as the same object is not checked again; no unit that
+    `stale_units` names may hold one. A test view passes its snapshot's
+    result: test files declare no globals, so the added functions cannot
+    give a snapshot body a new error or type.
     """
     globals_, functions, diagnostics = declarations(units)
-    if checked is None:
-        checked = units
-    base_functions = base_functions or {}
-    for unit in checked:
+    base_globals, base_functions = base or ({}, {})
+    for unit in units:
         for g in unit.globals:
-            if g.init is None:
+            if g.init is None or base_globals.get(g.name) is g:
                 continue
             is_bool_init = isinstance(g.init, BoolLit)
             if isinstance(g.ty, BoolType) != is_bool_init:
                 message = f"initializer type does not match global {g.name!r} ({g.ty})"
                 diagnostics.append(Diagnostic(unit.path, g.span, message))
-    for unit in checked:
+    for unit in units:
         checker = _Checker(globals_, functions, unit.path)
         for fn in unit.functions:
             if base_functions.get(fn.name) is not fn:

@@ -15,10 +15,12 @@ A new version is loaded against the old snapshot, its base, and shares
 with it what did not change. A file whose text and relative path equal a
 base unit's is that unit and is not lexed. In any other file the parser
 takes each base declaration that starts at the same offset, line and
-column with the same text (`parser.parse_unit`). A shared function is not
+column with the same text (`parser.parse_unit`). The type check takes the
+base's globals and functions, and a declaration shared with them is not
 checked again, so nothing reachable from the base is written to; when a
-global it reads or writes, or a function it calls, is declared differently
-here, its unit is parsed afresh and checked (`typecheck.stale_units`). So
+global a shared function reads or writes, or a function it calls, is
+declared differently here, its unit is parsed afresh and checked
+(`typecheck.stale_units`). So
 the result, its diagnostics included, is what a load without a base gives,
 and a declaration that kept its text and position is the same object on
 both sides.
@@ -89,6 +91,7 @@ def snapshot_from_sources(
     if width not in VALID_WIDTHS:
         raise ValueError(f"width must be one of {VALID_WIDTHS}, got {width}")
     base_units = {} if base is None else {u.path: u for u in base.units}
+    checked = ({}, {}) if base is None else (base.globals, base.functions)
     units: list[SourceUnit] = []
     diagnostics: list[Diagnostic] = []
     for path in sorted(sources):
@@ -98,13 +101,11 @@ def snapshot_from_sources(
             diagnostics.extend(err.diagnostics)
     if diagnostics:
         raise InputError(diagnostics)
-    if base is None:
-        return Snapshot(label, units, *type_check(units), width)
     # A shared function that would check differently here is parsed again
     # with the rest of its unit and checked afresh.
-    stale = stale_units(units, base.globals, base.functions)
+    stale = stale_units(units, checked)
     units = [parse_unit(u.text, u.path) if u.path in stale else u for u in units]
-    return Snapshot(label, units, *type_check(units, base_functions=base.functions), width)
+    return Snapshot(label, units, *type_check(units, checked), width)
 
 
 def load_snapshot(

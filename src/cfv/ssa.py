@@ -28,9 +28,11 @@ explicit merging. Every nondet intrinsic occurrence becomes a fresh input
 symbol tagged with its source site, which is what lets counterexamples
 replay through the interpreter.
 
-Two entry-state modes: equivalence checking reads globals as fresh shared
-input symbols (a function can be called in any state), while whole-test
-verification starts from the snapshot's declared initial values.
+A global enters the encoding on its first read, so an unread one is never
+built, in one of two modes: equivalence checking reads fresh shared input
+symbols (a function can be called in any state), while whole-test
+verification takes the declared initial value. An array's term tuple holds
+only the elements a signed index can reach (Encoder.indexable).
 
 SsaProgram records what each input stands for: the parameters, each
 global's input terms and each nondet's site. Input names stay private here;
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from math import inf
 
 from cfv.errors import CfvError
-from cfv.interp import MAX_CALL_DEPTH, initial_globals
+from cfv.interp import MAX_CALL_DEPTH
 from cfv.minic import ast
 from cfv.snapshot import Snapshot
 from cfv.terms import BOOL, Term, TermBuilder
@@ -95,11 +97,12 @@ class SsaProgram:
     # models compare inputs in this order.
     inputs: list[Term]
     params: list[Term]
-    # Each global's input term, or one per array element; empty when the
-    # globals start from their declared values.
+    # Each global's input term, or one per array element up to its declared
+    # length; empty when the globals start from their declared values.
     global_inputs: dict[str, Term | tuple[Term, ...]]
     ret: Term | None
-    # Each written global's final value, in the order globals were first met.
+    # Each written global's final value, in the order globals were first met;
+    # an array's holds the elements an index can reach (Encoder.indexable).
     globals_written: dict[str, Term | tuple[Term, ...]]
     assertion_ok: Term
     unwinding_complete: Term
@@ -158,16 +161,6 @@ class Encoder:
         self.assume = b.true
         self.depth = 0
 
-        if not self.symbolic_globals:
-            for name, value in initial_globals(self.snap).items():
-                b.check_deadline()
-                if isinstance(value, list):  # no initializer: all zero
-                    self.global_env[name] = (b.const(0, self.width),) * len(value)
-                elif isinstance(value, bool):
-                    self.global_env[name] = b.bool_const(value)
-                else:
-                    self.global_env[name] = b.const(value, self.width)
-
         params = []
         for i, p in enumerate(fn.params):
             if isinstance(p.ty, ast.ArrayType):
@@ -203,26 +196,32 @@ class Encoder:
         if isinstance(ty, ast.BoolType):
             return self.b.false
         if isinstance(ty, ast.ArrayType):
-            return (self.b.const(0, self.width),) * ty.length
+            return (self.b.const(0, self.width),) * self.indexable(ty.length)
         return self.b.const(0, self.width)
 
     def global_value(self, name: str) -> Term | tuple[Term, ...]:
+        """name's current value; its entry value is built on first read."""
         value = self.global_env.get(name)
         if value is not None:
             return value
-        # First read in symbolic mode: materialize fresh shared inputs.
-        ty = self.snap.globals[name].ty
-        if isinstance(ty, ast.ArrayType):
-            value = tuple(
+        decl = self.snap.globals[name]
+        ty = decl.ty
+        width = BOOL if isinstance(ty, ast.BoolType) else self.width
+        if not self.symbolic_globals:
+            init = ast.literal_value(decl.init)
+            value = self._default(ty) if init is None else self.b.const(init, width)
+        elif isinstance(ty, ast.ArrayType):
+            elements = tuple(
                 self.b.input(f"{_GLOBAL_PREFIX}{name}!{i}", self.width)
                 for i in range(ty.length)
             )
-            self.inputs.extend(value)
+            self.inputs.extend(elements)
+            self.global_inputs[name] = elements
+            value = elements[: self.indexable(ty.length)]
         else:
-            width = BOOL if isinstance(ty, ast.BoolType) else self.width
             value = self.b.input(f"{_GLOBAL_PREFIX}{name}", width)
             self.inputs.append(value)
-        self.global_inputs[name] = value
+            self.global_inputs[name] = value
         self.global_env[name] = value
         return value
 
@@ -245,14 +244,15 @@ class Encoder:
 
     def indexable(self, length: int) -> int:
         """How many elements of an array of length an index can select: the
-        index is signed, so none past 2**(width-1) - 1."""
+        index is signed, so none past 2**(width-1) - 1. An array's term
+        tuple holds these elements only."""
         return min(length, 1 << (self.width - 1))
 
     def bounds_guard(self, idx: Term, length: int) -> Term:
         b = self.b
         nonneg = b.sle(b.const(0, self.width), idx)
         if length >= 1 << (self.width - 1):
-            return nonneg  # no index reaches length, which would wrap here
+            return nonneg  # a tuple cut at indexable; length would wrap here
         return b.and_(nonneg, b.slt(idx, b.const(length, self.width)))
 
     # -- statements ----------------------------------------------------------
@@ -315,13 +315,10 @@ class Encoder:
             self.ok_require(eff, self.bounds_guard(idx, length))
             value = self.eval(stmt.value, eff, frame)
             arr = self.read_var(target, frame)
-            reach = self.indexable(length)
             updated = tuple(
-                b.ite(
-                    b.and_(eff, b.eq(idx, b.const(j, self.width))), value, arr[j]
-                )
-                for j in range(reach)
-            ) + arr[reach:]
+                b.ite(b.and_(eff, b.eq(idx, b.const(j, self.width))), value, old)
+                for j, old in enumerate(arr)
+            )
             self.write_var(target, updated, frame)
 
     def exec_while(self, stmt: ast.While, eff: Term, frame: _Frame) -> None:
@@ -355,7 +352,7 @@ class Encoder:
             arr = self.read_var(expr, frame)
             self.ok_require(guard, self.bounds_guard(idx, len(arr)))
             value = b.const(0, self.width)
-            for j in range(self.indexable(len(arr)) - 1, -1, -1):
+            for j in range(len(arr) - 1, -1, -1):
                 value = b.ite(b.eq(idx, b.const(j, self.width)), arr[j], value)
             return value
         if isinstance(expr, ast.Unary):

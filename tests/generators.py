@@ -541,7 +541,7 @@ class RandomTestGen:
         parsed = parse_unit(text, "gen_test.c")
         # Checked against the fixture view, as load_tests checks test units.
         view = fixture_snapshot(self.width)
-        type_check(view.units + [parsed], checked=[parsed])
+        type_check(view.units + [parsed], (view.globals, view.functions))
         return TestCase("test_generated", "generated", parsed.functions[0]), text
 
 

@@ -388,6 +388,24 @@ class TestRecordedInputs:
             used = {t.name for t in postorder(miter.root) if t.op == "input"}
             assert used <= set(names)
 
+    def test_a_one_sided_write_meets_every_recorded_element(self):
+        # At width 8 an index reaches 128 of buf's 200 elements: the writing
+        # side's final value holds those, the other side's recorded inputs
+        # all 200.
+        verdict = check(
+            "int buf[200]; void f(int i){}",
+            "int buf[200]; void f(int i){if (i >= 100) { buf[i] = buf[i] + 1; }}",
+            UnrollConfig(width=8),
+        )
+        assert isinstance(verdict, NotEquivalent) and verdict.reason == "behavior"
+        (i,) = verdict.witness.params
+        initial = verdict.witness.globals["buf"]
+        assert len(initial) == 200
+        old, new = verdict.old_observables, verdict.new_observables
+        assert old.ok and new.ok and old.globals["buf"] == initial
+        changed = [j for j, (x, y) in enumerate(zip(initial, new.globals["buf"])) if x != y]
+        assert changed == [i] and 100 <= i < 128
+
     @pytest.mark.parametrize("old, new", ONE_SIDED)
     def test_witness_globals_are_those_either_side_touches(self, old, new):
         so, sn = snap(old, "old"), snap(new, "new")

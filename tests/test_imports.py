@@ -5,7 +5,8 @@ through the module's `__all__`. `from __future__ import ...` is exempt.
 
 The reference interpreter judges the encoder, the blaster and the solver,
 so nothing it imports, directly or through other `cfv` modules, reaches
-them. The frontend (`cfv.minic`) reaches no `cfv` module but `cfv.errors`. No `cfv` module imports `subprocess`: every query is decided by the
+them, and the encoder takes from it nothing but `MAX_CALL_DEPTH`, so the
+two build a test's initial state apart. The frontend (`cfv.minic`) reaches no `cfv` module but `cfv.errors`. No `cfv` module imports `subprocess`: every query is decided by the
 in-process solver. `errors.Timeout` is raised in one place only,
 `errors.check_deadline`, which every deadline poll calls. No module
 raises `RuntimeError`: a bug cfv detects in itself is an
@@ -107,6 +108,34 @@ def test_the_walk_follows_imports():
 
 def test_the_interpreter_reaches_nothing_it_judges():
     assert reached_from("cfv.interp") & JUDGED == set()
+
+
+def names_imported(source: str, module: str) -> list[str]:
+    """Every name source imports from module; an import of module itself
+    gives its own name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name == module]
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module == module:
+                    names.append(alias.name)
+                elif f"{node.module}.{alias.name}" == module:
+                    names.append(module)
+    return names
+
+
+def test_the_check_finds_every_imported_name():
+    source = "from m.n import A, b\nimport m.n\nfrom m import n\nfrom m import k\nimport m\n"
+    assert names_imported(source, "m.n") == ["A", "b", "m.n", "m.n"]
+
+
+def test_the_encoder_shares_only_the_call_depth_with_the_interpreter():
+    """The interpreter judges the encoder's initial state too, so the two
+    build it apart: ssa takes from interp only the depth both must keep."""
+    source = module_path("cfv.ssa").read_text()
+    assert names_imported(source, "cfv.interp") == ["MAX_CALL_DEPTH"]
 
 
 def test_the_frontend_reaches_no_layer_above_it():

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -120,9 +121,9 @@ void test_a(){
         assert isinstance(result, Unknown) and result.reason == "timeout"
 
     def test_a_large_global_array_starts_within_the_limit(self, tmp_path):
-        # The initial state of a concrete test holds every element of the
-        # array; it is one zero repeated, so building it takes no per-element
-        # work that could outlast the deadline.
+        # The test reads the array, so its initial state is built: one zero
+        # repeated for the 128 elements an index can reach at width 8, with
+        # no per-element work that could outlast the deadline.
         gt, view = as_generalized(
             "void test_a(){ assert(get(3) == 0); }",
             "int a[2000000]; int get(int i){ return a[i]; }",
@@ -134,6 +135,37 @@ void test_a(){
         result = verify_test(gt, view, cfg)
         assert time.monotonic() - t0 <= cfg.timeout_s + 0.15
         assert result in (Pass(8, True), Unknown("timeout"))
+
+    def test_writes_to_a_large_global_array_finish_within_the_limit(self, tmp_path):
+        # A write updates the elements an index can reach, 128 at width 8,
+        # not the two million the array declares.
+        gt, view = as_generalized(
+            "void test_a(){ fill(); assert(get(3) == 3); }",
+            """
+int a[2000000];
+void fill(){ int i = 0; while (i < 8) { a[i] = i; i = i + 1; } }
+int get(int i){ return a[i]; }
+""",
+            width=8,
+            tmp_path=tmp_path,
+        )
+        assert verify_test(gt, view, UnrollConfig(timeout_s=0.05, width=8)) == Pass(8, True)
+
+    def test_a_global_the_test_never_reads_is_never_built(self, tmp_path):
+        gt, view = as_generalized(
+            "void test_a(){ assert(one() == 1); }",
+            "int big[2000000]; int one(){ return 1; }",
+            width=32,
+            tmp_path=tmp_path,
+        )
+        tracemalloc.start()
+        try:
+            result = verify_test(gt, view, UnrollConfig(width=32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == Pass(8, True)
+        assert peak < 1 << 20  # a list of big's elements alone takes 16 MB
 
     def test_counterexample_trace_ends_at_failure(self, tmp_path):
         gt, view = as_generalized(
