@@ -1,4 +1,4 @@
-"""Tseitin transformation from term DAGs to CNF.
+"""One-sided Tseitin transformation from term DAGs to CNF.
 
 The circuit is built first: gate constructors fold constants and hash
 structurally, and only record each gate as (kind, operand literals). Then
@@ -13,37 +13,76 @@ bitvector's bits allocated most-significant first, then one variable per
 live gate, in the order the gates were created. A gate is created after its
 operands, so its variable lies above theirs.
 
-The result carries two views of one circuit: the Tseitin clauses, with the
-root literal as a unit clause, and the gate list (var, kind, operands) of
-the live gates in that same topological order, with the root literal. The
-gate list is kept only for formulas of at most SIM_MAX_INPUT_BITS input
-bits, and this module alone reads that threshold: dpll.solve_cnf simulates
+The result carries two views of one circuit: the clauses, with the root
+literal as a unit clause, and the gate list (var, kind, operands) of the
+live gates in that same topological order, with the root literal. The gate
+list is kept only for formulas of at most SIM_MAX_INPUT_BITS input bits,
+and this module alone reads that threshold: dpll.solve_cnf simulates
 exactly the formulas that carry a gate list and searches the clauses of the
-rest. On the width-32 vec_insert miter (14k variables) the list would hold
-1.8 MB while the learning core searches. Every variable above the inputs
-is a gate, a function of the inputs. So a least satisfying input valuation, extended by
-the gate values it forces, is the lexicographically least model over
-variables 1..n, with input valuations compared in the counting order of the
-test suite's enumeration oracle (tests/oracles.exhaustive_solve). dpll
-returns that model whether it simulates the gates or searches the clauses.
+rest. On the width-32 vec_insert miter (14,262 variables) the list would
+add about 2 MB to the 3.5 MB of clauses while the learning core searches.
+
+The clauses are one-sided (Plaisted & Greenbaum, "A Structure-preserving
+Clause Form Translation", J. Symb. Comp. 1986). A gate g = f(ops) has two
+sides: _POS, the clauses of g -> f(ops), and _NEG, those of f(ops) -> g.
+The root literal is asserted, so the root's variable needs _POS when the
+literal is positive and _NEG when it is negated. An operand of an and or
+maj gate, and each branch of an ite, needs the sides its reader needs,
+swapped where the reader reads it negated; the operands of an xor and the
+condition of an ite need both. Each gate writes the sides it needs. An and
+gate read by one live gate only, an and reading it as a positive literal,
+is absorbed (Jackson & Sheridan, "Clause Form Conversions for Boolean
+Circuits", SAT 2004): its operands join its reader's clauses as further
+conjuncts, recursively, and it writes no clause. An n-ary clause lists a
+repeated conjunct once and is dropped when it holds x and -x.
+
+Fix an input valuation. The clauses are satisfiable with the inputs set to
+it exactly when the circuit's root is true:
+
+* The circuit's values satisfy every clause: each is a Tseitin clause of
+  its gate, or a resolvent of the Tseitin clauses of an and gate and those
+  it absorbed, and the root's unit clause holds when the root does.
+* Conversely, take any model M with those inputs. By induction over the
+  gates that write clauses, operands first, a gate that writes _POS and is
+  true in M is true in the circuit, and one that writes _NEG and is false
+  in M is false there: each of its clauses ties it to operand literals
+  whose needed sides give the same bound (Plaisted and Greenbaum's
+  argument). The root's unit clause then makes the root true.
+
+So the input bits of the models are exactly the satisfying input
+valuations, though a gate's variable may differ from the circuit's value
+in a model, and an absorbed gate's appears in no clause at all. dpll's
+static search returns the lexicographically least model of any clause set.
+The inputs come right after the constant, so that model's variables
+2..k + 1 are the least satisfying input valuation, in the counting order
+of the test suite's enumeration oracle (tests/oracles.exhaustive_solve),
+and that is all solver.sat_solve decodes. Simulation finds the same
+valuation, with the circuit's value in every gate variable.
 
 Arithmetic is structural: ripple-carry adders, subtraction as a + ~b + 1,
 shift-and-add multiplication, barrel shifters, signed comparison from the
 borrow chain and sign bits, and equality as an AND chain from the most
-significant bit down. ITE gates carry the two redundant clauses so equal
-branches propagate without a case split.
+significant bit down. Each side of an ITE gate carries a redundant clause,
+so equal branches propagate without a case split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import neg
 
 from cfv.errors import check_deadline
 from cfv.terms import BOOL, Formula, Term, postorder
 
 TRUE_LIT = 1
 SIM_MAX_INPUT_BITS = 16  # formulas up to this many input bits keep gates
-_POLL_MASK = 4095  # poll the deadline every 4,096 gates built or emitted
+_POLL_MASK = 4095  # poll the deadline every 4,096 gates, in each pass over them
+# The sides of a gate g = f(ops) that cnf writes: _POS the clauses of
+# g -> f(ops), _NEG those of f(ops) -> g. An and gate can be _ABSORBED into
+# its reader, which then _ABSORBS it.
+_POS, _NEG, _BOTH, _ABSORBED, _ABSORBS = 1, 2, 3, 4, 8
+_FLIP = (0, _NEG, _POS, _BOTH)  # the sides an operand read negated needs
 
 
 @dataclass
@@ -236,31 +275,85 @@ class _Blaster:
         return self.ite_gate(self.xor_gate(sa, sb), sa, diff_sign)
 
     def cnf(self, root: int, input_bits: dict[str, tuple[int, ...]]) -> CnfFormula:
-        """The clauses of the gates in the root's cone of influence.
+        """The clauses of the root's cone of influence, each gate's written
+        only on the sides the root needs (see the module docstring).
 
-        One backward pass marks the live gates; they are renumbered from
+        One backward pass marks the live gates with those sides and finds
+        the and gates to absorb. The live gates are renumbered from
         num_inputs + 2 upward in creation order, so operands still precede
-        their users, and their clauses are written in that order.
+        their users, and one forward pass writes their clauses in that
+        order.
         """
-        live = bytearray(self.num_vars + 1)
-        live[abs(root)] = 1
+        # need[v]: the sides of v's definition the root needs (_POS, _NEG,
+        # _BOTH; 0 off the cone), with _ABSORBED and _ABSORBS for and gates.
+        need = [0] * (self.num_vars + 1)
+        need[abs(root)] = _POS if root > 0 else _NEG
+        # reader[v]: the and gate that reads v, while that is v's only read
+        # and is of the positive literal; -1 once v has any other read.
+        reader = [0] * (self.num_vars + 1)
+        reader[abs(root)] = -1
         for key, g in reversed(self.gate_cache.items()):
-            if live[g]:
-                for lit in key[1:]:
-                    live[abs(lit)] = 1
+            if not g & _POLL_MASK:
+                check_deadline(self.deadline, "bit-blasting")
+            p = need[g]
+            if not p:
+                continue
+            kind = key[0]
+            if kind == "and":
+                # Every reader of g was visited before g, so reader[g] is final.
+                r = reader[g]
+                if r > 0:
+                    need[g] = p | _ABSORBED
+                    need[r] |= _ABSORBS
+                # The two operands are written out: this loop is hot.
+                _, a, b = key
+                if a > 0:
+                    need[a] |= p
+                    reader[a] = -1 if reader[a] else g
+                else:
+                    need[-a] |= _FLIP[p]
+                    reader[-a] = -1
+                if b > 0:
+                    need[b] |= p
+                    reader[b] = -1 if reader[b] else g
+                else:
+                    need[-b] |= _FLIP[p]
+                    reader[-b] = -1
+            elif kind == "xor":
+                _, x, y = key  # variables, see xor_gate
+                need[x] = need[y] = _BOTH
+                reader[x] = reader[y] = -1
+            else:  # maj (a, b, c), ite (c, a, b)
+                if kind == "ite":
+                    c = abs(key[1])
+                    need[c] = _BOTH
+                    reader[c] = -1
+                    ops = key[2:]
+                else:
+                    ops = key[1:]
+                for lit in ops:
+                    if lit > 0:
+                        need[lit] |= p
+                    else:
+                        lit = -lit
+                        need[lit] |= _FLIP[p]
+                    reader[lit] = -1
         num_inputs = sum(map(len, input_bits.values()))
         n = num_inputs + 1
         # ren[lit] is the renumbered literal. Negative literals index from
-        # the end of the list, which never overlaps 1..num_vars.
+        # the end of the list, which never overlaps 1..num_vars; so do
+        # leaves', where an absorbed gate keeps its conjuncts, renumbered.
         ren = [0] * (2 * self.num_vars + 1)
         for v in range(1, n + 1):
             ren[v], ren[-v] = v, -v
+        leaves: list[list[int] | None] = [None] * (2 * self.num_vars + 1)
         clauses: list[tuple[int, ...]] = [(TRUE_LIT,)]
         gates: list[tuple[int, str, tuple[int, ...]]] | None = (
             [] if num_inputs <= SIM_MAX_INPUT_BITS else None
         )
         for key, old in self.gate_cache.items():
-            if not live[old]:
+            p = need[old]
+            if not p:
                 continue
             n += 1
             if n & _POLL_MASK == 0:
@@ -270,28 +363,64 @@ class _Blaster:
             kind = key[0]
             if kind == "and":
                 a, b = ren[key[1]], ren[key[2]]
-                clauses += ((-g, a), (-g, b), (g, -a, -b))
-                ops = (a, b)
+                if gates is not None:
+                    gates.append((g, kind, (a, b)))
+                if p == _BOTH:
+                    clauses += ((-g, a), (-g, b), (g, -a, -b))
+                elif p == _POS:
+                    clauses += ((-g, a), (-g, b))
+                elif p == _NEG:
+                    clauses.append((g, -a, -b))
+                else:  # absorbs an operand, is absorbed, or both
+                    # An absorbed operand's list is extended in place. The
+                    # chain so far is usually the key's last operand (a
+                    # negative or older one sorts first), so it grows at
+                    # its end.
+                    lits = leaves[key[2]]
+                    if lits is None:
+                        lits = [b]
+                    more = leaves[key[1]]
+                    if more is None:
+                        lits.append(a)
+                    else:
+                        lits += more
+                    if p & _ABSORBED:
+                        leaves[old] = lits
+                    else:
+                        # Merge duplicates; a clause with x and -x holds.
+                        merged = dict.fromkeys(lits)
+                        if p & _POS:
+                            clauses += zip(repeat(-g), merged)
+                        if p & _NEG:
+                            clause = (g, *map(neg, merged))
+                            if merged.keys().isdisjoint(clause):
+                                clauses.append(clause)
             elif kind == "xor":
                 x, y = ren[key[1]], ren[key[2]]
-                clauses += ((-g, x, y), (-g, -x, -y), (g, -x, y), (g, x, -y))
-                ops = (x, y)
+                if gates is not None:
+                    gates.append((g, kind, (x, y)))
+                if p & _POS:
+                    clauses += ((-g, x, y), (-g, -x, -y))
+                if p & _NEG:
+                    clauses += ((g, -x, y), (g, x, -y))
             elif kind == "maj":
                 a, b, c = ren[key[1]], ren[key[2]], ren[key[3]]
-                clauses += (
-                    (-g, a, b), (-g, a, c), (-g, b, c), (g, -a, -b), (g, -a, -c), (g, -b, -c)
-                )
-                ops = (a, b, c)
+                if gates is not None:
+                    gates.append((g, kind, (a, b, c)))
+                if p & _POS:
+                    clauses += ((-g, a, b), (-g, a, c), (-g, b, c))
+                if p & _NEG:
+                    clauses += ((g, -a, -b), (g, -a, -c), (g, -b, -c))
             else:  # ite: c ? a : b
                 c, a, b = ren[key[1]], ren[key[2]], ren[key[3]]
-                # The last two are redundant, but let equal branches
-                # propagate g without deciding c.
-                clauses += (
-                    (-g, -c, a), (-g, c, b), (g, -c, -a), (g, c, -b), (g, -a, -b), (-g, a, b)
-                )
-                ops = (c, a, b)
-            if gates is not None:
-                gates.append((g, kind, ops))
+                if gates is not None:
+                    gates.append((g, kind, (c, a, b)))
+                # The last clause of each side is redundant, but lets equal
+                # branches propagate g without deciding c.
+                if p & _POS:
+                    clauses += ((-g, -c, a), (-g, c, b), (-g, a, b))
+                if p & _NEG:
+                    clauses += ((g, -c, -a), (g, c, -b), (g, -a, -b))
         root = ren[root]
         clauses.append((root,))
         return CnfFormula(n, clauses, input_bits, gates, root)
@@ -302,7 +431,8 @@ def bitblast(formula: Formula) -> CnfFormula:
 
     Deterministic: identical formulas produce identical CNFs. Raises
     Timeout when the builder's deadline passes: on entry, then every 4,096
-    gates built or emitted.
+    gates built, visited by cnf's backward pass or written by its forward
+    pass.
     """
     blaster = _Blaster(formula.builder.deadline)
     check_deadline(blaster.deadline, "bit-blasting")

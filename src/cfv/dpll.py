@@ -1,8 +1,11 @@
 """Decision procedures for the bit-blasted CNFs: simulation and a learning core.
 
-Both keep one contract: the model returned is the lexicographically least
-one, with variable 1 the most significant, so verdicts and models are fully
-reproducible.
+Both keep one contract: the input bits of the model returned, variables
+2..k + 1, are the least satisfying input valuation, with variable 2 the
+most significant, so verdicts and models are fully reproducible. The
+learning core returns the lexicographically least model of the clauses,
+whose input bits are that valuation (see bitblast); simulation returns that
+valuation with the circuit's value in every gate variable.
 
 solve_cnf picks the procedure by whether the blasted formula kept its gate
 list, which bitblast does for formulas of at most bitblast.SIM_MAX_INPUT_BITS
@@ -24,9 +27,9 @@ list, which bitblast does for formulas of at most bitblast.SIM_MAX_INPUT_BITS
   minimisation, VSIDS decisions on an indexed heap, Luby restarts, and
   deletion of learned clauses by literal block distance. The deadline is
   polled every 512 steps, a step being a decision or a propagated literal.
-  The width-32 miter of minivec's vec_insert, 352 input bits and 14,262
-  variables once blasted, is satisfiable; finding its least model takes
-  about 0.05 s on a 2-core x86-64 host.
+  The width-32 miter of minivec's vec_insert, 352 input bits, 14,262
+  variables and 24,089 clauses once blasted, is satisfiable; finding its
+  least model takes about 0.04 s on a 2-core x86-64 host.
 
 solve_cnf also polls the deadline on entry. Every poll goes through
 errors.check_deadline, which raises errors.Timeout once the deadline has
@@ -39,10 +42,9 @@ k - 1 - j of i. The low 12 bits of i pick the lane and the high bits the
 chunk, and chunks run in increasing order, so valuations are tried in
 counting order with variable 2 the most significant bit. The first chunk
 whose root word is nonzero holds the least satisfying valuation in its
-lowest set lane. Every other variable is a gate, whose value is forced by
-the inputs (see bitblast), so that lane's bit in every variable is the
-least model. The gates evaluate the clauses' own circuit, so the model
-satisfies every clause.
+lowest set lane. That lane's bit in every other variable is the gate's
+value in the circuit, and the circuit's values satisfy every clause (see
+bitblast).
 
 How the learning core keeps it. Call a search *static* when each decision
 sets the lowest unassigned variable to false. The core starts static, and
@@ -101,8 +103,8 @@ def solve_cnf(cnf: CnfFormula, deadline: float | None = None) -> DpllResult:
     1..cnf.num_vars when sat.
 
     A formula with a gate list is simulated; otherwise the learning core
-    searches its clauses. Either way the model is the lexicographically
-    least one. Raises Timeout past the deadline.
+    searches its clauses. Either way the model's input bits are the least
+    satisfying input valuation. Raises Timeout past the deadline.
     """
     check_deadline(deadline, "solving")
     if cnf.gates is not None:

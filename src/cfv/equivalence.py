@@ -109,8 +109,7 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
         vo = old.globals_written.get(name, initial[name])
         vn = new.globals_written.get(name, initial[name])
         if isinstance(vo, tuple):
-            # A written array holds the elements an index can reach, its
-            # recorded inputs all: zip stops at the shorter, which no side passes.
+            # Both hold the elements an index can reach (Encoder.indexable).
             diffs.extend(b.ne(x, y) for x, y in zip(vo, vn))
         else:
             diffs.append(b.ne(vo, vn))
@@ -122,17 +121,24 @@ def build_miter(old: SsaProgram, new: SsaProgram) -> Formula:
     return Formula(b, root, tuple(dict.fromkeys(old.inputs + new.inputs)))
 
 
-def decode_witness(model: Model, old: SsaProgram, new: SsaProgram) -> Witness:
-    """The model read at the inputs the two encodings recorded."""
+def decode_witness(
+    model: Model, old: SsaProgram, new: SsaProgram, snaps: tuple[Snapshot, Snapshot]
+) -> Witness:
+    """The model read at the inputs the two encodings recorded, each array
+    padded to its declared length with 0: its elements past those an index
+    can reach are not inputs, and 0 is what a least model gives an input
+    the formula does not read."""
+    declared = snaps[1].globals | snaps[0].globals
 
-    def value(term):
+    def value(name, term):
         if isinstance(term, tuple):
-            return [model[t.name] for t in term]
+            padding = [0] * (declared[name].ty.length - len(term))
+            return [model[t.name] for t in term] + padding
         return model[term.name]
 
     return Witness(
-        [value(t) for t in old.params],
-        {name: value(t) for name, t in (old.global_inputs | new.global_inputs).items()},
+        [model[t.name] for t in old.params],
+        {name: value(name, t) for name, t in (old.global_inputs | new.global_inputs).items()},
         {rec.name: model[rec.name] for rec in old.nondet_records + new.nondet_records},
     )
 
@@ -207,7 +213,7 @@ def check_equivalence(
     if isinstance(result, bool):
         return Equivalent("formal", cfg.loop_bound, result)
 
-    witness = decode_witness(result.model, old_ssa, new_ssa)
+    witness = decode_witness(result.model, old_ssa, new_ssa, snaps)
     obs_old = replay(old_snap, old_fn, old_ssa, witness)
     obs_new = replay(new_snap, new_fn, new_ssa, witness)
     if not observables_differ(obs_old, obs_new):

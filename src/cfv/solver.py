@@ -31,9 +31,14 @@ tuples in slot order), which keeps witnesses reproducible:
   how a word-level solver simplifies before it bit-blasts (Ganesh & Dill,
   "STP", CAV 2007): the generalized insert test confines its index with
   assume(pos >= 0) and assume(pos <= vec_len()), and its three cases fold.
-* By bit-parallel simulation of the Tseitin-blasted circuit, for formulas
-  of at most bitblast.SIM_MAX_INPUT_BITS input bits.
-* By the conflict-driven learning core over the blasted clauses above that.
+* By bit-parallel simulation of the bit-blasted circuit, for formulas of
+  at most bitblast.SIM_MAX_INPUT_BITS input bits.
+* By the conflict-driven learning core above that, over the one-sided
+  clauses bitblast writes: only the sides of each gate the asserted root
+  needs, and one clause per chain of and gates. The least model of those
+  clauses may give a gate variable another value than the circuit does,
+  but its input bits are the least satisfying valuation (see bitblast),
+  and only those are decoded.
 
 The test suite holds every route against an independent oracle,
 tests/oracles.exhaustive_solve, which evaluates the formula on every input

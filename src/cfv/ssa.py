@@ -32,7 +32,8 @@ A global enters the encoding on its first read, so an unread one is never
 built, in one of two modes: equivalence checking reads fresh shared input
 symbols (a function can be called in any state), while whole-test
 verification takes the declared initial value. An array's term tuple holds
-only the elements a signed index can reach (Encoder.indexable).
+only the elements a signed index can reach (Encoder.indexable), and only
+those become inputs; equivalence.decode_witness gives the rest 0.
 
 SsaProgram records what each input stands for: the parameters, each
 global's input terms and each nondet's site. Input names stay private here;
@@ -97,8 +98,9 @@ class SsaProgram:
     # models compare inputs in this order.
     inputs: list[Term]
     params: list[Term]
-    # Each global's input term, or one per array element up to its declared
-    # length; empty when the globals start from their declared values.
+    # Each global's input term, or one per array element an index can reach
+    # (Encoder.indexable); empty when the globals start from their declared
+    # values.
     global_inputs: dict[str, Term | tuple[Term, ...]]
     ret: Term | None
     # Each written global's final value, in the order globals were first met;
@@ -211,13 +213,12 @@ class Encoder:
             init = ast.literal_value(decl.init)
             value = self._default(ty) if init is None else self.b.const(init, width)
         elif isinstance(ty, ast.ArrayType):
-            elements = tuple(
+            value = tuple(
                 self.b.input(f"{_GLOBAL_PREFIX}{name}!{i}", self.width)
-                for i in range(ty.length)
+                for i in range(self.indexable(ty.length))
             )
-            self.inputs.extend(elements)
-            self.global_inputs[name] = elements
-            value = elements[: self.indexable(ty.length)]
+            self.inputs.extend(value)
+            self.global_inputs[name] = value
         else:
             value = self.b.input(f"{_GLOBAL_PREFIX}{name}", width)
             self.inputs.append(value)

@@ -1,9 +1,11 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfv.bitblast import bitblast
 from cfv.changes import compute_changeset
 from cfv.equivalence import (
     Equivalent,
@@ -182,7 +184,8 @@ class TestStageTwo:
     def test_large_array_read_obeys_the_time_limit(self):
         # Reading g[i] builds one ite per element of g with no loop or call
         # around it, so only the polls of term creation bound the encoding.
-        cfg = UnrollConfig(timeout_s=0.05, width=8)
+        # At width 32 an index reaches all 300,000 elements.
+        cfg = UnrollConfig(timeout_s=0.05, width=32)
         t0 = time.monotonic()
         verdict = check(
             "int g[300000]; int f(int i){ return g[i]; }",
@@ -214,6 +217,23 @@ class TestStageTwo:
         )
         nodes = len(postorder(miter.root))  # a Term's repr is exponential in a DAG
         assert nodes <= 12_000
+
+    def test_vec_insert_query_blasts_to_one_sided_clauses(self, monkeypatch):
+        # The width-32 query is SAT and goes to the learning core. Writing
+        # each gate only on the sides the root needs, and absorbing and
+        # chains, halved its 46,461 full Tseitin clauses; the variables are
+        # the live gates either way.
+        old = load_snapshot(CORPUS / "minivec" / "old", 32)
+        new = load_snapshot(CORPUS / "minivec" / "new", 32)
+        blasted = []
+        monkeypatch.setattr("cfv.solver.bitblast", lambda f: blasted.append(bitblast(f)) or blasted[-1])
+        verdict = check_equivalence(
+            old.functions["vec_insert"], new.functions["vec_insert"], (old, new), UnrollConfig(width=32)
+        )
+        assert isinstance(verdict, NotEquivalent)
+        num_vars, clauses = blasted[0].num_vars, len(blasted[0].clauses)
+        assert num_vars == 14_262
+        assert clauses <= 26_000
 
     def test_initializer_divergence_is_unsupported(self):
         old = "int lim = 3; int f(int x){return x + lim;}"
@@ -405,6 +425,25 @@ class TestRecordedInputs:
         assert old.ok and new.ok and old.globals["buf"] == initial
         changed = [j for j, (x, y) in enumerate(zip(initial, new.globals["buf"])) if x != y]
         assert changed == [i] and 100 <= i < 128
+
+    def test_elements_no_index_reaches_are_not_inputs(self):
+        # At width 8 an index reaches 128 of a's 200,000 elements. With an
+        # input per declared element this check took seconds and peaked
+        # near 90 MB.
+        cfg = UnrollConfig(width=8)
+        old = snap("int a[200000]; int f(int i){ return a[i]; }", "old", 8)
+        new = snap("int a[200000]; int f(int i){ return a[i] + 0 * i; }", "new", 8)
+        tracemalloc.start()
+        try:
+            t0 = time.monotonic()
+            verdict = check_equivalence(old.functions["f"], new.functions["f"], (old, new), cfg)
+            elapsed = time.monotonic() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == Equivalent("formal", cfg.loop_bound, complete=True)
+        assert elapsed < 0.5, elapsed
+        assert peak < 10_000_000, peak
 
     @pytest.mark.parametrize("old, new", ONE_SIDED)
     def test_witness_globals_are_those_either_side_touches(self, old, new):

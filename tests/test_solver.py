@@ -28,6 +28,7 @@ from cfv.verify import Pass, verify_test
 from generators import random_formula, random_ite_pair
 from oracles import (
     CORPUS,
+    EXHAUSTIVE_BIT_CAP,
     DomainTooLargeError,
     bulk_evaluate,
     check_model,
@@ -52,6 +53,8 @@ def check_cnf(cnf):
                 raise ValueError(f"bad literal {lit}")
             if -lit in seen:
                 raise ValueError(f"clause contains {lit} and {-lit}")
+            if lit in seen:
+                raise ValueError(f"clause repeats {lit}")
             seen.add(lit)
 
 
@@ -799,6 +802,79 @@ class TestAgreement:
         with pytest.raises(Timeout):
             bitblast(f)
         assert root_built
+
+    @pytest.mark.parametrize(
+        "case, least",
+        [
+            ("ite condition", (3, 0, False, False)),
+            ("xor operand", (0, 1, False, False)),
+            ("negated operand", (3, 5, False, False)),
+            ("shared and", (0, 5, False, True)),
+        ],
+    )
+    def test_each_gate_writes_the_sides_its_readers_need(self, case, least):
+        # Without a side some gate needs, the clauses admit a model below
+        # the least one: the shifter's select bits are read only as ite
+        # conditions, the xor's operands only by the xor, x < 3 only
+        # negated, and x < 3 && y == 5 by two and gates, neither of which
+        # may absorb it.
+        b = TermBuilder()
+        x, y = b.input("x", 4), b.input("y", 4)
+        p, q = b.input("p", BOOL), b.input("q", BOOL)
+        c = lambda v: b.const(v, 4)
+        shared = b.and_(b.slt(x, c(3)), b.eq(y, c(5)))
+        root = {
+            "ite condition": b.ne(b.band(b.shl(c(1), b.add(x, c(1))), c(1)), c(0)),
+            "xor operand": b.xor(b.eq(y, c(0)), b.eq(x, c(0))),
+            "negated operand": b.and_(b.not_(b.slt(x, c(3))), b.eq(y, c(5))),
+            "shared and": b.or_(b.and_(shared, p), b.and_(shared, q)),
+        }[case]
+        f = Formula(b, root, (x, y, p, q))
+        model = dict(zip("xypq", least))
+        assert learned_model(f) == exhaustive_solve(f).model == model
+
+    def test_absorbed_conjunctions_merge_repeats_and_drop_tautologies(self):
+        # The root reads the top and gate negated, so only its clause of
+        # f(ops) -> g is written, over the conjuncts of the two and gates it
+        # absorbs: p once, or no clause at all when p meets !p, as that
+        # clause always holds.
+        b = TermBuilder()
+        p, q, r = (b.input(name, BOOL) for name in "pqr")
+        for second, lengths in ((p, [1, 1, 4]), (b.not_(p), [1, 1])):
+            f = Formula(b, b.not_(b.and_(b.and_(p, q), b.and_(second, r))), (p, q, r))
+            cnf = bitblast(f)
+            check_cnf(cnf)
+            assert sorted(map(len, cnf.clauses)) == lengths
+            assert learned_model(f) == exhaustive_solve(f).model
+
+    def test_core_route_least_models_match_enumeration(self, monkeypatch):
+        # Above the simulation cut the learning core searches the clauses,
+        # which hold each gate only on the sides the root needs; its least
+        # model must still be the enumeration's. A lower bound on the last
+        # input keeps most least models off zero.
+        blasted = []
+        monkeypatch.setattr("cfv.solver.bitblast", lambda f: blasted.append(bitblast(f)) or blasted[-1])
+        rng = random.Random(1720)
+        checked = sats = 0
+        while checked < 60:
+            width = rng.choice((6, 9, 10))
+            f = random_formula(rng, width=width, max_inputs=3, depth=4)
+            if f.root.is_const or not SIM_MAX_INPUT_BITS < input_bits(f) <= EXHAUSTIVE_BIT_CAP:
+                continue
+            b, x = f.builder, f.inputs[-1]
+            low = b.const(rng.randrange(1 << width), width)
+            f = Formula(b, b.and_(f.root, b.slt(low, x)), f.inputs)
+            before = len(blasted)
+            fast, slow = sat_solve(f), exhaustive_solve(f)
+            assert type(fast) is type(slow)
+            if isinstance(fast, Sat):
+                assert fast.model == slow.model
+                sats += 1
+            for cnf in blasted[before:]:
+                assert cnf.gates is None
+                check_cnf(cnf)
+            checked += 1
+        assert len(blasted) > 50 and 30 < sats < 60, (len(blasted), sats)
 
     def test_cnf_shape_invariants(self):
         rng = random.Random(7)
