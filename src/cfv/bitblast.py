@@ -19,7 +19,7 @@ live gates in that same topological order, with the root literal. The gate
 list is kept only for formulas of at most SIM_MAX_INPUT_BITS input bits,
 and this module alone reads that threshold: dpll.solve_cnf simulates
 exactly the formulas that carry a gate list and searches the clauses of the
-rest. On the width-32 vec_insert miter (14,262 variables) the list would
+rest. On the width-32 vec_insert miter (13,717 variables) the list would
 add about 2 MB to the 3.5 MB of clauses while the learning core searches.
 
 The clauses are one-sided (Plaisted & Greenbaum, "A Structure-preserving

@@ -27,8 +27,8 @@ list, which bitblast does for formulas of at most bitblast.SIM_MAX_INPUT_BITS
   minimisation, VSIDS decisions on an indexed heap, Luby restarts, and
   deletion of learned clauses by literal block distance. The deadline is
   polled every 512 steps, a step being a decision or a propagated literal.
-  The width-32 miter of minivec's vec_insert, 352 input bits, 14,262
-  variables and 24,089 clauses once blasted, is satisfiable; finding its
+  The width-32 miter of minivec's vec_insert, 352 input bits, 13,717
+  variables and 23,266 clauses once blasted, is satisfiable; finding its
   least model takes about 0.04 s on a 2-core x86-64 host.
 
 solve_cnf also polls the deadline on entry. Every poll goes through

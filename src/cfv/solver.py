@@ -8,8 +8,9 @@ tuples in slot order), which keeps witnesses reproducible:
 * By cases, with no CNF, when the root's own top-level conjuncts confine
   some inputs to at most SPLIT_MAX joint values. The conjuncts read are
   slt(x, c), not slt(x, c), slt(c, x), not slt(c, x) and eq(x, c), for an
-  input bitvector x and a constant c; bounds with no value left are Unsat
-  at once. The root is rebuilt once per joint value, with each split input
+  input bitvector x and a constant c; the builder makes an equality such
+  as x + 1 == 5 or 3 * x == 6 the form eq(x, c). Bounds with no
+  value left are Unsat at once. The root is rebuilt once per joint value, with each split input
   replaced by that constant (TermBuilder.substitute), so the builder's
   constant folding, linear normalisation and eq-through-ite run again.
   Only the operands that decide a node are rebuilt: a conjunct that folds

@@ -63,6 +63,12 @@ _CONSTRUCTOR = {"not": "not_", "and": "and_", "or": "or_"}
 _SHORT_CIRCUIT = frozenset({"and", "or", "ite"})
 
 
+def _is_linear(t: "Term") -> bool:
+    """Whether t is a node of the linear normal form that TermBuilder gives
+    sums: an add, a sub, or a constant multiple (constant first)."""
+    return t.op in ("add", "sub") or (t.op == "mul" and t.args[0].is_const)
+
+
 @contextmanager
 def collector_paused():
     """Suspend the cyclic garbage collector for the block (or, as a
@@ -283,7 +289,7 @@ class TermBuilder:
         #   vec_sum pairs of cfvbench's scale workload, checks took 1.5-2x
         #   as long.
         # - Different guards: splitting both guards at every level would
-        #   multiply the two ite DAGs node by node (76k nodes against 8.8k
+        #   multiply the two ite DAGs node by node (76k nodes against 8.7k
         #   on the width-32 vec_insert miter), so _leaf_pairs compares the
         #   leaves the two sides can select instead.
         if a.op == "ite" and b.op == "ite":
@@ -299,6 +305,8 @@ class TermBuilder:
         elif b.op == "ite":
             c2, t2, e2 = b.args
             result = self.ite(c2, self.eq(a, t2), self.eq(a, e2))
+        elif _is_linear(a) or _is_linear(b):
+            result = self._affine_eq(a, b)
         else:
             result = self._mk("eq", (a, b), BOOL)
         self._eq_cache[key] = result
@@ -367,6 +375,24 @@ class TermBuilder:
                 sel[branch.uid] = picked if prev is None else self.or_(prev, picked)
         return leaves
 
+    def _affine_eq(self, a: Term, b: Term) -> Term:
+        """eq(a, b) for two words, at least one a sum or a constant
+        multiple, neither an ite: decided by a - b in linear normal form
+        (see _linear_parts)."""
+        m = mask(a.width)
+        if a.is_const or b.is_const:  # the common case, without a merge
+            c, s = (a, b) if a.is_const else (b, a)
+            parts, d = self._linear_parts(s)
+            d = (d - c.value) & m
+        else:
+            parts, d = self._lin_merge(a, b, -1, m)
+        if not parts:
+            return self.bool_const(d == 0)
+        if len(parts) == 1 and parts[0][1] & 1:
+            t, k = parts[0]
+            return self.eq(t, self.const(-d * pow(k, -1, m + 1), a.width))
+        return self._mk("eq", (a, b), BOOL)
+
     def ne(self, a: Term, b: Term) -> Term:
         return self.not_(self.eq(a, b))
 
@@ -412,6 +438,11 @@ class TermBuilder:
     # opaque term plus a constant, modulo 2**width. All associations and
     # orderings of the same sum become the same term, so differently written
     # but equal arithmetic folds away before it can burden the solver.
+    # eq solves an equality against a sum at the word level before any
+    # blasting (Ganesh & Dill, "STP", CAV 2007): when a - b cancels to a
+    # constant it folds, and when it is k*t + d with k odd it becomes
+    # t == -d * k^-1, exact because t -> k*t + d is a bijection modulo
+    # 2**width. t is opaque, so the rewritten eq is never rewritten again.
 
     def _linear_parts(self, t: Term) -> tuple[tuple[tuple[Term, int], ...], int]:
         cached = self._lin_cache.get(t.uid)

@@ -3,7 +3,8 @@ them, and the determinism and identity their hash-consing promises.
 
 * Terms: every formula and ite pair the generators build agrees, on every
   valuation at widths 3 to 6, with the plain tree built beside it
-  (oracles.evaluate_tree).
+  (oracles.evaluate_tree), and so does every affine equality against a
+  constant that eq solves at the word level.
 * Gates: each bitblast gate constructor, over every choice of operands
   from {TRUE, FALSE, x, -x, y, -y, z, -z}, returns a literal whose value,
   read through the blaster's gate cache, is the Python truth function.
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from cfv.bitblast import TRUE_LIT, _Blaster, bitblast
-from cfv.terms import _CONSTRUCTOR, BOOL
+from cfv.terms import _CONSTRUCTOR, BOOL, TermBuilder, postorder
 
 from generators import random_formula, random_formula_with_tree, random_ite_pair_with_trees
 from oracles import bulk_evaluate, evaluate_tree
@@ -64,6 +65,34 @@ class TestRewriteOracle:
             assert_agree(x, tx, width, envs, seed)
             assert_agree(y, ty, width, envs, seed)
             assert_agree(b.eq(x, y), ("==", tx, ty), width, envs, seed)
+
+    @pytest.mark.parametrize("width", [3, 4, 5, 6])
+    def test_affine_equalities_agree_with_their_trees(self, width):
+        # For every c, d and odd k: k*x + d == c, d - x == c, x + d == x + c
+        # and (g ? x + d : y) == c. Each sum is a bijection of x, or cancels
+        # to a constant, so eq builds no sum or product.
+        b = TermBuilder()
+        x, y, g = b.input("x", width), b.input("y", width), b.input("g", BOOL)
+        X, Y, G = ("var", "x"), ("var", "y"), ("var", "g")
+        over_x, over_xyg = every_valuation((x,)), every_valuation((x, y, g))
+        word = lambda v: b.const(v, width)
+        values = range(1 << width)
+        for d, c in product(values, values):
+            D, C = ("const", d), ("const", c)
+            cases = [
+                (b.eq(b.add(b.mul(word(k), x), word(d)), word(c)),
+                 ("==", ("+", ("*", ("const", k), X), D), C), over_x)
+                for k in range(1, 1 << width, 2)
+            ]
+            cases += [
+                (b.eq(b.sub(word(d), x), word(c)), ("==", ("-", D, X), C), over_x),
+                (b.eq(b.add(x, word(d)), b.add(x, word(c))), ("==", ("+", X, D), ("+", X, C)), over_x),
+                (b.eq(b.ite(g, b.add(x, word(d)), y), word(c)),
+                 ("==", ("ite", G, ("+", X, D), Y), C), over_xyg),
+            ]
+            for term, tree, envs in cases:
+                assert_agree(term, tree, width, envs, tree)
+                assert {t.op for t in postorder(term)}.isdisjoint({"add", "sub", "mul"}), tree
 
     def test_the_tree_evaluator_reads_c_semantics(self):
         # At width 4, 13 is -3 and -3 >> 1 is -2, or 14; 5 << 5 shifts by

@@ -205,7 +205,7 @@ class TestStageTwo:
             build_miter(old, new)
 
     def test_vec_insert_miter_compares_leaves(self):
-        # Comparing the two sides' ite trees leaf by leaf gives about 8.8k
+        # Comparing the two sides' ite trees leaf by leaf gives about 8.7k
         # nodes at width 32; splitting both guards at every level gave 76k.
         old = load_snapshot(CORPUS / "minivec" / "old", 32)
         new = load_snapshot(CORPUS / "minivec" / "new", 32)
@@ -222,7 +222,9 @@ class TestStageTwo:
         # The width-32 query is SAT and goes to the learning core. Writing
         # each gate only on the sides the root needs, and absorbing and
         # chains, halved its 46,461 full Tseitin clauses; the variables are
-        # the live gates either way.
+        # the live gates either way. eq solves each of the 120
+        # equalities that read a sum, index tests like j == length - k, to a
+        # word against a constant; blasted against adders they gave 14,262.
         old = load_snapshot(CORPUS / "minivec" / "old", 32)
         new = load_snapshot(CORPUS / "minivec" / "new", 32)
         blasted = []
@@ -232,7 +234,7 @@ class TestStageTwo:
         )
         assert isinstance(verdict, NotEquivalent)
         num_vars, clauses = blasted[0].num_vars, len(blasted[0].clauses)
-        assert num_vars == 14_262
+        assert num_vars == 13_717
         assert clauses <= 26_000
 
     def test_initializer_divergence_is_unsupported(self):
@@ -409,9 +411,10 @@ class TestRecordedInputs:
             assert used <= set(names)
 
     def test_a_one_sided_write_meets_every_recorded_element(self):
-        # At width 8 an index reaches 128 of buf's 200 elements: the writing
-        # side's final value holds those, the other side's recorded inputs
-        # all 200.
+        # At width 8 an index reaches 128 of buf's 200 elements, and only
+        # those are inputs: the writing side's final value and the other
+        # side's recorded inputs both hold the 128, and decode_witness pads
+        # the witness to 200 with 0.
         verdict = check(
             "int buf[200]; void f(int i){}",
             "int buf[200]; void f(int i){if (i >= 100) { buf[i] = buf[i] + 1; }}",

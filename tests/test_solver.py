@@ -572,6 +572,18 @@ class TestCaseSplit:
         assert sat_solve(f).model == exhaustive_solve(f).model == {"a": 0, "x": 254}
         assert not blasted
 
+    def test_an_affine_equality_bounds_its_input(self, monkeypatch):
+        # x + 1 == 5 is built as x == 4, a bound the split reads.
+        def refuse(formula):
+            raise AssertionError("blasted")
+
+        monkeypatch.setattr("cfv.solver.bitblast", refuse)
+        c = lambda b, v: b.const(v, 8)
+        f = single_input_formula(8, lambda b, x: b.and_(
+            b.eq(b.add(x, c(b, 1)), c(b, 5)), b.slt(c(b, 3), b.mul(x, x))
+        ))
+        assert sat_solve(f) == Sat({"x": 4})
+
     def test_contradictory_bounds_are_unsat_before_blasting(self, blasted):
         f = miter_formula(32)  # far too hard to blast and search here
         b = f.builder

@@ -12,8 +12,9 @@ from cfv.harness import GeneralizedTest, load_tests
 from cfv.interp import run_function
 from cfv.minic import ast
 from cfv.snapshot import load_snapshot, snapshot_from_sources
+from cfv.solver import sat_solve
 from cfv.ssa import UnrollConfig
-from cfv.terms import TermBuilder, to_signed
+from cfv.terms import TermBuilder, postorder, to_signed
 from cfv.verify import Fail, Pass, Unknown, concretize, verify_test
 
 from generators import RandomTestGen, fixture_snapshot
@@ -278,20 +279,47 @@ class TestCaseSplit:
         assert verify_test(gt, view, W4) == Unknown("timeout")
         assert substituting
 
-    def test_the_width_32_insert_proof_needs_no_search(self, tmp_path, monkeypatch):
-        # test_insert_general confines pos to 0..2, and each case folds.
+    @staticmethod
+    def insert_general(tmp_path, side):
+        """test_insert_general at width 32 on minivec's side, and its view."""
         (tmp_path / "insert_tests.c").write_text(
             (CORPUS / "minivec" / "tests" / "insert_tests.c").read_text()
         )
-        tests, view = load_tests(tmp_path, load_snapshot(CORPUS / "minivec" / "old", 32))
+        tests, view = load_tests(tmp_path, load_snapshot(CORPUS / "minivec" / side, 32))
         (t,) = [t for t in tests if t.name == "test_insert_general"]
+        return GeneralizedTest(t.name, t.body, [], manual=True), view
+
+    def test_the_width_32_insert_proof_needs_no_search(self, tmp_path, monkeypatch):
+        # test_insert_general confines pos to 0..2, and each case folds.
+        gt, view = self.insert_general(tmp_path, "old")
 
         def no_search(*args, **kwargs):
             raise AssertionError("the query reached the SAT core")
 
         monkeypatch.setattr("cfv.dpll.search", no_search)
-        gt = GeneralizedTest(t.name, t.body, [], manual=True)
         assert verify_test(gt, view, UnrollConfig(timeout_s=60, width=32)) == Pass(8, True)
+
+    def test_the_failing_width_32_insert_query_is_decided_by_cases(self, tmp_path, monkeypatch):
+        # On the buggy snapshot val is free too. eq solves the sums that
+        # read it for val, so each case of pos folds: the query has 871
+        # nodes. Compared as opaque words, it had 1,685 nodes, a case did
+        # not fold, and it blasted to 2,952 variables.
+        gt, view = self.insert_general(tmp_path, "new")
+        queries = []
+
+        def solve(formula, stats=None):
+            queries.append(len(postorder(formula.root)))
+            return sat_solve(formula, stats)
+
+        def no_blasting(formula):
+            raise AssertionError("the query reached the blaster")
+
+        monkeypatch.setattr("cfv.verify.sat_solve", solve)
+        monkeypatch.setattr("cfv.solver.bitblast", no_blasting)
+        result = verify_test(gt, view, UnrollConfig(timeout_s=60, width=32))
+        assert isinstance(result, Fail)
+        assert result.counterexample.valuation == {"n0": 0, "n1": 0}
+        assert queries == [871]
 
 
 class TestConcretize:
