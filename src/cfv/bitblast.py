@@ -11,7 +11,9 @@ Variable layout: variable 1 is the constant true (pinned by a unit clause),
 then the formula inputs get variables 2..k + 1 in slot order with each
 bitvector's bits allocated most-significant first, then one variable per
 live gate, in the order the gates were created. A gate is created after its
-operands, so its variable lies above theirs.
+operands, so its variable lies above theirs. Without a gate list (below), an
+absorbed and gate gets no variable: it is in no clause, and the static
+search would only decide it.
 
 The result carries two views of one circuit: the clauses, with the root
 literal as a unit clause, and the gate list (var, kind, operands) of the
@@ -19,8 +21,9 @@ live gates in that same topological order, with the root literal. The gate
 list is kept only for formulas of at most SIM_MAX_INPUT_BITS input bits,
 and this module alone reads that threshold: dpll.solve_cnf simulates
 exactly the formulas that carry a gate list and searches the clauses of the
-rest. On the width-32 vec_insert miter (13,717 variables) the list would
-add about 2 MB to the 3.5 MB of clauses while the learning core searches.
+rest. On the width-32 vec_insert miter (9,738 variables, 13,717 with its
+3,979 absorbed and gates) the list would add about 2 MB to the 3.5 MB of
+clauses while the learning core searches.
 
 The clauses are one-sided (Plaisted & Greenbaum, "A Structure-preserving
 Clause Form Translation", J. Symb. Comp. 1986). A gate g = f(ops) has two
@@ -51,13 +54,14 @@ it exactly when the circuit's root is true:
 
 So the input bits of the models are exactly the satisfying input
 valuations, though a gate's variable may differ from the circuit's value
-in a model, and an absorbed gate's appears in no clause at all. dpll's
-static search returns the lexicographically least model of any clause set.
-The inputs come right after the constant, so that model's variables
-2..k + 1 are the least satisfying input valuation, in the counting order
-of the test suite's enumeration oracle (tests/oracles.exhaustive_solve),
-and that is all solver.sat_solve decodes. Simulation finds the same
-valuation, with the circuit's value in every gate variable.
+in a model, and an absorbed gate's, where it has one, is in no clause.
+dpll's static search returns the lexicographically least model of any
+clause set. The inputs come right after the constant, so that model's
+variables 2..k + 1 are the least satisfying input valuation, in the
+counting order of the test suite's enumeration oracle
+(tests/oracles.exhaustive_solve), and that is all solver.sat_solve
+decodes. Simulation finds the same valuation, with the circuit's value in
+every gate variable.
 
 Arithmetic is structural: ripple-carry adders, subtraction as a + ~b + 1,
 shift-and-add multiplication, barrel shifters, signed comparison from the
@@ -124,7 +128,8 @@ class _Blaster:
     def gate(self, key: tuple) -> int:
         g = self.gate_cache.get(key)
         if g is None:
-            g = self.gate_cache[key] = self.new_var()
+            self.num_vars = g = self.num_vars + 1
+            self.gate_cache[key] = g
             if g & _POLL_MASK == 0:
                 check_deadline(self.deadline, "bit-blasting")
         return g
@@ -282,7 +287,7 @@ class _Blaster:
         the and gates to absorb. The live gates are renumbered from
         num_inputs + 2 upward in creation order, so operands still precede
         their users, and one forward pass writes their clauses in that
-        order.
+        order. With no gate list kept, absorbed gates are left unnumbered.
         """
         # need[v]: the sides of v's definition the root needs (_POS, _NEG,
         # _BOTH; 0 off the cone), with _ABSORBED and _ABSORBS for and gates.
@@ -351,15 +356,19 @@ class _Blaster:
         gates: list[tuple[int, str, tuple[int, ...]]] | None = (
             [] if num_inputs <= SIM_MAX_INPUT_BITS else None
         )
+        # Without a gate list nothing reads an absorbed gate's variable, as
+        # it is in no clause, so it gets none.
+        unnumbered = _ABSORBED if gates is None else 0
         for key, old in self.gate_cache.items():
             p = need[old]
             if not p:
                 continue
-            n += 1
-            if n & _POLL_MASK == 0:
-                check_deadline(self.deadline, "bit-blasting")
-            g = ren[old] = n
-            ren[-old] = -n
+            if not p & unnumbered:
+                n += 1
+                if n & _POLL_MASK == 0:
+                    check_deadline(self.deadline, "bit-blasting")
+                g = ren[old] = n
+                ren[-old] = -n
             kind = key[0]
             if kind == "and":
                 a, b = ren[key[1]], ren[key[2]]
@@ -458,6 +467,15 @@ def bitblast(formula: Formula) -> CnfFormula:
 
 def _blast_node(bl: _Blaster, t: Term, bits: dict[int, list[int]]) -> list[int]:
     op = t.op
+    # The boolean connectives come first: they are most of a miter's nodes.
+    if op == "and":
+        x, y = t.args
+        return [bl.and_gate(bits[x.uid][0], bits[y.uid][0])]
+    if op == "or":
+        x, y = t.args
+        return [bl.or_gate(bits[x.uid][0], bits[y.uid][0])]
+    if op == "not":
+        return [-bits[t.args[0].uid][0]]
     if op == "const":
         if t.width == BOOL:
             return [TRUE_LIT if t.value else -TRUE_LIT]
@@ -465,14 +483,8 @@ def _blast_node(bl: _Blaster, t: Term, bits: dict[int, list[int]]) -> list[int]:
     if op == "input":
         # Inputs not declared in the formula slots (must not happen).
         raise ValueError(f"undeclared input {t.name!r} in formula")
-    a = bits[t.args[0].uid] if t.args else None
+    a = bits[t.args[0].uid]
     b = bits[t.args[1].uid] if len(t.args) > 1 else None
-    if op == "not":
-        return [-a[0]]
-    if op == "and":
-        return [bl.and_gate(a[0], b[0])]
-    if op == "or":
-        return [bl.or_gate(a[0], b[0])]
     if op == "xor":
         return [bl.xor_gate(a[0], b[0])]
     if op == "eq":

@@ -139,6 +139,16 @@ def _parse_range(spec: str) -> tuple[int, int]:
     return int(spec), 1
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of text, split at "\\n" only: str.splitlines also splits
+    at form feeds, vertical tabs and other characters that git and MiniC
+    take as part of a line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
     """Apply a unified diff to {path: text}, returning the patched mapping.
 
@@ -151,7 +161,7 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
     prefixes and /dev/null for added or deleted files.
     """
     result = dict(base)
-    lines = diff_text.splitlines()
+    lines = _lines(diff_text)
     i = 0
     found_header = False
 
@@ -183,7 +193,7 @@ def apply_unified_diff(base: dict[str, str], diff_text: str) -> dict[str, str]:
         else:
             if old_name not in result:
                 raise DiffError(f"diff refers to unknown file {old_name!r}")
-            old_lines = result[old_name].splitlines()
+            old_lines = _lines(result[old_name])
         new_lines = list(old_lines)
         offset = 0
         hunks = 0

@@ -282,6 +282,31 @@ class TestUnifiedDiff:
             "b.c": "int g(){return 0;}\n",
         }
 
+    def test_lines_break_at_newlines_only(self, tmp_path, capsys):
+        # MiniC takes the form feed ending f's first line as whitespace, and
+        # git keeps it in that line, so the hunk, which starts at line 3,
+        # lines up only if the form feed does not end a line.
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "a.c").write_text(
+            "int f(int x) {\f\n    return x + 1;\n}\n\nint g(int x) {\n    return x;\n}\n"
+        )
+        diff = (
+            "--- a/a.c\n"
+            "+++ b/a.c\n"
+            "@@ -3,5 +3,5 @@ int f(int x) {\f\n"
+            " }\n"
+            " \n"
+            " int g(int x) {\n"
+            "-    return x;\n"
+            "+    return x + 0;\n"
+            " }\n"
+        )
+        (tmp_path / "g.patch").write_text(diff)
+        assert main(["diff", "--old", str(tmp_path / "old"), "--diff", str(tmp_path / "g.patch")]) == 0
+        assert capsys.readouterr().out.splitlines() == ["unchanged: f", "modified: g"]
+        patched = apply_unified_diff({"a.c": (tmp_path / "old" / "a.c").read_text()}, diff)
+        assert patched["a.c"].startswith("int f(int x) {\f\n    return x + 1;\n")
+
     def test_load_snapshot_from_diff(self, tmp_path):
         base = tmp_path / "base"
         base.mkdir()

@@ -379,6 +379,26 @@ class TestCli:
         )
         assert code == 0
 
+    def test_a_report_that_cannot_replace_its_target_leaves_no_file(self, tmp_path):
+        # os.replace cannot put a file over a directory: the run fails and
+        # the complete report written beside it is removed.
+        write_tree(tmp_path, LIB_OLD, LIB_OLD, TESTS)
+        out = tmp_path / "taken"
+        out.mkdir()
+        code = main(
+            [
+                "analyze",
+                "--old", str(tmp_path / "old"),
+                "--new", str(tmp_path / "new"),
+                "--tests", str(tmp_path / "tests"),
+                "--width", "8",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "old", "taken", "tests"]
+        assert not any(out.iterdir())
+
     def test_diff_subcommand(self, tmp_path, capsys):
         write_tree(tmp_path, LIB_OLD, LIB_NEW_EQUIV, TESTS)
         code = main(

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cfv.bitblast import SIM_MAX_INPUT_BITS, _blast_node, bitblast
 from cfv import dpll
 from cfv.dpll import search, solve_cnf
+from cfv.equivalence import check_equivalence
 from cfv.errors import Timeout
 from cfv.harness import GeneralizedTest, load_tests
 from cfv.snapshot import load_snapshot
@@ -896,6 +897,115 @@ class TestAgreement:
                 continue
             cnf = bitblast(f)
             check_cnf(cnf)  # no empty/tautological clauses, indices in range
+
+
+def and_chain_formula(rng):
+    """Three inputs of one width and enough bool flags for 17 to 22 input
+    bits, under a conjunction of three to seven random atoms. The
+    conjunction is an and chain, and so is each equality, so on the core's
+    path the blaster absorbs and gates."""
+    b = TermBuilder()
+    total = rng.randint(17, 22)
+    width = rng.choice([w for w in (5, 6, 7) if 3 * w <= total])
+    xs = [b.input(f"x{i}", width) for i in range(3)]
+    flags = [b.input(f"p{i}", BOOL) for i in range(total - 3 * width)]
+    c = lambda: b.const(rng.randrange(1 << width), width)
+    x = lambda: rng.choice(xs)
+
+    def atom():
+        k = rng.randrange(6 if flags else 5)
+        if k == 0:
+            return b.slt(x(), x())
+        if k == 1:
+            return b.slt(c(), b.add(x(), x()))
+        if k == 2:
+            return b.ne(b.mul(x(), x()), c())
+        if k == 3:
+            m = c()
+            return b.eq(b.band(x(), m), b.const(rng.randrange(1 << width) & m.value, width))
+        if k == 4:
+            return b.sle(b.bxor(x(), x()), c())
+        p = rng.choice(flags)
+        return p if rng.random() < 0.5 else b.not_(p)
+
+    conjuncts = []
+    for _ in range(rng.randint(3, 7)):
+        a, r = atom(), rng.random()
+        if r < 0.2:
+            a = b.or_(a, atom())
+        elif r < 0.3:
+            a = b.not_(b.and_(a, atom()))
+        conjuncts.append(a)
+    return Formula(b, b.all_(conjuncts), (*xs, *flags))
+
+
+def and_chain_formulas(count=40):
+    rng = random.Random(3217)
+    out = []
+    while len(out) < count:
+        f = and_chain_formula(rng)
+        if not f.root.is_const:
+            out.append(f)
+    return out
+
+
+def gate_vars_in_clauses(cnf):
+    """The variables above the inputs that some clause holds, ascending."""
+    k = cnf.num_inputs + 1
+    return sorted({abs(lit) for clause in cnf.clauses for lit in clause} - set(range(1, k + 1)))
+
+
+class TestCorePath:
+    """Without a gate list, an absorbed and gate is in no clause and gets
+    no variable, so every variable above the inputs is in some clause."""
+
+    def test_vec_insert_numbers_only_variables_in_clauses(self, monkeypatch):
+        old = load_snapshot(CORPUS / "minivec" / "old", 32)
+        new = load_snapshot(CORPUS / "minivec" / "new", 32)
+        blasted = []
+        monkeypatch.setattr("cfv.solver.bitblast", lambda f: blasted.append(bitblast(f)) or blasted[-1])
+        check_equivalence(
+            old.functions["vec_insert"], new.functions["vec_insert"], (old, new), UnrollConfig(width=32)
+        )
+        (cnf,) = blasted
+        assert cnf.gates is None
+        assert gate_vars_in_clauses(cnf) == list(range(cnf.num_inputs + 2, cnf.num_vars + 1))
+
+    def test_random_and_chains_number_only_variables_in_clauses(self, monkeypatch):
+        # With the cut raised the same formula keeps its gate list, so every
+        # live gate is numbered. Its clauses are then the core's, renamed in
+        # order, and the gates it numbers beyond them are the absorbed ones.
+        absorbed = 0
+        for f in and_chain_formulas():
+            cnf = bitblast(f)
+            with monkeypatch.context() as m:
+                m.setattr("cfv.bitblast.SIM_MAX_INPUT_BITS", input_bits(f))
+                numbered = bitblast(f)
+            assert cnf.gates is None and numbered.gates is not None
+            core_vars = gate_vars_in_clauses(cnf)
+            assert core_vars == list(range(cnf.num_inputs + 2, cnf.num_vars + 1))
+            ren = dict(zip(gate_vars_in_clauses(numbered), core_vars))
+            ren.update((v, v) for v in range(1, cnf.num_inputs + 2))
+            renamed = [
+                tuple(ren[lit] if lit > 0 else -ren[-lit] for lit in clause) for clause in numbered.clauses
+            ]
+            assert renamed == cnf.clauses
+            absorbed += numbered.num_vars - cnf.num_vars
+        assert absorbed > 100, absorbed
+
+    def test_random_and_chains_agree_with_enumeration_and_search(self, monkeypatch):
+        blasted = []
+        monkeypatch.setattr("cfv.solver.bitblast", lambda f: blasted.append(bitblast(f)) or blasted[-1])
+        sats = 0
+        for f in and_chain_formulas():
+            fast, slow = sat_solve(f), exhaustive_solve(f, cap_bits=22)
+            assert type(fast) is type(slow)
+            least = slow.model if isinstance(slow, Sat) else None
+            assert (fast.model if isinstance(fast, Sat) else None) == least
+            assert learned_model(f) == least
+            sats += least is not None
+        assert all(cnf.gates is None for cnf in blasted)
+        assert len(blasted) > 30 and 10 < sats < 35, (len(blasted), sats)
 
 
 def test_signed_helpers():
